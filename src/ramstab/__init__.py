@@ -18,7 +18,7 @@ from .valuations import (
     parse_rational,
 )
 from .polygons import NewtonPolygon, below_line, copolygon, lower_hull, slopes
-from .plf import PLFunction, affine_transform, altitude, compose, evaluate, identity_plf, make_plf
+from .plf import PLFunction, altitude, compose, evaluate, identity_plf, make_plf
 from .branches import (
     BranchDataError,
     BranchValuationRecord,
@@ -28,11 +28,13 @@ from .branches import (
     estimate_d,
     extend_record,
     find_stable_index,
+    halving_level,
     predict_branch,
-    semistable_a_bound,
+    stability_screen,
 )
 from .limitdata import (
     LimitingRamificationData,
+    complete_record,
     compute_C,
     level_polygon,
     limiting_data,

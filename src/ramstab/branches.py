@@ -40,9 +40,10 @@ __all__ = [
     "predict_branch",
     "build_record",
     "extend_record",
-    "semistable_a_bound",
+    "halving_level",
     "minimal_d_estimate",
     "estimate_d",
+    "stability_screen",
     "find_stable_index",
 ]
 
@@ -344,20 +345,30 @@ def extend_record(
     if steps == 0:
         return record
     log.info("extended branch record by %d forced steps to length %d", steps, len(vals))
-    extended = build_record(profile, vals)
-    return replace(extended, C=record.C)
+    added = vals[len(record.valuations):]
+    extended = replace(
+        record,
+        valuations=tuple(vals),
+        d_estimates=record.d_estimates
+        + tuple(minimal_d_estimate(v, profile.e_ke) for v in added),
+    )
+    return replace(extended, stable_index=find_stable_index(profile, extended))
 
 
-def semistable_a_bound(v_alpha0) -> int:
-    """An index by which the halving/decrement estimate forces |v| below 1.
+def halving_level(profile: PolynomialValuationProfile, record: BranchValuationRecord) -> int:
+    """The level N at which halving has set in along the branch.
 
-    For a positive base valuation the valuation drops by at least 1 or
-    halves at every step, so ceil(v) steps suffice.
+    N = 0 for negative base valuations.  For a positive base valuation the
+    valuation drops by at least 1 or halves at every step, so N = ceil(v(a_0))
+    (the ceiling extends the integer rule conservatively).  For branches
+    based at zero, N = (number of leading zeros) + (largest coefficient
+    valuation).
     """
-    v = ensure_fraction(v_alpha0)
-    if v <= 0:
-        raise ValueError(f"bound defined for positive base valuations, got {v}")
-    return math.ceil(v)
+    v0 = record.valuations[0]
+    if v0.is_infinite:
+        return record.leading_zeros + profile.max_coefficient_valuation()
+    f0 = v0.finite()
+    return 0 if f0 < 0 else math.ceil(f0)
 
 
 def estimate_d(record: BranchValuationRecord) -> Tuple[int, bool]:
@@ -377,29 +388,36 @@ def estimate_d(record: BranchValuationRecord) -> Tuple[int, bool]:
     return finite_estimates[-1], False
 
 
+def stability_screen(
+    profile: PolynomialValuationProfile, v: Fraction, d_n: int
+) -> Tuple[Tuple[str, str, str, str, bool], ...]:
+    """The stability screen of one level as (name, lhs, op, rhs, passed) comparisons.
+
+    Screens for: |v| <= 1/q^2, the minimal-ramification d-estimate prime to
+    p, and v below every finite non-leading coefficient valuation (vacuous
+    when there is none).  "Prime to p" is interpreted on the numerator of
+    the d-estimate; the interpretation is recorded in every emitted
+    certificate.
+    """
+    p, q = profile.p, profile.q
+    threshold = Fraction(1, q * q)
+    floor = profile.min_nonleading_valuation()
+    if floor.is_finite:
+        below = ("<", str(floor.finite()), v < floor.finite())
+    else:
+        below = ("==", str(v), True)
+    return (
+        ("valuation-threshold", str(abs(v)), "<=", str(threshold), abs(v) <= threshold),
+        ("d-estimate-prime-to-p", str(p), "not-divides", str(abs(d_n)), abs(d_n) % p != 0),
+        ("valuation-below-coefficients", str(v), *below),
+    )
+
+
 def find_stable_index(
     profile: PolynomialValuationProfile, record: BranchValuationRecord
 ) -> Optional[int]:
-    """First recorded level passing the effective stability screen.
-
-    Screens for: 0 < |v| <= 1/q^2, the minimal-ramification d-estimate
-    prime to p, and v below every finite non-leading coefficient valuation.
-    "Prime to p" is interpreted on the numerator of the d-estimate; the
-    interpretation is recorded in every emitted certificate.
-    """
-    q = profile.q
-    threshold = Fraction(1, q * q)
-    floor = profile.min_nonleading_valuation()
-    for n, v in enumerate(record.valuations):
-        if v.is_infinite:
-            continue
-        f = v.finite()
-        if not 0 < abs(f) <= threshold:
-            continue
-        d_n = record.d_estimates[n]
-        if d_n is None or abs(d_n) % profile.p == 0:
-            continue
-        if not ExtendedRational(f) < floor:
-            continue
-        return n
+    """First recorded level passing every comparison of the stability screen."""
+    for n, (v, d_n) in enumerate(zip(record.valuations, record.d_estimates)):
+        if v.is_finite and all(c[-1] for c in stability_screen(profile, v.finite(), d_n)):
+            return n
     return None

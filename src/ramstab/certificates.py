@@ -21,8 +21,9 @@ from .branches import (
     BranchValuationRecord,
     PolynomialValuationProfile,
     estimate_d,
+    stability_screen,
 )
-from .limitdata import LimitingRamificationData, limiting_data
+from .limitdata import LimitingRamificationData
 from .valuations import ensure_fraction
 
 __all__ = [
@@ -235,18 +236,20 @@ def _at_level(checks: Sequence[CertificateCheck], level: int):
 def certify(
     profile: PolynomialValuationProfile,
     record: BranchValuationRecord,
+    data: LimitingRamificationData,
     d: Optional[int] = None,
 ) -> StabilityCertificate:
     """Scan recorded levels for the first where every stability check passes.
 
+    ``data`` is the branch's limiting data (``limiting_data_for_branch``).
     d comes from the caller (trusted), from the uniformizer-base rule
     (trusted), or from the minimal-ramification estimate (the certificate
     is then marked conditional on d).  A level passes when the composition
     criterion holds at its base valuation and the stable-regime screen
-    holds there: |v| <= 1/q^2 with the d-estimate settled and prime to p
-    and v below every non-leading coefficient valuation.  A uniformizer
-    base (v(a_0) * e_ke = 1) passes the screen at level 0 outright, since
-    every level is then Eisenstein.
+    holds there: the d-estimate has settled and the comparisons of
+    ``stability_screen`` pass.  A uniformizer base (v(a_0) * e_ke = 1)
+    passes the screen at level 0 outright, since every level is then
+    Eisenstein.
     """
     p, q = profile.p, profile.q
     est, est_trusted = estimate_d(record)
@@ -276,10 +279,6 @@ def certify(
             reason=f"p = {p} divides d = {d_used}; tameness fails",
         )
 
-    data = limiting_data(profile, record.sign)
-    threshold = Fraction(1, q * q)
-    coeff_floor = profile.min_nonleading_valuation()
-
     for n, v in enumerate(record.valuations):
         if v.is_infinite:
             continue
@@ -289,7 +288,6 @@ def certify(
         comp_ok, comp_checks = composition_criterion(data, f, p, q)
         level_checks.extend(_at_level(comp_checks, n))
 
-        screen_ok = False
         if n == 0 and f * profile.e_ke == 1:
             level_checks.append(
                 CertificateCheck(
@@ -303,14 +301,6 @@ def certify(
             )
             screen_ok = True
         else:
-            c_threshold = CertificateCheck(
-                name="valuation-threshold",
-                level=n,
-                lhs=str(abs(f)),
-                op="<=",
-                rhs=str(threshold),
-                passed=abs(f) <= threshold,
-            )
             d_n = record.d_estimates[n]
             tail = record.d_estimates[n:]
             # settled run: entries from n to the end of the record, all equal
@@ -323,37 +313,13 @@ def certify(
                 rhs="2",
                 passed=run >= 2,
             )
-            c_tame_n = CertificateCheck(
-                name="d-estimate-prime-to-p",
-                level=n,
-                lhs=str(p),
-                op="not-divides",
-                rhs=str(abs(d_n)),
-                passed=abs(d_n) % p != 0,
+            c_threshold, c_tame_n, c_below = (
+                CertificateCheck(name, n, lhs, op, rhs, passed)
+                for name, lhs, op, rhs, passed in stability_screen(profile, f, d_n)
             )
-            if coeff_floor.is_finite:
-                c_below = CertificateCheck(
-                    name="valuation-below-coefficients",
-                    level=n,
-                    lhs=str(f),
-                    op="<",
-                    rhs=str(coeff_floor.finite()),
-                    passed=f < coeff_floor.finite(),
-                )
-            else:
-                # vacuous: no non-leading coefficients to compare against
-                c_below = CertificateCheck(
-                    name="valuation-below-coefficients",
-                    level=n,
-                    lhs=str(f),
-                    op="==",
-                    rhs=str(f),
-                    passed=True,
-                )
-            level_checks.extend([c_threshold, c_settled, c_tame_n, c_below])
-            screen_ok = all(
-                c.passed for c in (c_threshold, c_settled, c_tame_n, c_below)
-            )
+            screen = (c_threshold, c_settled, c_tame_n, c_below)
+            level_checks.extend(screen)
+            screen_ok = all(c.passed for c in screen)
 
         checks.extend(level_checks)
         if comp_ok and screen_ok:

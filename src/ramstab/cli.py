@@ -2,8 +2,9 @@
 
 Commands: limit-data, branch, certify, hh, breaks, plot, selftest.
 Exit codes: 0 success, 1 not-certified or tower invariant abort, 2
-malformed input.  Logging verbosity comes from the RAMSTAB_LOG
-environment variable (error/warn/info/debug); there are no logging flags.
+malformed or unreadable input or a bad command line.  Logging verbosity
+comes from the RAMSTAB_LOG environment variable (error/warn/info/debug);
+there are no logging flags.
 """
 
 from __future__ import annotations
@@ -20,14 +21,10 @@ from pathlib import Path
 
 from .branches import BranchDataError, estimate_d
 from .certificates import certify, pcb_normal_form, pcb_sufficient
-from .hasseherbrand import (
-    TowerInvariantError,
-    breaks_and_subfields,
-    build_phi,
-    build_tower,
-)
+from .hasseherbrand import TowerInvariantError, breaks_and_subfields, build_tower
 from .inputdoc import InputError, load_document
 from .limitdata import (
+    complete_record,
     level_polygon,
     limiting_data_for_branch,
     reindexed_record,
@@ -56,6 +53,12 @@ def _configure_logging():
     logging.basicConfig(level=_LOG_LEVELS.get(name, logging.WARNING))
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if out:
@@ -64,16 +67,13 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _pipeline(path):
-    doc = load_document(path)
-    profile = doc.profile()
-    record = doc.record()
-    data, record, level_for_C = limiting_data_for_branch(profile, record)
-    return doc, profile, record, data, level_for_C
+def _error_payload(exc: Exception) -> dict:
+    return {"error": str(exc), "field": exc.field if isinstance(exc, InputError) else None}
 
 
 def _limit_data_payload(path) -> dict:
-    _doc, _profile, record, data, level_for_C = _pipeline(path)
+    doc = load_document(path)
+    data, _record, level_for_C = limiting_data_for_branch(doc.profile, doc.record)
     payload = data.to_json()
     payload["N"] = level_for_C
     payload["notes"] = REPORT_NOTES
@@ -86,7 +86,8 @@ def _cmd_limit_data(args) -> int:
 
 
 def _cmd_branch(args) -> int:
-    doc, _profile, record, _data, level_for_C = _pipeline(args.input)
+    doc = load_document(args.input)
+    record, level_for_C = complete_record(doc.profile, doc.record)
     d_est, trusted = estimate_d(record)
     payload = record.to_json()
     payload.update(
@@ -104,8 +105,10 @@ def _cmd_branch(args) -> int:
 
 
 def _certify_payload(path) -> tuple[dict, int]:
-    doc, profile, record, _data, _n = _pipeline(path)
-    cert = certify(profile, record, d=doc.d)
+    doc = load_document(path)
+    profile = doc.profile
+    data, record, _n = limiting_data_for_branch(profile, doc.record)
+    cert = certify(profile, record, data, doc.d)
     normal_form, witness = pcb_normal_form(profile)
     base = record.first_finite()
     payload = cert.to_json()
@@ -119,44 +122,49 @@ def _certify_payload(path) -> tuple[dict, int]:
     return payload, 0 if cert.certified else 1
 
 
-def _certify_one(path: str) -> tuple[str, int, str]:
+def _certify_one(path: str) -> tuple[str, int, dict]:
     try:
         payload, code = _certify_payload(path)
-        return path, code, json.dumps(payload, indent=2)
     except (InputError, BranchDataError) as exc:
-        return path, 2, json.dumps({"error": str(exc)})
+        payload, code = _error_payload(exc), 2
+    return path, code, payload
 
 
 def _cmd_certify(args) -> int:
-    if len(args.inputs) == 1 and args.jobs <= 1:
+    if len(args.inputs) == 1 and args.jobs == 1:
         payload, code = _certify_payload(args.inputs[0])
         _emit(payload, args.out)
         return code
-    results = []
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_certify_one, args.inputs))
     else:
         results = [_certify_one(path) for path in args.inputs]
-    worst = 0
-    combined = {}
-    for path, code, text in results:
-        combined[path] = json.loads(text)
-        worst = max(worst, code)
-    _emit(combined, args.out)
-    return worst
+    _emit({path: payload for path, _code, payload in results}, args.out)
+    return max(code for _path, code, _payload in results)
+
+
+def _certified_tower(doc, depth: int):
+    """Certify a document and build its tower on the working base.
+
+    Returns the certificate, the working record, its limiting data and the
+    tower; all but the certificate are None when it does not certify.
+    """
+    profile = doc.profile
+    data, record, _n = limiting_data_for_branch(profile, doc.record)
+    cert = certify(profile, record, data, doc.d)
+    if not cert.certified:
+        return cert, None, None, None
+    working = reindexed_record(profile, record, cert.reindex)
+    working_data = replace(data, C=working.C)
+    tower = build_tower(profile, working_data, cert.d_used, working.first_finite(), depth)
+    return cert, working, working_data, tower
 
 
 def _tower_payload(path, depth: int) -> tuple[dict, int]:
-    doc, profile, record, data, _n = _pipeline(path)
-    cert = certify(profile, record, d=doc.d)
-    if not cert.certified:
+    cert, working, working_data, tower = _certified_tower(load_document(path), depth)
+    if tower is None:
         return {"certificate": cert.to_json()}, 1
-    working = record if cert.reindex == 0 else reindexed_record(profile, record, cert.reindex)
-    working_data = replace(data, C=working.C)
-    v_base = working.first_finite()
-    phis = [build_phi(profile, working_data, n, cert.d_used, v_base) for n in range(1, depth + 1)]
-    tower = build_tower(profile, working_data, cert.d_used, v_base, depth)
     table = breaks_and_subfields(tower, working_data, reindex=cert.reindex)
     payload = {
         "depth": depth,
@@ -164,9 +172,9 @@ def _tower_payload(path, depth: int) -> tuple[dict, int]:
         "d": cert.d_used,
         "d_trusted": cert.d_trusted,
         "conditional_on_d": cert.conditional_on_d,
-        "base_valuation": format_rational(v_base),
+        "base_valuation": format_rational(working.first_finite()),
         "C": format_rational(working.C),
-        "phi": [phi.to_json() for phi in phis],
+        "phi": [tf.phi.to_json() for tf in tower],
         "Phi": [tf.to_json() for tf in tower],
         **table,
         "notes": REPORT_NOTES,
@@ -195,18 +203,14 @@ def _cmd_breaks(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    doc, profile, record, data, _n = _pipeline(args.input)
-    cert = certify(profile, record, d=doc.d)
-    if not cert.certified:
+    doc = load_document(args.input)
+    cert, _working, working_data, tower = _certified_tower(doc, args.depth)
+    if tower is None:
         _emit({"certificate": cert.to_json()}, None)
         return 1
-    working = record if cert.reindex == 0 else reindexed_record(profile, record, cert.reindex)
-    working_data = replace(data, C=working.C)
-    v_base = working.first_finite()
-    polygon = level_polygon(profile, working_data, args.depth)
-    phi = build_phi(profile, working_data, args.depth, cert.d_used, v_base)
-    tower = build_tower(profile, working_data, cert.d_used, v_base, args.depth)
-    svg = render_level_report(polygon, copolygon(polygon), phi.plf, tower[-1].plf, args.depth)
+    polygon = level_polygon(doc.profile, working_data, args.depth)
+    top = tower[-1]
+    svg = render_level_report(polygon, copolygon(polygon), top.phi.plf, top.plf, args.depth)
     Path(args.out).write_text(svg)
     log.info("wrote %s", args.out)
     return 0
@@ -259,25 +263,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="stability certificate (exit 1 if not certified)")
     p.add_argument("inputs", nargs="+")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("hh", help="transition functions and tower to a depth")
     p.add_argument("input")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_positive_int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_hh)
 
     p = sub.add_parser("breaks", help="ramification breaks and subfield table")
     p.add_argument("input")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_positive_int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_breaks)
 
     p = sub.add_parser("plot", help="render polygon, dual and transition functions as SVG")
     p.add_argument("input")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_plot)
 
@@ -293,11 +297,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(json.dumps({"error": str(exc), "field": exc.field}), file=sys.stderr)
-        return 2
-    except BranchDataError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+    except (InputError, BranchDataError) as exc:
+        print(json.dumps(_error_payload(exc)), file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

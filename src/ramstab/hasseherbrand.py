@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .branches import PolynomialValuationProfile
 from .limitdata import LimitingRamificationData, level_polygon
@@ -76,12 +76,14 @@ class TransitionFunction:
 
 @dataclass(frozen=True)
 class TowerFunction:
-    """Transition function of the whole tower up to a level, with its breaks."""
+    """Transition function of the whole tower up to a level, with its breaks
+    and the level's own transition function ``phi``."""
 
     level: int
     plf: PLFunction
     breaks: Tuple[Fraction, ...]
     altitude: Fraction
+    phi: TransitionFunction
 
     def to_json(self) -> dict:
         return {
@@ -179,6 +181,7 @@ def _validate_tower_level(
         plf=candidate,
         breaks=tuple(x for x, _ in candidate.vertices),
         altitude=altitude(candidate),
+        phi=phi,
     )
 
 
@@ -198,22 +201,20 @@ def build_tower(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     tower: List[TowerFunction] = []
-    current: Optional[PLFunction] = None
-    prev_phi: Optional[TransitionFunction] = None
     for n in range(1, depth + 1):
         phi = build_phi(profile, data, n, d, v_base)
-        if prev_phi is not None:
-            if phi.first_vertex_x() <= prev_phi.last_vertex_x():
+        if tower:
+            prev = tower[-1]
+            if phi.first_vertex_x() <= prev.phi.last_vertex_x():
                 raise TowerInvariantError(
                     "composition-gap",
                     f"first vertex {phi.first_vertex_x()} of phi_{n} does not lie "
-                    f"strictly beyond the last vertex {prev_phi.last_vertex_x()} of phi_{n - 1}",
+                    f"strictly beyond the last vertex {prev.phi.last_vertex_x()} of phi_{n - 1}",
                 )
-            current = compose(current, phi.plf)
+            current = compose(prev.plf, phi.plf)
         else:
             current = phi.plf
         tower.append(_validate_tower_level(tower, current, phi, data))
-        prev_phi = phi
         log.debug("tower level %d: %d breaks, altitude %s", n, len(tower[-1].breaks), tower[-1].altitude)
     return tower
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional
 
 from .branches import (
     BranchDataError,
@@ -19,7 +19,7 @@ from .branches import (
     PolynomialValuationProfile,
     build_record,
 )
-from .valuations import ExtendedRational, format_rational, parse_rational
+from .valuations import ExtendedRational, _check_prime, format_rational, parse_rational
 
 __all__ = ["InputDocument", "InputError", "parse_document", "load_document"]
 
@@ -34,44 +34,31 @@ class InputError(ValueError):
 
 @dataclass(frozen=True)
 class InputDocument:
-    """Validated input: profile numbers plus the recorded branch valuations."""
+    """Validated input: the coefficient-valuation profile, the validated
+    branch record and the caller's d, if given."""
 
-    p: int
-    r: int
-    v_p: int
-    e_ke: int
-    coeff_valuations: Tuple[Tuple[int, Optional[int]], ...]
-    base_valuation: ExtendedRational
-    branch_valuations: Tuple[ExtendedRational, ...]
+    profile: PolynomialValuationProfile
+    record: BranchValuationRecord
     d: Optional[int] = None
-    leading_zeros: int = 0
 
     def to_json(self) -> dict:
+        profile, record = self.profile, self.record
         out = {
-            "p": self.p,
-            "r": self.r,
-            "v_p": self.v_p,
-            "e_ke": self.e_ke,
+            "p": profile.p,
+            "r": profile.r,
+            "v_p": profile.v_p,
+            "e_ke": profile.e_ke,
             "coeff_valuations": {
-                str(i): ("inf" if v is None else str(v)) for i, v in self.coeff_valuations
+                str(i): str(v) for i, v in sorted(profile.coeff_valuations.items())
             },
-            "base_valuation": format_rational(self.base_valuation),
-            "branch_valuations": [format_rational(v) for v in self.branch_valuations],
+            "base_valuation": format_rational(record.valuations[0]),
+            "branch_valuations": [format_rational(v) for v in record.valuations],
         }
         if self.d is not None:
             out["d"] = self.d
-        if self.leading_zeros:
-            out["leading_zeros"] = self.leading_zeros
+        if record.leading_zeros:
+            out["leading_zeros"] = record.leading_zeros
         return out
-
-    def profile(self) -> PolynomialValuationProfile:
-        coeffs = {i: v for i, v in self.coeff_valuations if v is not None}
-        return PolynomialValuationProfile(
-            p=self.p, r=self.r, v_p=self.v_p, coeff_valuations=coeffs, e_ke=self.e_ke
-        )
-
-    def record(self) -> BranchValuationRecord:
-        return build_record(self.profile(), self.branch_valuations)
 
 
 def _require_int(obj, field, minimum=None):
@@ -109,7 +96,7 @@ def parse_document(obj) -> InputDocument:
         if key not in known:
             raise InputError(key, "unknown field")
     p = _require_int(obj, "p", minimum=2)
-    if any(p % d == 0 for d in range(2, p) if d * d <= p):
+    if not _check_prime(p):
         raise InputError("p", f"{p} is not prime")
     r = _require_int(obj, "r", minimum=1)
     v_p = _require_int(obj, "v_p", minimum=1)
@@ -119,7 +106,7 @@ def parse_document(obj) -> InputDocument:
     raw_coeffs = obj.get("coeff_valuations")
     if not isinstance(raw_coeffs, dict):
         raise InputError("coeff_valuations", "expected an object of index -> valuation")
-    coeffs = []
+    coeffs = {}
     for key, raw in sorted(raw_coeffs.items(), key=lambda kv: int(kv[0]) if str(kv[0]).isdigit() else -1):
         field = f"coeff_valuations[{key}]"
         if not str(key).isdigit():
@@ -132,12 +119,11 @@ def parse_document(obj) -> InputDocument:
         else:
             value = _parse_valuation_string(field, raw)
         if value.is_infinite:
-            coeffs.append((i, None))  # explicit zero coefficient
-            continue
+            continue  # explicit zero coefficient
         f = value.finite()
         if f.denominator != 1 or f < 0:
             raise InputError(field, f"valuations of coefficients are nonnegative integers, got {raw!r}")
-        coeffs.append((i, int(f)))
+        coeffs[i] = int(f)
 
     base = _parse_valuation_string("base_valuation", obj.get("base_valuation"))
 
@@ -166,7 +152,6 @@ def parse_document(obj) -> InputDocument:
         if not v.is_infinite:
             break
         infinite_prefix += 1
-    leading_zeros = infinite_prefix
     if "leading_zeros" in obj and obj["leading_zeros"] is not None:
         leading_zeros = _require_int(obj, "leading_zeros", minimum=0)
         if leading_zeros != infinite_prefix:
@@ -176,29 +161,29 @@ def parse_document(obj) -> InputDocument:
                 f"{infinite_prefix} infinite entries",
             )
 
-    doc = InputDocument(
-        p=p, r=r, v_p=v_p, e_ke=e_ke,
-        coeff_valuations=tuple(coeffs),
-        base_valuation=base,
-        branch_valuations=branch,
-        d=d,
-        leading_zeros=leading_zeros,
-    )
     # surface profile/record invariant violations with their field names
     try:
-        profile = doc.profile()
+        profile = PolynomialValuationProfile(
+            p=p, r=r, v_p=v_p, coeff_valuations=coeffs, e_ke=e_ke
+        )
     except ValueError as exc:
         raise InputError("coeff_valuations", str(exc)) from exc
     try:
-        build_record(profile, branch)
+        record = build_record(profile, branch)
     except BranchDataError as exc:
         raise InputError("branch_valuations", str(exc)) from exc
-    return doc
+    return InputDocument(profile=profile, record=record, d=d)
 
 
 def load_document(path) -> InputDocument:
-    """Read and validate an input document from a JSON file."""
-    text = Path(path).read_text()
+    """Read and validate an input document from a JSON file.
+
+    A missing or unreadable file is reported against the document root "$".
+    """
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError("$", f"cannot read the document: {exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

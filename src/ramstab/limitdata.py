@@ -15,7 +15,6 @@ polygons.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -24,8 +23,9 @@ from .branches import (
     BranchDataError,
     BranchValuationRecord,
     PolynomialValuationProfile,
-    build_record,
     extend_record,
+    find_stable_index,
+    halving_level,
 )
 from .polygons import NewtonPolygon, lower_hull
 from .valuations import INFINITY, binom_valuation, format_rational
@@ -36,6 +36,7 @@ __all__ = [
     "limiting_data",
     "compute_C",
     "level_polygon",
+    "complete_record",
     "limiting_data_for_branch",
     "reindexed_record",
 ]
@@ -137,29 +138,10 @@ def limiting_data(
     return LimitingRamificationData(V=len(R), R=R, M=M, E=E, sign=sign)
 
 
-def compute_C(
-    profile: PolynomialValuationProfile,
-    record: BranchValuationRecord,
-    leading_zeros: Optional[int] = None,
-) -> Fraction:
-    """The error coefficient C = q^N v(a_N) at a level N where halving has set in.
-
-    N = 0 for negative base valuations; N = ceil(v(a_0)) for positive ones
-    (the ceiling extends the integer rule conservatively); and
-    N = (number of leading zeros) + (largest coefficient valuation) for
-    branches based at zero.
-    """
-    k = record.leading_zeros
-    if leading_zeros is not None and leading_zeros != k:
-        raise BranchDataError(
-            f"leading_zeros={leading_zeros} disagrees with the record ({k} infinite entries)"
-        )
-    v0 = record.valuations[0]
-    if v0.is_infinite:
-        N = k + profile.max_coefficient_valuation()
-    else:
-        f0 = v0.finite()
-        N = 0 if f0 < 0 else math.ceil(f0)
+def compute_C(profile: PolynomialValuationProfile, record: BranchValuationRecord) -> Fraction:
+    """The error coefficient C = q^N v(a_N) at the level N where halving has
+    set in (``halving_level``)."""
+    N = halving_level(profile, record)
     if len(record.valuations) <= N:
         raise BranchDataError(
             f"record has {len(record.valuations)} valuations but C needs level {N}"
@@ -195,20 +177,15 @@ def level_polygon(
     return polygon
 
 
-def limiting_data_for_branch(
+def complete_record(
     profile: PolynomialValuationProfile, record: BranchValuationRecord
-) -> Tuple[LimitingRamificationData, BranchValuationRecord, int]:
-    """Full pipeline: extend the record as needed, compute (V, R, M, E) and C.
+) -> Tuple[BranchValuationRecord, int]:
+    """Extend the record through forced steps as far as C and the screen need.
 
-    Returns the data with C attached, the (possibly extended) record with C
-    and stable index filled in, and the level N used to read off C.
+    Returns the (possibly extended) record with C and stable index filled
+    in, and the level N used to read off C.
     """
-    v0 = record.valuations[0]
-    if v0.is_infinite:
-        N = record.leading_zeros + profile.max_coefficient_valuation()
-    else:
-        f0 = v0.finite()
-        N = 0 if f0 < 0 else math.ceil(f0)
+    N = halving_level(profile, record)
     record = extend_record(profile, record, N + 1)
     C = compute_C(profile, record)
     # past N the valuation divides by q each step; walk until the stable
@@ -220,9 +197,19 @@ def limiting_data_for_branch(
         t /= profile.q
         extra += 1
     record = extend_record(profile, record, N + extra + 2)
-    record = replace(record, C=C)
-    data = replace(limiting_data(profile, record.sign), C=C)
-    return data, record, N
+    return replace(record, C=C), N
+
+
+def limiting_data_for_branch(
+    profile: PolynomialValuationProfile, record: BranchValuationRecord
+) -> Tuple[LimitingRamificationData, BranchValuationRecord, int]:
+    """Full pipeline: complete the record, then compute (V, R, M, E) and attach C.
+
+    Returns the data with C attached, the completed record and the level N
+    used to read off C.
+    """
+    record, N = complete_record(profile, record)
+    return replace(limiting_data(profile, record.sign), C=record.C), record, N
 
 
 def reindexed_record(
@@ -230,11 +217,14 @@ def reindexed_record(
 ) -> BranchValuationRecord:
     """The branch re-based at level N, with C recomputed from the tail.
 
-    C is branch-relative, so after replacing the ground field by the level-N
-    field it is recomputed from the tail valuations rather than rescaled.
+    The tail of a validated record is itself valid, so it is sliced rather
+    than validated again.  C is branch-relative, so after replacing the
+    ground field by the level-N field it is recomputed from the tail
+    valuations rather than rescaled.
     """
     if not 0 <= N < len(record.valuations):
         raise BranchDataError(f"reindex level {N} outside the recorded range")
-    tail = build_record(profile, record.valuations[N:])
-    _, tail, _ = limiting_data_for_branch(profile, tail)
-    return tail
+    tail = replace(record, valuations=record.valuations[N:], d_estimates=record.d_estimates[N:])
+    return replace(
+        tail, stable_index=find_stable_index(profile, tail), C=compute_C(profile, tail)
+    )

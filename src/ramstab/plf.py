@@ -20,7 +20,6 @@ __all__ = [
     "make_plf",
     "evaluate",
     "compose",
-    "affine_transform",
     "altitude",
 ]
 
@@ -170,30 +169,6 @@ def compose(outer: PLFunction, inner: PLFunction) -> PLFunction:
         verts,
         outer.final_slope * inner.final_slope,
     )
-
-
-def affine_transform(f: PLFunction, x_shift, x_scale, y_scale) -> PLFunction:
-    """Map vertices (x, y) to (x_scale*(x + x_shift), y_scale*y).
-
-    Segment slopes between vertices scale by y_scale/x_scale; the initial
-    segment is re-anchored through the origin, so a nonzero shift changes
-    the initial slope (and requires at least one vertex).
-    """
-    x_shift = ensure_fraction(x_shift)
-    x_scale = ensure_fraction(x_scale)
-    y_scale = ensure_fraction(y_scale)
-    if x_scale <= 0 or y_scale <= 0:
-        raise ValueError("scale factors must be positive")
-    ratio = y_scale / x_scale
-    if not f.vertices:
-        if x_shift != 0:
-            raise ValueError("cannot shift a vertex-free function")
-        return PLFunction(f.initial_slope * ratio, (), f.final_slope * ratio)
-    verts = [(x_scale * (x + x_shift), y_scale * y) for x, y in f.vertices]
-    if verts[0][0] <= 0:
-        raise ValueError("shift moves the first vertex out of the domain x > 0")
-    x1, y1 = verts[0]
-    return make_plf(Fraction(y1, 1) / x1, verts, f.final_slope * ratio)
 
 
 def altitude(f: PLFunction) -> Fraction:

@@ -15,9 +15,9 @@ from ramstab.branches import (
     estimate_d,
     extend_record,
     find_stable_index,
+    halving_level,
     minimal_d_estimate,
     predict_branch,
-    semistable_a_bound,
     zero_departure_candidates,
 )
 from ramstab.valuations import INFINITY
@@ -126,15 +126,17 @@ class TestRecordValidation:
 
 class TestBounds:
     def test_integer_base(self):
-        assert semistable_a_bound(4) == 4
-        assert semistable_a_bound(1) == 1
+        assert halving_level(SAMPLE_PROFILE, build_record(SAMPLE_PROFILE, ["4"])) == 4
+        assert halving_level(UNIFORMIZER_PROFILE, build_record(UNIFORMIZER_PROFILE, ["1"])) == 1
 
     def test_ceiling_for_fractions(self):
-        assert semistable_a_bound(Fraction(7, 2)) == 4
+        assert halving_level(SAMPLE_PROFILE, build_record(SAMPLE_PROFILE, ["7/2"])) == 4
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            semistable_a_bound(0)
+    def test_negative_and_zero_bases(self):
+        assert halving_level(SAMPLE_PROFILE, predict_branch(SAMPLE_PROFILE, -1)) == 0
+        # one leading zero plus the largest coefficient valuation, 2
+        record = build_record(UNIFORMIZER_PROFILE, ["inf", "1"])
+        assert halving_level(UNIFORMIZER_PROFILE, record) == 3
 
 
 class TestEstimateD:

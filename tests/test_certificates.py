@@ -73,13 +73,14 @@ class TestPCBSufficient:
 
 
 class TestCertify:
-    def sample_record(self):
+    def sample_branch(self):
         record = build_record(SAMPLE_PROFILE, ["4", "2/3", "2/27"])
-        _data, record, _ = limiting_data_for_branch(SAMPLE_PROFILE, record)
-        return record
+        data, record, _ = limiting_data_for_branch(SAMPLE_PROFILE, record)
+        return record, data
 
     def test_sample_potentially_stable(self):
-        cert = certify(SAMPLE_PROFILE, self.sample_record(), d=2)
+        record, data = self.sample_branch()
+        cert = certify(SAMPLE_PROFILE, record, data, d=2)
         assert cert.kind == "PotentiallyTRS"
         assert cert.reindex >= 1
         assert cert.d_used == 2 and cert.d_trusted and not cert.conditional_on_d
@@ -92,14 +93,15 @@ class TestCertify:
         assert comp[1] == ("3", "7/6", True)
 
     def test_sample_without_d_is_conditional(self):
-        cert = certify(SAMPLE_PROFILE, self.sample_record())
+        record, data = self.sample_branch()
+        cert = certify(SAMPLE_PROFILE, record, data)
         assert cert.kind == "PotentiallyTRS"
         assert cert.d_used == 2 and not cert.d_trusted and cert.conditional_on_d
 
     def test_uniformizer_is_stable_at_base(self):
         record = build_record(UNIFORMIZER_PROFILE, ["1", "1/3", "1/9"])
-        _data, record, _ = limiting_data_for_branch(UNIFORMIZER_PROFILE, record)
-        cert = certify(UNIFORMIZER_PROFILE, record, d=1)
+        data, record, _ = limiting_data_for_branch(UNIFORMIZER_PROFILE, record)
+        cert = certify(UNIFORMIZER_PROFILE, record, data, d=1)
         assert cert.kind == "TRS" and cert.reindex == 0
         assert cert.d_trusted
         assert all(c.passed for c in cert.checks)
@@ -107,7 +109,8 @@ class TestCertify:
         assert "uniformizer-base" in names
 
     def test_divisible_d_not_certified(self):
-        cert = certify(SAMPLE_PROFILE, self.sample_record(), d=3)
+        record, data = self.sample_branch()
+        cert = certify(SAMPLE_PROFILE, record, data, d=3)
         assert cert.kind == "NotCertified"
         assert "divides" in cert.reason
         failed = [c for c in cert.checks if not c.passed]
@@ -115,7 +118,7 @@ class TestCertify:
 
     def test_short_record_not_certified(self):
         record = build_record(SAMPLE_PROFILE, ["4", "2/3"])
-        cert = certify(SAMPLE_PROFILE, record, d=2)
+        cert = certify(SAMPLE_PROFILE, record, limiting_data(SAMPLE_PROFILE, record.sign), d=2)
         assert cert.kind == "NotCertified"
         assert cert.reason is not None
 
@@ -124,9 +127,8 @@ class TestCertify:
         from ramstab.certificates import composition_criterion as crit
         from ramstab.branches import find_stable_index
 
-        record = self.sample_record()
-        cert = certify(SAMPLE_PROFILE, record, d=2)
-        data = limiting_data(SAMPLE_PROFILE, record.sign)
+        record, data = self.sample_branch()
+        cert = certify(SAMPLE_PROFILE, record, data, d=2)
         for n in range(cert.reindex, len(record.valuations)):
             v = record.valuations[n].finite()
             ok, _ = crit(data, v, SAMPLE_PROFILE.p, SAMPLE_PROFILE.q)
@@ -135,8 +137,8 @@ class TestCertify:
     def test_reindex_is_at_least_the_stability_screen(self):
         from ramstab.branches import find_stable_index
 
-        record = self.sample_record()
-        cert = certify(SAMPLE_PROFILE, record, d=2)
+        record, data = self.sample_branch()
+        cert = certify(SAMPLE_PROFILE, record, data, d=2)
         screen = find_stable_index(SAMPLE_PROFILE, record)
         assert screen is not None and cert.reindex >= screen
 
@@ -144,12 +146,12 @@ class TestCertify:
 class TestSelfValidation:
     def test_all_fixture_certificates_revalidate(self):
         record = build_record(SAMPLE_PROFILE, ["4", "2/3", "2/27"])
-        _data, record, _ = limiting_data_for_branch(SAMPLE_PROFILE, record)
+        data, record, _ = limiting_data_for_branch(SAMPLE_PROFILE, record)
         for d in (2, None, 3):
-            assert revalidate(certify(SAMPLE_PROFILE, record, d=d))
+            assert revalidate(certify(SAMPLE_PROFILE, record, data, d=d))
         b_record = build_record(UNIFORMIZER_PROFILE, ["1", "1/3", "1/9"])
-        _data, b_record, _ = limiting_data_for_branch(UNIFORMIZER_PROFILE, b_record)
-        assert revalidate(certify(UNIFORMIZER_PROFILE, b_record, d=1))
+        b_data, b_record, _ = limiting_data_for_branch(UNIFORMIZER_PROFILE, b_record)
+        assert revalidate(certify(UNIFORMIZER_PROFILE, b_record, b_data, d=1))
 
     def test_evaluate_check_ops(self):
         assert evaluate_check("3", ">", "7/6")
@@ -179,8 +181,8 @@ class TestSelfValidation:
 
     def test_json_round_trip_fields(self):
         record = build_record(UNIFORMIZER_PROFILE, ["1", "1/3", "1/9"])
-        _data, record, _ = limiting_data_for_branch(UNIFORMIZER_PROFILE, record)
-        cert = certify(UNIFORMIZER_PROFILE, record, d=1)
+        data, record, _ = limiting_data_for_branch(UNIFORMIZER_PROFILE, record)
+        cert = certify(UNIFORMIZER_PROFILE, record, data, d=1)
         payload = cert.to_json()
         assert payload["kind"] == "TRS"
         assert payload["checks"][0]["rendered"]

@@ -1,8 +1,12 @@
 """Command-line surface: outputs, exit codes, plotting, selftest."""
 
 import json
+import sys
 from pathlib import Path
 
+import pytest
+
+from ramstab import branches, hasseherbrand, limitdata, polygons
 from ramstab.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -78,6 +82,23 @@ class TestCertifyCommand:
         assert payload[SAMPLE]["kind"] == "PotentiallyTRS"
         assert payload[UNIFORMIZER]["kind"] == "TRS"
 
+    def test_batch_reports_each_bad_file(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        invalid = tmp_path / "invalid.json"
+        invalid.write_text(json.dumps({"p": 3}))
+        unreadable = str(tmp_path)  # a directory
+        for jobs in ("1", "2"):
+            code, out, _ = run(
+                capsys, "certify", SAMPLE, missing, str(invalid), unreadable, "--jobs", jobs
+            )
+            assert code == 2
+            payload = json.loads(out)
+            assert payload[SAMPLE]["kind"] == "PotentiallyTRS"
+            assert payload[missing]["field"] == "$"
+            assert payload[unreadable]["field"] == "$"
+            assert payload[str(invalid)]["field"] == "r"
+            assert all("error" in payload[path] for path in (missing, str(invalid), unreadable))
+
     def test_malformed_input_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"p": 3}))
@@ -118,6 +139,75 @@ class TestTowerCommands:
         body = target.read_text()
         assert body.startswith("<svg")
         assert "polyline" in body and "</svg>" in body
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hh", "--depth", "0", SAMPLE],
+            ["breaks", "--depth", "-2", SAMPLE],
+            ["hh", "--depth", "two", SAMPLE],
+            ["plot", "--depth", "0", "--out", "never-written.svg", SAMPLE],
+            ["certify", "--jobs", "0", SAMPLE],
+        ],
+    )
+    def test_nonpositive_counts_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "positive integer" in err
+
+
+def count_stage_calls(monkeypatch, capsys, *argv):
+    """Run one command with the pipeline stages wrapped at every ramstab binding."""
+    originals = {
+        "build_record": branches.build_record,
+        "limiting_data": limitdata.limiting_data,
+        "lower_hull": polygons.lower_hull,
+        "build_phi": hasseherbrand.build_phi,
+    }
+    counts = dict.fromkeys(originals, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrappers = {name: counting(name, fn) for name, fn in originals.items()}
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name != "ramstab" and not mod_name.startswith("ramstab."):
+            continue
+        for attr, value in list(vars(module).items()):
+            for name, fn in originals.items():
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrappers[name])
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    return counts
+
+
+class TestStageCounts:
+    """Every command computes each pipeline stage once."""
+
+    def test_certify(self, monkeypatch, capsys):
+        counts = count_stage_calls(monkeypatch, capsys, "certify", SAMPLE)
+        assert counts["build_record"] == 1
+        assert counts["limiting_data"] == 1
+        assert counts["lower_hull"] <= 6
+
+    def test_hh(self, monkeypatch, capsys):
+        counts = count_stage_calls(monkeypatch, capsys, "hh", "--depth", "3", SAMPLE)
+        assert counts["build_record"] == 1
+        assert counts["limiting_data"] == 1
+        assert counts["build_phi"] == 3
+
+    def test_branch_computes_no_limiting_data(self, monkeypatch, capsys):
+        counts = count_stage_calls(monkeypatch, capsys, "branch", SAMPLE)
+        assert counts["limiting_data"] == 0
 
 
 class TestSelftest:

@@ -20,12 +20,11 @@ def sample_obj():
 class TestParsing:
     def test_fixture_documents_parse(self):
         doc = load_document(SAMPLE)
-        assert doc.p == 3 and doc.r == 2 and doc.v_p == 2
+        profile = doc.profile
+        assert profile.p == 3 and profile.r == 2 and profile.v_p == 2
         assert doc.d == 2
-        profile = doc.profile()
         assert profile.q == 9
-        record = doc.record()
-        assert len(record.valuations) == 3
+        assert len(doc.record.valuations) == 3
 
     def test_round_trip_is_identity(self):
         for path in (SAMPLE, UNIFORMIZER):
@@ -68,6 +67,30 @@ class TestParsing:
         with pytest.raises(InputError, match=r"coeff_valuations\[1\]"):
             parse_document(obj)
 
+    def test_large_prime_accepted(self):
+        p = 1000000007
+        doc = parse_document(
+            {
+                "p": p, "r": 1, "v_p": 1,
+                "coeff_valuations": {"1": "1", str(p): "0"},
+                "base_valuation": "1",
+                "branch_valuations": ["1"],
+            }
+        )
+        assert doc.profile.q == p
+
+    def test_large_composite_rejected(self):
+        obj = sample_obj()
+        obj.update({"p": 1000000008, "r": 1})
+        with pytest.raises(InputError) as exc:
+            parse_document(obj)
+        assert exc.value.field == "p"
+
+    def test_missing_file_names_the_root(self, tmp_path):
+        with pytest.raises(InputError) as exc:
+            load_document(tmp_path / "missing.json")
+        assert exc.value.field == "$"
+
     def test_head_must_match_base(self):
         obj = sample_obj()
         obj["base_valuation"] = "5"
@@ -84,7 +107,7 @@ class TestParsing:
         obj = sample_obj()
         obj["coeff_valuations"]["2"] = "inf"
         doc = parse_document(obj)
-        assert doc.profile().coefficient_valuation(2).is_infinite
+        assert doc.profile.coefficient_valuation(2).is_infinite
         assert parse_document(doc.to_json()) == doc
 
     def test_leading_zero_branch(self):
@@ -93,8 +116,8 @@ class TestParsing:
         obj["branch_valuations"] = ["inf", "1", "1/3"]
         obj.pop("d")
         doc = parse_document(obj)
-        assert doc.leading_zeros == 1
-        assert doc.record().leading_zeros == 1
+        assert doc.record.leading_zeros == 1
+        assert doc.to_json()["leading_zeros"] == 1
 
 
 class TestSchema:

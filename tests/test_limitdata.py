@@ -105,11 +105,6 @@ class TestComputeC:
         with pytest.raises(BranchDataError, match="level 4"):
             compute_C(SAMPLE_PROFILE, record)
 
-    def test_leading_zero_mismatch(self):
-        record = build_record(UNIFORMIZER_PROFILE, ["1", "1/3"])
-        with pytest.raises(BranchDataError, match="disagrees"):
-            compute_C(UNIFORMIZER_PROFILE, record, leading_zeros=1)
-
 
 class TestLevelPolygon:
     def test_sample_relative_to_first_level(self):

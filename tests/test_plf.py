@@ -9,7 +9,6 @@ from helpers import random_plf
 
 from ramstab.plf import (
     PLFunction,
-    affine_transform,
     altitude,
     compose,
     evaluate,
@@ -93,40 +92,6 @@ class TestCompose:
         for _ in range(120):
             f, g, h = random_plf(rng), random_plf(rng), random_plf(rng)
             assert compose(compose(f, g), h) == compose(f, compose(g, h))
-
-
-class TestAffineTransform:
-    def test_identity_transform(self):
-        f = UNIFORMIZER_PHI1
-        assert affine_transform(f, 0, 1, 1) == f
-
-    def test_pure_stretch(self):
-        dual = PLFunction(3, ((Fraction(1, 2), Fraction(3, 2)),), 1)
-        stretched = affine_transform(dual, 0, 3, 1)
-        assert stretched.vertices == ((Fraction(3, 2), Fraction(3, 2)),)
-        assert stretched.slopes() == [1, Fraction(1, 3)]
-
-    def test_slopes_scale_by_ratio(self):
-        rng = random.Random(44)
-        for _ in range(100):
-            f = random_plf(rng)
-            xs = Fraction(rng.randint(1, 6), rng.randint(1, 6))
-            ys = Fraction(rng.randint(1, 6), rng.randint(1, 6))
-            g = affine_transform(f, 0, xs, ys)
-            assert g.slopes() == [s * ys / xs for s in f.slopes()]
-
-    def test_rejects_bad_scales(self):
-        with pytest.raises(ValueError):
-            affine_transform(UNIFORMIZER_PHI1, 0, 0, 1)
-        with pytest.raises(ValueError):
-            affine_transform(UNIFORMIZER_PHI1, 0, 1, -2)
-
-    def test_shift_preserves_internal_slopes(self):
-        f = PLFunction(3, ((1, 3), (3, 5)), Fraction(1, 2))
-        g = affine_transform(f, 1, 1, 1)
-        assert [x for x, _ in g.vertices] == [2, 4]
-        # the segment between the vertices keeps slope 1
-        assert g.slopes()[1] == 1
 
 
 class TestAltitude:
