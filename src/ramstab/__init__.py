@@ -58,6 +58,7 @@ from .hasseherbrand import (
     breaks_and_subfields,
     build_phi,
     build_tower,
+    printable_depth,
 )
 from .inputdoc import InputDocument, InputError, load_document, parse_document
 

@@ -162,16 +162,17 @@ def pcb_normal_form(profile: PolynomialValuationProfile) -> Tuple[bool, Optional
     """Whether v(P_i) + v(i) >= r*v(p) holds for every index 1 <= i <= q.
 
     Polynomials in this normal form have all critical orbits bounded.  On
-    failure the first violating index is returned as a witness.
+    failure the first violating index is returned as a witness.  Zero
+    coefficients have infinite valuation, so only the support is visited.
     """
     target = profile.r * profile.v_p
-    for i in range(1, profile.q + 1):
+    for i in sorted(profile.coeff_valuations):
         vi = 0
         m = i
         while m % profile.p == 0:
             vi += 1
             m //= profile.p
-        total = profile.coefficient_valuation(i) + vi * profile.v_p
+        total = profile.coeff_valuations[i] + vi * profile.v_p
         if total < target:
             return False, i
     return True, None

@@ -21,7 +21,12 @@ from pathlib import Path
 
 from .branches import BranchDataError, estimate_d
 from .certificates import certify, pcb_normal_form, pcb_sufficient
-from .hasseherbrand import TowerInvariantError, breaks_and_subfields, build_tower
+from .hasseherbrand import (
+    TowerInvariantError,
+    breaks_and_subfields,
+    build_tower,
+    printable_depth,
+)
 from .inputdoc import InputError, load_document
 from .limitdata import (
     complete_record,
@@ -157,18 +162,35 @@ def _certified_tower(doc, depth: int):
         return cert, None, None, None
     working = reindexed_record(profile, record, cert.reindex)
     working_data = replace(data, C=working.C)
-    tower = build_tower(profile, working_data, cert.d_used, working.first_finite(), depth)
+    base = working.first_finite()
+    limit = printable_depth(profile, working_data, cert.d_used, base)
+    if limit is not None and depth > limit:
+        raise InputError(
+            "depth",
+            f"{depth} is past {limit}, the deepest tower of this document whose "
+            f"numbers print within {sys.get_int_max_str_digits()} digits",
+        )
+    tower = build_tower(profile, working_data, cert.d_used, base, depth)
     return cert, working, working_data, tower
 
 
-def _tower_payload(path, depth: int) -> tuple[dict, int]:
+def _breaks_payload(cert, working_data, tower) -> dict:
+    """What ``breaks`` and ``hh`` both print: depth, reindex, breaks and subfields."""
+    return {
+        "depth": len(tower),
+        "reindex": cert.reindex,
+        **breaks_and_subfields(tower, working_data, reindex=cert.reindex),
+    }
+
+
+def _hh_payload(path, depth: int) -> tuple[dict, int]:
     cert, working, working_data, tower = _certified_tower(load_document(path), depth)
     if tower is None:
         return {"certificate": cert.to_json()}, 1
-    table = breaks_and_subfields(tower, working_data, reindex=cert.reindex)
+    shared = _breaks_payload(cert, working_data, tower)
     payload = {
-        "depth": depth,
-        "reindex": cert.reindex,
+        "depth": shared.pop("depth"),
+        "reindex": shared.pop("reindex"),
         "d": cert.d_used,
         "d_trusted": cert.d_trusted,
         "conditional_on_d": cert.conditional_on_d,
@@ -176,30 +198,25 @@ def _tower_payload(path, depth: int) -> tuple[dict, int]:
         "C": format_rational(working.C),
         "phi": [tf.phi.to_json() for tf in tower],
         "Phi": [tf.to_json() for tf in tower],
-        **table,
+        **shared,
         "notes": REPORT_NOTES,
     }
     return payload, 0
 
 
 def _cmd_hh(args) -> int:
-    payload, code = _tower_payload(args.input, args.depth)
+    payload, code = _hh_payload(args.input, args.depth)
     _emit(payload, args.out)
     return code
 
 
 def _cmd_breaks(args) -> int:
-    payload, code = _tower_payload(args.input, args.depth)
-    if code == 0:
-        payload = {
-            "depth": payload["depth"],
-            "reindex": payload["reindex"],
-            "breaks": payload["breaks"],
-            "subfields": payload["subfields"],
-            "break_scale": payload["break_scale"],
-        }
-    _emit(payload, args.out)
-    return code
+    cert, _working, working_data, tower = _certified_tower(load_document(args.input), args.depth)
+    if tower is None:
+        _emit({"certificate": cert.to_json()}, args.out)
+        return 1
+    _emit(_breaks_payload(cert, working_data, tower), args.out)
+    return 0
 
 
 def _cmd_plot(args) -> int:
@@ -225,10 +242,10 @@ def _cmd_selftest(args) -> int:
     cases = [
         ("sample.limit-data", lambda p: _limit_data_payload(p), "sample.json"),
         ("sample.certify", lambda p: _certify_payload(p)[0], "sample.json"),
-        ("sample.hh3", lambda p: _tower_payload(p, 3)[0], "sample.json"),
+        ("sample.hh3", lambda p: _hh_payload(p, 3)[0], "sample.json"),
         ("uniformizer.limit-data", lambda p: _limit_data_payload(p), "uniformizer.json"),
         ("uniformizer.certify", lambda p: _certify_payload(p)[0], "uniformizer.json"),
-        ("uniformizer.hh5", lambda p: _tower_payload(p, 5)[0], "uniformizer.json"),
+        ("uniformizer.hh5", lambda p: _hh_payload(p, 5)[0], "uniformizer.json"),
     ]
     for name, run, fixture in cases:
         golden_path = _bundled(os.path.join("golden", name + ".json"))

@@ -94,6 +94,7 @@ def main_and_error(
     E_{p^k} is j* - p^k for the first (sign +1) or last (sign -1) index j*
     achieving that minimum.  These tie rules are exactly the ones that
     minimize the exact heights once the vanishing error terms are restored.
+    Zero coefficients contribute +inf, so only the support is visited.
     """
     if not 0 <= k <= profile.r:
         raise ValueError(f"k must lie in 0..{profile.r}, got {k}")
@@ -102,8 +103,10 @@ def main_and_error(
     pk = profile.p**k
     best = INFINITY
     best_j = None
-    for j in range(pk, profile.q + 1):
-        term = binom_valuation(j, pk, profile.p, profile.v_p) + profile.coefficient_valuation(j)
+    for j in sorted(profile.coeff_valuations):
+        if j < pk:
+            continue
+        term = binom_valuation(j, pk, profile.p, profile.v_p) + profile.coeff_valuations[j]
         if term < best or (sign < 0 and term == best):
             best = term
             best_j = j

@@ -74,6 +74,23 @@ class PLFunction:
         result.append(self.final_slope)
         return result
 
+    def prefix(self, count: int) -> "PLFunction":
+        """The function up to its ``count``-th vertex, continued by the
+        segment that leaves that vertex as the final ray.
+
+        A prefix of a valid function is valid, so it is not checked again.
+        """
+        if count == len(self.vertices):
+            return self
+        if not 1 <= count < len(self.vertices):
+            raise ValueError(f"prefix length {count} outside 1..{len(self.vertices)}")
+        (x0, y0), (x1, y1) = self.vertices[count - 1 : count + 1]
+        head = object.__new__(PLFunction)
+        object.__setattr__(head, "initial_slope", self.initial_slope)
+        object.__setattr__(head, "vertices", self.vertices[:count])
+        object.__setattr__(head, "final_slope", (y1 - y0) / (x1 - x0))
+        return head
+
     def evaluate(self, x) -> Fraction:
         return evaluate(self, x)
 

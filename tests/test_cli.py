@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from ramstab import branches, hasseherbrand, limitdata, polygons
+from ramstab import branches, cli, hasseherbrand, limitdata, polygons, valuations
 from ramstab.cli import main
+from ramstab.inputdoc import load_document
 
 REPO = Path(__file__).resolve().parent.parent
 SAMPLE = str(REPO / "src" / "ramstab" / "data" / "sample.json")
@@ -132,6 +133,58 @@ class TestTowerCommands:
         assert payload["reindex"] == 3
         assert payload["base_valuation"] == "2/243"
 
+    def test_breaks_formats_no_transition_function(self, capsys, monkeypatch):
+        def no_json(self):
+            raise AssertionError("breaks must not serialise phi or Phi")
+
+        monkeypatch.setattr(hasseherbrand.TowerFunction, "to_json", no_json)
+        monkeypatch.setattr(hasseherbrand.TransitionFunction, "to_json", no_json)
+        code, out, _ = run(capsys, "breaks", "--depth", "3", SAMPLE)
+        assert code == 0
+        assert list(json.loads(out)) == ["depth", "reindex", "breaks", "subfields", "break_scale"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["breaks", "--depth", "4600", SAMPLE],
+            ["hh", "--depth", "4600", SAMPLE],
+            ["breaks", "--depth", "9100", UNIFORMIZER],
+            ["plot", "--depth", "9100", "--out", "never-written.svg", UNIFORMIZER],
+            ["breaks", "--depth", "1" + "0" * 30, UNIFORMIZER],
+        ],
+    )
+    def test_unprintable_depth_is_rejected_before_the_tower(self, capsys, monkeypatch, argv):
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("the interpreter has no int digit limit")
+
+        def no_tower(*args):
+            raise AssertionError("the tower must not be built")
+
+        monkeypatch.setattr(cli, "build_tower", no_tower)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["field"] == "depth" and "error" in payload
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no int digit limit"
+    )
+    def test_breaks_runs_to_the_printable_depth(self, capsys):
+        doc = load_document(UNIFORMIZER)
+        cert, working, data, _ = cli._certified_tower(doc, 1)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the smallest limit the interpreter allows
+        try:
+            limit = hasseherbrand.printable_depth(
+                doc.profile, data, cert.d_used, working.first_finite()
+            )
+            code, out, _ = run(capsys, "breaks", "--depth", str(limit), UNIFORMIZER)
+            assert code == 0 and len(json.loads(out)["breaks"]) == limit
+            code, _, err = run(capsys, "breaks", "--depth", str(limit + 1), UNIFORMIZER)
+            assert code == 2 and json.loads(err)["field"] == "depth"
+        finally:
+            sys.set_int_max_str_digits(saved)
+
     def test_plot_writes_svg(self, capsys, tmp_path):
         target = tmp_path / "plot.svg"
         code, _, _ = run(capsys, "plot", "--depth", "2", "--out", str(target), UNIFORMIZER)
@@ -167,6 +220,7 @@ def count_stage_calls(monkeypatch, capsys, *argv):
         "limiting_data": limitdata.limiting_data,
         "lower_hull": polygons.lower_hull,
         "build_phi": hasseherbrand.build_phi,
+        "binom_valuation": valuations.binom_valuation,
     }
     counts = dict.fromkeys(originals, 0)
 
@@ -204,6 +258,23 @@ class TestStageCounts:
         assert counts["build_record"] == 1
         assert counts["limiting_data"] == 1
         assert counts["build_phi"] == 3
+
+    def test_certify_visits_only_the_support(self, monkeypatch, capsys, tmp_path):
+        # q = 1000000007: a loop over every index 1..q would not finish
+        doc = {
+            "p": 1000000007,
+            "r": 1,
+            "v_p": 1,
+            "e_ke": 1,
+            "coeff_valuations": {"1": "1", "1000000007": "0"},
+            "base_valuation": "1",
+            "branch_valuations": ["1"],
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        counts = count_stage_calls(monkeypatch, capsys, "certify", str(path))
+        support, r = len(doc["coeff_valuations"]), doc["r"]
+        assert 0 < counts["binom_valuation"] <= support * (r + 1)
 
     def test_branch_computes_no_limiting_data(self, monkeypatch, capsys):
         counts = count_stage_calls(monkeypatch, capsys, "branch", SAMPLE)

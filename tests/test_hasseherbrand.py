@@ -1,21 +1,26 @@
 """Transition functions, tower composition, breaks and subfield table."""
 
+import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from helpers import UNIFORMIZER_PROFILE, SAMPLE_PROFILE
+from helpers import UNIFORMIZER_PROFILE, SAMPLE_PROFILE, random_profile
 
-from ramstab.branches import build_record
+from ramstab.branches import build_record, predict_branch
+from ramstab.certificates import certify
 from ramstab.hasseherbrand import (
     TowerInvariantError,
     breaks_and_subfields,
     build_phi,
     build_tower,
+    printable_depth,
 )
 from ramstab.limitdata import limiting_data_for_branch
-from ramstab.plf import evaluate
+from ramstab.plf import PLFunction, compose, evaluate
+from ramstab.valuations import format_rational
 
 
 def uniformizer_data():
@@ -160,6 +165,121 @@ class TestBuildTower:
         with pytest.raises(TowerInvariantError) as err:
             build_tower(SAMPLE_PROFILE, broken, 2, Fraction(2, 3), 3)
         assert err.value.prop == "composition-gap"
+
+
+def v2_trs_towers(count):
+    """(profile, data, d, v_base) of V = 2 branches that certify as TRS at level 0."""
+    rng = random.Random(2024)
+    found = []
+    while len(found) < count:
+        profile = random_profile(rng)
+        q = profile.q
+        base = Fraction(rng.choice((1, -1)) * rng.randint(1, q - 1), q**2 * rng.randint(1, 3))
+        record = predict_branch(profile, base, depth=3)
+        data, record, _ = limiting_data_for_branch(profile, record)
+        if data.V != 2:
+            continue
+        cert = certify(profile, record, data)
+        if cert.kind == "TRS":
+            found.append((profile, data, cert.d_used, base))
+    return found
+
+
+def fixture_cases():
+    """(profile, data, d, v_base) of the two fixtures' working bases."""
+    (u_data, _), (s_data, _) = uniformizer_data(), sample_data_rebased()
+    return [
+        (UNIFORMIZER_PROFILE, u_data, 1, Fraction(1)),
+        (SAMPLE_PROFILE, s_data, 2, Fraction(2, 3)),
+    ]
+
+
+class TestClosedFormTower:
+    """The appended tower against the general composition of its phi_n."""
+
+    def test_matches_compose_fold_level_by_level(self):
+        for profile, data, d, v_base in fixture_cases() + v2_trs_towers(4):
+            tower = build_tower(profile, data, d, v_base, 8)
+            folded = None
+            for n, tf in enumerate(tower, start=1):
+                phi = build_phi(profile, data, n, d, v_base)
+                folded = phi.plf if folded is None else compose(folded, phi.plf)
+                assert tf.plf == folded
+                assert tf.phi == phi
+                assert tf.breaks == tuple(x for x, _ in folded.vertices)
+                assert tf.altitude == folded.vertices[-1][1]
+
+    def test_breaks_path_validates_once_and_never_composes(self, monkeypatch):
+        def no_compose(*args):
+            raise AssertionError("build_tower must not compose")
+
+        for name, module in list(sys.modules.items()):
+            if name != "ramstab" and not name.startswith("ramstab."):
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is compose:
+                    monkeypatch.setattr(module, attr, no_compose)
+        checks = []
+        original = PLFunction.__post_init__
+
+        def counting(self):
+            checks.append(len(self.vertices))
+            original(self)
+
+        monkeypatch.setattr(PLFunction, "__post_init__", counting)
+        data, _ = sample_data_rebased()
+        depth = 20
+        tower = build_tower(SAMPLE_PROFILE, data, 2, Fraction(2, 3), depth)
+        table = breaks_and_subfields(tower, data)
+        assert len(table["breaks"]) == (data.V - 1) * depth
+        # one per phi_n, plus the deepest level in full
+        assert len(checks) <= depth + 1
+        assert checks.count((data.V - 1) * depth) == 1
+
+    def test_lower_levels_are_prefixes_of_the_deepest(self):
+        data, _ = sample_data_rebased()
+        tower = build_tower(SAMPLE_PROFILE, data, 2, Fraction(2, 3), 6)
+        top = tower[-1].plf
+        for tf in tower:
+            assert tf.plf.vertices == top.vertices[: len(tf.plf.vertices)]
+            # the final ray of each level is the next segment of the deepest
+            assert tf.plf.final_slope == top.slopes()[len(tf.plf.vertices)]
+            assert PLFunction(tf.plf.initial_slope, tf.plf.vertices, tf.plf.final_slope) == tf.plf
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no int digit limit"
+)
+class TestPrintableDepth:
+    """printable_depth bounds every number hh prints, and is nearly tight."""
+
+    @pytest.fixture
+    def digits_640(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the smallest limit the interpreter allows
+        yield
+        sys.set_int_max_str_digits(saved)
+
+    def test_bound_holds_at_the_limit_and_is_tight(self, digits_640):
+        for profile, data, d, v_base in fixture_cases():
+            limit = printable_depth(profile, data, d, v_base)
+            tower = build_tower(profile, data, d, v_base, limit + 12)
+            top = tower[-1].plf
+            printed = [c for vertex in top.vertices[: (data.V - 1) * limit] for c in vertex]
+            for tf in tower[:limit]:
+                printed.extend(c for vertex in tf.phi.plf.vertices for c in vertex)
+                printed.append(tf.plf.final_slope)
+            for value in printed:
+                format_rational(value)
+            with pytest.raises(ValueError):
+                format_rational(top.vertices[-1][0])
+
+    def test_v2_documents_print_at_their_limit(self, digits_640):
+        for profile, data, d, v_base in v2_trs_towers(4):
+            limit = printable_depth(profile, data, d, v_base)
+            tower = build_tower(profile, data, d, v_base, limit)
+            for value in (c for vertex in tower[-1].plf.vertices for c in vertex):
+                format_rational(value)
 
 
 class TestBreaksAndSubfields:
