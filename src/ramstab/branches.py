@@ -22,14 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .polygons import lower_hull
-from .valuations import (
-    INFINITY,
-    ExtendedRational,
-    _check_prime,
-    as_extended,
-    ensure_fraction,
-    format_rational,
-)
+from .valuations import _check_prime, format_rational
 
 __all__ = [
     "PolynomialValuationProfile",
@@ -54,12 +47,17 @@ class BranchDataError(ValueError):
     """Raised for branch data that violates the valuation-dynamics invariants."""
 
 
+def _leading_zeros(valuations: Sequence[Optional[Fraction]]) -> int:
+    """Number of leading None (zero base point) entries."""
+    return next((n for n, v in enumerate(valuations) if v is not None), len(valuations))
+
+
 @dataclass(frozen=True)
 class PolynomialValuationProfile:
     """Valuation data of a monic degree-q polynomial congruent to x^q mod pi.
 
     ``coeff_valuations`` maps indices 1..q to integer valuations in the
-    value group; absent indices are zero coefficients (valuation infinity).
+    value group; absent indices are zero coefficients.
     The normalization is v(E) = Z for a subfield E over which the ground
     field K has ramification index ``e_ke``, and ``v_p`` = v(p).
     """
@@ -101,35 +99,24 @@ class PolynomialValuationProfile:
     def q(self) -> int:
         return self.p**self.r
 
-    def coefficient_valuation(self, i: int) -> ExtendedRational:
-        """Total accessor: absent (zero) coefficients have infinite valuation."""
-        if i in self.coeff_valuations:
-            return ExtendedRational(self.coeff_valuations[i])
-        return INFINITY
-
-    def min_nonleading_valuation(self):
-        """Smallest finite valuation among coefficients of index < q; INFINITY if none."""
-        finite = [v for i, v in self.coeff_valuations.items() if i < self.q]
-        if not finite:
-            return INFINITY
-        return ExtendedRational(min(finite))
-
-    def max_coefficient_valuation(self) -> int:
-        return max(self.coeff_valuations.values())
+    def min_nonleading_valuation(self) -> Optional[int]:
+        """Smallest valuation among nonzero coefficients of index < q; None if none."""
+        q = self.q
+        return min((v for i, v in self.coeff_valuations.items() if i < q), default=None)
 
 
 @dataclass(frozen=True)
 class BranchValuationRecord:
     """Recorded (and possibly extended) valuations along one branch.
 
-    Leading infinite entries are base points equal to zero; after the first
-    finite entry all valuations are finite, nonzero and share one sign.
-    ``d_estimates`` aligns with ``valuations`` (None on infinite entries),
+    Leading None entries are base points equal to zero; after the first
+    rational entry all valuations are nonzero and share one sign.
+    ``d_estimates`` aligns with ``valuations`` (None on the zero entries),
     ``stable_index`` is the first level passing the stability screen, and
     ``C`` is filled in by the limiting-data pipeline.
     """
 
-    valuations: Tuple[ExtendedRational, ...]
+    valuations: Tuple[Optional[Fraction], ...]
     d_estimates: Tuple[Optional[int], ...]
     stable_index: Optional[int]
     C: Optional[Fraction]
@@ -139,26 +126,16 @@ class BranchValuationRecord:
 
     @property
     def leading_zeros(self) -> int:
-        count = 0
-        for v in self.valuations:
-            if not v.is_infinite:
-                break
-            count += 1
-        return count
+        return _leading_zeros(self.valuations)
 
     @property
     def sign(self) -> int:
-        """Sign of the base valuation (+1 for branches that start at zero)."""
-        for v in self.valuations:
-            if v.is_finite:
-                return 1 if v.finite() > 0 else -1
-        return 1
+        """Sign of the first nonzero base valuation (+1 for branches that start at zero)."""
+        first = self.first_finite()
+        return -1 if first is not None and first < 0 else 1
 
     def first_finite(self) -> Optional[Fraction]:
-        for v in self.valuations:
-            if v.is_finite:
-                return v.finite()
-        return None
+        return next((v for v in self.valuations if v is not None), None)
 
     def to_json(self) -> dict:
         return {
@@ -177,12 +154,11 @@ def branch_step_candidates(profile: PolynomialValuationProfile, v_prev) -> list[
     P(x) - a_{n-1} is -a_{n-1} exactly, so no cancellation can occur and the
     candidate list is exact.
     """
-    if isinstance(v_prev, ExtendedRational) and v_prev.is_infinite:
+    if v_prev is None:
         raise BranchDataError(
             "previous valuation is infinite (zero base point); "
             "use zero_departure_candidates for the step leaving zero"
         )
-    v_prev = ensure_fraction(v_prev)
     points = [(0, v_prev)]
     points.extend((i, v) for i, v in profile.coeff_valuations.items())
     hull = lower_hull(points)
@@ -200,8 +176,8 @@ def zero_departure_candidates(profile: PolynomialValuationProfile) -> list[Fract
     return hull.root_valuations()
 
 
-def _step_candidates(profile, v_prev: ExtendedRational):
-    if v_prev.is_infinite:
+def _step_candidates(profile, v_prev: Optional[Fraction]):
+    if v_prev is None:
         return zero_departure_candidates(profile)
     return branch_step_candidates(profile, v_prev)
 
@@ -213,7 +189,6 @@ def minimal_d_estimate(v, e_ke: int) -> int:
     ramification index over E to be a multiple of both b and e_ke; assuming
     it equals lcm(b, e_ke) gives d = v * lcm(b, e_ke), an integer.
     """
-    v = ensure_fraction(v)
     e = math.lcm(v.denominator, e_ke)
     d = v * e
     assert d.denominator == 1
@@ -225,45 +200,46 @@ def build_record(
 ) -> BranchValuationRecord:
     """Validate raw branch valuations and assemble a BranchValuationRecord.
 
-    Rejects: empty input, infinite entries after a finite one, zero or
-    mixed-sign finite entries, and consecutive pairs where the later value
-    is not a root valuation of P(x) minus the earlier level.
+    ``valuations`` are rationals (anything ``Fraction`` accepts), with None
+    for a base point equal to zero.  Rejects: empty input, a None entry
+    after a rational one, zero or mixed-sign entries, and consecutive pairs
+    where the later value is not a root valuation of P(x) minus the
+    earlier level.
     """
-    vals = tuple(as_extended(v) for v in valuations)
+    vals = tuple(None if v is None else Fraction(v) for v in valuations)
     if not vals:
         raise BranchDataError("branch valuations must be nonempty")
     seen_finite = False
     sign = 0
     for n, v in enumerate(vals):
-        if v.is_infinite:
+        if v is None:
             if seen_finite:
                 raise BranchDataError(
                     f"valuations[{n}] is infinite after a finite entry "
                     "(a branch cannot return to zero)"
                 )
             continue
-        f = v.finite()
-        if f == 0:
+        if v == 0:
             raise BranchDataError(f"valuations[{n}] is zero; base points of valuation 0 are not supported")
         if not seen_finite:
-            sign = 1 if f > 0 else -1
+            sign = 1 if v > 0 else -1
             seen_finite = True
-        elif (1 if f > 0 else -1) != sign:
+        elif (1 if v > 0 else -1) != sign:
             raise BranchDataError(
                 f"valuations[{n}] = {v} has the opposite sign of the first nonzero valuation"
             )
     for n in range(len(vals) - 1):
         prev, nxt = vals[n], vals[n + 1]
-        if nxt.is_infinite:
+        if nxt is None:
             continue
         candidates = _step_candidates(profile, prev)
-        if nxt.finite() not in candidates:
+        if nxt not in candidates:
             raise BranchDataError(
                 f"valuations[{n + 1}] = {nxt} is not a root valuation at step {n}; "
                 f"the polygon allows {[str(c) for c in candidates]}"
             )
     d_estimates = tuple(
-        None if v.is_infinite else minimal_d_estimate(v, profile.e_ke) for v in vals
+        None if v is None else minimal_d_estimate(v, profile.e_ke) for v in vals
     )
     record = BranchValuationRecord(
         valuations=vals,
@@ -288,12 +264,13 @@ def predict_branch(
     Steps with a single candidate are forced; at a step with several
     candidates the next entry of ``choices`` selects one (index into the
     decreasing candidate list) and an out-of-range or missing choice fails
-    loudly.  Branches that stay at zero are not predicted; supply explicit
-    leading "inf" entries instead.
+    loudly.  A base valuation of None (a zero base point) takes the step
+    leaving zero first; branches that stay at zero longer are not
+    predicted, so supply their leading None entries to ``build_record``.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    vals = [as_extended(v_alpha0)]
+    vals = [v_alpha0]
     queue = list(choices)
     for step in range(depth):
         candidates = _step_candidates(profile, vals[-1])
@@ -312,7 +289,7 @@ def predict_branch(
                     f"{len(candidates)} candidates"
                 )
             pick = candidates[idx]
-        vals.append(ExtendedRational(pick))
+        vals.append(pick)
     if queue:
         log.warning("unused slope choices: %s", queue)
     return build_record(profile, vals)
@@ -340,7 +317,7 @@ def extend_record(
                 f"cannot extend: step {len(vals) - 1} has {len(candidates)} candidate "
                 f"valuations {[str(c) for c in candidates]}; supply more branch data"
             )
-        vals.append(ExtendedRational(candidates[0]))
+        vals.append(candidates[0])
         steps += 1
     if steps == 0:
         return record
@@ -365,10 +342,9 @@ def halving_level(profile: PolynomialValuationProfile, record: BranchValuationRe
     valuation).
     """
     v0 = record.valuations[0]
-    if v0.is_infinite:
-        return record.leading_zeros + profile.max_coefficient_valuation()
-    f0 = v0.finite()
-    return 0 if f0 < 0 else math.ceil(f0)
+    if v0 is None:
+        return record.leading_zeros + max(profile.coeff_valuations.values())
+    return 0 if v0 < 0 else math.ceil(v0)
 
 
 def estimate_d(record: BranchValuationRecord) -> Tuple[int, bool]:
@@ -383,7 +359,7 @@ def estimate_d(record: BranchValuationRecord) -> Tuple[int, bool]:
     if not finite_estimates:
         raise BranchDataError("record has no finite valuations to estimate d from")
     first = record.valuations[0]
-    if first.is_finite and first.finite() * record.e_ke == 1:
+    if first is not None and first * record.e_ke == 1:
         return 1, True
     return finite_estimates[-1], False
 
@@ -402,8 +378,8 @@ def stability_screen(
     p, q = profile.p, profile.q
     threshold = Fraction(1, q * q)
     floor = profile.min_nonleading_valuation()
-    if floor.is_finite:
-        below = ("<", str(floor.finite()), v < floor.finite())
+    if floor is not None:
+        below = ("<", str(floor), v < floor)
     else:
         below = ("==", str(v), True)
     return (
@@ -418,6 +394,6 @@ def find_stable_index(
 ) -> Optional[int]:
     """First recorded level passing every comparison of the stability screen."""
     for n, (v, d_n) in enumerate(zip(record.valuations, record.d_estimates)):
-        if v.is_finite and all(c[-1] for c in stability_screen(profile, v.finite(), d_n)):
+        if v is not None and all(c[-1] for c in stability_screen(profile, v, d_n)):
             return n
     return None

@@ -24,7 +24,6 @@ from .branches import (
     stability_screen,
 )
 from .limitdata import LimitingRamificationData
-from .valuations import ensure_fraction
 
 __all__ = [
     "CertificateCheck",
@@ -190,7 +189,6 @@ def composition_criterion(
         -q (m_V - m_{V-1}) / (p^{r_V} - p^{r_{V-1}})
             >  -(m_2 - m_1) / (p^{r_2} - p^{r_1})  +  2 |v(a_0)| / (p - 1)
     """
-    v_base = ensure_fraction(v_base)
     if data.V == 2:
         check = CertificateCheck(
             name="single-limiting-slope",
@@ -225,7 +223,7 @@ def pcb_sufficient(p: int, v_p, v_base) -> bool:
     Together with the bounded-critical-orbit normal form this guarantees
     the composition criterion without evaluating it.
     """
-    return abs(ensure_fraction(v_base)) < Fraction(p - 1) * ensure_fraction(v_p) / 2
+    return abs(v_base) < Fraction(p - 1) * v_p / 2
 
 
 def _at_level(checks: Sequence[CertificateCheck], level: int):
@@ -281,20 +279,19 @@ def certify(
         )
 
     for n, v in enumerate(record.valuations):
-        if v.is_infinite:
+        if v is None:
             continue
-        f = v.finite()
         level_checks: list[CertificateCheck] = []
 
-        comp_ok, comp_checks = composition_criterion(data, f, p, q)
+        comp_ok, comp_checks = composition_criterion(data, v, p, q)
         level_checks.extend(_at_level(comp_checks, n))
 
-        if n == 0 and f * profile.e_ke == 1:
+        if n == 0 and v * profile.e_ke == 1:
             level_checks.append(
                 CertificateCheck(
                     name="uniformizer-base",
                     level=0,
-                    lhs=str(f * profile.e_ke),
+                    lhs=str(v * profile.e_ke),
                     op="==",
                     rhs="1",
                     passed=True,
@@ -316,7 +313,7 @@ def certify(
             )
             c_threshold, c_tame_n, c_below = (
                 CertificateCheck(name, n, lhs, op, rhs, passed)
-                for name, lhs, op, rhs, passed in stability_screen(profile, f, d_n)
+                for name, lhs, op, rhs, passed in stability_screen(profile, v, d_n)
             )
             screen = (c_threshold, c_settled, c_tame_n, c_below)
             level_checks.extend(screen)

@@ -2,7 +2,8 @@
 
 Commands: limit-data, branch, certify, hh, breaks, plot, selftest.
 Exit codes: 0 success, 1 not-certified or tower invariant abort, 2
-malformed or unreadable input or a bad command line.  Logging verbosity
+malformed or unreadable input, a bad command line, or a --depth too deep
+to print or plot.  Logging verbosity
 comes from the RAMSTAB_LOG environment variable (error/warn/info/debug);
 there are no logging flags.
 """
@@ -227,7 +228,12 @@ def _cmd_plot(args) -> int:
         return 1
     polygon = level_polygon(doc.profile, working_data, args.depth)
     top = tower[-1]
-    svg = render_level_report(polygon, copolygon(polygon), top.phi.plf, top.plf, args.depth)
+    try:
+        svg = render_level_report(polygon, copolygon(polygon), top.phi.plf, top.plf, args.depth)
+    except OverflowError as exc:
+        raise InputError(
+            "depth", f"{args.depth} is too deep to plot: the tower's coordinates overflow a float"
+        ) from exc
     Path(args.out).write_text(svg)
     log.info("wrote %s", args.out)
     return 0

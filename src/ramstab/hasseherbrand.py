@@ -34,7 +34,7 @@ from typing import List, Optional, Tuple
 from .branches import PolynomialValuationProfile
 from .limitdata import LimitingRamificationData, level_polygon
 from .plf import PLFunction, Vertex
-from .valuations import ensure_fraction, format_rational
+from .valuations import format_rational
 
 __all__ = [
     "TransitionFunction",
@@ -154,7 +154,6 @@ def _phi_vertices(
     v_base,
 ) -> List[Vertex]:
     """The vertices of phi_n by the closed form of the module docstring."""
-    v_base = ensure_fraction(v_base)
     q = profile.q
     polygon = level_polygon(profile, data, n)
     seg_slopes = polygon.slopes()  # strictly increasing, steepest first

@@ -9,7 +9,9 @@ at schema/input.schema.json mirrors these rules for external tooling.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -17,11 +19,14 @@ from .branches import (
     BranchDataError,
     BranchValuationRecord,
     PolynomialValuationProfile,
+    _leading_zeros,
     build_record,
 )
-from .valuations import ExtendedRational, _check_prime, format_rational, parse_rational
+from .valuations import _check_prime, format_rational, parse_rational
 
 __all__ = ["InputDocument", "InputError", "parse_document", "load_document"]
+
+INDEX_PATTERN = re.compile(r"[1-9][0-9]*")
 
 
 class InputError(ValueError):
@@ -70,7 +75,13 @@ def _require_int(obj, field, minimum=None):
     return value
 
 
-def _parse_valuation_string(field, raw) -> ExtendedRational:
+def _index(key) -> int:
+    """A coefficient index written as in the schema (ASCII, no sign, no
+    leading zero); -1 for any other key."""
+    return int(key) if INDEX_PATTERN.fullmatch(str(key)) else -1
+
+
+def _parse_valuation_string(field, raw) -> Optional[Fraction]:
     if not isinstance(raw, str):
         raise InputError(field, f"expected a rational string, got {raw!r}")
     try:
@@ -107,23 +118,22 @@ def parse_document(obj) -> InputDocument:
     if not isinstance(raw_coeffs, dict):
         raise InputError("coeff_valuations", "expected an object of index -> valuation")
     coeffs = {}
-    for key, raw in sorted(raw_coeffs.items(), key=lambda kv: int(kv[0]) if str(kv[0]).isdigit() else -1):
+    for key, raw in sorted(raw_coeffs.items(), key=lambda kv: _index(kv[0])):
         field = f"coeff_valuations[{key}]"
-        if not str(key).isdigit():
-            raise InputError(field, "index must be a nonnegative integer string")
-        i = int(key)
-        if not 1 <= i <= q:
+        i = _index(key)
+        if i < 0:
+            raise InputError(field, "index must be a positive integer string without leading zeros")
+        if i > q:
             raise InputError(field, f"index outside 1..{q}")
         if isinstance(raw, int) and not isinstance(raw, bool):
-            value = ExtendedRational(raw)
+            value = Fraction(raw)
         else:
             value = _parse_valuation_string(field, raw)
-        if value.is_infinite:
+        if value is None:
             continue  # explicit zero coefficient
-        f = value.finite()
-        if f.denominator != 1 or f < 0:
+        if value.denominator != 1 or value < 0:
             raise InputError(field, f"valuations of coefficients are nonnegative integers, got {raw!r}")
-        coeffs[i] = int(f)
+        coeffs[i] = int(value)
 
     base = _parse_valuation_string("base_valuation", obj.get("base_valuation"))
 
@@ -147,11 +157,7 @@ def parse_document(obj) -> InputDocument:
         if d == 0:
             raise InputError("d", "d is a nonzero integer")
 
-    infinite_prefix = 0
-    for v in branch:
-        if not v.is_infinite:
-            break
-        infinite_prefix += 1
+    infinite_prefix = _leading_zeros(branch)
     if "leading_zeros" in obj and obj["leading_zeros"] is not None:
         leading_zeros = _require_int(obj, "leading_zeros", minimum=0)
         if leading_zeros != infinite_prefix:

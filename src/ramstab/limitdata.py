@@ -28,7 +28,7 @@ from .branches import (
     halving_level,
 )
 from .polygons import NewtonPolygon, lower_hull
-from .valuations import INFINITY, binom_valuation, format_rational
+from .valuations import binom_valuation, format_rational
 
 __all__ = [
     "LimitingRamificationData",
@@ -94,26 +94,23 @@ def main_and_error(
     E_{p^k} is j* - p^k for the first (sign +1) or last (sign -1) index j*
     achieving that minimum.  These tie rules are exactly the ones that
     minimize the exact heights once the vanishing error terms are restored.
-    Zero coefficients contribute +inf, so only the support is visited.
+    Zero coefficients contribute no term, so only the support is visited.
     """
     if not 0 <= k <= profile.r:
         raise ValueError(f"k must lie in 0..{profile.r}, got {k}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     pk = profile.p**k
-    best = INFINITY
-    best_j = None
+    best = best_j = None
     for j in sorted(profile.coeff_valuations):
         if j < pk:
             continue
         term = binom_valuation(j, pk, profile.p, profile.v_p) + profile.coeff_valuations[j]
-        if term < best or (sign < 0 and term == best):
+        if best is None or term < best or (sign < 0 and term == best):
             best = term
             best_j = j
-    assert best.is_finite and best_j is not None  # j = q always contributes 0 + 0
-    main = best.finite()
-    assert main.denominator == 1
-    return int(main), best_j - pk
+    assert best is not None and best.denominator == 1  # j = q always contributes 0 + 0
+    return int(best), best_j - pk
 
 
 def limiting_data(
@@ -150,9 +147,9 @@ def compute_C(profile: PolynomialValuationProfile, record: BranchValuationRecord
             f"record has {len(record.valuations)} valuations but C needs level {N}"
         )
     vN = record.valuations[N]
-    if vN.is_infinite:
+    if vN is None:
         raise BranchDataError(f"valuation at level {N} is infinite; C undefined")
-    return profile.q**N * vN.finite()
+    return profile.q**N * vN
 
 
 def level_polygon(
@@ -193,7 +190,7 @@ def complete_record(
     C = compute_C(profile, record)
     # past N the valuation divides by q each step; walk until the stable
     # threshold 1/q^2 is crossed so the screen has a level to find
-    t = abs(record.valuations[N].finite())
+    t = abs(record.valuations[N])
     threshold = Fraction(1, profile.q**2)
     extra = 0
     while t > threshold:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple
 
-from .valuations import ensure_fraction, format_rational
+from .valuations import format_rational
 
 __all__ = [
     "PLFunction",
@@ -41,11 +41,9 @@ class PLFunction:
     final_slope: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "initial_slope", ensure_fraction(self.initial_slope))
-        object.__setattr__(self, "final_slope", ensure_fraction(self.final_slope))
-        verts = tuple(
-            (ensure_fraction(x), ensure_fraction(y)) for x, y in self.vertices
-        )
+        object.__setattr__(self, "initial_slope", Fraction(self.initial_slope))
+        object.__setattr__(self, "final_slope", Fraction(self.final_slope))
+        verts = tuple((Fraction(x), Fraction(y)) for x, y in self.vertices)
         object.__setattr__(self, "vertices", verts)
         if self.initial_slope <= 0 or self.final_slope <= 0:
             raise ValueError("slopes must be positive")
@@ -111,9 +109,9 @@ def identity_plf() -> PLFunction:
 
 def make_plf(initial_slope, vertices: Iterable, final_slope) -> PLFunction:
     """Build a PLFunction, merging away breakpoints where the slope does not change."""
-    initial_slope = ensure_fraction(initial_slope)
-    final_slope = ensure_fraction(final_slope)
-    verts = [(ensure_fraction(x), ensure_fraction(y)) for x, y in vertices]
+    initial_slope = Fraction(initial_slope)
+    final_slope = Fraction(final_slope)
+    verts = [(Fraction(x), Fraction(y)) for x, y in vertices]
     while verts:
         slopes = _break_slopes(initial_slope, verts, final_slope)
         for idx, (before, after) in enumerate(zip(slopes, slopes[1:])):
@@ -148,7 +146,7 @@ def _segments(f: PLFunction):
 
 def evaluate(f: PLFunction, x) -> Fraction:
     """Exact value of ``f`` at ``x >= 0``."""
-    x = ensure_fraction(x)
+    x = Fraction(x)
     if x < 0:
         raise ValueError(f"piecewise-linear functions are defined on x >= 0, got {x}")
     for x0, y0, slope, x1 in _segments(f):
@@ -159,7 +157,6 @@ def evaluate(f: PLFunction, x) -> Fraction:
 
 def _preimage(f: PLFunction, y) -> Fraction:
     """The unique x >= 0 with f(x) = y; f is strictly increasing onto [0, inf)."""
-    y = ensure_fraction(y)
     if y < 0:
         raise ValueError("preimage requested below the range")
     for x0, y0, slope, x1 in _segments(f):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Tuple
 
 from .plf import PLFunction, make_plf
-from .valuations import ExtendedRational, ensure_fraction, format_rational
+from .valuations import format_rational
 
 __all__ = [
     "NewtonPolygon",
@@ -27,7 +27,7 @@ __all__ = [
 
 
 class DegenerateHullError(ValueError):
-    """Raised when fewer than two finite points remain to hull."""
+    """Raised when fewer than two points are given to hull."""
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class NewtonPolygon:
     vertices: Tuple[Tuple[int, Fraction], ...]
 
     def __post_init__(self):
-        verts = tuple((int(x), ensure_fraction(y)) for x, y in self.vertices)
+        verts = tuple(self.vertices)
         object.__setattr__(self, "vertices", verts)
         if not verts:
             raise ValueError("a Newton polygon needs at least one vertex")
@@ -70,33 +70,19 @@ def _segment_slopes(verts) -> list[Fraction]:
     ]
 
 
-def _finite_points(points) -> list[Tuple[int, Fraction]]:
-    finite = []
-    for x, y in points:
-        if isinstance(y, ExtendedRational):
-            if y.is_infinite:
-                continue
-            y = y.finite()
-        finite.append((int(x), ensure_fraction(y)))
-    return finite
-
-
 def lower_hull(points: Iterable) -> NewtonPolygon:
-    """Lower convex hull of (x, y) points; infinite heights are discarded first.
+    """Lower convex hull of (x, y) points with integer x and rational y.
 
     The vertex list is strictly convex: a point lying on a hull segment but
     not at a genuine slope break is excluded.
     """
-    finite = _finite_points(points)
-    if len({x for x, _ in finite}) != len(finite):
+    points = sorted(points)
+    if len({x for x, _ in points}) != len(points):
         raise ValueError("x-coordinates must be distinct")
-    if len(finite) < 2:
-        raise DegenerateHullError(
-            f"need at least two finite points to build a hull, got {len(finite)}"
-        )
-    finite.sort()
+    if len(points) < 2:
+        raise DegenerateHullError(f"need at least two points to build a hull, got {len(points)}")
     hull: list[Tuple[int, Fraction]] = []
-    for pt in finite:
+    for pt in points:
         while len(hull) >= 2:
             (ax, ay), (bx, by) = hull[-2], hull[-1]
             # pop b unless a -> b -> pt turns strictly downward-convex
@@ -118,17 +104,13 @@ def slopes(polygon: NewtonPolygon) -> list[Fraction]:
 def below_line(p, p_mid, p_end) -> bool:
     """True iff p_mid lies strictly below the line through p and p_end.
 
-    Exact rational comparison; x-coordinates must be strictly increasing.
+    Exact rational comparison, cross-multiplied; x-coordinates must be
+    strictly increasing.
     """
-    (x0, y0), (x1, y1), (x2, y2) = (
-        (ensure_fraction(p[0]), ensure_fraction(p[1])),
-        (ensure_fraction(p_mid[0]), ensure_fraction(p_mid[1])),
-        (ensure_fraction(p_end[0]), ensure_fraction(p_end[1])),
-    )
+    (x0, y0), (x1, y1), (x2, y2) = p, p_mid, p_end
     if not (x0 < x1 < x2):
         raise ValueError("x-coordinates must be strictly increasing")
-    interpolated = y0 + (y2 - y0) * (x1 - x0) / (x2 - x0)
-    return y1 < interpolated
+    return (y1 - y0) * (x2 - x0) < (y2 - y0) * (x1 - x0)
 
 
 def copolygon(polygon: NewtonPolygon) -> PLFunction:

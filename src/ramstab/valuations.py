@@ -1,10 +1,13 @@
-"""Exact valuation values: arbitrary-precision rationals with a positive infinity.
+"""Exact valuations: finite rationals, and base-p carry counts.
 
-Every valuation handled by this package is an exact rational, with the
-valuation of zero represented by a single maximal element ``INFINITY``.
+Every valuation computed by this package is a finite ``fractions.Fraction``.
 No floating point is used anywhere; geometric decisions downstream hinge
 on comparisons between rationals whose differences can be as small as
-1/q^n, so everything is carried out in ``fractions.Fraction``.
+1/q^n.  The valuation of zero exists only in documents, spelled "inf":
+``parse_rational`` reads it as None and ``format_rational`` prints None as
+it.  Inside the pipeline a zero coefficient is an index absent from a
+profile's coefficient valuations, and a zero base point is a None entry of
+a branch record.
 
 Also provides the base-p carry count that governs the p-adic valuation of
 binomial coefficients (Kummer's theorem).
@@ -15,239 +18,39 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
 
 __all__ = [
-    "ExtendedRational",
-    "INFINITY",
     "parse_rational",
     "format_rational",
-    "ensure_fraction",
-    "as_extended",
     "kummer_carries",
     "binom_valuation",
 ]
 
-RATIONAL_PATTERN = re.compile(r"^[+-]?\d+(/[0-9]+)?$")
+RATIONAL_PATTERN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-class ExtendedRational:
-    """A rational number, or the distinguished maximal element ``INFINITY``.
+def parse_rational(text: str) -> Optional[Fraction]:
+    """Parse ``"a/b"``, ``"a"`` or ``"inf"``; ``"inf"`` (a zero value) is None.
 
-    Instances are immutable and totally ordered.  ``INFINITY`` absorbs
-    addition and multiplication by positive values and compares greater
-    than every finite value; operations that would produce a negative
-    infinity (negation, scaling by a nonpositive factor) are rejected.
-    """
-
-    __slots__ = ("_value",)
-
-    def __init__(self, numerator=0, denominator=None):
-        if isinstance(numerator, ExtendedRational):
-            if denominator is not None:
-                raise TypeError("denominator not allowed with an ExtendedRational")
-            self._value = numerator._value
-        elif denominator is None:
-            self._value = Fraction(numerator)
-        else:
-            self._value = Fraction(numerator, denominator)
-
-    @classmethod
-    def _make_infinite(cls) -> "ExtendedRational":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "_value", None)
-        return obj
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._value is None
-
-    @property
-    def is_finite(self) -> bool:
-        return self._value is not None
-
-    def finite(self) -> Fraction:
-        """The underlying rational; raises on ``INFINITY``."""
-        if self._value is None:
-            raise ValueError("value is infinite")
-        return self._value
-
-    @property
-    def numerator(self) -> int:
-        return self.finite().numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.finite().denominator
-
-    def __setattr__(self, name, value):
-        if name == "_value" and hasattr(self, "_value"):
-            raise AttributeError("ExtendedRational is immutable")
-        object.__setattr__(self, name, value)
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, ExtendedRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ExtendedRational(other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self._value is None or other._value is None:
-            return INFINITY
-        return ExtendedRational(self._value + other._value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other._value is None:
-            raise ValueError("cannot subtract an infinite valuation")
-        if self._value is None:
-            return INFINITY
-        return ExtendedRational(self._value - other._value)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self._value is None or other._value is None:
-            factor = other._value if self._value is None else self._value
-            if factor is not None and factor <= 0:
-                raise ValueError("cannot scale infinity by a nonpositive factor")
-            return INFINITY
-        return ExtendedRational(self._value * other._value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other._value is None:
-            raise ValueError("cannot divide by an infinite valuation")
-        if other._value == 0:
-            raise ZeroDivisionError("division by zero")
-        if self._value is None:
-            if other._value < 0:
-                raise ValueError("cannot scale infinity by a nonpositive factor")
-            return INFINITY
-        return ExtendedRational(self._value / other._value)
-
-    def __neg__(self):
-        if self._value is None:
-            raise ValueError("cannot negate an infinite valuation")
-        return ExtendedRational(-self._value)
-
-    def __abs__(self):
-        if self._value is None:
-            return INFINITY
-        return ExtendedRational(abs(self._value))
-
-    def _cmp_key(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return None
-        return other
-
-    def __eq__(self, other):
-        other = self._cmp_key(other)
-        if other is None:
-            return NotImplemented
-        return self._value == other._value
-
-    def __lt__(self, other):
-        other = self._cmp_key(other)
-        if other is None:
-            return NotImplemented
-        if self._value is None:
-            return False
-        if other._value is None:
-            return True
-        return self._value < other._value
-
-    def __le__(self, other):
-        other = self._cmp_key(other)
-        if other is None:
-            return NotImplemented
-        return self == other or self < other
-
-    def __gt__(self, other):
-        other = self._cmp_key(other)
-        if other is None:
-            return NotImplemented
-        return other < self
-
-    def __ge__(self, other):
-        other = self._cmp_key(other)
-        if other is None:
-            return NotImplemented
-        return other <= self
-
-    def __hash__(self):
-        if self._value is None:
-            return hash("ExtendedRational.INFINITY")
-        return hash(self._value)
-
-    def __repr__(self):
-        return f"ExtendedRational({str(self)!r})"
-
-    def __str__(self):
-        if self._value is None:
-            return "inf"
-        return str(self._value)
-
-
-INFINITY = ExtendedRational._make_infinite()
-
-
-def parse_rational(text: str) -> ExtendedRational:
-    """Parse ``"a/b"``, ``"a"`` or ``"inf"`` into an :class:`ExtendedRational`.
-
-    The denominator, when present, must be positive; this is the only
-    serialized form accepted in input documents.
+    Digits are ASCII and no surrounding whitespace is allowed, as in the
+    input schema.  The denominator, when present, must be positive.
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
-    s = text.strip()
-    if s == "inf":
-        return INFINITY
-    if not RATIONAL_PATTERN.match(s):
+    if text == "inf":
+        return None
+    if not RATIONAL_PATTERN.fullmatch(text):
         raise ValueError(f"malformed rational {text!r} (expected 'a', 'a/b' or 'inf')")
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return ExtendedRational(int(num), int(den))
-    return ExtendedRational(int(s))
+    num, _, den = text.partition("/")
+    if den and int(den) == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(num), int(den or 1))
 
 
-def format_rational(value) -> str:
-    """Serialize a rational or ExtendedRational as ``"a/b"``, ``"a"`` or ``"inf"``."""
-    if isinstance(value, ExtendedRational):
-        return str(value)
-    return str(Fraction(value))
-
-
-def ensure_fraction(value) -> Fraction:
-    """Coerce to a finite ``Fraction``; rejects infinite valuations."""
-    if isinstance(value, ExtendedRational):
-        return value.finite()
-    return Fraction(value)
-
-
-def as_extended(value) -> ExtendedRational:
-    """Coerce ints, Fractions, serialized strings or ExtendedRationals."""
-    if isinstance(value, ExtendedRational):
-        return value
-    if isinstance(value, str):
-        return parse_rational(value)
-    return ExtendedRational(Fraction(value))
+def format_rational(value: Optional[Fraction]) -> str:
+    """Serialize a rational as ``"a/b"`` or ``"a"``, and None as ``"inf"``."""
+    return "inf" if value is None else str(Fraction(value))
 
 
 @lru_cache(maxsize=None)
@@ -285,9 +88,8 @@ def kummer_carries(j: int, i: int, p: int) -> int:
     return carries
 
 
-def binom_valuation(j: int, i: int, p: int, v_p) -> ExtendedRational:
+def binom_valuation(j: int, i: int, p: int, v_p) -> Fraction:
     """Valuation of C(j, i) in a value group where ``p`` has valuation ``v_p``."""
-    v_p = ensure_fraction(v_p)
     if v_p <= 0:
         raise ValueError("v_p must be positive")
-    return ExtendedRational(kummer_carries(j, i, p) * v_p)
+    return Fraction(kummer_carries(j, i, p) * v_p)

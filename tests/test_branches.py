@@ -20,7 +20,6 @@ from ramstab.branches import (
     predict_branch,
     zero_departure_candidates,
 )
-from ramstab.valuations import INFINITY
 
 
 class TestProfileValidation:
@@ -41,9 +40,12 @@ class TestProfileValidation:
             PolynomialValuationProfile(p=3, r=1, v_p=1, coeff_valuations={3: 0, 5: 1})
 
     def test_total_accessor(self):
-        assert SAMPLE_PROFILE.coefficient_valuation(2).is_infinite
-        assert SAMPLE_PROFILE.coefficient_valuation(3) == 2
+        # a zero coefficient is an absent index
+        assert SAMPLE_PROFILE.coeff_valuations.get(2) is None
+        assert SAMPLE_PROFILE.coeff_valuations.get(3) == 2
         assert SAMPLE_PROFILE.min_nonleading_valuation() == 2
+        monomial = PolynomialValuationProfile(p=3, r=1, v_p=1, coeff_valuations={3: 0})
+        assert monomial.min_nonleading_valuation() is None
 
 
 class TestStepCandidates:
@@ -60,7 +62,7 @@ class TestStepCandidates:
 
     def test_infinite_previous_rejected(self):
         with pytest.raises(BranchDataError):
-            branch_step_candidates(SAMPLE_PROFILE, INFINITY)
+            branch_step_candidates(SAMPLE_PROFILE, None)
 
     def test_zero_departure(self):
         # nonzero preimages of zero for the sample profile: hull of the
@@ -80,7 +82,7 @@ class TestPredictBranch:
 
     def test_negative_base_divides_by_q(self):
         record = predict_branch(SAMPLE_PROFILE, -5, depth=3)
-        values = [v.finite() for v in record.valuations]
+        values = list(record.valuations)
         assert values == [-5, Fraction(-5, 9), Fraction(-5, 81), Fraction(-5, 729)]
 
     def test_ambiguous_step_needs_choice(self):
@@ -107,10 +109,10 @@ class TestRecordValidation:
 
     def test_infinite_after_finite_rejected(self):
         with pytest.raises(BranchDataError, match="infinite after"):
-            build_record(SAMPLE_PROFILE, ["4", "inf"])
+            build_record(SAMPLE_PROFILE, ["4", None])
 
     def test_leading_zeros_accepted(self):
-        record = build_record(SAMPLE_PROFILE, ["inf", "1", "1/9"])
+        record = build_record(SAMPLE_PROFILE, [None, "1", "1/9"])
         assert record.leading_zeros == 1
         assert record.sign == 1
         assert record.d_estimates[0] is None
@@ -135,7 +137,7 @@ class TestBounds:
     def test_negative_and_zero_bases(self):
         assert halving_level(SAMPLE_PROFILE, predict_branch(SAMPLE_PROFILE, -1)) == 0
         # one leading zero plus the largest coefficient valuation, 2
-        record = build_record(UNIFORMIZER_PROFILE, ["inf", "1"])
+        record = build_record(UNIFORMIZER_PROFILE, [None, "1"])
         assert halving_level(UNIFORMIZER_PROFILE, record) == 3
 
 
@@ -189,7 +191,7 @@ class TestSemistableRelation:
             den = rng.randint(num + 1, 3 * q)
             base = Fraction(num, den) * rng.choice((1, -1))
             record = predict_branch(profile, base, depth=5)
-            values = [v.finite() for v in record.valuations]
+            values = list(record.valuations)
             for a, b in zip(values, values[1:]):
                 assert b == a / q
             estimates = list(record.d_estimates)

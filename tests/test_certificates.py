@@ -130,7 +130,7 @@ class TestCertify:
         record, data = self.sample_branch()
         cert = certify(SAMPLE_PROFILE, record, data, d=2)
         for n in range(cert.reindex, len(record.valuations)):
-            v = record.valuations[n].finite()
+            v = record.valuations[n]
             ok, _ = crit(data, v, SAMPLE_PROFILE.p, SAMPLE_PROFILE.q)
             assert ok
 

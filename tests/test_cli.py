@@ -1,6 +1,8 @@
 """Command-line surface: outputs, exit codes, plotting, selftest."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -192,6 +194,24 @@ class TestTowerCommands:
         body = target.read_text()
         assert body.startswith("<svg")
         assert "polyline" in body and "</svg>" in body
+
+
+    def test_plot_too_deep_for_floats_exits_2(self, tmp_path):
+        # depth 700 prints within the digit limit, but the SVG's float
+        # coordinates overflow past about 645 levels on this fixture
+        target = tmp_path / "deep.svg"
+        paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ramstab.cli", "plot", "--depth", "700", UNIFORMIZER,
+             "--out", str(target)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        payload = json.loads(proc.stderr)
+        assert payload["field"] == "depth" and "error" in payload
+        assert not target.exists()
 
 
 class TestArgumentValidation:

@@ -110,7 +110,7 @@ class TestBuildTower:
             (UNIFORMIZER_PROFILE, uniformizer_data(), 1),
             (SAMPLE_PROFILE, sample_data_rebased(), 2),
         ):
-            v_base = record.valuations[0].finite()
+            v_base = record.valuations[0]
             depth = 5
             tower = build_tower(profile, data, d, v_base, depth)
             phis = [build_phi(profile, data, n, d, v_base) for n in range(1, depth + 1)]
@@ -145,7 +145,7 @@ class TestBuildTower:
             (UNIFORMIZER_PROFILE, uniformizer_data(), 1),
             (SAMPLE_PROFILE, sample_data_rebased(), 2),
         ):
-            v_base = record.valuations[0].finite()
+            v_base = record.valuations[0]
             tower = build_tower(profile, data, d, v_base, 4)
             q = profile.q
             xs = [tf.plf.vertices[-1][0] for tf in tower]

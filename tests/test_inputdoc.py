@@ -66,6 +66,27 @@ class TestParsing:
         obj["coeff_valuations"] = {"1": "1/2", "9": "0"}
         with pytest.raises(InputError, match=r"coeff_valuations\[1\]"):
             parse_document(obj)
+        # indices and values are ASCII digits without whitespace, as in the schema
+        cases = [
+            ("\u00b2", "1"),  # SUPERSCRIPT TWO
+            ("\u0664", "1"),  # ARABIC-INDIC DIGIT FOUR
+            (" 4", "1"),
+            ("4\n", "1"),
+            ("01", "1"),
+            ("4", "\u0664"),
+            ("4", " 4"),
+            ("4", "4\n"),
+        ]
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(SCHEMA.read_text())
+        for key, value in cases:
+            obj = sample_obj()
+            obj["coeff_valuations"][key] = value
+            with pytest.raises(InputError) as exc:
+                parse_document(obj)
+            assert exc.value.field == f"coeff_valuations[{key}]"
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(obj, schema)
 
     def test_large_prime_accepted(self):
         p = 1000000007
@@ -107,7 +128,7 @@ class TestParsing:
         obj = sample_obj()
         obj["coeff_valuations"]["2"] = "inf"
         doc = parse_document(obj)
-        assert doc.profile.coefficient_valuation(2).is_infinite
+        assert 2 not in doc.profile.coeff_valuations
         assert parse_document(doc.to_json()) == doc
 
     def test_leading_zero_branch(self):

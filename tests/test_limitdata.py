@@ -97,7 +97,7 @@ class TestComputeC:
         # one leading zero, largest coefficient valuation 2: N = 1 + 2 = 3,
         # C = q^3 * v_3 = 27 * (1/9); stable from level 1 on, so q^n * v_n
         # gives the same value at every later level
-        record = build_record(UNIFORMIZER_PROFILE, ["inf", "1", "1/3", "1/9", "1/27"])
+        record = build_record(UNIFORMIZER_PROFILE, [None, "1", "1/3", "1/9", "1/27"])
         assert compute_C(UNIFORMIZER_PROFILE, record) == 3
 
     def test_record_too_short(self):
@@ -145,14 +145,10 @@ def exact_height(profile, i, v_n):
     arg = None
     tie = False
     for j in range(i, profile.q + 1):
-        term = (
-            binom_valuation(j, i, profile.p, profile.v_p)
-            + profile.coefficient_valuation(j)
-            + (j - i) * v_n
-        )
-        if term.is_infinite:
+        coefficient = profile.coeff_valuations.get(j)
+        if coefficient is None:  # a zero coefficient contributes no term
             continue
-        value = term.finite()
+        value = binom_valuation(j, i, profile.p, profile.v_p) + coefficient + (j - i) * v_n
         if best is None or value < best:
             best, arg, tie = value, j, False
         elif value == best:

@@ -16,7 +16,6 @@ from ramstab.polygons import (
     slopes,
 )
 from ramstab.plf import evaluate
-from ramstab.valuations import INFINITY
 
 
 class TestLowerHull:
@@ -34,15 +33,11 @@ class TestLowerHull:
         assert hull.vertices == ((0, Fraction(2, 3)), (9, Fraction(0)))
         assert slopes(hull) == [Fraction(-2, 27)]
 
-    def test_infinite_heights_discarded(self):
-        hull = lower_hull([(0, 1), (1, INFINITY), (2, 0)])
-        assert hull.vertices == ((0, Fraction(1)), (2, Fraction(0)))
-
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DegenerateHullError):
             lower_hull([(0, 1)])
         with pytest.raises(DegenerateHullError):
-            lower_hull([(0, 1), (1, INFINITY)])
+            lower_hull([])
         with pytest.raises(ValueError):
             lower_hull([(0, 1), (0, 2), (1, 0)])
 

@@ -1,81 +1,47 @@
-"""Extended-rational arithmetic and base-p carry counting."""
+"""Rational strings at the document edge and base-p carry counting."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ramstab.valuations import (
-    INFINITY,
-    ExtendedRational,
     binom_valuation,
     format_rational,
     kummer_carries,
     parse_rational,
 )
 
+SCHEMA = Path(__file__).resolve().parent.parent / "schema" / "input.schema.json"
 
-class TestExtendedRational:
-    def test_normalization(self):
-        x = ExtendedRational(6, 4)
-        assert x.numerator == 3 and x.denominator == 2
 
-    def test_infinity_absorbs_addition(self):
-        assert (INFINITY + ExtendedRational(5)).is_infinite
-        assert (ExtendedRational(5) + INFINITY).is_infinite
-        assert (INFINITY + INFINITY).is_infinite
-
-    def test_infinity_is_maximal(self):
-        assert ExtendedRational(10**9) < INFINITY
-        assert min(INFINITY, ExtendedRational(3, 7)) == ExtendedRational(3, 7)
-        assert not INFINITY < INFINITY
-        assert INFINITY <= INFINITY
-
-    def test_negative_infinity_rejected(self):
-        with pytest.raises(ValueError):
-            -INFINITY
-        with pytest.raises(ValueError):
-            INFINITY * -1
-        with pytest.raises(ValueError):
-            ExtendedRational(1) - INFINITY
-
-    def test_interop_with_int_and_fraction(self):
-        x = ExtendedRational(2, 3)
-        assert x + 1 == ExtendedRational(5, 3)
-        assert 2 * x == ExtendedRational(4, 3)
-        assert x * Fraction(3, 2) == 1
-        assert x < Fraction(3, 4)
-
-    def test_algebra_randomized(self):
-        rng = random.Random(11)
-        values = [ExtendedRational(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(40)]
-        values += [INFINITY] * 5
-        for _ in range(600):
-            a, b, c = rng.choice(values), rng.choice(values), rng.choice(values)
-            assert a + b == b + a
-            assert (a + b) + c == a + (b + c)
-            assert min(a, b) == min(b, a)
-            assert min(min(a, b), c) == min(a, min(b, c))
-            assert min(INFINITY, a) == a
-
-    def test_division(self):
-        assert ExtendedRational(2, 3) / 9 == ExtendedRational(2, 27)
-        assert (INFINITY / 9).is_infinite
-        with pytest.raises(ZeroDivisionError):
-            ExtendedRational(1) / 0
-
+class TestRationalStrings:
     def test_str_and_parse_round_trip(self):
         for text in ["0", "5", "-7", "2/3", "-29/9", "inf"]:
-            assert str(parse_rational(text)) == text
+            assert format_rational(parse_rational(text)) == text
+        assert parse_rational("inf") is None
+        assert parse_rational("-29/9") == Fraction(-29, 9)
 
     def test_parse_rejects_malformed(self):
-        for bad in ["", "1.5", "2/0", "a/b", "1/ 2", "+inf", "Infinity"]:
+        schema_invalid = [
+            "", "1.5", "a/b", "1/ 2", "+inf", "Infinity",
+            "\u0664", " 4", "4\n",  # ARABIC-INDIC DIGIT FOUR, whitespace
+        ]
+        for bad in schema_invalid + ["2/0"]:
             with pytest.raises(ValueError):
                 parse_rational(bad)
+        # the schema pattern cannot rule out a zero denominator; it rejects the rest
+        jsonschema = pytest.importorskip("jsonschema")
+        rational = json.loads(SCHEMA.read_text())["$defs"]["rational"]
+        for bad in schema_invalid:
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(bad, rational)
 
     def test_format_rational(self):
         assert format_rational(Fraction(6, 3)) == "2"
-        assert format_rational(INFINITY) == "inf"
+        assert format_rational(None) == "inf"
 
 
 class TestKummerCarries:
