@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .polygons import lower_hull
-from .valuations import _check_prime, format_rational
+from .valuations import _check_prime
 
 __all__ = [
     "PolynomialValuationProfile",
@@ -111,18 +111,11 @@ class BranchValuationRecord:
 
     Leading None entries are base points equal to zero; after the first
     rational entry all valuations are nonzero and share one sign.
-    ``d_estimates`` aligns with ``valuations`` (None on the zero entries),
-    ``stable_index`` is the first level passing the stability screen, and
-    ``C`` is filled in by the limiting-data pipeline.
+    ``d_estimates`` aligns with ``valuations`` (None on the zero entries).
     """
 
     valuations: Tuple[Optional[Fraction], ...]
     d_estimates: Tuple[Optional[int], ...]
-    stable_index: Optional[int]
-    C: Optional[Fraction]
-    q: int
-    p: int
-    e_ke: int
 
     @property
     def leading_zeros(self) -> int:
@@ -136,14 +129,6 @@ class BranchValuationRecord:
 
     def first_finite(self) -> Optional[Fraction]:
         return next((v for v in self.valuations if v is not None), None)
-
-    def to_json(self) -> dict:
-        return {
-            "valuations": [format_rational(v) for v in self.valuations],
-            "d_estimates": list(self.d_estimates),
-            "stable_index": self.stable_index,
-            "C": None if self.C is None else format_rational(self.C),
-        }
 
 
 def branch_step_candidates(profile: PolynomialValuationProfile, v_prev) -> list[Fraction]:
@@ -241,16 +226,7 @@ def build_record(
     d_estimates = tuple(
         None if v is None else minimal_d_estimate(v, profile.e_ke) for v in vals
     )
-    record = BranchValuationRecord(
-        valuations=vals,
-        d_estimates=d_estimates,
-        stable_index=None,
-        C=None,
-        q=profile.q,
-        p=profile.p,
-        e_ke=profile.e_ke,
-    )
-    return replace(record, stable_index=find_stable_index(profile, record))
+    return BranchValuationRecord(valuations=vals, d_estimates=d_estimates)
 
 
 def predict_branch(
@@ -323,13 +299,11 @@ def extend_record(
         return record
     log.info("extended branch record by %d forced steps to length %d", steps, len(vals))
     added = vals[len(record.valuations):]
-    extended = replace(
-        record,
+    return BranchValuationRecord(
         valuations=tuple(vals),
         d_estimates=record.d_estimates
         + tuple(minimal_d_estimate(v, profile.e_ke) for v in added),
     )
-    return replace(extended, stable_index=find_stable_index(profile, extended))
 
 
 def halving_level(profile: PolynomialValuationProfile, record: BranchValuationRecord) -> int:
@@ -347,7 +321,9 @@ def halving_level(profile: PolynomialValuationProfile, record: BranchValuationRe
     return 0 if v0 < 0 else math.ceil(v0)
 
 
-def estimate_d(record: BranchValuationRecord) -> Tuple[int, bool]:
+def estimate_d(
+    profile: PolynomialValuationProfile, record: BranchValuationRecord
+) -> Tuple[int, bool]:
     """Heuristic limiting d: the last minimal-ramification estimate.
 
     Trusted only when the base point is a uniformizer of the ground field
@@ -359,7 +335,7 @@ def estimate_d(record: BranchValuationRecord) -> Tuple[int, bool]:
     if not finite_estimates:
         raise BranchDataError("record has no finite valuations to estimate d from")
     first = record.valuations[0]
-    if first is not None and first * record.e_ke == 1:
+    if first is not None and first * profile.e_ke == 1:
         return 1, True
     return finite_estimates[-1], False
 

@@ -251,7 +251,7 @@ def certify(
     Eisenstein.
     """
     p, q = profile.p, profile.q
-    est, est_trusted = estimate_d(record)
+    est, est_trusted = estimate_d(profile, record)
     if d is not None:
         d_used, d_trusted = d, True
     else:

@@ -20,7 +20,7 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from .branches import BranchDataError, estimate_d
+from .branches import BranchDataError, estimate_d, find_stable_index
 from .certificates import certify, pcb_normal_form, pcb_sufficient
 from .hasseherbrand import (
     TowerInvariantError,
@@ -31,6 +31,7 @@ from .hasseherbrand import (
 from .inputdoc import InputError, load_document
 from .limitdata import (
     complete_record,
+    compute_C,
     level_polygon,
     limiting_data_for_branch,
     reindexed_record,
@@ -91,22 +92,27 @@ def _cmd_limit_data(args) -> int:
     return 0
 
 
+def _branch_payload(path) -> dict:
+    doc = load_document(path)
+    profile = doc.profile
+    record, level_for_C = complete_record(profile, doc.record)
+    d_est, trusted = estimate_d(profile, record)
+    return {
+        "valuations": [format_rational(v) for v in record.valuations],
+        "d_estimates": list(record.d_estimates),
+        "stable_index": find_stable_index(profile, record),
+        "C": format_rational(compute_C(profile, record)),
+        "sign": record.sign,
+        "N": level_for_C,
+        "d": doc.d,
+        "d_heuristic": d_est,
+        "d_trusted": True if doc.d is not None else trusted,
+        "notes": REPORT_NOTES,
+    }
+
+
 def _cmd_branch(args) -> int:
-    doc = load_document(args.input)
-    record, level_for_C = complete_record(doc.profile, doc.record)
-    d_est, trusted = estimate_d(record)
-    payload = record.to_json()
-    payload.update(
-        {
-            "sign": record.sign,
-            "N": level_for_C,
-            "d": doc.d,
-            "d_heuristic": d_est,
-            "d_trusted": True if doc.d is not None else trusted,
-            "notes": REPORT_NOTES,
-        }
-    )
-    _emit(payload, args.out)
+    _emit(_branch_payload(args.input), args.out)
     return 0
 
 
@@ -161,8 +167,8 @@ def _certified_tower(doc, depth: int):
     cert = certify(profile, record, data, doc.d)
     if not cert.certified:
         return cert, None, None, None
-    working = reindexed_record(profile, record, cert.reindex)
-    working_data = replace(data, C=working.C)
+    working = reindexed_record(record, cert.reindex)
+    working_data = replace(data, C=compute_C(profile, working))
     base = working.first_finite()
     limit = printable_depth(profile, working_data, cert.d_used, base)
     if limit is not None and depth > limit:
@@ -196,7 +202,7 @@ def _hh_payload(path, depth: int) -> tuple[dict, int]:
         "d_trusted": cert.d_trusted,
         "conditional_on_d": cert.conditional_on_d,
         "base_valuation": format_rational(working.first_finite()),
-        "C": format_rational(working.C),
+        "C": format_rational(working_data.C),
         "phi": [tf.phi.to_json() for tf in tower],
         "Phi": [tf.to_json() for tf in tower],
         **shared,
@@ -246,10 +252,12 @@ def _bundled(name: str) -> Path:
 def _cmd_selftest(args) -> int:
     failures = 0
     cases = [
-        ("sample.limit-data", lambda p: _limit_data_payload(p), "sample.json"),
+        ("sample.branch", _branch_payload, "sample.json"),
+        ("sample.limit-data", _limit_data_payload, "sample.json"),
         ("sample.certify", lambda p: _certify_payload(p)[0], "sample.json"),
         ("sample.hh3", lambda p: _hh_payload(p, 3)[0], "sample.json"),
-        ("uniformizer.limit-data", lambda p: _limit_data_payload(p), "uniformizer.json"),
+        ("uniformizer.branch", _branch_payload, "uniformizer.json"),
+        ("uniformizer.limit-data", _limit_data_payload, "uniformizer.json"),
         ("uniformizer.certify", lambda p: _certify_payload(p)[0], "uniformizer.json"),
         ("uniformizer.hh5", lambda p: _hh_payload(p, 5)[0], "uniformizer.json"),
     ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -75,10 +76,15 @@ def _require_int(obj, field, minimum=None):
     return value
 
 
-def _index(key) -> int:
+def _index(key, q: int) -> int:
     """A coefficient index written as in the schema (ASCII, no sign, no
-    leading zero); -1 for any other key."""
-    return int(key) if INDEX_PATTERN.fullmatch(str(key)) else -1
+    leading zero); -1 for any other key.  A key too long for ``int`` reads
+    as q + 1: a valid document writes its index q, so q is shorter."""
+    text = str(key)
+    if not INDEX_PATTERN.fullmatch(text):
+        return -1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return q + 1 if limit and len(text) > limit else int(text)
 
 
 def _parse_valuation_string(field, raw) -> Optional[Fraction]:
@@ -118,17 +124,14 @@ def parse_document(obj) -> InputDocument:
     if not isinstance(raw_coeffs, dict):
         raise InputError("coeff_valuations", "expected an object of index -> valuation")
     coeffs = {}
-    for key, raw in sorted(raw_coeffs.items(), key=lambda kv: _index(kv[0])):
+    for key, raw in sorted(raw_coeffs.items(), key=lambda kv: _index(kv[0], q)):
         field = f"coeff_valuations[{key}]"
-        i = _index(key)
+        i = _index(key, q)
         if i < 0:
             raise InputError(field, "index must be a positive integer string without leading zeros")
         if i > q:
             raise InputError(field, f"index outside 1..{q}")
-        if isinstance(raw, int) and not isinstance(raw, bool):
-            value = Fraction(raw)
-        else:
-            value = _parse_valuation_string(field, raw)
+        value = _parse_valuation_string(field, raw)
         if value is None:
             continue  # explicit zero coefficient
         if value.denominator != 1 or value < 0:
@@ -152,13 +155,13 @@ def parse_document(obj) -> InputDocument:
         )
 
     d = None
-    if "d" in obj and obj["d"] is not None:
+    if "d" in obj:
         d = _require_int(obj, "d")
         if d == 0:
             raise InputError("d", "d is a nonzero integer")
 
     infinite_prefix = _leading_zeros(branch)
-    if "leading_zeros" in obj and obj["leading_zeros"] is not None:
+    if "leading_zeros" in obj:
         leading_zeros = _require_int(obj, "leading_zeros", minimum=0)
         if leading_zeros != infinite_prefix:
             raise InputError(

@@ -24,7 +24,6 @@ from .branches import (
     BranchValuationRecord,
     PolynomialValuationProfile,
     extend_record,
-    find_stable_index,
     halving_level,
 )
 from .polygons import NewtonPolygon, lower_hull
@@ -182,12 +181,11 @@ def complete_record(
 ) -> Tuple[BranchValuationRecord, int]:
     """Extend the record through forced steps as far as C and the screen need.
 
-    Returns the (possibly extended) record with C and stable index filled
-    in, and the level N used to read off C.
+    Returns the (possibly extended) record and the level N used to read
+    off C.
     """
     N = halving_level(profile, record)
     record = extend_record(profile, record, N + 1)
-    C = compute_C(profile, record)
     # past N the valuation divides by q each step; walk until the stable
     # threshold 1/q^2 is crossed so the screen has a level to find
     t = abs(record.valuations[N])
@@ -196,35 +194,29 @@ def complete_record(
     while t > threshold:
         t /= profile.q
         extra += 1
-    record = extend_record(profile, record, N + extra + 2)
-    return replace(record, C=C), N
+    return extend_record(profile, record, N + extra + 2), N
 
 
 def limiting_data_for_branch(
     profile: PolynomialValuationProfile, record: BranchValuationRecord
 ) -> Tuple[LimitingRamificationData, BranchValuationRecord, int]:
-    """Full pipeline: complete the record, then compute (V, R, M, E) and attach C.
+    """Full pipeline: complete the record, then compute (V, R, M, E) and C.
 
     Returns the data with C attached, the completed record and the level N
     used to read off C.
     """
     record, N = complete_record(profile, record)
-    return replace(limiting_data(profile, record.sign), C=record.C), record, N
+    data = replace(limiting_data(profile, record.sign), C=compute_C(profile, record))
+    return data, record, N
 
 
-def reindexed_record(
-    profile: PolynomialValuationProfile, record: BranchValuationRecord, N: int
-) -> BranchValuationRecord:
-    """The branch re-based at level N, with C recomputed from the tail.
+def reindexed_record(record: BranchValuationRecord, N: int) -> BranchValuationRecord:
+    """The branch re-based at level N.
 
     The tail of a validated record is itself valid, so it is sliced rather
-    than validated again.  C is branch-relative, so after replacing the
-    ground field by the level-N field it is recomputed from the tail
-    valuations rather than rescaled.
+    than validated again.  C is branch-relative: after replacing the ground
+    field by the level-N field, read it off the tail with ``compute_C``.
     """
     if not 0 <= N < len(record.valuations):
         raise BranchDataError(f"reindex level {N} outside the recorded range")
-    tail = replace(record, valuations=record.valuations[N:], d_estimates=record.d_estimates[N:])
-    return replace(
-        tail, stable_index=find_stable_index(profile, tail), C=compute_C(profile, tail)
-    )
+    return BranchValuationRecord(record.valuations[N:], record.d_estimates[N:])

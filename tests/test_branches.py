@@ -145,15 +145,15 @@ class TestEstimateD:
     def test_sample_heuristic(self):
         record = build_record(SAMPLE_PROFILE, ["4", "2/3", "2/27"])
         assert record.d_estimates == (4, 2, 2)
-        d, trusted = estimate_d(record)
+        d, trusted = estimate_d(SAMPLE_PROFILE, record)
         assert d == 2 and not trusted
 
     def test_uniformizer_base_is_trusted(self):
         record = build_record(UNIFORMIZER_PROFILE, ["1", "1/3", "1/9"])
-        d, trusted = estimate_d(record)
+        d, trusted = estimate_d(UNIFORMIZER_PROFILE, record)
         assert d == 1 and trusted
         single = build_record(UNIFORMIZER_PROFILE, ["1"])
-        assert estimate_d(single) == (1, True)
+        assert estimate_d(UNIFORMIZER_PROFILE, single) == (1, True)
 
     def test_minimal_d_respects_e_ke(self):
         assert minimal_d_estimate(Fraction(1, 2), 1) == 1

@@ -18,7 +18,7 @@ from ramstab.certificates import (
     pcb_sufficient,
     revalidate,
 )
-from ramstab.limitdata import limiting_data, limiting_data_for_branch
+from ramstab.limitdata import level_polygon, limiting_data, limiting_data_for_branch
 
 
 class TestPCBNormalForm:
@@ -141,6 +141,19 @@ class TestCertify:
         cert = certify(SAMPLE_PROFILE, record, data, d=2)
         screen = find_stable_index(SAMPLE_PROFILE, record)
         assert screen is not None and cert.reindex >= screen
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValueError,
+        reason="a uniformizer base passes the screen at level 0 outright, and no check "
+        "asks that the level polygons be strictly convex: here level 1 is not",
+    )
+    def test_certified_uniformizer_base_has_stable_polygons(self):
+        profile = PolynomialValuationProfile(p=5, r=2, v_p=1, coeff_valuations={1: 2, 25: 0})
+        data, record, _ = limiting_data_for_branch(profile, build_record(profile, ["1"]))
+        assert certify(profile, record, data).kind == "TRS"
+        for n in range(1, 4):
+            level_polygon(profile, data, n)
 
 
 class TestSelfValidation:

@@ -109,6 +109,19 @@ class TestCertifyCommand:
         assert code == 2
         assert "error" in err
 
+    def test_index_too_long_to_convert_exits_2(self, capsys, tmp_path):
+        # 4,400 digits is past Python's default int/str conversion limit
+        key = "1" * 4400
+        obj = json.loads(Path(SAMPLE).read_text())
+        obj["coeff_valuations"][key] = "1"
+        bad = tmp_path / "long-index.json"
+        bad.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "certify", str(bad))
+        assert code == 2
+        error = json.loads(err)
+        assert error["field"] == f"coeff_valuations[{key}]"
+        assert error["error"].endswith("index outside 1..9")
+
 
 class TestTowerCommands:
     def test_uniformizer_hh_depth_three(self, capsys):
@@ -241,6 +254,7 @@ def count_stage_calls(monkeypatch, capsys, *argv):
         "lower_hull": polygons.lower_hull,
         "build_phi": hasseherbrand.build_phi,
         "binom_valuation": valuations.binom_valuation,
+        "find_stable_index": branches.find_stable_index,
     }
     counts = dict.fromkeys(originals, 0)
 
@@ -272,12 +286,18 @@ class TestStageCounts:
         assert counts["build_record"] == 1
         assert counts["limiting_data"] == 1
         assert counts["lower_hull"] <= 6
+        assert counts["find_stable_index"] == 0
 
     def test_hh(self, monkeypatch, capsys):
         counts = count_stage_calls(monkeypatch, capsys, "hh", "--depth", "3", SAMPLE)
         assert counts["build_record"] == 1
         assert counts["limiting_data"] == 1
         assert counts["build_phi"] == 3
+        assert counts["find_stable_index"] == 0
+
+    def test_breaks(self, monkeypatch, capsys):
+        counts = count_stage_calls(monkeypatch, capsys, "breaks", "--depth", "3", SAMPLE)
+        assert counts["find_stable_index"] == 0
 
     def test_certify_visits_only_the_support(self, monkeypatch, capsys, tmp_path):
         # q = 1000000007: a loop over every index 1..q would not finish
@@ -299,6 +319,7 @@ class TestStageCounts:
     def test_branch_computes_no_limiting_data(self, monkeypatch, capsys):
         counts = count_stage_calls(monkeypatch, capsys, "branch", SAMPLE)
         assert counts["limiting_data"] == 0
+        assert counts["find_stable_index"] == 1
 
 
 class TestSelftest:
@@ -306,5 +327,5 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest")
         assert code == 0
         lines = [line for line in out.splitlines() if line.startswith("selftest")]
-        assert len(lines) == 6
+        assert len(lines) == 8
         assert all(line.endswith("OK") for line in lines)

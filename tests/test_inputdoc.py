@@ -76,6 +76,7 @@ class TestParsing:
             ("4", "\u0664"),
             ("4", " 4"),
             ("4", "4\n"),
+            ("1", 4),  # values are rational strings, not JSON numbers
         ]
         jsonschema = pytest.importorskip("jsonschema")
         schema = json.loads(SCHEMA.read_text())
@@ -85,6 +86,18 @@ class TestParsing:
             with pytest.raises(InputError) as exc:
                 parse_document(obj)
             assert exc.value.field == f"coeff_valuations[{key}]"
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(obj, schema)
+
+    def test_null_optional_fields_rejected(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(SCHEMA.read_text())
+        for field in ("d", "leading_zeros"):
+            obj = sample_obj()
+            obj[field] = None
+            with pytest.raises(InputError) as exc:
+                parse_document(obj)
+            assert exc.value.field == field
             with pytest.raises(jsonschema.ValidationError):
                 jsonschema.validate(obj, schema)
 

@@ -206,11 +206,11 @@ class TestReindex:
     def test_reindex_recomputes_C_from_tail(self):
         record = build_record(SAMPLE_PROFILE, ["4", "2/3", "2/27"])
         data, record, _ = limiting_data_for_branch(SAMPLE_PROFILE, record)
-        tail = reindexed_record(SAMPLE_PROFILE, record, 3)
+        tail = reindexed_record(record, 3)
         assert tail.valuations[0] == Fraction(2, 243)
-        assert tail.C == Fraction(2, 243)
+        assert compute_C(SAMPLE_PROFILE, tail) == Fraction(2, 243)
 
     def test_reindex_bounds(self):
         record = build_record(SAMPLE_PROFILE, ["4", "2/3", "2/27"])
         with pytest.raises(BranchDataError):
-            reindexed_record(SAMPLE_PROFILE, record, 9)
+            reindexed_record(record, 9)

@@ -1,11 +1,15 @@
-"""Generated documents: schema validity and round trips through the document edge.
+"""Generated branches: documents, certificates and towers.
 
 Profiles, base valuations and slope choices are drawn by Hypothesis; the
-branch comes from ``predict_branch``.  Runs are derandomized, so the suite
-sees the same examples every time.
+branch comes from ``predict_branch``.  Documents round-trip through the
+document edge and the schema, every certificate re-validates, and the
+closed-form tower of a certified branch matches the general composition
+of its transition functions.  Runs are derandomized, so the suite sees
+the same examples every time.
 """
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,10 +18,14 @@ import pytest
 pytest.importorskip("hypothesis")
 jsonschema = pytest.importorskip("jsonschema")
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ramstab.branches import BranchDataError, PolynomialValuationProfile, predict_branch
+from ramstab.certificates import certify, revalidate
+from ramstab.hasseherbrand import build_phi, build_tower
 from ramstab.inputdoc import InputDocument, parse_document
+from ramstab.limitdata import compute_C, limiting_data_for_branch, reindexed_record
+from ramstab.plf import compose
 from ramstab.valuations import format_rational, parse_rational
 
 SCHEMA = json.loads(
@@ -66,3 +74,49 @@ def test_documents_round_trip(profile, base, choices, depth, d):
     strings = [obj["base_valuation"], *obj["branch_valuations"], *obj["coeff_valuations"].values()]
     for text in strings:
         assert format_rational(parse_rational(text)) == text
+
+
+TOWER_DEPTH = 6
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    profile=profiles(),
+    base=base_valuations,
+    choices=st.lists(st.integers(0, 1), max_size=4),
+    depth=st.integers(1, 4),
+    d=st.none() | st.integers(-9, 9).filter(bool),
+)
+# certified with the estimate d = -11, whose phi_1 leaves the supported regime
+@example(
+    profile=PolynomialValuationProfile(p=2, r=1, v_p=1, coeff_valuations={2: 0}),
+    base=Fraction(-11),
+    choices=[],
+    depth=1,
+    d=None,
+)
+def test_certificates_revalidate_and_towers_match_compose(profile, base, choices, depth, d):
+    try:
+        record = predict_branch(profile, base, choices, depth)
+        data, record, _ = limiting_data_for_branch(profile, record)
+    except BranchDataError:
+        assume(False)
+    cert = certify(profile, record, data, d)
+    assert revalidate(cert)
+    if not cert.certified:
+        return
+    working = reindexed_record(record, cert.reindex)
+    working_data = replace(data, C=compute_C(profile, working))
+    v_base = working.first_finite()
+    try:
+        tower = build_tower(profile, working_data, cert.d_used, v_base, TOWER_DEPTH)
+    except ValueError as exc:
+        # phi_n places its vertices at -e_ke*q^n*s + (d - 1)*|v_base| for the
+        # negative polygon slopes s, so only a negative d can make one nonpositive
+        assert cert.d_used < 0 and "outside the supported regime" in str(exc)
+        return
+    folded = None
+    for n, tf in enumerate(tower, start=1):
+        phi = build_phi(profile, working_data, n, cert.d_used, v_base)
+        folded = phi.plf if folded is None else compose(folded, phi.plf)
+        assert tf.plf == folded
