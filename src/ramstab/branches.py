@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -104,6 +105,21 @@ class PolynomialValuationProfile:
         q = self.q
         return min((v for i, v in self.coeff_valuations.items() if i < q), default=None)
 
+    @cached_property
+    def coefficient_hull(self) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Fraction, ...]]:
+        """Vertices of the lower hull of the coefficient points (i, v(P_i)) and
+        its root valuations (negated segment slopes, decreasing).
+
+        The hull is a constant of the polynomial, so it is built once per
+        profile; every branch step is a query against it.  The monomial x^q
+        has the single vertex (q, 0) and no segments.
+        """
+        points = list(self.coeff_valuations.items())
+        if len(points) < 2:
+            return tuple(points), ()
+        hull = lower_hull(points)
+        return hull.vertices, tuple(hull.root_valuations())
+
 
 @dataclass(frozen=True)
 class BranchValuationRecord:
@@ -137,28 +153,40 @@ def branch_step_candidates(profile: PolynomialValuationProfile, v_prev) -> list[
     These are the negated slopes of the lower hull of (0, v_prev) together
     with the coefficient points (i, v(P_i)); the constant coefficient of
     P(x) - a_{n-1} is -a_{n-1} exactly, so no cancellation can occur and the
-    candidate list is exact.
+    candidate list is exact.  That hull is the tangent from (0, v_prev) to
+    the profile's coefficient hull followed by the coefficient hull's
+    segments beyond the tangent vertex.
     """
     if v_prev is None:
         raise BranchDataError(
             "previous valuation is infinite (zero base point); "
             "use zero_departure_candidates for the step leaving zero"
         )
-    points = [(0, v_prev)]
-    points.extend((i, v) for i, v in profile.coeff_valuations.items())
-    hull = lower_hull(points)
-    return hull.root_valuations()
+    vertices, roots = profile.coefficient_hull
+    v = Fraction(v_prev)
+    # The slope from (0, v) to vertex j + 1 is a weighted mean of the slope
+    # to vertex j and the slope of hull segment j, so it does not rise while
+    # segment j's slope is at most the slope to vertex j, i.e. while
+    # roots[j] >= first.  Ties advance: collinear points are never vertices,
+    # so the tangent vertex is the last vertex of least slope.
+    x, y = vertices[0]
+    first = (v - y) / x
+    j = 0
+    while j < len(roots) and roots[j] >= first:
+        j += 1
+        x, y = vertices[j]
+        first = (v - y) / x
+    return [first, *roots[j:]]
 
 
 def zero_departure_candidates(profile: PolynomialValuationProfile) -> list[Fraction]:
     """Valuations of the nonzero preimages of zero, in decreasing order."""
-    points = list(profile.coeff_valuations.items())
-    if len(points) < 2:
+    _vertices, roots = profile.coefficient_hull
+    if not roots:
         raise BranchDataError(
             "every preimage of zero is zero for this profile; the branch never leaves zero"
         )
-    hull = lower_hull(points)
-    return hull.root_valuations()
+    return list(roots)
 
 
 def _step_candidates(profile, v_prev: Optional[Fraction]):

@@ -11,11 +11,11 @@ there are no logging flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -148,6 +148,10 @@ def _cmd_certify(args) -> int:
         _emit(payload, args.out)
         return code
     if args.jobs > 1:
+        # imported here: the pool machinery is slow to import, and only a
+        # parallel batch needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_certify_one, args.inputs))
     else:
@@ -274,7 +278,10 @@ def _cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="ramstab",
         description="Exact ramification data, stability certificates and "

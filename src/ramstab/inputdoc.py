@@ -76,6 +76,32 @@ def _require_int(obj, field, minimum=None):
     return value
 
 
+def _digit_limit() -> int:
+    """The interpreter's limit on the digits of an int read from or written
+    to a string; 0 when there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _check_q_digits(p: int, r: int) -> None:
+    """Reject an ``r`` whose q = p^r has more digits than the limit.
+
+    A valid document writes its index q, so no valid document has such a q.
+    This is decided before q is computed: since 2^(b-1) <= p < 2^b for the
+    bit length b of p, and 2^(3L) < 10^L < 2^(4L) for the limit L, bit
+    lengths settle every case but a narrow band, where q has fewer than 8L
+    bits and the exact compare is cheap.
+    """
+    limit = _digit_limit()
+    if not limit:
+        return
+    b = p.bit_length()
+    if r * (b - 1) >= 4 * limit or (r * b > 3 * limit and p**r >= 10**limit):
+        raise InputError(
+            "r",
+            f"q = {p}^{r} has more than {limit} digits, so no document can write its index q",
+        )
+
+
 def _index(key, q: int) -> int:
     """A coefficient index written as in the schema (ASCII, no sign, no
     leading zero); -1 for any other key.  A key too long for ``int`` reads
@@ -83,7 +109,7 @@ def _index(key, q: int) -> int:
     text = str(key)
     if not INDEX_PATTERN.fullmatch(text):
         return -1
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     return q + 1 if limit and len(text) > limit else int(text)
 
 
@@ -116,6 +142,7 @@ def parse_document(obj) -> InputDocument:
     if not _check_prime(p):
         raise InputError("p", f"{p} is not prime")
     r = _require_int(obj, "r", minimum=1)
+    _check_q_digits(p, r)
     v_p = _require_int(obj, "v_p", minimum=1)
     e_ke = _require_int(obj, "e_ke", minimum=1) if "e_ke" in obj else 1
     q = p**r

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, plotting, selftest."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 
 from ramstab import branches, cli, hasseherbrand, limitdata, polygons, valuations
 from ramstab.cli import main
-from ramstab.inputdoc import load_document
+from ramstab.branches import build_record, predict_branch
+from ramstab.inputdoc import InputDocument, load_document
 
 REPO = Path(__file__).resolve().parent.parent
 SAMPLE = str(REPO / "src" / "ramstab" / "data" / "sample.json")
@@ -101,6 +103,37 @@ class TestCertifyCommand:
             assert payload[unreadable]["field"] == "$"
             assert payload[str(invalid)]["field"] == "r"
             assert all("error" in payload[path] for path in (missing, str(invalid), unreadable))
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no int digit limit"
+    )
+    def test_oversize_r_is_rejected_on_r(self, capsys, tmp_path):
+        # q = 2^15000 has 4516 digits, and the key 4400
+        doc = {
+            "p": 2, "r": 15000, "v_p": 1,
+            "coeff_valuations": {"1": "1", "1" * 4400: "0"},
+            "base_valuation": "1", "branch_valuations": ["1"],
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(capsys, "certify", str(bad))
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert code == 2 and out == ""
+        assert json.loads(err)["field"] == "r"
+
+    def test_pool_is_imported_only_for_jobs(self):
+        paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, ramstab.cli; print('concurrent.futures.process' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
     def test_malformed_input_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -245,9 +278,35 @@ class TestArgumentValidation:
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "positive integer" in err
 
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
 
-def count_stage_calls(monkeypatch, capsys, *argv):
-    """Run one command with the pipeline stages wrapped at every ramstab binding."""
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        for argv in (["certify", SAMPLE], ["limit-data", SAMPLE], ["branch", UNIFORMIZER]):
+            assert run(capsys, *argv)[0] == 0
+        assert built.count("ramstab") == 1
+
+    def test_usage_error_after_a_successful_call(self, capsys):
+        assert run(capsys, "certify", SAMPLE)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["hh", "--depth", "0", SAMPLE])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "positive integer" in err
+        assert run(capsys, "hh", "--depth", "2", SAMPLE)[0] == 0
+
+
+def count_stage_calls(capsys, *argv):
+    """Run one command with the pipeline stages wrapped at every ramstab binding.
+
+    The wrappers are removed on return, so calls in one test count apart.
+    """
     originals = {
         "build_record": branches.build_record,
         "limiting_data": limitdata.limiting_data,
@@ -266,14 +325,15 @@ def count_stage_calls(monkeypatch, capsys, *argv):
         return wrapper
 
     wrappers = {name: counting(name, fn) for name, fn in originals.items()}
-    for mod_name, module in list(sys.modules.items()):
-        if mod_name != "ramstab" and not mod_name.startswith("ramstab."):
-            continue
-        for attr, value in list(vars(module).items()):
-            for name, fn in originals.items():
-                if value is fn:
-                    monkeypatch.setattr(module, attr, wrappers[name])
-    code, _, _ = run(capsys, *argv)
+    with pytest.MonkeyPatch.context() as patch:
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name != "ramstab" and not mod_name.startswith("ramstab."):
+                continue
+            for attr, value in list(vars(module).items()):
+                for name, fn in originals.items():
+                    if value is fn:
+                        patch.setattr(module, attr, wrappers[name])
+        code, _, _ = run(capsys, *argv)
     assert code == 0
     return counts
 
@@ -281,25 +341,38 @@ def count_stage_calls(monkeypatch, capsys, *argv):
 class TestStageCounts:
     """Every command computes each pipeline stage once."""
 
-    def test_certify(self, monkeypatch, capsys):
-        counts = count_stage_calls(monkeypatch, capsys, "certify", SAMPLE)
+    def test_certify(self, capsys):
+        counts = count_stage_calls(capsys, "certify", SAMPLE)
         assert counts["build_record"] == 1
         assert counts["limiting_data"] == 1
-        assert counts["lower_hull"] <= 6
+        assert counts["lower_hull"] <= 2
         assert counts["find_stable_index"] == 0
 
-    def test_hh(self, monkeypatch, capsys):
-        counts = count_stage_calls(monkeypatch, capsys, "hh", "--depth", "3", SAMPLE)
+    def test_hh(self, capsys):
+        counts = count_stage_calls(capsys, "hh", "--depth", "3", SAMPLE)
         assert counts["build_record"] == 1
         assert counts["limiting_data"] == 1
         assert counts["build_phi"] == 3
+        assert counts["lower_hull"] <= 2
         assert counts["find_stable_index"] == 0
 
-    def test_breaks(self, monkeypatch, capsys):
-        counts = count_stage_calls(monkeypatch, capsys, "breaks", "--depth", "3", SAMPLE)
+    def test_hull_count_does_not_grow_with_the_record(self, capsys, tmp_path):
+        # branch steps query the profile's one coefficient hull
+        fixture = load_document(UNIFORMIZER)
+        profile, base = fixture.profile, fixture.record.valuations[0]
+        counts = []
+        for record in (build_record(profile, [base]), predict_branch(profile, base, depth=34)):
+            doc = InputDocument(profile=profile, record=record, d=fixture.d)
+            path = tmp_path / f"levels{len(record.valuations)}.json"
+            path.write_text(json.dumps(doc.to_json()))
+            counts.append(count_stage_calls(capsys, "certify", str(path)))
+        assert counts[0]["lower_hull"] == counts[1]["lower_hull"]
+
+    def test_breaks(self, capsys):
+        counts = count_stage_calls(capsys, "breaks", "--depth", "3", SAMPLE)
         assert counts["find_stable_index"] == 0
 
-    def test_certify_visits_only_the_support(self, monkeypatch, capsys, tmp_path):
+    def test_certify_visits_only_the_support(self, capsys, tmp_path):
         # q = 1000000007: a loop over every index 1..q would not finish
         doc = {
             "p": 1000000007,
@@ -312,12 +385,12 @@ class TestStageCounts:
         }
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(doc))
-        counts = count_stage_calls(monkeypatch, capsys, "certify", str(path))
+        counts = count_stage_calls(capsys, "certify", str(path))
         support, r = len(doc["coeff_valuations"]), doc["r"]
         assert 0 < counts["binom_valuation"] <= support * (r + 1)
 
-    def test_branch_computes_no_limiting_data(self, monkeypatch, capsys):
-        counts = count_stage_calls(monkeypatch, capsys, "branch", SAMPLE)
+    def test_branch_computes_no_limiting_data(self, capsys):
+        counts = count_stage_calls(capsys, "branch", SAMPLE)
         assert counts["limiting_data"] == 0
         assert counts["find_stable_index"] == 1
 

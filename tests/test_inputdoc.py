@@ -1,6 +1,8 @@
 """Input-document parsing, diagnostics, round-trips, and the JSON schema."""
 
 import json
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -119,6 +121,54 @@ class TestParsing:
         with pytest.raises(InputError) as exc:
             parse_document(obj)
         assert exc.value.field == "p"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no int digit limit"
+    )
+    @pytest.mark.parametrize(
+        "r, keys",
+        [
+            (15000, ["1" * 4400]),  # q = 2^15000 has 4516 digits
+            (15000, []),
+            (10**8, []),
+            (14285, []),  # 2^14285 has 4301 digits, the fewest past the limit
+        ],
+    )
+    def test_oversize_r_rejected_before_q(self, r, keys):
+        obj = {
+            "p": 2, "r": r, "v_p": 1,
+            "coeff_valuations": {"1": "1", **{key: "0" for key in keys}},
+            "base_valuation": "1", "branch_valuations": ["1"],
+        }
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            start = time.perf_counter()
+            with pytest.raises(InputError) as exc:
+                parse_document(obj)
+            elapsed = time.perf_counter() - start
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert exc.value.field == "r" and "4300 digits" in str(exc.value)
+        assert elapsed < 0.1  # p**r for r = 10**8 alone takes over a second
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no int digit limit"
+    )
+    def test_largest_printable_q_passes_the_r_check(self):
+        # 2^14284 has 4300 digits: r is fine, and the missing index q is reported
+        obj = {
+            "p": 2, "r": 14284, "v_p": 1, "coeff_valuations": {"1": "1"},
+            "base_valuation": "1", "branch_valuations": ["1"],
+        }
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(InputError) as exc:
+                parse_document(obj)
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert exc.value.field == "coeff_valuations" and "monic" in str(exc.value)
 
     def test_missing_file_names_the_root(self, tmp_path):
         with pytest.raises(InputError) as exc:

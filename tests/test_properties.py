@@ -5,7 +5,9 @@ branch comes from ``predict_branch``.  Documents round-trip through the
 document edge and the schema, every certificate re-validates, and the
 closed-form tower of a certified branch matches the general composition
 of its transition functions.  Runs are derandomized, so the suite sees
-the same examples every time.
+the same examples every time.  Branch steps, which query the profile's
+cached coefficient hull, agree with a fresh ``lower_hull`` of the step's
+points.
 """
 
 import json
@@ -20,12 +22,19 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from ramstab.branches import BranchDataError, PolynomialValuationProfile, predict_branch
+from ramstab.branches import (
+    BranchDataError,
+    PolynomialValuationProfile,
+    branch_step_candidates,
+    predict_branch,
+    zero_departure_candidates,
+)
 from ramstab.certificates import certify, revalidate
 from ramstab.hasseherbrand import build_phi, build_tower
 from ramstab.inputdoc import InputDocument, parse_document
 from ramstab.limitdata import compute_C, limiting_data_for_branch, reindexed_record
 from ramstab.plf import compose
+from ramstab.polygons import lower_hull
 from ramstab.valuations import format_rational, parse_rational
 
 SCHEMA = json.loads(
@@ -74,6 +83,60 @@ def test_documents_round_trip(profile, base, choices, depth, d):
     strings = [obj["base_valuation"], *obj["branch_valuations"], *obj["coeff_valuations"].values()]
     for text in strings:
         assert format_rational(parse_rational(text)) == text
+
+
+def reference_candidates(profile, v):
+    """Root valuations of a fresh lower hull of (0, v) and the coefficient points."""
+    return lower_hull([(0, v), *profile.coeff_valuations.items()]).root_valuations()
+
+
+def hull_intercepts(profile):
+    """Heights at x = 0 of the lines through the coefficient hull's segments:
+    from there, (0, v) is collinear with a segment."""
+    points = list(profile.coeff_valuations.items())
+    if len(points) < 2:
+        return []
+    vertices = lower_hull(points).vertices
+    return [
+        y0 - Fraction(y1 - y0, x1 - x0) * x0
+        for (x0, y0), (x1, y1) in zip(vertices, vertices[1:])
+    ]
+
+
+step_valuations = st.one_of(
+    st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 30)),
+    st.builds(Fraction, st.integers(-(10**6), -1), st.integers(1, 10**6)),  # negative
+    st.integers(6, 10**6).map(Fraction),  # above every coefficient valuation
+    st.builds(Fraction, st.just(1), st.integers(10**3, 10**12)),  # tiny positive
+)
+
+
+def monomial(p, r):
+    return PolynomialValuationProfile(p=p, r=r, v_p=1, coeff_valuations={p**r: 0})
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(profile=profiles(), v=step_valuations)
+# collinear coefficient points, and (0, 3) on the line through them
+@example(
+    profile=PolynomialValuationProfile(
+        p=3, r=2, v_p=1, coeff_valuations={3: 2, 6: 1, 9: 0}
+    ),
+    v=Fraction(3),
+)
+@example(profile=PolynomialValuationProfile(
+    p=2, r=2, v_p=1, coeff_valuations={1: 3, 2: 2, 3: 1, 4: 0}), v=Fraction(4))
+@example(profile=monomial(3, 2), v=Fraction(5))
+@example(profile=monomial(2, 1), v=Fraction(-7, 3))
+def test_step_candidates_match_a_fresh_hull(profile, v):
+    for w in (v, *hull_intercepts(profile)):
+        assert branch_step_candidates(profile, w) == reference_candidates(profile, w)
+    points = list(profile.coeff_valuations.items())
+    if len(points) < 2:
+        with pytest.raises(BranchDataError):
+            zero_departure_candidates(profile)
+    else:
+        assert zero_departure_candidates(profile) == lower_hull(points).root_valuations()
 
 
 TOWER_DEPTH = 6
