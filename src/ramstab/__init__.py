@@ -47,10 +47,10 @@ from .certificates import (
 from .hasseherbrand import (
     TowerFunction,
     TowerInvariantError,
-    TransitionFunction,
     breaks_and_subfields,
     build_phi,
     build_tower,
+    level_model,
     printable_depth,
 )
 from .inputdoc import InputDocument, InputError, load_document, parse_document

@@ -26,6 +26,7 @@ from .hasseherbrand import (
     TowerInvariantError,
     breaks_and_subfields,
     build_tower,
+    level_model,
     printable_depth,
 )
 from .inputdoc import InputError, load_document
@@ -173,15 +174,15 @@ def _certified_tower(doc, depth: int):
         return cert, None, None, None
     working = reindexed_record(record, cert.reindex)
     working_data = replace(data, C=compute_C(profile, working))
-    base = working.first_finite()
-    limit = printable_depth(profile, working_data, cert.d_used, base)
+    model = level_model(profile, working_data, cert.d_used, working.first_finite())
+    limit = printable_depth(model)
     if limit is not None and depth > limit:
         raise InputError(
             "depth",
             f"{depth} is past {limit}, the deepest tower of this document whose "
             f"numbers print within {sys.get_int_max_str_digits()} digits",
         )
-    tower = build_tower(profile, working_data, cert.d_used, base, depth)
+    tower = build_tower(model, depth)
     return cert, working, working_data, tower
 
 
@@ -207,7 +208,7 @@ def _hh_payload(path, depth: int) -> tuple[dict, int]:
         "conditional_on_d": cert.conditional_on_d,
         "base_valuation": format_rational(working.first_finite()),
         "C": format_rational(working_data.C),
-        "phi": [tf.phi.to_json() for tf in tower],
+        "phi": [{"level": tf.level, **tf.phi.to_json()} for tf in tower],
         "Phi": [tf.to_json() for tf in tower],
         **shared,
         "notes": REPORT_NOTES,
@@ -239,7 +240,7 @@ def _cmd_plot(args) -> int:
     polygon = level_polygon(doc.profile, working_data, args.depth)
     top = tower[-1]
     try:
-        svg = render_level_report(polygon, copolygon(polygon), top.phi.plf, top.plf, args.depth)
+        svg = render_level_report(polygon, copolygon(polygon), top.phi, top.plf, args.depth)
     except OverflowError as exc:
         raise InputError(
             "depth", f"{args.depth} is too deep to plot: the tower's coordinates overflow a float"

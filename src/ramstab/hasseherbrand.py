@@ -6,17 +6,28 @@ closed form: each polygon segment of slope s contributes a vertex at
     x = -e_ke * q^n * s  +  sgn(v(a_0)) * (d - 1) * v(a_0),
 
 with slopes 1, p^{r_{V-1}}/q, ..., p^{r_1}/q = 1/q left to right and the
-identity segment through the origin fixing the heights.  phi_n is the
-identity up to its first vertex, and that vertex lies beyond every earlier
-break, so the tower function Phi_n = Phi_{n-1} o phi_n is Phi_{n-1}
-followed by the vertices of phi_n mapped through the final ray of
-Phi_{n-1} (the composition rule for Herbrand functions, Serre, Local
-Fields, IV 3).  The tower is therefore one vertex tuple, and level n is its
-first (V-1)*n vertices.  Every claimed structural property (vertex count,
-final slope, last vertex, altitude growth, and the identity-segment gap
-that makes the closed form exact) is checked at every level, the deepest
-function is validated in full once, and a violation aborts loudly rather
-than returning a silently wrong function.
+identity segment through the origin fixing the heights.  The segment of
+the level-n polygon from (p^{r_k}, m_k + e_k*C/q^n) to the next vertex
+has q^n * s = (q^n * dM + dE * C) / dP, so every coordinate of phi_n is
+affine in q^n; ``level_model`` computes those coefficients once.
+
+phi_n is the identity up to its first vertex, and that vertex lies beyond
+every earlier break, so the tower function Phi_n = Phi_{n-1} o phi_n is
+Phi_{n-1} followed by the vertices of phi_n mapped through the final ray
+of Phi_{n-1} (the composition rule for Herbrand functions, Serre, Local
+Fields, IV 3).  The tower is therefore one vertex tuple, and level n is
+its first (V-1)*n vertices.
+
+Three properties are checked at every level: the x-coordinates of phi_n
+strictly increase (so the level-n polygon is strictly convex), the first
+of them is positive, and it lies strictly beyond the last vertex of
+phi_{n-1} (the identity-segment gap that makes the closed form exact).
+The deepest function is then validated once, in full.  The rest holds by
+construction: phi_n has one vertex per polygon segment, its slopes are
+fixed by R and fall from 1 to 1/q, appending keeps its last x, the fold
+makes the final slope of level n 1/q^n, and the altitude grows because
+the first vertex of phi_n lies on the identity, past the gap.  A
+violation aborts loudly rather than returning a silently wrong function.
 
 Ramification breaks are reported on the scale normalized by the base
 subfield (v(E) = Z).
@@ -32,14 +43,15 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .branches import PolynomialValuationProfile
-from .limitdata import LimitingRamificationData, level_polygon
+from .limitdata import LimitingRamificationData
 from .plf import PLFunction, Vertex
 from .valuations import format_rational
 
 __all__ = [
-    "TransitionFunction",
+    "LevelModel",
     "TowerFunction",
     "TowerInvariantError",
+    "level_model",
     "build_phi",
     "build_tower",
     "printable_depth",
@@ -58,29 +70,34 @@ class TowerInvariantError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TransitionFunction:
-    """The one-level transition function: identity up to its first vertex,
-    then one slope per polygon segment, ending at slope 1/q."""
+class LevelModel:
+    """phi_n at every level n at once: its j-th vertex is
+    (ax * q^n + bx, ay * q^n + by) for the j-th entry (ax, bx, ay, by) of
+    ``coefficients``."""
 
-    level: int
     q: int
-    plf: PLFunction
+    shift: Fraction
+    coefficients: Tuple[Tuple[Fraction, Fraction, Fraction, Fraction], ...]
 
-    def __post_init__(self):
-        slopes = self.plf.slopes()
-        if slopes[0] != 1:
-            raise ValueError(f"first slope must be 1, got {slopes[0]}")
-        if slopes[-1] != Fraction(1, self.q):
-            raise ValueError(f"last slope must be 1/{self.q}, got {slopes[-1]}")
-
-    def first_vertex_x(self) -> Fraction:
-        return self.plf.vertices[0][0]
-
-    def last_vertex_x(self) -> Fraction:
-        return self.plf.vertices[-1][0]
-
-    def to_json(self) -> dict:
-        return {"level": self.level, **self.plf.to_json()}
+    def phi(self, n: int) -> PLFunction:
+        """The transition function of level n, once the two properties
+        that do not hold by construction are checked."""
+        if n < 1:
+            raise ValueError("transition functions exist for levels n >= 1")
+        q_n = self.q**n
+        xs = [ax * q_n + bx for ax, bx, _, _ in self.coefficients]
+        if any(b <= a for a, b in zip(xs, xs[1:])):
+            raise ValueError(
+                f"level {n} is not in the stable regime: "
+                "segment slopes must be strictly increasing (strict convexity)"
+            )
+        if xs[0] <= 0:
+            raise ValueError(
+                f"level {n} vertex positions are not positive (shift {self.shift}); "
+                "outside the supported regime"
+            )
+        vertices = tuple((x, ay * q_n + by) for x, (_, _, ay, by) in zip(xs, self.coefficients))
+        return PLFunction.unchecked(Fraction(1), vertices, Fraction(1, self.q))
 
 
 @dataclass(frozen=True)
@@ -94,7 +111,7 @@ class TowerFunction:
     """
 
     level: int
-    phi: TransitionFunction
+    phi: PLFunction
     top: PLFunction
     size: int
 
@@ -119,70 +136,45 @@ class TowerFunction:
         }
 
 
-def build_phi(
-    profile: PolynomialValuationProfile,
-    data: LimitingRamificationData,
-    n: int,
-    d: int,
-    v_base,
-) -> TransitionFunction:
-    """Transition function for one level in the stable regime.
+def level_model(
+    profile: PolynomialValuationProfile, data: LimitingRamificationData, d: int, v_base
+) -> LevelModel:
+    """The closed form of the module docstring with q^n left free.
 
-    Requires p not dividing d and a level whose polygon has the stable
-    vertex structure; each polygon slope maps to one vertex by the closed
-    form above, shallowest slope leftmost.
+    Requires p not dividing d.  The shallowest polygon segment gives the
+    first vertex; the slope into each later vertex is p^{r_{k+1}}/q for its
+    segment k, so the heights accumulate affinely too.
     """
     if abs(d) % profile.p == 0:
         raise ValueError(f"d = {d} is divisible by p = {profile.p}")
-    if n < 1:
-        raise ValueError("transition functions exist for levels n >= 1")
-    vertices = _phi_vertices(profile, data, n, d, v_base)
-    plf = PLFunction(Fraction(1), tuple(vertices), Fraction(1, profile.q))
-    if len(plf.vertices) != data.V - 1:
-        raise TowerInvariantError(
-            "transition-vertex-count",
-            f"phi_{n} has {len(plf.vertices)} vertices, expected {data.V - 1}",
-        )
-    return TransitionFunction(level=n, q=profile.q, plf=plf)
-
-
-def _phi_vertices(
-    profile: PolynomialValuationProfile,
-    data: LimitingRamificationData,
-    n: int,
-    d: int,
-    v_base,
-) -> List[Vertex]:
-    """The vertices of phi_n by the closed form of the module docstring."""
-    q = profile.q
-    polygon = level_polygon(profile, data, n)
-    seg_slopes = polygon.slopes()  # strictly increasing, steepest first
+    if data.C is None:
+        raise ValueError("limiting data has no error coefficient C")
+    p, e_ke = profile.p, profile.e_ke
     shift = (d - 1) * abs(v_base)
-    xs = [-profile.e_ke * q**n * s + shift for s in reversed(seg_slopes)]
-    if any(x <= 0 for x in xs):
-        raise ValueError(
-            f"level {n} vertex positions are not positive (shift {shift}); "
-            "outside the supported regime"
-        )
-    # slope after the j-th vertex (ascending x) is p^{r_{V-j}}/q
-    after = [Fraction(profile.p ** data.R[data.V - 1 - j], q) for j in range(1, data.V)]
-    vertices = []
-    y = xs[0]
-    vertices.append((xs[0], y))
-    for j in range(1, len(xs)):
-        y = y + after[j - 1] * (xs[j] - xs[j - 1])
-        vertices.append((xs[j], y))
-    return vertices
+    coefficients = []
+    for k in reversed(range(data.V - 1)):
+        width = p ** data.R[k + 1] - p ** data.R[k]
+        ax = Fraction(-e_ke * (data.M[k + 1] - data.M[k]), width)
+        bx = Fraction(-e_ke * (data.E[k + 1] - data.E[k]) * data.C, width) + shift
+        if coefficients:
+            slope = Fraction(p ** data.R[k + 1], profile.q)
+            ax0, bx0, ay0, by0 = coefficients[-1]
+            ay, by = ay0 + slope * (ax - ax0), by0 + slope * (bx - bx0)
+        else:
+            ay, by = ax, bx  # on the identity segment
+        coefficients.append((ax, bx, ay, by))
+    return LevelModel(profile.q, shift, tuple(coefficients))
 
 
-def build_tower(
-    profile: PolynomialValuationProfile,
-    data: LimitingRamificationData,
-    d: int,
-    v_base,
-    depth: int,
-) -> List[TowerFunction]:
-    """Compose transition functions up to ``depth``, validating every level.
+def build_phi(
+    profile: PolynomialValuationProfile, data: LimitingRamificationData, n: int, d: int, v_base
+) -> PLFunction:
+    """Transition function for one level in the stable regime."""
+    return level_model(profile, data, d, v_base).phi(n)
+
+
+def build_tower(model: LevelModel, depth: int) -> List[TowerFunction]:
+    """Compose transition functions up to ``depth``, checking every level.
 
     Each vertex (x, y) of phi_n is appended as (x, alt + (y - x_last) *
     final), where (x_last, alt) is the last vertex so far and ``final`` the
@@ -191,74 +183,42 @@ def build_tower(
     of its slopes and level n's final slope 1/q^n is its next slope.
 
     Callers are expected to hold a certificate for the working base; the
-    builder still re-checks the identity-segment gap and the structural
-    properties, and aborts with the violated property on any failure.
+    builder still re-checks the identity-segment gap, and aborts with the
+    violated property on any failure.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    q = profile.q
-    phis: List[TransitionFunction] = []
+    phis: List[PLFunction] = []
     vertices: List[Vertex] = []
     x_last, alt, final = Fraction(0), Fraction(0), Fraction(1)
     for n in range(1, depth + 1):
-        phi = build_phi(profile, data, n, d, v_base)
-        if phi.first_vertex_x() <= x_last:
+        phi = model.phi(n)
+        x_first = phi.vertices[0][0]
+        if x_first <= x_last:
             raise TowerInvariantError(
                 "composition-gap",
-                f"first vertex {phi.first_vertex_x()} of phi_{n} does not lie "
+                f"first vertex {x_first} of phi_{n} does not lie "
                 f"strictly beyond the last vertex {x_last} of phi_{n - 1}",
             )
-        vertices.extend((x, alt + (y - x_last) * final) for x, y in phi.plf.vertices)
-        final *= phi.plf.final_slope
-        _check_level(n, q, data, vertices, final, phi, alt)
+        vertices.extend((x, alt + (y - x_last) * final) for x, y in phi.vertices)
+        final /= model.q
         x_last, alt = vertices[-1]
         phis.append(phi)
         log.debug("tower level %d: %d breaks, altitude %s", n, len(vertices), alt)
     top = PLFunction(Fraction(1), tuple(vertices), final)
     return [
-        TowerFunction(level=n, phi=phi, top=top, size=(data.V - 1) * n)
+        TowerFunction(level=n, phi=phi, top=top, size=len(model.coefficients) * n)
         for n, phi in enumerate(phis, start=1)
     ]
 
 
-def _check_level(n, q, data, vertices, final, phi, prev_altitude) -> None:
-    """The O(1) structural checks of level n, once its vertices are appended."""
-    expected_vertices = (data.V - 1) * n
-    if len(vertices) != expected_vertices:
-        raise TowerInvariantError(
-            "vertex-count",
-            f"level {n} has {len(vertices)} vertices, expected {expected_vertices}",
-        )
-    if final != Fraction(1, q**n):
-        raise TowerInvariantError(
-            "final-slope", f"level {n} final slope {final}, expected 1/{q**n}"
-        )
-    x_last, altitude = vertices[-1]
-    if x_last != phi.last_vertex_x():
-        raise TowerInvariantError(
-            "last-vertex",
-            f"level {n} last vertex {x_last} is not the last "
-            f"vertex {phi.last_vertex_x()} of its transition function",
-        )
-    if altitude <= prev_altitude:
-        raise TowerInvariantError(
-            "altitude-growth",
-            f"altitude {altitude} at level {n} does not exceed {prev_altitude}",
-        )
-
-
-def printable_depth(
-    profile: PolynomialValuationProfile,
-    data: LimitingRamificationData,
-    d: int,
-    v_base,
-) -> Optional[int]:
+def printable_depth(model: LevelModel) -> Optional[int]:
     """The deepest tower whose numbers all print within the interpreter's
     limit on the digits of an int; None when there is no such limit.
 
     Every coordinate c of phi_n is affine in q^n, c = a q^n + b, with a and
-    b read off levels 1 and 2.  Let D be the common denominator of all a
-    and b, and T bound D*|a| + D*|b| and D.  A break or phi coordinate at
+    b read off the level model.  Let D be the common denominator of all a and
+    b, and T bound D*|a| + D*|b| and D.  A break or phi coordinate at
     level k is then an integer of size at most T q^k over D; an altitude,
     a sum of k such differences scaled by 1/q^i, is an integer of size at
     most 2 k T q^k over D q^(k-1); a final slope is 1/q^k.  So every number
@@ -269,15 +229,10 @@ def printable_depth(
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not digits:
         return None
-    q = profile.q
-    level1, level2 = (
-        [c for vertex in _phi_vertices(profile, data, n, d, v_base) for c in vertex]
-        for n in (1, 2)
-    )
-    a = [(c2 - c1) / (q * q - q) for c1, c2 in zip(level1, level2)]
-    b = [c1 - ai * q for c1, ai in zip(level1, a)]
-    D = math.lcm(*(c.denominator for c in a + b))
-    T = max(D, *(abs(D * ai) + abs(D * bi) for ai, bi in zip(a, b)))
+    q = model.q
+    pairs = [pair for ax, bx, ay, by in model.coefficients for pair in ((ax, bx), (ay, by))]
+    D = math.lcm(*(c.denominator for pair in pairs for c in pair))
+    T = max(D, *(abs(D * a) + abs(D * b) for a, b in pairs))
     # the largest n with n q^n < 10^digits / (2T), found bit by bit
     bound = -(-(10**digits) // (2 * T))
     powers = [q]  # q^(2^k)

@@ -139,7 +139,11 @@ def parse_document(obj) -> InputDocument:
         if key not in known:
             raise InputError(key, "unknown field")
     p = _require_int(obj, "p", minimum=2)
-    if not _check_prime(p):
+    try:
+        prime = _check_prime(p)
+    except ValueError as exc:  # p too large to decide
+        raise InputError("p", str(exc)) from exc
+    if not prime:
         raise InputError("p", f"{p} is not prime")
     r = _require_int(obj, "r", minimum=1)
     _check_q_digits(p, r)

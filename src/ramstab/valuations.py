@@ -10,7 +10,7 @@ profile's coefficient valuations, and a zero base point is a None entry of
 a branch record.
 
 Also provides the base-p carry count that governs the p-adic valuation of
-binomial coefficients (Kummer's theorem).
+binomial coefficients (Kummer's theorem), and the prime test.
 """
 
 from __future__ import annotations
@@ -53,15 +53,31 @@ def format_rational(value: Optional[Fraction]) -> str:
     return "inf" if value is None else str(Fraction(value))
 
 
+# Miller-Rabin to the prime bases up to 41 decides primality exactly below
+# PRIME_BOUND (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86, 2017)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 @lru_cache(maxsize=None)
 def _check_prime(p: int) -> bool:
-    if p < 2:
+    """Whether ``p`` is prime, for ``p`` below PRIME_BOUND."""
+    if p >= PRIME_BOUND:
+        raise ValueError(f"{p} is not below {PRIME_BOUND}, the bound of the exact prime test")
+    if p < 2 or p in PRIME_BASES:
+        return p >= 2
+    if any(p % a == 0 for a in PRIME_BASES):
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    # p is a strong probable prime to base a when a^odd is 1, or when
+    # squaring it fewer than ``twos`` times reaches -1
+    for a in PRIME_BASES:
+        x = pow(a, odd, p)
+        if x != 1 and all(pow(x, 1 << i, p) != p - 1 for i in range(twos)):
             return False
-        d += 1
     return True
 
 

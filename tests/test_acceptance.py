@@ -22,7 +22,7 @@ from helpers import (
 
 from ramstab.branches import build_record, predict_branch
 from ramstab.cli import main
-from ramstab.hasseherbrand import breaks_and_subfields, build_phi, build_tower
+from ramstab.hasseherbrand import breaks_and_subfields, build_phi, build_tower, level_model
 from ramstab.limitdata import level_polygon, limiting_data_for_branch
 from ramstab.plf import compose, evaluate
 from ramstab.polygons import below_line, lower_hull
@@ -103,12 +103,12 @@ class TestCriterion3:
 
         record = build_record(UNIFORMIZER_PROFILE, ["1", "1/3", "1/9"])
         data, record, _ = limiting_data_for_branch(UNIFORMIZER_PROFILE, record)
-        tower = build_tower(UNIFORMIZER_PROFILE, data, 1, Fraction(1), 5)
+        tower = build_tower(level_model(UNIFORMIZER_PROFILE, data, 1, Fraction(1)), 5)
         phis = [build_phi(UNIFORMIZER_PROFILE, data, n, 1, Fraction(1)) for n in range(1, 6)]
         V = data.V
         for n, tf in enumerate(tower, start=1):
             assert len(tf.plf.vertices) == (V - 1) * n  # 1. vertex count
-            assert tf.plf.vertices[-1][0] == phis[n - 1].plf.vertices[-1][0]  # 2.
+            assert tf.plf.vertices[-1][0] == phis[n - 1].vertices[-1][0]  # 2.
             assert tf.plf.final_slope == Fraction(1, 3**n)  # 3. final slope
         for prev, cur in zip(tower, tower[1:]):
             k = len(prev.plf.vertices)

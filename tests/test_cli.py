@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ramstab import branches, cli, hasseherbrand, limitdata, polygons, valuations
+from ramstab.plf import PLFunction
 from ramstab.cli import main
 from ramstab.branches import build_record, predict_branch
 from ramstab.inputdoc import InputDocument, load_document
@@ -186,7 +187,7 @@ class TestTowerCommands:
             raise AssertionError("breaks must not serialise phi or Phi")
 
         monkeypatch.setattr(hasseherbrand.TowerFunction, "to_json", no_json)
-        monkeypatch.setattr(hasseherbrand.TransitionFunction, "to_json", no_json)
+        monkeypatch.setattr(PLFunction, "to_json", no_json)
         code, out, _ = run(capsys, "breaks", "--depth", "3", SAMPLE)
         assert code == 0
         assert list(json.loads(out)) == ["depth", "reindex", "breaks", "subfields", "break_scale"]
@@ -224,7 +225,7 @@ class TestTowerCommands:
         sys.set_int_max_str_digits(640)  # the smallest limit the interpreter allows
         try:
             limit = hasseherbrand.printable_depth(
-                doc.profile, data, cert.d_used, working.first_finite()
+                hasseherbrand.level_model(doc.profile, data, cert.d_used, working.first_finite())
             )
             code, out, _ = run(capsys, "breaks", "--depth", str(limit), UNIFORMIZER)
             assert code == 0 and len(json.loads(out)["breaks"]) == limit
@@ -312,6 +313,8 @@ def count_stage_calls(capsys, *argv):
         "limiting_data": limitdata.limiting_data,
         "lower_hull": polygons.lower_hull,
         "build_phi": hasseherbrand.build_phi,
+        "level_model": hasseherbrand.level_model,
+        "level_polygon": limitdata.level_polygon,
         "binom_valuation": valuations.binom_valuation,
         "find_stable_index": branches.find_stable_index,
     }
@@ -352,7 +355,8 @@ class TestStageCounts:
         counts = count_stage_calls(capsys, "hh", "--depth", "3", SAMPLE)
         assert counts["build_record"] == 1
         assert counts["limiting_data"] == 1
-        assert counts["build_phi"] == 3
+        assert counts["level_model"] == 1
+        assert counts["level_polygon"] == 0
         assert counts["lower_hull"] <= 2
         assert counts["find_stable_index"] == 0
 
@@ -371,6 +375,13 @@ class TestStageCounts:
     def test_breaks(self, capsys):
         counts = count_stage_calls(capsys, "breaks", "--depth", "3", SAMPLE)
         assert counts["find_stable_index"] == 0
+
+    def test_plot(self, capsys, tmp_path):
+        # the drawn polygon is the only one built: the tower reads the level model
+        out = str(tmp_path / "plot.svg")
+        counts = count_stage_calls(capsys, "plot", "--depth", "3", "--out", out, SAMPLE)
+        assert counts["level_polygon"] == 1
+        assert counts["level_model"] == 1
 
     def test_certify_visits_only_the_support(self, capsys, tmp_path):
         # q = 1000000007: a loop over every index 1..q would not finish

@@ -16,9 +16,10 @@ from ramstab.hasseherbrand import (
     breaks_and_subfields,
     build_phi,
     build_tower,
+    level_model,
     printable_depth,
 )
-from ramstab.limitdata import limiting_data_for_branch
+from ramstab.limitdata import LimitingRamificationData, level_polygon, limiting_data_for_branch
 from ramstab.plf import PLFunction, compose, evaluate
 from ramstab.valuations import format_rational
 
@@ -40,13 +41,13 @@ class TestBuildPhi:
     def test_uniformizer_level_one(self):
         data, _ = uniformizer_data()
         phi = build_phi(UNIFORMIZER_PROFILE, data, 1, 1, Fraction(1))
-        assert phi.plf.vertices == ((Fraction(2), Fraction(2)),)
-        assert phi.plf.slopes() == [1, Fraction(1, 3)]
+        assert phi.vertices == ((Fraction(2), Fraction(2)),)
+        assert phi.slopes() == [1, Fraction(1, 3)]
 
     def test_uniformizer_level_two(self):
         data, _ = uniformizer_data()
         phi = build_phi(UNIFORMIZER_PROFILE, data, 2, 1, Fraction(1))
-        assert phi.plf.vertices == ((Fraction(5), Fraction(5)),)
+        assert phi.vertices == ((Fraction(5), Fraction(5)),)
 
     def test_unit_d_has_no_shift(self):
         # (d - 1) = 0 kills the shift term for either sign of the base
@@ -54,22 +55,22 @@ class TestBuildPhi:
 
         data, _ = uniformizer_data()
         phi_pos = build_phi(UNIFORMIZER_PROFILE, data, 1, 1, Fraction(1))
-        assert phi_pos.plf.vertices[0][0] == 2
+        assert phi_pos.vertices[0][0] == 2
         record = predict_branch(UNIFORMIZER_PROFILE, -1, depth=2)
         neg_data, record, _ = limiting_data_for_branch(UNIFORMIZER_PROFILE, record)
         assert neg_data.sign == -1 and neg_data.C == -1
         # level-1 polygon (1, 1 - 2/3), (3, 0): slope -1/6, vertex at 1/2
         phi_neg = build_phi(UNIFORMIZER_PROFILE, neg_data, 1, 1, Fraction(-1))
-        assert phi_neg.plf.vertices == ((Fraction(1, 2), Fraction(1, 2)),)
+        assert phi_neg.vertices == ((Fraction(1, 2), Fraction(1, 2)),)
 
     def test_shift_term_applies_for_d_greater_one(self):
         data, record = sample_data_rebased()
         phi = build_phi(SAMPLE_PROFILE, data, 1, 2, Fraction(2, 3))
         # steepest slope of the level-1 polygon: (2 - 29/9) / 2 = -11/18
         # shallowest: -1/3; shift = (2-1) * 2/3
-        assert phi.plf.vertices[0][0] == 9 * Fraction(1, 3) + Fraction(2, 3)
-        assert phi.plf.vertices[1][0] == 9 * Fraction(11, 18) + Fraction(2, 3)
-        assert phi.plf.slopes() == [1, Fraction(1, 3), Fraction(1, 9)]
+        assert phi.vertices[0][0] == 9 * Fraction(1, 3) + Fraction(2, 3)
+        assert phi.vertices[1][0] == 9 * Fraction(11, 18) + Fraction(2, 3)
+        assert phi.slopes() == [1, Fraction(1, 3), Fraction(1, 9)]
 
     def test_divisible_d_rejected(self):
         data, _ = uniformizer_data()
@@ -79,13 +80,38 @@ class TestBuildPhi:
     def test_vertex_count(self):
         data, _ = sample_data_rebased()
         phi = build_phi(SAMPLE_PROFILE, data, 2, 2, Fraction(2, 3))
-        assert len(phi.plf.vertices) == data.V - 1
+        assert len(phi.vertices) == data.V - 1
+
+
+class TestLevelModel:
+    """The two per-level checks, at the boundary where each starts to fail."""
+
+    def test_collinear_level_polygon_is_not_stable(self):
+        # (1, 4), (3, 3), (9, 0) lie on one line at every level
+        data = LimitingRamificationData(
+            V=3, R=(0, 1, 2), M=(4, 3, 0), E=(0, 0, 0), sign=1, C=Fraction(1)
+        )
+        with pytest.raises(ValueError) as oracle:
+            level_polygon(SAMPLE_PROFILE, data, 1)
+        with pytest.raises(ValueError) as err:
+            build_phi(SAMPLE_PROFILE, data, 1, 1, Fraction(1))
+        assert str(err.value) == str(oracle.value)
+
+    def test_first_vertex_at_zero_is_not_positive(self):
+        # level-n slope -2/2 puts the first vertex at 3^n * 1 + (-1 - 1) * 3/2
+        data = LimitingRamificationData(V=2, R=(0, 1), M=(2, 0), E=(0, 0), sign=1, C=Fraction(1))
+        with pytest.raises(ValueError) as err:
+            build_phi(UNIFORMIZER_PROFILE, data, 1, -1, Fraction(3, 2))
+        assert str(err.value) == (
+            "level 1 vertex positions are not positive (shift -3); outside the supported regime"
+        )
+        assert build_phi(UNIFORMIZER_PROFILE, data, 2, -1, Fraction(3, 2)).vertices[0][0] == 6
 
 
 class TestBuildTower:
     def test_uniformizer_depth_two(self):
         data, _ = uniformizer_data()
-        tower = build_tower(UNIFORMIZER_PROFILE, data, 1, Fraction(1), 2)
+        tower = build_tower(level_model(UNIFORMIZER_PROFILE, data, 1, Fraction(1)), 2)
         assert tower[-1].plf.vertices == (
             (Fraction(2), Fraction(2)),
             (Fraction(5), Fraction(3)),
@@ -94,7 +120,7 @@ class TestBuildTower:
 
     def test_uniformizer_depth_three_adds_fourteen(self):
         data, _ = uniformizer_data()
-        tower = build_tower(UNIFORMIZER_PROFILE, data, 1, Fraction(1), 3)
+        tower = build_tower(level_model(UNIFORMIZER_PROFILE, data, 1, Fraction(1)), 3)
         assert tower[-1].breaks == (2, 5, 14)
         assert tower[-1].plf.vertices[-1] == (Fraction(14), Fraction(4))
         assert tower[-1].plf.final_slope == Fraction(1, 27)
@@ -102,8 +128,8 @@ class TestBuildTower:
     def test_depth_one_is_the_transition_function(self):
         data, _ = uniformizer_data()
         phi = build_phi(UNIFORMIZER_PROFILE, data, 1, 1, Fraction(1))
-        tower = build_tower(UNIFORMIZER_PROFILE, data, 1, Fraction(1), 1)
-        assert tower[0].plf == phi.plf
+        tower = build_tower(level_model(UNIFORMIZER_PROFILE, data, 1, Fraction(1)), 1)
+        assert tower[0].plf == phi
 
     def test_structural_invariants_along_the_tower(self):
         for profile, (data, record), d in (
@@ -112,26 +138,26 @@ class TestBuildTower:
         ):
             v_base = record.valuations[0]
             depth = 5
-            tower = build_tower(profile, data, d, v_base, depth)
+            tower = build_tower(level_model(profile, data, d, v_base), depth)
             phis = [build_phi(profile, data, n, d, v_base) for n in range(1, depth + 1)]
             for n, tf in enumerate(tower, start=1):
                 assert tf.level == n
                 assert len(tf.plf.vertices) == (data.V - 1) * n
                 assert tf.plf.final_slope == Fraction(1, profile.q**n)
-                assert tf.plf.vertices[-1][0] == phis[n - 1].plf.vertices[-1][0]
+                assert tf.plf.vertices[-1][0] == phis[n - 1].vertices[-1][0]
             for prev, cur in zip(tower, tower[1:]):
                 assert cur.altitude > prev.altitude
                 k = len(prev.plf.vertices)
                 assert cur.plf.vertices[:k] == prev.plf.vertices
             for prev, cur in zip(phis, phis[1:]):
-                assert cur.plf.vertices[0][0] > prev.plf.vertices[-1][0]
+                assert cur.vertices[0][0] > prev.vertices[-1][0]
 
     def test_prefix_agreement_pointwise(self):
         import random
 
         rng = random.Random(55)
         data, record = sample_data_rebased()
-        tower = build_tower(SAMPLE_PROFILE, data, 2, Fraction(2, 3), 4)
+        tower = build_tower(level_model(SAMPLE_PROFILE, data, 2, Fraction(2, 3)), 4)
         for prev, cur in zip(tower, tower[1:]):
             cutoff = prev.plf.vertices[-1][0]
             for _ in range(50):
@@ -146,7 +172,7 @@ class TestBuildTower:
             (SAMPLE_PROFILE, sample_data_rebased(), 2),
         ):
             v_base = record.valuations[0]
-            tower = build_tower(profile, data, d, v_base, 4)
+            tower = build_tower(level_model(profile, data, d, v_base), 4)
             q = profile.q
             xs = [tf.plf.vertices[-1][0] for tf in tower]
             A = Fraction(xs[1] - xs[0], q**2 - q**1)
@@ -163,7 +189,7 @@ class TestBuildTower:
         data, _ = sample_data_rebased()
         broken = replace(data, C=Fraction(100))
         with pytest.raises(TowerInvariantError) as err:
-            build_tower(SAMPLE_PROFILE, broken, 2, Fraction(2, 3), 3)
+            build_tower(level_model(SAMPLE_PROFILE, broken, 2, Fraction(2, 3)), 3)
         assert err.value.prop == "composition-gap"
 
 
@@ -199,11 +225,11 @@ class TestClosedFormTower:
 
     def test_matches_compose_fold_level_by_level(self):
         for profile, data, d, v_base in fixture_cases() + v2_trs_towers(4):
-            tower = build_tower(profile, data, d, v_base, 8)
+            tower = build_tower(level_model(profile, data, d, v_base), 8)
             folded = None
             for n, tf in enumerate(tower, start=1):
                 phi = build_phi(profile, data, n, d, v_base)
-                folded = phi.plf if folded is None else compose(folded, phi.plf)
+                folded = phi if folded is None else compose(folded, phi)
                 assert tf.plf == folded
                 assert tf.phi == phi
                 assert tf.breaks == tuple(x for x, _ in folded.vertices)
@@ -229,7 +255,7 @@ class TestClosedFormTower:
         monkeypatch.setattr(PLFunction, "__post_init__", counting)
         data, _ = sample_data_rebased()
         depth = 20
-        tower = build_tower(SAMPLE_PROFILE, data, 2, Fraction(2, 3), depth)
+        tower = build_tower(level_model(SAMPLE_PROFILE, data, 2, Fraction(2, 3)), depth)
         table = breaks_and_subfields(tower, data)
         assert len(table["breaks"]) == (data.V - 1) * depth
         # one per phi_n, plus the deepest level in full
@@ -238,7 +264,7 @@ class TestClosedFormTower:
 
     def test_lower_levels_are_prefixes_of_the_deepest(self):
         data, _ = sample_data_rebased()
-        tower = build_tower(SAMPLE_PROFILE, data, 2, Fraction(2, 3), 6)
+        tower = build_tower(level_model(SAMPLE_PROFILE, data, 2, Fraction(2, 3)), 6)
         top = tower[-1].plf
         for tf in tower:
             assert tf.plf.vertices == top.vertices[: len(tf.plf.vertices)]
@@ -262,12 +288,13 @@ class TestPrintableDepth:
 
     def test_bound_holds_at_the_limit_and_is_tight(self, digits_640):
         for profile, data, d, v_base in fixture_cases():
-            limit = printable_depth(profile, data, d, v_base)
-            tower = build_tower(profile, data, d, v_base, limit + 12)
+            model = level_model(profile, data, d, v_base)
+            limit = printable_depth(model)
+            tower = build_tower(model, limit + 12)
             top = tower[-1].plf
             printed = [c for vertex in top.vertices[: (data.V - 1) * limit] for c in vertex]
             for tf in tower[:limit]:
-                printed.extend(c for vertex in tf.phi.plf.vertices for c in vertex)
+                printed.extend(c for vertex in tf.phi.vertices for c in vertex)
                 printed.append(tf.plf.final_slope)
             for value in printed:
                 format_rational(value)
@@ -276,8 +303,9 @@ class TestPrintableDepth:
 
     def test_v2_documents_print_at_their_limit(self, digits_640):
         for profile, data, d, v_base in v2_trs_towers(4):
-            limit = printable_depth(profile, data, d, v_base)
-            tower = build_tower(profile, data, d, v_base, limit)
+            model = level_model(profile, data, d, v_base)
+            limit = printable_depth(model)
+            tower = build_tower(model, limit)
             for value in (c for vertex in tower[-1].plf.vertices for c in vertex):
                 format_rational(value)
 
@@ -285,7 +313,7 @@ class TestPrintableDepth:
 class TestBreaksAndSubfields:
     def test_uniformizer_depth_three(self):
         data, _ = uniformizer_data()
-        tower = build_tower(UNIFORMIZER_PROFILE, data, 1, Fraction(1), 3)
+        tower = build_tower(level_model(UNIFORMIZER_PROFILE, data, 1, Fraction(1)), 3)
         table = breaks_and_subfields(tower, data)
         assert table["breaks"] == ["2", "5", "14"]
         rows = {row["level"]: row for row in table["subfields"]}
@@ -296,7 +324,7 @@ class TestBreaksAndSubfields:
 
     def test_depth_one_single_break(self):
         data, _ = uniformizer_data()
-        tower = build_tower(UNIFORMIZER_PROFILE, data, 1, Fraction(1), 1)
+        tower = build_tower(level_model(UNIFORMIZER_PROFILE, data, 1, Fraction(1)), 1)
         table = breaks_and_subfields(tower, data)
         assert table["breaks"] == ["2"]
         rows = {row["level"]: row for row in table["subfields"]}
@@ -305,7 +333,7 @@ class TestBreaksAndSubfields:
 
     def test_reindexed_levels_map_to_ground(self):
         data, _ = sample_data_rebased()
-        tower = build_tower(SAMPLE_PROFILE, data, 2, Fraction(2, 3), 2)
+        tower = build_tower(level_model(SAMPLE_PROFILE, data, 2, Fraction(2, 3)), 2)
         table = breaks_and_subfields(tower, data, reindex=1)
         rows = {row["level"]: row for row in table["subfields"]}
         assert rows[0]["field"] == "ground" and rows[0]["elementary_index"] == -1

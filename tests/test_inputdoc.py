@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ramstab.inputdoc import InputError, load_document, parse_document
+from ramstab.valuations import PRIME_BOUND
 
 REPO = Path(__file__).resolve().parent.parent
 SAMPLE = REPO / "src" / "ramstab" / "data" / "sample.json"
@@ -121,6 +122,43 @@ class TestParsing:
         with pytest.raises(InputError) as exc:
             parse_document(obj)
         assert exc.value.field == "p"
+
+    def test_eighteen_digit_prime_accepted_at_once(self):
+        # trial division would take minutes here
+        p = 10**18 + 3
+        start = time.perf_counter()
+        doc = parse_document(
+            {
+                "p": p, "r": 1, "v_p": 1,
+                "coeff_valuations": {"1": "1", str(p): "0"},
+                "base_valuation": "1",
+                "branch_valuations": ["1"],
+            }
+        )
+        assert time.perf_counter() - start < 0.1
+        assert doc.profile.q == p
+
+    def test_strong_pseudoprimes_rejected(self):
+        # strong pseudoprimes to the bases 2..7 and 2..37
+        for p in (3215031751, 318665857834031151167461):
+            obj = sample_obj()
+            obj.update({"p": p, "r": 1})
+            with pytest.raises(InputError, match="not prime") as exc:
+                parse_document(obj)
+            assert exc.value.field == "p"
+
+    def test_p_at_the_prime_test_bound_rejected(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(SCHEMA.read_text())
+        obj = sample_obj()
+        obj.update({"p": PRIME_BOUND, "r": 1})
+        with pytest.raises(InputError, match="not below") as exc:
+            parse_document(obj)
+        assert exc.value.field == "p"
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(obj, schema)
+        obj["p"] = PRIME_BOUND - 1
+        jsonschema.validate(obj, schema)
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no int digit limit"

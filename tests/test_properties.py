@@ -30,11 +30,11 @@ from ramstab.branches import (
     zero_departure_candidates,
 )
 from ramstab.certificates import certify, revalidate
-from ramstab.hasseherbrand import build_phi, build_tower
+from ramstab.hasseherbrand import build_phi, build_tower, level_model
 from ramstab.inputdoc import InputDocument, parse_document
-from ramstab.limitdata import compute_C, limiting_data_for_branch, reindexed_record
+from ramstab.limitdata import compute_C, level_polygon, limiting_data_for_branch, reindexed_record
 from ramstab.plf import compose
-from ramstab.polygons import lower_hull
+from ramstab.polygons import copolygon, lower_hull
 from ramstab.valuations import format_rational, parse_rational
 
 SCHEMA = json.loads(
@@ -172,7 +172,7 @@ def test_certificates_revalidate_and_towers_match_compose(profile, base, choices
     working_data = replace(data, C=compute_C(profile, working))
     v_base = working.first_finite()
     try:
-        tower = build_tower(profile, working_data, cert.d_used, v_base, TOWER_DEPTH)
+        tower = build_tower(level_model(profile, working_data, cert.d_used, v_base), TOWER_DEPTH)
     except ValueError as exc:
         # phi_n places its vertices at -e_ke*q^n*s + (d - 1)*|v_base| for the
         # negative polygon slopes s, so only a negative d can make one nonpositive
@@ -181,5 +181,81 @@ def test_certificates_revalidate_and_towers_match_compose(profile, base, choices
     folded = None
     for n, tf in enumerate(tower, start=1):
         phi = build_phi(profile, working_data, n, cert.d_used, v_base)
-        folded = phi.plf if folded is None else compose(folded, phi.plf)
+        folded = phi if folded is None else compose(folded, phi)
         assert tf.plf == folded
+
+
+def dual_phi(profile, data, n, d, v_base):
+    """The vertices of phi_n read off the dual of the exact level-n polygon,
+    not off the level model; None where that polygon is not strictly convex
+    or the first vertex is not positive.
+
+    The dual's vertex x-coordinates are the negated polygon slopes and its
+    slopes the polygon's vertex x-coordinates p^{r_i}, so scaling x by
+    e_ke*q^n and y by e_ke*q^(n-1), then shifting both, gives phi_n.
+    """
+    try:
+        dual = copolygon(level_polygon(profile, data, n))
+    except ValueError:
+        return None
+    q, shift = profile.q, (d - 1) * abs(v_base)
+    vertices = [
+        (profile.e_ke * q**n * x + shift, profile.e_ke * q ** (n - 1) * y + shift)
+        for x, y in dual.vertices
+    ]
+    return vertices if vertices[0][0] > 0 else None
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    profile=profiles(),
+    base=base_valuations,
+    choices=st.lists(st.integers(0, 1), max_size=4),
+    depth=st.integers(1, 4),
+    d=st.none() | st.integers(-9, 9).filter(bool),
+)
+# certified TRS on a uniformizer base whose level-1 polygon is not strictly convex
+@example(
+    profile=PolynomialValuationProfile(p=5, r=2, v_p=1, coeff_valuations={1: 2, 25: 0}),
+    base=Fraction(1),
+    choices=[],
+    depth=1,
+    d=None,
+)
+# certified with the estimate d = -11, which puts phi_1's first vertex at x < 0
+@example(
+    profile=PolynomialValuationProfile(p=2, r=1, v_p=1, coeff_valuations={2: 0}),
+    base=Fraction(-11),
+    choices=[],
+    depth=1,
+    d=None,
+)
+def test_phi_is_the_scaled_dual_of_the_level_polygon(profile, base, choices, depth, d):
+    try:
+        record = predict_branch(profile, base, choices, depth)
+        data, record, _ = limiting_data_for_branch(profile, record)
+    except BranchDataError:
+        assume(False)
+    cert = certify(profile, record, data, d)
+    if not cert.certified:
+        return
+    working = reindexed_record(record, cert.reindex)
+    working_data = replace(data, C=compute_C(profile, working))
+    v_base = working.first_finite()
+    expected = [
+        dual_phi(profile, working_data, n, cert.d_used, v_base)
+        for n in range(1, TOWER_DEPTH + 1)
+    ]
+    for n, vertices in enumerate(expected, start=1):
+        if vertices is None:
+            with pytest.raises(ValueError):
+                build_phi(profile, working_data, n, cert.d_used, v_base)
+        else:
+            assert list(build_phi(profile, working_data, n, cert.d_used, v_base).vertices) == vertices
+    model = level_model(profile, working_data, cert.d_used, v_base)
+    if None in expected:
+        with pytest.raises(ValueError):
+            build_tower(model, TOWER_DEPTH)
+    else:
+        tower = build_tower(model, TOWER_DEPTH)
+        assert [list(tf.phi.vertices) for tf in tower] == expected

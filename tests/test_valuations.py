@@ -1,6 +1,7 @@
 """Rational strings at the document edge and base-p carry counting."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from ramstab.valuations import (
+    PRIME_BOUND,
+    _check_prime,
     binom_valuation,
     format_rational,
     kummer_carries,
@@ -15,6 +18,25 @@ from ramstab.valuations import (
 )
 
 SCHEMA = Path(__file__).resolve().parent.parent / "schema" / "input.schema.json"
+
+
+class TestPrimeCheck:
+    def test_agrees_with_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+        assert all(_check_prime(n) == trial(n) for n in range(20_000))
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # 3215031751 passes the bases 2..7, the next one the bases 2..37
+        assert not _check_prime(3215031751)
+        assert not _check_prime(318665857834031151167461)
+        assert _check_prime(10**18 + 3)
+
+    def test_bound_is_refused(self):
+        assert not _check_prime(PRIME_BOUND - 1)
+        with pytest.raises(ValueError, match="not below"):
+            _check_prime(PRIME_BOUND)
 
 
 class TestRationalStrings:
