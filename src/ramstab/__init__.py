@@ -52,6 +52,7 @@ from .hasseherbrand import (
     build_tower,
     level_model,
     printable_depth,
+    tower_json,
 )
 from .inputdoc import InputDocument, InputError, load_document, parse_document
 

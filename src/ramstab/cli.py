@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Commands: limit-data, branch, certify, hh, breaks, plot, selftest.
-Exit codes: 0 success, 1 not-certified or tower invariant abort, 2
-malformed or unreadable input, a bad command line, or a --depth too deep
-to print or plot.  Logging verbosity
+Exit codes: 0 success, 1 not-certified, tower invariant abort or a
+closed stdout, 2 malformed or unreadable input, a bad command line, or a
+--depth too deep to print or plot.  Logging verbosity
 comes from the RAMSTAB_LOG environment variable (error/warn/info/debug);
 there are no logging flags.
 """
@@ -18,6 +18,7 @@ import os
 import sys
 from dataclasses import replace
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .branches import BranchDataError, estimate_d, find_stable_index
@@ -28,6 +29,7 @@ from .hasseherbrand import (
     build_tower,
     level_model,
     printable_depth,
+    tower_json,
 )
 from .inputdoc import InputError, load_document
 from .limitdata import (
@@ -67,12 +69,54 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
-    if out:
-        Path(out).write_text(text + "\n")
+def _json_chunks(value, chunks: list, newline: str = "\n") -> None:
+    """Append the text of ``json.dumps(value, indent=2)`` to ``chunks``.
+
+    Reports hold only dicts with str keys, lists, tuples, str, int, bool
+    and None; anything else, a float or a non-str key included, raises
+    TypeError.  ``newline`` is the line break and indent of this depth.
+    """
+    if isinstance(value, str):
+        chunks.append(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, bool):
+        chunks.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        chunks.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            # raises TypeError on a key that is not a str
+            chunks.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_chunks(item, chunks, inner)
+            sep = "," + inner
+        chunks.append(newline + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            chunks.append(sep)
+            _json_chunks(item, chunks, inner)
+            sep = "," + inner
+        chunks.append(newline + "]" if value else "[]")
     else:
-        print(text)
+        raise TypeError(f"{type(value).__name__} is not a report value")
+
+
+def _render(payload: dict) -> str:
+    """The report as printed: ``json.dumps(payload, indent=2)`` and a newline."""
+    chunks: list = []
+    _json_chunks(payload, chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _emit(payload: dict, out: str | None) -> None:
+    text = _render(payload)
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _error_payload(exc: Exception) -> dict:
@@ -208,8 +252,7 @@ def _hh_payload(path, depth: int) -> tuple[dict, int]:
         "conditional_on_d": cert.conditional_on_d,
         "base_valuation": format_rational(working.first_finite()),
         "C": format_rational(working_data.C),
-        "phi": [{"level": tf.level, **tf.phi.to_json()} for tf in tower],
-        "Phi": [tf.to_json() for tf in tower],
+        **tower_json(tower),
         **shared,
         "notes": REPORT_NOTES,
     }
@@ -268,14 +311,23 @@ def _cmd_selftest(args) -> int:
     ]
     for name, run, fixture in cases:
         golden_path = _bundled(os.path.join("golden", name + ".json"))
-        expected = json.loads(golden_path.read_text())
-        actual = run(_bundled(fixture))
-        if actual == expected:
+        expected = golden_path.read_bytes()
+        actual = _render(run(_bundled(fixture)))
+        if actual.encode() == expected:
             print(f"selftest {name}: OK")
         else:
             failures += 1
             print(f"selftest {name}: MISMATCH")
-            print(json.dumps({"expected": expected, "actual": actual}, indent=2))
+            from difflib import unified_diff  # only a mismatch needs it
+
+            sys.stdout.writelines(
+                unified_diff(
+                    expected.decode(errors="replace").splitlines(keepends=True),
+                    actual.splitlines(keepends=True),
+                    f"golden/{name}.json",
+                    f"{name} (this build)",
+                )
+            )
     return 1 if failures else 0
 
 
@@ -336,6 +388,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so the flush at exit does not fail again, and exit as Python does
+        # on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (InputError, BranchDataError) as exc:
         print(json.dumps(_error_payload(exc)), file=sys.stderr)
         return 2

@@ -55,6 +55,7 @@ __all__ = [
     "build_phi",
     "build_tower",
     "printable_depth",
+    "tower_json",
     "breaks_and_subfields",
 ]
 
@@ -126,14 +127,6 @@ class TowerFunction:
     @property
     def altitude(self) -> Fraction:
         return self.top.vertices[self.size - 1][1]
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "breaks": [format_rational(b) for b in self.breaks],
-            "altitude": format_rational(self.altitude),
-            **self.plf.to_json(),
-        }
 
 
 def level_model(
@@ -212,6 +205,49 @@ def build_tower(model: LevelModel, depth: int) -> List[TowerFunction]:
     ]
 
 
+def tower_json(tower: List[TowerFunction]) -> dict:
+    """The ``phi`` and ``Phi`` entries that ``hh`` prints for every level.
+
+    Each number is formatted once.  Level n of ``Phi`` is the first
+    ``size`` vertices of the deepest level, so its breaks, vertices and
+    altitude are slices and entries of the deepest level's formatted
+    vertex list, and its final slope is 1/q^n.  The x of every vertex of
+    phi_n is the break that ``build_tower`` appended unchanged.
+    """
+    top = tower[-1].top
+    breaks = [format_rational(x) for x, _ in top.vertices]
+    vertices = [[x, format_rational(y)] for x, (_, y) in zip(breaks, top.vertices)]
+    initial = format_rational(top.initial_slope)
+    phis, levels = [], []
+    start, final = 0, Fraction(1)
+    for tf in tower:
+        phi = tf.phi
+        final *= phi.final_slope
+        phis.append(
+            {
+                "level": tf.level,
+                "initial_slope": format_rational(phi.initial_slope),
+                "vertices": [
+                    [x, format_rational(y)]
+                    for x, (_, y) in zip(breaks[start : tf.size], phi.vertices)
+                ],
+                "final_slope": format_rational(phi.final_slope),
+            }
+        )
+        start = tf.size
+        levels.append(
+            {
+                "level": tf.level,
+                "breaks": breaks[: tf.size],
+                "altitude": vertices[tf.size - 1][1],
+                "initial_slope": initial,
+                "vertices": vertices[: tf.size],
+                "final_slope": format_rational(final),
+            }
+        )
+    return {"phi": phis, "Phi": levels}
+
+
 def printable_depth(model: LevelModel) -> Optional[int]:
     """The deepest tower whose numbers all print within the interpreter's
     limit on the digits of an int; None when there is no such limit.
@@ -259,7 +295,7 @@ def breaks_and_subfields(
     if not tower:
         raise ValueError("empty tower")
     deepest = tower[-1]
-    breaks = deepest.breaks
+    breaks = [format_rational(b) for b in deepest.breaks]
     rows = []
     for k in range(reindex + deepest.level + 1):
         idx = (data.V - 1) * (k - reindex) + 1
@@ -268,7 +304,7 @@ def breaks_and_subfields(
                 {"level": k, "elementary_index": idx, "field": "ground", "break": None}
             )
             continue
-        value = format_rational(breaks[idx - 1]) if idx <= len(breaks) else None
+        value = breaks[idx - 1] if idx <= len(breaks) else None
         rows.append(
             {
                 "level": k,
@@ -278,7 +314,7 @@ def breaks_and_subfields(
             }
         )
     return {
-        "breaks": [format_rational(b) for b in breaks],
+        "breaks": breaks,
         "subfields": rows,
         "break_scale": "base-subfield-normalized (v maps the base subfield onto the integers)",
     }

@@ -50,7 +50,10 @@ def parse_rational(text: str) -> Optional[Fraction]:
 
 def format_rational(value: Optional[Fraction]) -> str:
     """Serialize a rational as ``"a/b"`` or ``"a"``, and None as ``"inf"``."""
-    return "inf" if value is None else str(Fraction(value))
+    if value is None:
+        return "inf"
+    # a Fraction or an int already prints in lowest terms
+    return str(value) if type(value) in (Fraction, int) else str(Fraction(value))
 
 
 # Miller-Rabin to the prime bases up to 41 decides primality exactly below

@@ -2,13 +2,15 @@
 
 Every oracle here stays independent of the code path it checks: the hull
 oracle tests chords pairwise, the factorial oracle counts prime powers in
-factorials, and the composition oracle samples pointwise.
+factorials, the composition oracle samples pointwise, and the tower JSON
+oracle formats every level from that level's own function.
 """
 
 from fractions import Fraction
 
 from ramstab.branches import PolynomialValuationProfile
 from ramstab.plf import PLFunction
+from ramstab.valuations import format_rational
 
 
 def legendre_factorial_table(limit, p):
@@ -111,3 +113,20 @@ SAMPLE_PROFILE = PolynomialValuationProfile(
 UNIFORMIZER_PROFILE = PolynomialValuationProfile(
     p=3, r=1, v_p=1, coeff_valuations={1: 2, 2: 1, 3: 0}, e_ke=1
 )
+
+
+def tower_json_oracle(tower):
+    """The ``phi`` and ``Phi`` entries of ``hh``, each level formatted on
+    its own: its breaks, its altitude and its whole function."""
+    return {
+        "phi": [{"level": tf.level, **tf.phi.to_json()} for tf in tower],
+        "Phi": [
+            {
+                "level": tf.level,
+                "breaks": [format_rational(b) for b in tf.breaks],
+                "altitude": format_rational(tf.altitude),
+                **tf.plf.to_json(),
+            }
+            for tf in tower
+        ],
+    }

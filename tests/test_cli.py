@@ -15,6 +15,8 @@ from ramstab.cli import main
 from ramstab.branches import build_record, predict_branch
 from ramstab.inputdoc import InputDocument, load_document
 
+from helpers import tower_json_oracle
+
 REPO = Path(__file__).resolve().parent.parent
 SAMPLE = str(REPO / "src" / "ramstab" / "data" / "sample.json")
 UNIFORMIZER = str(REPO / "src" / "ramstab" / "data" / "uniformizer.json")
@@ -186,11 +188,33 @@ class TestTowerCommands:
         def no_json(self):
             raise AssertionError("breaks must not serialise phi or Phi")
 
-        monkeypatch.setattr(hasseherbrand.TowerFunction, "to_json", no_json)
+        monkeypatch.setattr(cli, "tower_json", no_json)
         monkeypatch.setattr(PLFunction, "to_json", no_json)
         code, out, _ = run(capsys, "breaks", "--depth", "3", SAMPLE)
         assert code == 0
         assert list(json.loads(out)) == ["depth", "reindex", "breaks", "subfields", "break_scale"]
+
+    @pytest.mark.parametrize("fixture", [SAMPLE, UNIFORMIZER])
+    def test_hh_towers_match_the_per_level_oracle(self, capsys, fixture):
+        code, out, _ = run(capsys, "hh", "--depth", "20", fixture)
+        assert code == 0
+        payload = json.loads(out)
+        _cert, _working, _data, tower = cli._certified_tower(load_document(fixture), 20)
+        assert {"phi": payload["phi"], "Phi": payload["Phi"]} == tower_json_oracle(tower)
+
+    def test_closed_stdout_exits_quietly(self):
+        # the report is far larger than a pipe buffer, so the write meets
+        # the closed pipe whether or not it starts before the close
+        paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ramstab.cli", "hh", "--depth", "200", UNIFORMIZER],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert err == b""
 
     @pytest.mark.parametrize(
         "argv",
@@ -317,6 +341,7 @@ def count_stage_calls(capsys, *argv):
         "level_polygon": limitdata.level_polygon,
         "binom_valuation": valuations.binom_valuation,
         "find_stable_index": branches.find_stable_index,
+        "format_rational": valuations.format_rational,
     }
     counts = dict.fromkeys(originals, 0)
 
@@ -359,6 +384,14 @@ class TestStageCounts:
         assert counts["level_polygon"] == 0
         assert counts["lower_hull"] <= 2
         assert counts["find_stable_index"] == 0
+
+    def test_hh_formats_linearly_in_depth(self, capsys):
+        # each number once: formatting every level's prefix again is quadratic
+        c10, c20, c40 = (
+            count_stage_calls(capsys, "hh", "--depth", str(depth), UNIFORMIZER)["format_rational"]
+            for depth in (10, 20, 40)
+        )
+        assert c40 - c20 == 2 * (c20 - c10)
 
     def test_hull_count_does_not_grow_with_the_record(self, capsys, tmp_path):
         # branch steps query the profile's one coefficient hull
@@ -413,3 +446,17 @@ class TestSelftest:
         lines = [line for line in out.splitlines() if line.startswith("selftest")]
         assert len(lines) == 8
         assert all(line.endswith("OK") for line in lines)
+
+    def test_selftest_compares_bytes_and_prints_a_diff(self, capsys, monkeypatch):
+        # the same report with one value changed, and with keys reordered
+        changed = {**cli._branch_payload(SAMPLE), "stable_index": 4}
+        reordered = dict(reversed(list(cli._limit_data_payload(SAMPLE).items())))
+        monkeypatch.setattr(cli, "_branch_payload", lambda path: changed)
+        monkeypatch.setattr(cli, "_limit_data_payload", lambda path: reordered)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert "selftest sample.branch: MISMATCH" in out
+        assert "selftest sample.limit-data: MISMATCH" in out
+        assert '-  "stable_index": 3,' in out.splitlines()
+        assert '+  "stable_index": 4,' in out.splitlines()
+        assert "selftest sample.certify: OK" in out

@@ -4,10 +4,11 @@ Profiles, base valuations and slope choices are drawn by Hypothesis; the
 branch comes from ``predict_branch``.  Documents round-trip through the
 document edge and the schema, every certificate re-validates, and the
 closed-form tower of a certified branch matches the general composition
-of its transition functions.  Runs are derandomized, so the suite sees
-the same examples every time.  Branch steps, which query the profile's
-cached coefficient hull, agree with a fresh ``lower_hull`` of the step's
-points.
+of its transition functions, and its ``hh`` entries match the per-level
+oracle.  Runs are derandomized, so the suite sees the same examples every
+time.  Branch steps, which query the profile's cached coefficient hull,
+agree with a fresh ``lower_hull`` of the step's points.  The report
+writer prints generated JSON values exactly as ``json.dumps(indent=2)``.
 """
 
 import json
@@ -30,12 +31,15 @@ from ramstab.branches import (
     zero_departure_candidates,
 )
 from ramstab.certificates import certify, revalidate
-from ramstab.hasseherbrand import build_phi, build_tower, level_model
+from ramstab.cli import _render
+from ramstab.hasseherbrand import build_phi, build_tower, level_model, tower_json
 from ramstab.inputdoc import InputDocument, parse_document
 from ramstab.limitdata import compute_C, level_polygon, limiting_data_for_branch, reindexed_record
 from ramstab.plf import compose
 from ramstab.polygons import copolygon, lower_hull
 from ramstab.valuations import format_rational, parse_rational
+
+from helpers import tower_json_oracle
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schema" / "input.schema.json").read_text()
@@ -183,6 +187,7 @@ def test_certificates_revalidate_and_towers_match_compose(profile, base, choices
         phi = build_phi(profile, working_data, n, cert.d_used, v_base)
         folded = phi if folded is None else compose(folded, phi)
         assert tf.plf == folded
+    assert tower_json(tower) == tower_json_oracle(tower)
 
 
 def dual_phi(profile, data, n, d, v_base):
@@ -259,3 +264,40 @@ def test_phi_is_the_scaled_dual_of_the_level_polygon(profile, base, choices, dep
     else:
         tower = build_tower(model, TOWER_DEPTH)
         assert [list(tf.phi.vertices) for tf in tower] == expected
+
+
+# quotes, backslashes, control and non-ASCII characters, and a lone surrogate
+json_text = st.text(
+    st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600')
+)
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64, 2**200).flatmap(lambda n: st.sampled_from((n, -n)))
+    | json_text
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(json_text, children),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(value=json_values)
+def test_report_writer_matches_json_dumps(value):
+    assert _render(value) == json.dumps(value, indent=2) + "\n"
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(
+    value=json_values,
+    bad=st.floats() | st.dictionaries(st.integers() | st.none() | st.booleans(), json_leaves, min_size=1),
+)
+def test_report_writer_rejects_floats_and_non_str_keys(value, bad):
+    for wrapped in (bad, [value, bad], {"key": bad}, (bad,)):
+        with pytest.raises(TypeError):
+            _render(wrapped)

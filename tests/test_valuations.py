@@ -63,6 +63,9 @@ class TestRationalStrings:
 
     def test_format_rational(self):
         assert format_rational(Fraction(6, 3)) == "2"
+        assert format_rational(Fraction(-4, 6)) == "-2/3"
+        assert format_rational(-7) == "-7"
+        assert format_rational("4/6") == "2/3"  # other types go through Fraction
         assert format_rational(None) == "inf"
 
 
