@@ -50,6 +50,7 @@ from .hasseherbrand import (
     breaks_and_subfields,
     build_phi,
     build_tower,
+    depth_past_limit,
     level_model,
     printable_depth,
     tower_json,

@@ -27,8 +27,8 @@ from .hasseherbrand import (
     TowerInvariantError,
     breaks_and_subfields,
     build_tower,
+    depth_past_limit,
     level_model,
-    printable_depth,
     tower_json,
 )
 from .inputdoc import InputError, load_document
@@ -219,8 +219,8 @@ def _certified_tower(doc, depth: int):
     working = reindexed_record(record, cert.reindex)
     working_data = replace(data, C=compute_C(profile, working))
     model = level_model(profile, working_data, cert.d_used, working.first_finite())
-    limit = printable_depth(model)
-    if limit is not None and depth > limit:
+    limit = depth_past_limit(model, depth)
+    if limit is not None:
         raise InputError(
             "depth",
             f"{depth} is past {limit}, the deepest tower of this document whose "
@@ -252,7 +252,7 @@ def _hh_payload(path, depth: int) -> tuple[dict, int]:
         "conditional_on_d": cert.conditional_on_d,
         "base_valuation": format_rational(working.first_finite()),
         "C": format_rational(working_data.C),
-        **tower_json(tower),
+        **tower_json(tower, shared["breaks"]),
         **shared,
         "notes": REPORT_NOTES,
     }

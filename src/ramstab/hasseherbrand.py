@@ -11,19 +11,27 @@ the level-n polygon from (p^{r_k}, m_k + e_k*C/q^n) to the next vertex
 has q^n * s = (q^n * dM + dE * C) / dP, so every coordinate of phi_n is
 affine in q^n; ``level_model`` computes those coefficients once.
 
-phi_n is the identity up to its first vertex, and that vertex lies beyond
-every earlier break, so the tower function Phi_n = Phi_{n-1} o phi_n is
-Phi_{n-1} followed by the vertices of phi_n mapped through the final ray
-of Phi_{n-1} (the composition rule for Herbrand functions, Serre, Local
-Fields, IV 3).  The tower is therefore one vertex tuple, and level n is
-its first (V-1)*n vertices.
+The tower is computed on integers.  ``LevelModel`` writes every
+coefficient over one common denominator D, so each coordinate of phi_n is
+an integer a q^n + b over D.  phi_n is the identity up to its first
+vertex, and that vertex lies beyond every earlier break, so the tower
+function Phi_n = Phi_{n-1} o phi_n is Phi_{n-1} followed by the vertices
+of phi_n mapped through the final ray of Phi_{n-1}, of slope 1/q^(n-1)
+(the composition rule for Herbrand functions, Serre, Local Fields, IV 3).
+With x over D and y over D*q^(depth-1), that append is integer
+multiply-adds, and a printed coordinate becomes a Fraction only once.
+The tower is therefore one vertex tuple, and level n is its first
+(V-1)*n vertices.
 
 Three properties are checked at every level: the x-coordinates of phi_n
 strictly increase (so the level-n polygon is strictly convex), the first
 of them is positive, and it lies strictly beyond the last vertex of
 phi_{n-1} (the identity-segment gap that makes the closed form exact).
-The deepest function is then validated once, in full.  The rest holds by
-construction: phi_n has one vertex per polygon segment, its slopes are
+The deepest function is then validated once, in full and on its
+numerators: its first vertex lies on the identity, its x are positive
+and increasing, and its slopes are positive and strictly decreasing down
+to the final 1/q^depth, compared by cross-multiplication.  The rest holds
+by construction: phi_n has one vertex per polygon segment, its slopes are
 fixed by R and fall from 1 to 1/q, appending keeps its last x, the fold
 makes the final slope of level n 1/q^n, and the altitude grows because
 the first vertex of phi_n lies on the identity, past the gap.  A
@@ -37,15 +45,14 @@ from __future__ import annotations
 
 import logging
 import math
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .branches import PolynomialValuationProfile
 from .limitdata import LimitingRamificationData
-from .plf import PLFunction, Vertex
-from .valuations import format_rational
+from .plf import PLFunction
+from .valuations import digit_limit, format_rational
 
 __all__ = [
     "LevelModel",
@@ -55,11 +62,15 @@ __all__ = [
     "build_phi",
     "build_tower",
     "printable_depth",
+    "depth_past_limit",
     "tower_json",
     "breaks_and_subfields",
 ]
 
 log = logging.getLogger(__name__)
+
+# LOG2_10_NUM / LOG2_10_DEN = 3.321928094 < log2(10)
+LOG2_10_NUM, LOG2_10_DEN = 3321928094, 10**9
 
 
 class TowerInvariantError(RuntimeError):
@@ -74,19 +85,37 @@ class TowerInvariantError(RuntimeError):
 class LevelModel:
     """phi_n at every level n at once: its j-th vertex is
     (ax * q^n + bx, ay * q^n + by) for the j-th entry (ax, bx, ay, by) of
-    ``coefficients``."""
+    ``coefficients``.
+
+    The same coefficients over their common denominator ``D``: that vertex
+    is (AX[j] * q^n + BX[j], AY[j] * q^n + BY[j]) / D, with integer
+    numerators computed once per model.
+    """
 
     q: int
     shift: Fraction
     coefficients: Tuple[Tuple[Fraction, Fraction, Fraction, Fraction], ...]
+    D: int = field(init=False, repr=False, compare=False)
+    AX: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    BX: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    AY: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    BY: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def phi(self, n: int) -> PLFunction:
-        """The transition function of level n, once the two properties
-        that do not hold by construction are checked."""
+    def __post_init__(self):
+        D = math.lcm(*(c.denominator for row in self.coefficients for c in row))
+        object.__setattr__(self, "D", D)
+        for name, column in zip(("AX", "BX", "AY", "BY"), zip(*self.coefficients)):
+            object.__setattr__(
+                self, name, tuple(c.numerator * (D // c.denominator) for c in column)
+            )
+
+    def numerators(self, n: int) -> Tuple[List[int], List[int]]:
+        """The x and the y numerators over D of phi_n's vertices, once the
+        two properties that do not hold by construction are checked."""
         if n < 1:
             raise ValueError("transition functions exist for levels n >= 1")
         q_n = self.q**n
-        xs = [ax * q_n + bx for ax, bx, _, _ in self.coefficients]
+        xs = [a * q_n + b for a, b in zip(self.AX, self.BX)]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError(
                 f"level {n} is not in the stable regime: "
@@ -97,7 +126,13 @@ class LevelModel:
                 f"level {n} vertex positions are not positive (shift {self.shift}); "
                 "outside the supported regime"
             )
-        vertices = tuple((x, ay * q_n + by) for x, (_, _, ay, by) in zip(xs, self.coefficients))
+        return xs, [a * q_n + b for a, b in zip(self.AY, self.BY)]
+
+    def phi(self, n: int) -> PLFunction:
+        """The transition function of level n."""
+        xs, ys = self.numerators(n)
+        D = self.D
+        vertices = tuple((Fraction(x, D), Fraction(y, D)) for x, y in zip(xs, ys))
         return PLFunction.unchecked(Fraction(1), vertices, Fraction(1, self.q))
 
 
@@ -169,11 +204,13 @@ def build_phi(
 def build_tower(model: LevelModel, depth: int) -> List[TowerFunction]:
     """Compose transition functions up to ``depth``, checking every level.
 
-    Each vertex (x, y) of phi_n is appended as (x, alt + (y - x_last) *
-    final), where (x_last, alt) is the last vertex so far and ``final`` the
-    final slope 1/q^(n-1).  The deepest function is validated once, in
-    full; that covers every level, since the slopes of level n are a prefix
-    of its slopes and level n's final slope 1/q^n is its next slope.
+    Each vertex (x, y) of phi_n is appended as (x, alt + (y - x_last) /
+    q^(n-1)), where (x_last, alt) is the last vertex so far.  On the
+    numerators, x over D and y over D*q^(depth-1), that is
+    alt + (y - x_last) * q^(depth-n).  The deepest function is validated
+    once, in full; that covers every level, since the slopes of level n
+    are a prefix of its slopes and level n's final slope 1/q^n is its next
+    slope.
 
     Callers are expected to hold a certificate for the working base; the
     builder still re-checks the identity-segment gap, and aborts with the
@@ -181,41 +218,84 @@ def build_tower(model: LevelModel, depth: int) -> List[TowerFunction]:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    phis: List[PLFunction] = []
-    vertices: List[Vertex] = []
-    x_last, alt, final = Fraction(0), Fraction(0), Fraction(1)
+    q, D = model.q, model.D
+    Q = q ** (depth - 1)
+    E = D * Q
+    xs: List[int] = []  # over D
+    ys: List[int] = []  # over E
+    phi_ys: List[List[int]] = []  # level n's own y, over D
+    x_last = alt = 0
+    scale = Q  # q^(depth - n) at level n
+    debug = log.isEnabledFor(logging.DEBUG)
     for n in range(1, depth + 1):
-        phi = model.phi(n)
-        x_first = phi.vertices[0][0]
-        if x_first <= x_last:
+        level_xs, level_ys = model.numerators(n)
+        if level_xs[0] <= x_last:
             raise TowerInvariantError(
                 "composition-gap",
-                f"first vertex {x_first} of phi_{n} does not lie "
-                f"strictly beyond the last vertex {x_last} of phi_{n - 1}",
+                f"first vertex {Fraction(level_xs[0], D)} of phi_{n} does not lie "
+                f"strictly beyond the last vertex {Fraction(x_last, D)} of phi_{n - 1}",
             )
-        vertices.extend((x, alt + (y - x_last) * final) for x, y in phi.vertices)
-        final /= model.q
-        x_last, alt = vertices[-1]
-        phis.append(phi)
-        log.debug("tower level %d: %d breaks, altitude %s", n, len(vertices), alt)
-    top = PLFunction(Fraction(1), tuple(vertices), final)
+        xs.extend(level_xs)
+        ys.extend(alt + (y - x_last) * scale for y in level_ys)
+        x_last, alt = xs[-1], ys[-1]
+        scale //= q
+        phi_ys.append(level_ys)
+        if debug:
+            log.debug("tower level %d: %d breaks, altitude %s", n, len(xs), Fraction(alt, E))
+    _check_deepest(xs, ys, Q, q)
+    breaks = [Fraction(x, D) for x in xs]
+    top = PLFunction.unchecked(
+        Fraction(1), tuple(zip(breaks, [Fraction(y, E) for y in ys])), Fraction(1, Q * q)
+    )
+    size = len(model.coefficients)
+    initial, final = Fraction(1), Fraction(1, q)
     return [
-        TowerFunction(level=n, phi=phi, top=top, size=len(model.coefficients) * n)
-        for n, phi in enumerate(phis, start=1)
+        TowerFunction(
+            level=n,
+            phi=PLFunction.unchecked(
+                initial,
+                tuple(zip(breaks[(n - 1) * size : n * size], [Fraction(y, D) for y in level_ys])),
+                final,
+            ),
+            top=top,
+            size=size * n,
+        )
+        for n, level_ys in enumerate(phi_ys, start=1)
     ]
 
 
-def tower_json(tower: List[TowerFunction]) -> dict:
+def _check_deepest(xs: List[int], ys: List[int], Q: int, q: int) -> None:
+    """``PLFunction``'s checks, with its messages, on the function with
+    vertices (x/D, y/(D*Q)), initial slope 1 and final slope 1/(q*Q).
+
+    A slope is kept as a pair (a, b) of positive b with value a/(b*Q), so
+    the initial slope is (Q, 1), a segment's is (dy, dx) and the final one
+    (1, q); pairs are compared by cross-multiplication.
+    """
+    if xs[0] <= 0 or any(b <= a for a, b in zip(xs, xs[1:])):
+        raise ValueError("vertex x-coordinates must be positive and strictly increasing")
+    if ys[0] != xs[0] * Q:
+        raise ValueError("first vertex must lie on the initial segment through the origin")
+    slopes = [(Q, 1)]
+    slopes.extend((y1 - y0, x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]))
+    slopes.append((1, q))
+    if any(a <= 0 for a, _ in slopes):
+        raise ValueError("all segment slopes must be positive")
+    if any(a1 * b0 >= a0 * b1 for (a0, b0), (a1, b1) in zip(slopes, slopes[1:])):
+        raise ValueError("segment slopes must be strictly decreasing (strict concavity)")
+
+
+def tower_json(tower: List[TowerFunction], breaks: List[str]) -> dict:
     """The ``phi`` and ``Phi`` entries that ``hh`` prints for every level.
 
-    Each number is formatted once.  Level n of ``Phi`` is the first
-    ``size`` vertices of the deepest level, so its breaks, vertices and
-    altitude are slices and entries of the deepest level's formatted
-    vertex list, and its final slope is 1/q^n.  The x of every vertex of
-    phi_n is the break that ``build_tower`` appended unchanged.
+    ``breaks`` is the deepest level's break list as ``breaks_and_subfields``
+    formats it, so each number is formatted once.  Level n of ``Phi`` is
+    the first ``size`` vertices of the deepest level, so its breaks,
+    vertices and altitude are slices and entries of the deepest level's
+    formatted vertex list, and its final slope is 1/q^n.  The x of every
+    vertex of phi_n is the break that ``build_tower`` appended unchanged.
     """
     top = tower[-1].top
-    breaks = [format_rational(x) for x, _ in top.vertices]
     vertices = [[x, format_rational(y)] for x, (_, y) in zip(breaks, top.vertices)]
     initial = format_rational(top.initial_slope)
     phis, levels = [], []
@@ -248,29 +328,31 @@ def tower_json(tower: List[TowerFunction]) -> dict:
     return {"phi": phis, "Phi": levels}
 
 
+def _numerator_bound(model: LevelModel) -> int:
+    """T: at least D and D*|a| + D*|b| for every coordinate a q^n + b of
+    phi_n, with D the model's common denominator."""
+    pairs = zip(model.AX + model.AY, model.BX + model.BY)
+    return max(model.D, *(abs(a) + abs(b) for a, b in pairs))
+
+
 def printable_depth(model: LevelModel) -> Optional[int]:
     """The deepest tower whose numbers all print within the interpreter's
     limit on the digits of an int; None when there is no such limit.
 
-    Every coordinate c of phi_n is affine in q^n, c = a q^n + b, with a and
-    b read off the level model.  Let D be the common denominator of all a and
-    b, and T bound D*|a| + D*|b| and D.  A break or phi coordinate at
-    level k is then an integer of size at most T q^k over D; an altitude,
-    a sum of k such differences scaled by 1/q^i, is an integer of size at
-    most 2 k T q^k over D q^(k-1); a final slope is 1/q^k.  So every number
-    printed for levels up to n has numerator and denominator below
-    2 n T q^n, and the depth is printable while that bound has at most the
-    allowed number of digits.
+    Every coordinate c of phi_n is affine in q^n, c = a q^n + b, an integer
+    of size at most T q^k over D at level k (see ``_numerator_bound``).  An
+    altitude, a sum of k such differences scaled by 1/q^i, is an integer of
+    size at most 2 k T q^k over D q^(k-1); a final slope is 1/q^k.  So
+    every number printed for levels up to n has numerator and denominator
+    below 2 n T q^n, and the depth is printable while that bound has at
+    most the allowed number of digits.
     """
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = digit_limit()
     if not digits:
         return None
     q = model.q
-    pairs = [pair for ax, bx, ay, by in model.coefficients for pair in ((ax, bx), (ay, by))]
-    D = math.lcm(*(c.denominator for pair in pairs for c in pair))
-    T = max(D, *(abs(D * a) + abs(D * b) for a, b in pairs))
     # the largest n with n q^n < 10^digits / (2T), found bit by bit
-    bound = -(-(10**digits) // (2 * T))
+    bound = -(-(10**digits) // (2 * _numerator_bound(model)))
     powers = [q]  # q^(2^k)
     while powers[-1] < bound:
         powers.append(powers[-1] ** 2)
@@ -280,6 +362,26 @@ def printable_depth(model: LevelModel) -> Optional[int]:
             n += 1 << k
             q_n *= powers[k]
     return n
+
+
+def depth_past_limit(model: LevelModel, depth: int) -> Optional[int]:
+    """``printable_depth(model)`` when ``depth`` is past it, else None.
+
+    By the bound of ``printable_depth``, the tower prints to ``depth`` when
+    2 T depth q^depth < 10^digits.  Bit lengths settle that without a
+    power of q or of 10: it holds when bitlen(2 T depth) + depth bitlen(q)
+    is at most digits * LOG2_10_NUM // LOG2_10_DEN, below digits * log2(10).
+    Only a depth the screen does not accept runs the exact
+    ``printable_depth``, which also gives the limit for the error.
+    """
+    digits = digit_limit()
+    if not digits:
+        return None
+    bits = (2 * _numerator_bound(model) * depth).bit_length() + depth * model.q.bit_length()
+    if bits <= digits * LOG2_10_NUM // LOG2_10_DEN:
+        return None
+    limit = printable_depth(model)
+    return limit if depth > limit else None
 
 
 def breaks_and_subfields(

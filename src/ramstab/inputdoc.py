@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +22,7 @@ from .branches import (
     _leading_zeros,
     build_record,
 )
-from .valuations import _check_prime, format_rational, parse_rational
+from .valuations import _check_prime, digit_limit, format_rational, parse_rational
 
 __all__ = ["InputDocument", "InputError", "parse_document", "load_document"]
 
@@ -76,12 +75,6 @@ def _require_int(obj, field, minimum=None):
     return value
 
 
-def _digit_limit() -> int:
-    """The interpreter's limit on the digits of an int read from or written
-    to a string; 0 when there is none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
 def _check_q_digits(p: int, r: int) -> None:
     """Reject an ``r`` whose q = p^r has more digits than the limit.
 
@@ -91,7 +84,7 @@ def _check_q_digits(p: int, r: int) -> None:
     lengths settle every case but a narrow band, where q has fewer than 8L
     bits and the exact compare is cheap.
     """
-    limit = _digit_limit()
+    limit = digit_limit()
     if not limit:
         return
     b = p.bit_length()
@@ -109,7 +102,7 @@ def _index(key, q: int) -> int:
     text = str(key)
     if not INDEX_PATTERN.fullmatch(text):
         return -1
-    limit = _digit_limit()
+    limit = digit_limit()
     return q + 1 if limit and len(text) > limit else int(text)
 
 

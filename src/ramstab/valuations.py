@@ -16,6 +16,7 @@ binomial coefficients (Kummer's theorem), and the prime test.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -46,6 +47,12 @@ def parse_rational(text: str) -> Optional[Fraction]:
     if den and int(den) == 0:
         raise ValueError(f"zero denominator in {text!r}")
     return Fraction(int(num), int(den or 1))
+
+
+def digit_limit() -> int:
+    """The interpreter's limit on the digits of an int read from or written
+    to a string; 0 when there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def format_rational(value: Optional[Fraction]) -> str:

@@ -2,13 +2,15 @@
 
 Every oracle here stays independent of the code path it checks: the hull
 oracle tests chords pairwise, the factorial oracle counts prime powers in
-factorials, the composition oracle samples pointwise, and the tower JSON
-oracle formats every level from that level's own function.
+factorials, the composition oracle samples pointwise, the tower JSON
+oracle formats every level from that level's own function, and the tower
+oracle folds the level model in ``Fraction`` arithmetic.
 """
 
 from fractions import Fraction
 
 from ramstab.branches import PolynomialValuationProfile
+from ramstab.hasseherbrand import TowerFunction, TowerInvariantError
 from ramstab.plf import PLFunction
 from ramstab.valuations import format_rational
 
@@ -130,3 +132,50 @@ def tower_json_oracle(tower):
             for tf in tower
         ],
     }
+
+
+def tower_oracle(model, depth):
+    """``build_tower`` as a ``Fraction`` fold, with the same checks and messages.
+
+    Each phi_n is evaluated from the model's ``Fraction`` coefficients and
+    appended as (x, alt + (y - x_last) * final), where (x_last, alt) is the
+    last vertex so far and ``final`` the final slope 1/q^(n-1); the deepest
+    function is validated by ``PLFunction``.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    phis, vertices = [], []
+    x_last, alt, final = Fraction(0), Fraction(0), Fraction(1)
+    for n in range(1, depth + 1):
+        q_n = model.q**n
+        xs = [ax * q_n + bx for ax, bx, _, _ in model.coefficients]
+        if any(b <= a for a, b in zip(xs, xs[1:])):
+            raise ValueError(
+                f"level {n} is not in the stable regime: "
+                "segment slopes must be strictly increasing (strict convexity)"
+            )
+        if xs[0] <= 0:
+            raise ValueError(
+                f"level {n} vertex positions are not positive (shift {model.shift}); "
+                "outside the supported regime"
+            )
+        phi = PLFunction.unchecked(
+            Fraction(1),
+            tuple((x, ay * q_n + by) for x, (_, _, ay, by) in zip(xs, model.coefficients)),
+            Fraction(1, model.q),
+        )
+        if xs[0] <= x_last:
+            raise TowerInvariantError(
+                "composition-gap",
+                f"first vertex {xs[0]} of phi_{n} does not lie "
+                f"strictly beyond the last vertex {x_last} of phi_{n - 1}",
+            )
+        vertices.extend((x, alt + (y - x_last) * final) for x, y in phi.vertices)
+        final /= model.q
+        x_last, alt = vertices[-1]
+        phis.append(phi)
+    top = PLFunction(Fraction(1), tuple(vertices), final)
+    return [
+        TowerFunction(level=n, phi=phi, top=top, size=len(model.coefficients) * n)
+        for n, phi in enumerate(phis, start=1)
+    ]

@@ -327,8 +327,9 @@ class TestArgumentValidation:
         assert run(capsys, "hh", "--depth", "2", SAMPLE)[0] == 0
 
 
-def count_stage_calls(capsys, *argv):
-    """Run one command with the pipeline stages wrapped at every ramstab binding.
+def count_stage_calls(capsys, *argv, code=0):
+    """Run one command, which exits with ``code``, with the pipeline stages
+    wrapped at every ramstab binding.
 
     The wrappers are removed on return, so calls in one test count apart.
     """
@@ -342,6 +343,7 @@ def count_stage_calls(capsys, *argv):
         "binom_valuation": valuations.binom_valuation,
         "find_stable_index": branches.find_stable_index,
         "format_rational": valuations.format_rational,
+        "printable_depth": hasseherbrand.printable_depth,
     }
     counts = dict.fromkeys(originals, 0)
 
@@ -361,8 +363,8 @@ def count_stage_calls(capsys, *argv):
                 for name, fn in originals.items():
                     if value is fn:
                         patch.setattr(module, attr, wrappers[name])
-        code, _, _ = run(capsys, *argv)
-    assert code == 0
+        exit_code, _, _ = run(capsys, *argv)
+    assert exit_code == code
     return counts
 
 
@@ -408,6 +410,17 @@ class TestStageCounts:
     def test_breaks(self, capsys):
         counts = count_stage_calls(capsys, "breaks", "--depth", "3", SAMPLE)
         assert counts["find_stable_index"] == 0
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="the interpreter has no int digit limit"
+    )
+    @pytest.mark.parametrize("fixture", [SAMPLE, UNIFORMIZER])
+    def test_bit_lengths_decide_printable_depths(self, capsys, fixture):
+        # the exact limit is computed only for a depth the screen cannot accept
+        counts = count_stage_calls(capsys, "breaks", "--depth", "40", fixture)
+        assert counts["printable_depth"] == 0
+        counts = count_stage_calls(capsys, "breaks", "--depth", "1000000", fixture, code=2)
+        assert counts["printable_depth"] == 1
 
     def test_plot(self, capsys, tmp_path):
         # the drawn polygon is the only one built: the tower reads the level model

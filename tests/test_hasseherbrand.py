@@ -9,13 +9,16 @@ import pytest
 
 from helpers import UNIFORMIZER_PROFILE, SAMPLE_PROFILE, random_profile
 
+from ramstab import hasseherbrand
 from ramstab.branches import build_record, predict_branch
 from ramstab.certificates import certify
 from ramstab.hasseherbrand import (
+    LevelModel,
     TowerInvariantError,
     breaks_and_subfields,
     build_phi,
     build_tower,
+    depth_past_limit,
     level_model,
     printable_depth,
 )
@@ -106,6 +109,47 @@ class TestLevelModel:
             "level 1 vertex positions are not positive (shift -3); outside the supported regime"
         )
         assert build_phi(UNIFORMIZER_PROFILE, data, 2, -1, Fraction(3, 2)).vertices[0][0] == 6
+
+
+class TestDeepestValidation:
+    """Hand-built models that pass every per-level check, but whose deepest
+    function is not a transition function: the builder raises the message
+    ``PLFunction`` gives for it."""
+
+    @pytest.mark.parametrize(
+        "coefficients, message",
+        [
+            # phi_n has its one vertex at (3^n, 3^n + 1), above the identity
+            (
+                ((Fraction(1), Fraction(0), Fraction(1), Fraction(1)),),
+                "first vertex must lie on the initial segment through the origin",
+            ),
+            # phi_n runs at slope 1 from (3^n, 3^n) to (2*3^n, 2*3^n)
+            (
+                (
+                    (Fraction(1), Fraction(0), Fraction(1), Fraction(0)),
+                    (Fraction(2), Fraction(0), Fraction(2), Fraction(0)),
+                ),
+                "segment slopes must be strictly decreasing (strict concavity)",
+            ),
+            # phi_n falls from (3^n, 3^n) to (2*3^n, 3^n/2)
+            (
+                (
+                    (Fraction(1), Fraction(0), Fraction(1), Fraction(0)),
+                    (Fraction(2), Fraction(0), Fraction(1, 2), Fraction(0)),
+                ),
+                "all segment slopes must be positive",
+            ),
+        ],
+    )
+    def test_raises_the_plfunction_message(self, coefficients, message):
+        model = LevelModel(q=3, shift=Fraction(0), coefficients=coefficients)
+        for n in (1, 2, 3):
+            model.phi(n)  # every level passes its own checks
+        for depth in (1, 3):
+            with pytest.raises(ValueError) as err:
+                build_tower(model, depth)
+            assert str(err.value) == message
 
 
 class TestBuildTower:
@@ -245,22 +289,23 @@ class TestClosedFormTower:
             for attr, value in list(vars(module).items()):
                 if value is compose:
                     monkeypatch.setattr(module, attr, no_compose)
-        checks = []
-        original = PLFunction.__post_init__
+        checks, generic = [], []
+        original = hasseherbrand._check_deepest
 
-        def counting(self):
-            checks.append(len(self.vertices))
-            original(self)
+        def counting(xs, *args):
+            checks.append(len(xs))
+            original(xs, *args)
 
-        monkeypatch.setattr(PLFunction, "__post_init__", counting)
+        monkeypatch.setattr(hasseherbrand, "_check_deepest", counting)
+        monkeypatch.setattr(PLFunction, "__post_init__", lambda self: generic.append(self))
         data, _ = sample_data_rebased()
         depth = 20
         tower = build_tower(level_model(SAMPLE_PROFILE, data, 2, Fraction(2, 3)), depth)
         table = breaks_and_subfields(tower, data)
         assert len(table["breaks"]) == (data.V - 1) * depth
-        # one per phi_n, plus the deepest level in full
-        assert len(checks) <= depth + 1
-        assert checks.count((data.V - 1) * depth) == 1
+        # the deepest level in full, on its numerators, and nothing else
+        assert checks == [(data.V - 1) * depth]
+        assert generic == []
 
     def test_lower_levels_are_prefixes_of_the_deepest(self):
         data, _ = sample_data_rebased()
@@ -277,7 +322,8 @@ class TestClosedFormTower:
     not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no int digit limit"
 )
 class TestPrintableDepth:
-    """printable_depth bounds every number hh prints, and is nearly tight."""
+    """printable_depth bounds every number hh prints, and is nearly tight;
+    the bit-length screen never accepts a depth past it."""
 
     @pytest.fixture
     def digits_640(self):
@@ -308,6 +354,19 @@ class TestPrintableDepth:
             tower = build_tower(model, limit)
             for value in (c for vertex in tower[-1].plf.vertices for c in vertex):
                 format_rational(value)
+
+    @pytest.mark.parametrize("digits", [640, 4300])
+    def test_depth_screen_accepts_exactly_the_printable_depths(self, digits):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(digits)
+        try:
+            for profile, data, d, v_base in fixture_cases() + v2_trs_towers(4):
+                model = level_model(profile, data, d, v_base)
+                limit = printable_depth(model)
+                for depth in range(limit - 3, limit + 4):
+                    assert depth_past_limit(model, depth) == (None if depth <= limit else limit)
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestBreaksAndSubfields:

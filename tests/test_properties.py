@@ -5,7 +5,8 @@ branch comes from ``predict_branch``.  Documents round-trip through the
 document edge and the schema, every certificate re-validates, and the
 closed-form tower of a certified branch matches the general composition
 of its transition functions, and its ``hh`` entries match the per-level
-oracle.  Runs are derandomized, so the suite sees the same examples every
+oracle.  The integer tower builder agrees with the ``Fraction`` fold of
+the level model, in its result or in the exception it raises.  Runs are derandomized, so the suite sees the same examples every
 time.  Branch steps, which query the profile's cached coefficient hull,
 agree with a fresh ``lower_hull`` of the step's points.  The report
 writer prints generated JSON values exactly as ``json.dumps(indent=2)``.
@@ -32,14 +33,22 @@ from ramstab.branches import (
 )
 from ramstab.certificates import certify, revalidate
 from ramstab.cli import _render
-from ramstab.hasseherbrand import build_phi, build_tower, level_model, tower_json
+from ramstab.hasseherbrand import (
+    LevelModel,
+    TowerInvariantError,
+    breaks_and_subfields,
+    build_phi,
+    build_tower,
+    level_model,
+    tower_json,
+)
 from ramstab.inputdoc import InputDocument, parse_document
 from ramstab.limitdata import compute_C, level_polygon, limiting_data_for_branch, reindexed_record
 from ramstab.plf import compose
 from ramstab.polygons import copolygon, lower_hull
 from ramstab.valuations import format_rational, parse_rational
 
-from helpers import tower_json_oracle
+from helpers import tower_json_oracle, tower_oracle
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schema" / "input.schema.json").read_text()
@@ -187,7 +196,8 @@ def test_certificates_revalidate_and_towers_match_compose(profile, base, choices
         phi = build_phi(profile, working_data, n, cert.d_used, v_base)
         folded = phi if folded is None else compose(folded, phi)
         assert tf.plf == folded
-    assert tower_json(tower) == tower_json_oracle(tower)
+    breaks = breaks_and_subfields(tower, working_data)["breaks"]
+    assert tower_json(tower, breaks) == tower_json_oracle(tower)
 
 
 def dual_phi(profile, data, n, d, v_base):
@@ -264,6 +274,106 @@ def test_phi_is_the_scaled_dual_of_the_level_polygon(profile, base, choices, dep
     else:
         tower = build_tower(model, TOWER_DEPTH)
         assert [list(tf.phi.vertices) for tf in tower] == expected
+
+
+def assert_tower_matches_oracle(model, depth):
+    """``build_tower`` returns what the ``Fraction`` fold returns, level by
+    level, or raises the same exception with the same message."""
+    try:
+        expected = tower_oracle(model, depth)
+    except (ValueError, TowerInvariantError) as exc:
+        with pytest.raises((ValueError, TowerInvariantError)) as err:
+            build_tower(model, depth)
+        assert type(err.value) is type(exc) and str(err.value) == str(exc)
+        return
+    tower = build_tower(model, depth)
+    assert tower[-1].top == expected[-1].top
+    for got, want in zip(tower, expected, strict=True):
+        assert (got.level, got.size) == (want.level, want.size)
+        assert got.phi == want.phi
+        assert got.plf.final_slope == want.plf.final_slope
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    profile=profiles(),
+    base=base_valuations,
+    choices=st.lists(st.integers(0, 1), max_size=4),
+    depth=st.integers(1, 4),
+    d=st.none() | st.integers(-9, 9).filter(bool),
+)
+# certified TRS on a uniformizer base whose level-1 polygon is not strictly convex
+@example(
+    profile=PolynomialValuationProfile(p=5, r=2, v_p=1, coeff_valuations={1: 2, 25: 0}),
+    base=Fraction(1),
+    choices=[],
+    depth=1,
+    d=None,
+)
+# certified with the estimate d = -11, which puts phi_1's first vertex at x < 0
+@example(
+    profile=PolynomialValuationProfile(p=2, r=1, v_p=1, coeff_valuations={2: 0}),
+    base=Fraction(-11),
+    choices=[],
+    depth=1,
+    d=None,
+)
+def test_integer_tower_matches_the_fraction_fold(profile, base, choices, depth, d):
+    try:
+        record = predict_branch(profile, base, choices, depth)
+        data, record, _ = limiting_data_for_branch(profile, record)
+    except BranchDataError:
+        assume(False)
+    cert = certify(profile, record, data, d)
+    if not cert.certified:
+        return
+    working = reindexed_record(record, cert.reindex)
+    working_data = replace(data, C=compute_C(profile, working))
+    model = level_model(profile, working_data, cert.d_used, working.first_finite())
+    for tower_depth in range(1, 13):
+        assert_tower_matches_oracle(model, tower_depth)
+
+
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def free_level_models(draw):
+    """Level models beyond what ``level_model`` builds: increasing positive
+    ax, any bx, and y accumulated from slopes in any order, with
+    the first vertex usually on the identity and sometimes beside it."""
+    size = draw(st.integers(1, 3))
+    ax = sorted(draw(st.sets(st.builds(Fraction, st.integers(1, 12), st.integers(1, 4)),
+                             min_size=size, max_size=size)))
+    bx = [draw(small_fractions) for _ in range(size)]
+    ay, by = [ax[0]], [bx[0] + draw(st.sampled_from((0, 0, 0, 1, Fraction(-1, 2))))]
+    for j in range(1, size):
+        slope = draw(st.builds(Fraction, st.integers(-2, 9), st.integers(1, 9)))
+        ay.append(ay[-1] + slope * (ax[j] - ax[j - 1]))
+        by.append(by[-1] + slope * (bx[j] - bx[j - 1]))
+    return LevelModel(
+        q=draw(st.sampled_from((2, 3, 4, 5, 9))),
+        shift=draw(small_fractions),
+        coefficients=tuple(zip(ax, bx, ay, by)),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(model=free_level_models(), depth=st.integers(1, 12))
+# the first vertex of phi_2 lands exactly on the last vertex 9 of phi_1
+@example(
+    model=LevelModel(
+        q=3,
+        shift=Fraction(0),
+        coefficients=(
+            (Fraction(1), Fraction(0), Fraction(1), Fraction(0)),
+            (Fraction(2), Fraction(3), Fraction(4, 3), Fraction(2)),
+        ),
+    ),
+    depth=2,
+)
+def test_integer_tower_matches_the_fraction_fold_on_free_models(model, depth):
+    assert_tower_matches_oracle(model, depth)
 
 
 # quotes, backslashes, control and non-ASCII characters, and a lone surrogate
