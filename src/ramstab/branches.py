@@ -3,8 +3,9 @@
 A branch is a compatible sequence (a_0, a_1, ...) with P(a_n) = a_{n-1};
 only the valuations of its members matter here.  From the polygon of
 P(x) - a_{n-1} the possible valuations of a_n are exactly the negated
-segment slopes, so a recorded branch can be validated step by step and
-extended through forced (single-slope) steps.
+segment slopes, so a recorded branch can be validated step by step.  Once
+a step is forced (single-slope) every later one is, and each divides the
+valuation by q, so a record is extended in closed form.
 
 The quantity d (the eventual valuation of a_n measured against a
 uniformizer of its own level) is NOT computable from valuations alone.
@@ -34,6 +35,7 @@ __all__ = [
     "predict_branch",
     "build_record",
     "extend_record",
+    "is_forced_step",
     "halving_level",
     "minimal_d_estimate",
     "estimate_d",
@@ -299,54 +301,54 @@ def predict_branch(
     return build_record(profile, vals)
 
 
-def extend_record(
-    profile: PolynomialValuationProfile,
-    record: BranchValuationRecord,
-    min_length: int,
-    max_steps: int = 512,
-) -> BranchValuationRecord:
-    """Extend a record through forced steps until it has ``min_length`` entries.
-
-    Raises if an ambiguous step is reached first: that step reflects
-    arithmetic beyond valuation data and must come from the caller.
-    """
-    vals = list(record.valuations)
-    steps = 0
-    while len(vals) < min_length:
-        if steps >= max_steps:
-            raise BranchDataError(f"extension exceeded {max_steps} steps")
-        candidates = _step_candidates(profile, vals[-1])
-        if len(candidates) != 1:
-            raise BranchDataError(
-                f"cannot extend: step {len(vals) - 1} has {len(candidates)} candidate "
-                f"valuations {[str(c) for c in candidates]}; supply more branch data"
-            )
-        vals.append(candidates[0])
-        steps += 1
-    if steps == 0:
-        return record
-    log.info("extended branch record by %d forced steps to length %d", steps, len(vals))
-    added = vals[len(record.valuations):]
-    return BranchValuationRecord(
-        valuations=tuple(vals),
-        d_estimates=record.d_estimates
-        + tuple(minimal_d_estimate(v, profile.e_ke) for v in added),
-    )
+def is_forced_step(profile: PolynomialValuationProfile, v: Fraction) -> bool:
+    """Whether the step from a finite valuation v is forced, with the single
+    candidate v/q: the hull of (0, v) and the coefficient points is then one
+    segment to (q, 0).  That holds iff v < 0, or P = x^q, or v <= q times
+    the smallest root valuation, and it stays true as |v| shrinks."""
+    _vertices, roots = profile.coefficient_hull
+    return v < 0 or not roots or v <= profile.q * roots[-1]
 
 
 def halving_level(profile: PolynomialValuationProfile, record: BranchValuationRecord) -> int:
-    """The level N at which halving has set in along the branch.
+    """The level N from which every step is forced, v(a_{N+k}) = v(a_N)/q^k:
+    the first finite recorded level passing ``is_forced_step``, or the
+    record's length for a record that ends at zero with a forced step
+    leaving zero.  Otherwise the last recorded step is ambiguous, which
+    reflects arithmetic beyond valuation data, and this raises."""
+    vals = record.valuations
+    for n, v in enumerate(vals):
+        if v is not None and is_forced_step(profile, v):
+            return n
+    candidates = _step_candidates(profile, vals[-1])
+    if len(candidates) == 1:
+        return len(vals)
+    raise BranchDataError(
+        f"cannot extend: step {len(vals) - 1} has {len(candidates)} candidate "
+        f"valuations {[str(c) for c in candidates]}; supply more branch data"
+    )
 
-    N = 0 for negative base valuations.  For a positive base valuation the
-    valuation drops by at least 1 or halves at every step, so N = ceil(v(a_0))
-    (the ceiling extends the integer rule conservatively).  For branches
-    based at zero, N = (number of leading zeros) + (largest coefficient
-    valuation).
-    """
-    v0 = record.valuations[0]
-    if v0 is None:
-        return record.leading_zeros + max(profile.coeff_valuations.values())
-    return 0 if v0 < 0 else math.ceil(v0)
+
+def extend_record(
+    profile: PolynomialValuationProfile,
+    record: BranchValuationRecord,
+    N: int,
+    min_length: int,
+) -> BranchValuationRecord:
+    """Extend a record to ``min_length`` entries by halving from level
+    N = ``halving_level(profile, record)``: entry N + k is v(a_N)/q^k."""
+    vals = record.valuations
+    if len(vals) >= min_length:
+        return record
+    q = profile.q
+    v_N = vals[N] if N < len(vals) else zero_departure_candidates(profile)[0]
+    added = tuple(v_N / q ** (n - N) for n in range(len(vals), min_length))
+    log.info("extended branch record by %d forced steps to length %d", len(added), min_length)
+    return BranchValuationRecord(
+        valuations=vals + added,
+        d_estimates=record.d_estimates
+        + tuple(minimal_d_estimate(v, profile.e_ke) for v in added),
+    )
 
 
 def estimate_d(

@@ -39,8 +39,6 @@ __all__ = [
 INTERPRETATION_NOTES = (
     "d-divisibility is checked on the numerator of the minimal-ramification "
     "estimate v(a_n) * lcm(denominator, e_ke)",
-    "for non-integer positive base valuations the halving bound uses "
-    "ceil(v(a_0))",
     "certificates are sound but not minimal: the reindex level comes from "
     "effectively checkable sufficient conditions and may exceed the true one",
 )

@@ -53,7 +53,6 @@ _LOG_LEVELS = {
 }
 
 REPORT_NOTES = [
-    "non-integer positive base valuations use the ceiling rule for the halving bound",
     "d estimates assume minimal ramification at each level and are advisory",
 ]
 
@@ -120,7 +119,9 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _error_payload(exc: Exception) -> dict:
-    return {"error": str(exc), "field": exc.field if isinstance(exc, InputError) else None}
+    # a BranchDataError past the document edge comes from completing the record
+    field = exc.field if isinstance(exc, InputError) else "branch_valuations"
+    return {"error": str(exc), "field": field}
 
 
 def _limit_data_payload(path) -> dict:
@@ -146,7 +147,7 @@ def _branch_payload(path) -> dict:
         "valuations": [format_rational(v) for v in record.valuations],
         "d_estimates": list(record.d_estimates),
         "stable_index": find_stable_index(profile, record),
-        "C": format_rational(compute_C(profile, record)),
+        "C": format_rational(compute_C(profile, record, level_for_C)),
         "sign": record.sign,
         "N": level_for_C,
         "d": doc.d,
@@ -217,7 +218,7 @@ def _certified_tower(doc, depth: int):
     if not cert.certified:
         return cert, None, None, None
     working = reindexed_record(record, cert.reindex)
-    working_data = replace(data, C=compute_C(profile, working))
+    working_data = replace(data, C=data.C / profile.q**cert.reindex)
     model = level_model(profile, working_data, cert.d_used, working.first_finite())
     limit = depth_past_limit(model, depth)
     if limit is not None:

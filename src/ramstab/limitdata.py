@@ -137,10 +137,11 @@ def limiting_data(
     return LimitingRamificationData(V=len(R), R=R, M=M, E=E, sign=sign)
 
 
-def compute_C(profile: PolynomialValuationProfile, record: BranchValuationRecord) -> Fraction:
+def compute_C(
+    profile: PolynomialValuationProfile, record: BranchValuationRecord, N: int
+) -> Fraction:
     """The error coefficient C = q^N v(a_N) at the level N where halving has
-    set in (``halving_level``)."""
-    N = halving_level(profile, record)
+    set in (``halving_level``); every later level gives the same value."""
     if len(record.valuations) <= N:
         raise BranchDataError(
             f"record has {len(record.valuations)} valuations but C needs level {N}"
@@ -179,22 +180,17 @@ def level_polygon(
 def complete_record(
     profile: PolynomialValuationProfile, record: BranchValuationRecord
 ) -> Tuple[BranchValuationRecord, int]:
-    """Extend the record through forced steps as far as C and the screen need.
-
-    Returns the (possibly extended) record and the level N used to read
-    off C.
-    """
+    """Extend the record past the halving level N far enough for C and the
+    stability screen, through the first level with |v| <= 1/q^2 and one
+    more; return it with N, the level to read C at."""
     N = halving_level(profile, record)
-    record = extend_record(profile, record, N + 1)
-    # past N the valuation divides by q each step; walk until the stable
-    # threshold 1/q^2 is crossed so the screen has a level to find
-    t = abs(record.valuations[N])
-    threshold = Fraction(1, profile.q**2)
-    extra = 0
-    while t > threshold:
+    record = extend_record(profile, record, N, N + 1)
+    # past N the valuation divides by q each step
+    t, level = abs(record.valuations[N]) * profile.q**2, N
+    while t > 1:
         t /= profile.q
-        extra += 1
-    return extend_record(profile, record, N + extra + 2), N
+        level += 1
+    return extend_record(profile, record, N, level + 2), N
 
 
 def limiting_data_for_branch(
@@ -206,7 +202,7 @@ def limiting_data_for_branch(
     used to read off C.
     """
     record, N = complete_record(profile, record)
-    data = replace(limiting_data(profile, record.sign), C=compute_C(profile, record))
+    data = replace(limiting_data(profile, record.sign), C=compute_C(profile, record, N))
     return data, record, N
 
 
@@ -214,8 +210,7 @@ def reindexed_record(record: BranchValuationRecord, N: int) -> BranchValuationRe
     """The branch re-based at level N.
 
     The tail of a validated record is itself valid, so it is sliced rather
-    than validated again.  C is branch-relative: after replacing the ground
-    field by the level-N field, read it off the tail with ``compute_C``.
+    than validated again.  C is branch-relative: the tail's C is C / q^N.
     """
     if not 0 <= N < len(record.valuations):
         raise BranchDataError(f"reindex level {N} outside the recorded range")

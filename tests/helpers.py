@@ -3,15 +3,18 @@
 Every oracle here stays independent of the code path it checks: the hull
 oracle tests chords pairwise, the factorial oracle counts prime powers in
 factorials, the composition oracle samples pointwise, the tower JSON
-oracle formats every level from that level's own function, and the tower
-oracle folds the level model in ``Fraction`` arithmetic.
+oracle formats every level from that level's own function, the tower
+oracle folds the level model in ``Fraction`` arithmetic, and the branch
+oracle extends a record one fresh hull per step.
 """
 
+import math
 from fractions import Fraction
 
-from ramstab.branches import PolynomialValuationProfile
+from ramstab.branches import BranchDataError, PolynomialValuationProfile
 from ramstab.hasseherbrand import TowerFunction, TowerInvariantError
 from ramstab.plf import PLFunction
+from ramstab.polygons import lower_hull
 from ramstab.valuations import format_rational
 
 
@@ -106,6 +109,38 @@ def random_profile(rng, p=None, r=None):
         coeff_valuations=coeffs,
         e_ke=rng.choice((1, 1, 2)),
     )
+
+
+def hull_step_candidates(profile, v):
+    """Root valuations of P(x) - a given v(a) = v (None for a = 0), from a
+    fresh lower hull of (0, v) and the coefficient points."""
+    points = list(profile.coeff_valuations.items())
+    if v is not None:
+        points.append((0, v))
+    return lower_hull(points).root_valuations() if len(points) > 1 else []
+
+
+def hull_stepped_extension(profile, valuations, length):
+    """The valuations walked to ``length`` entries one hull per step, each
+    step required to have a single candidate: record completion before
+    the closed form, kept as an oracle."""
+    vals = list(valuations)
+    while len(vals) < length:
+        candidates = hull_step_candidates(profile, vals[-1])
+        if len(candidates) != 1:
+            raise BranchDataError(f"step {len(vals) - 1} has {len(candidates)} candidates")
+        vals.append(candidates[0])
+    return vals
+
+
+def ceiling_halving_level(profile, record):
+    """The halving bound before the first-forced-level rule: 0 for a
+    negative base, ceil(v(a_0)) for a positive one, and leading zeros plus
+    the largest coefficient valuation for a branch based at zero."""
+    v0 = record.valuations[0]
+    if v0 is None:
+        return record.leading_zeros + max(profile.coeff_valuations.values())
+    return 0 if v0 < 0 else math.ceil(v0)
 
 
 SAMPLE_PROFILE = PolynomialValuationProfile(

@@ -119,26 +119,39 @@ class TestRecordValidation:
 
     def test_extension_is_forced_only(self):
         record = build_record(SAMPLE_PROFILE, ["4", "2/3"])
-        extended = extend_record(SAMPLE_PROFILE, record, 5)
+        extended = extend_record(SAMPLE_PROFILE, record, halving_level(SAMPLE_PROFILE, record), 5)
         assert [str(v) for v in extended.valuations] == ["4", "2/3", "2/27", "2/243", "2/2187"]
+        assert extended.d_estimates == (4, 2, 2, 2, 2)
         stuck = build_record(SAMPLE_PROFILE, ["4"])
-        with pytest.raises(BranchDataError, match="candidate"):
-            extend_record(SAMPLE_PROFILE, stuck, 2)
+        with pytest.raises(BranchDataError, match="step 0 has 2 candidate"):
+            halving_level(SAMPLE_PROFILE, stuck)
 
 
 class TestBounds:
-    def test_integer_base(self):
-        assert halving_level(SAMPLE_PROFILE, build_record(SAMPLE_PROFILE, ["4"])) == 4
-        assert halving_level(UNIFORMIZER_PROFILE, build_record(UNIFORMIZER_PROFILE, ["1"])) == 1
+    """The halving level is the first recorded level whose step is forced."""
 
-    def test_ceiling_for_fractions(self):
-        assert halving_level(SAMPLE_PROFILE, build_record(SAMPLE_PROFILE, ["7/2"])) == 4
+    def test_integer_base(self):
+        # 4 has two candidates on sample; 2/3 <= q * (1/3) = 3 is forced
+        assert halving_level(SAMPLE_PROFILE, build_record(SAMPLE_PROFILE, ["4", "2/3"])) == 1
+        assert halving_level(UNIFORMIZER_PROFILE, build_record(UNIFORMIZER_PROFILE, ["1"])) == 0
+
+    def test_no_forced_level_raises(self):
+        # 7/2 > 3: the step from 7/2 has two candidates, and nothing is recorded past it
+        with pytest.raises(BranchDataError, match="cannot extend: step 0 has 2 candidate"):
+            halving_level(SAMPLE_PROFILE, build_record(SAMPLE_PROFILE, ["7/2"]))
 
     def test_negative_and_zero_bases(self):
         assert halving_level(SAMPLE_PROFILE, predict_branch(SAMPLE_PROFILE, -1)) == 0
-        # one leading zero plus the largest coefficient valuation, 2
         record = build_record(UNIFORMIZER_PROFILE, [None, "1"])
-        assert halving_level(UNIFORMIZER_PROFILE, record) == 3
+        assert halving_level(UNIFORMIZER_PROFILE, record) == 1
+        # the step leaving zero is forced: its valuation is the one root valuation, 1
+        record = build_record(UNIFORMIZER_PROFILE, [None])
+        assert halving_level(UNIFORMIZER_PROFILE, record) == 1
+        assert extend_record(UNIFORMIZER_PROFILE, record, 1, 3).valuations == (
+            None, Fraction(1), Fraction(1, 3)
+        )
+        with pytest.raises(BranchDataError, match="step 0 has 2 candidate"):
+            halving_level(SAMPLE_PROFILE, build_record(SAMPLE_PROFILE, [None]))
 
 
 class TestEstimateD:

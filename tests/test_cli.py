@@ -39,7 +39,7 @@ class TestLimitData:
         assert payload["E"] == [3, 0, 0]
         assert payload["C"] == "6"
         assert payload["sign"] == 1
-        assert payload["N"] == 4
+        assert payload["N"] == 1
 
     def test_uniformizer_values(self, capsys):
         code, out, _ = run(capsys, "limit-data", UNIFORMIZER)
@@ -137,6 +137,25 @@ class TestCertifyCommand:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+    def test_branch_without_a_forced_level_names_its_field(self, capsys, tmp_path):
+        # 4 has two candidate next valuations on sample, and nothing follows it
+        obj = json.loads(Path(SAMPLE).read_text())
+        obj["branch_valuations"] = ["4"]
+        stuck = tmp_path / "stuck.json"
+        stuck.write_text(json.dumps(obj))
+        for argv in (["certify"], ["branch"], ["limit-data"], ["hh", "--depth", "2"]):
+            code, out, err = run(capsys, *argv, str(stuck))
+            assert code == 2 and out == ""
+            error = json.loads(err)
+            assert error["field"] == "branch_valuations"
+            assert "cannot extend: step 0 has 2 candidate" in error["error"]
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, "certify", SAMPLE, str(stuck), "--jobs", jobs)
+            assert code == 2
+            payload = json.loads(out)
+            assert payload[SAMPLE]["kind"] == "PotentiallyTRS"
+            assert payload[str(stuck)]["field"] == "branch_valuations"
 
     def test_malformed_input_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -335,6 +354,7 @@ def count_stage_calls(capsys, *argv, code=0):
     """
     originals = {
         "build_record": branches.build_record,
+        "branch_step_candidates": branches.branch_step_candidates,
         "limiting_data": limitdata.limiting_data,
         "lower_hull": polygons.lower_hull,
         "build_phi": hasseherbrand.build_phi,
@@ -377,6 +397,23 @@ class TestStageCounts:
         assert counts["limiting_data"] == 1
         assert counts["lower_hull"] <= 2
         assert counts["find_stable_index"] == 0
+        # the two steps of the recorded valuations are validated; the
+        # completion past them is closed-form
+        assert counts["branch_step_candidates"] == 2
+        counts = count_stage_calls(capsys, "certify", UNIFORMIZER)
+        assert counts["branch_step_candidates"] == 2
+
+    @pytest.mark.parametrize("base", ["400", "1000", str(10**6)])
+    def test_completion_does_no_step_queries(self, capsys, tmp_path, base):
+        # x^2 halves from any base: the record completes without a step query
+        doc = {
+            "p": 2, "r": 1, "v_p": 1, "coeff_valuations": {"2": "0"},
+            "base_valuation": base, "branch_valuations": [base],
+        }
+        path = tmp_path / "halving.json"
+        path.write_text(json.dumps(doc))
+        counts = count_stage_calls(capsys, "certify", str(path))
+        assert counts["branch_step_candidates"] == 0
 
     def test_hh(self, capsys):
         counts = count_stage_calls(capsys, "hh", "--depth", "3", SAMPLE)

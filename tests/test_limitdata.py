@@ -10,6 +10,7 @@ from helpers import UNIFORMIZER_PROFILE, SAMPLE_PROFILE, random_profile
 from ramstab.branches import (
     BranchDataError,
     build_record,
+    halving_level,
     predict_branch,
 )
 from ramstab.limitdata import (
@@ -83,27 +84,31 @@ class TestComputeC:
         record = build_record(
             SAMPLE_PROFILE, ["4", "2/3", "2/27", "2/243", "2/2187"]
         )
-        assert compute_C(SAMPLE_PROFILE, record) == 6
+        assert halving_level(SAMPLE_PROFILE, record) == 1
+        # q^n v(a_n) is 6 at every level from the halving level on
+        for n in range(1, 5):
+            assert compute_C(SAMPLE_PROFILE, record, n) == 6
 
     def test_negative_base(self):
         record = predict_branch(SAMPLE_PROFILE, -1, depth=1)
-        assert compute_C(SAMPLE_PROFILE, record) == -1
+        assert compute_C(SAMPLE_PROFILE, record, halving_level(SAMPLE_PROFILE, record)) == -1
 
     def test_uniformizer(self):
         record = build_record(UNIFORMIZER_PROFILE, ["1", "1/3"])
-        assert compute_C(UNIFORMIZER_PROFILE, record) == 1
+        assert compute_C(UNIFORMIZER_PROFILE, record, halving_level(UNIFORMIZER_PROFILE, record)) == 1
 
-    def test_zero_start_uses_leading_zero_rule(self):
-        # one leading zero, largest coefficient valuation 2: N = 1 + 2 = 3,
-        # C = q^3 * v_3 = 27 * (1/9); stable from level 1 on, so q^n * v_n
-        # gives the same value at every later level
+    def test_zero_start_reads_the_first_forced_level(self):
+        # the first finite level, 1, is forced: C = q^1 * v_1 = 3 * 1, and
+        # q^n * v_n gives the same value at every later level
         record = build_record(UNIFORMIZER_PROFILE, [None, "1", "1/3", "1/9", "1/27"])
-        assert compute_C(UNIFORMIZER_PROFILE, record) == 3
+        assert halving_level(UNIFORMIZER_PROFILE, record) == 1
+        assert compute_C(UNIFORMIZER_PROFILE, record, 1) == 3
+        assert compute_C(UNIFORMIZER_PROFILE, record, 4) == 3
 
     def test_record_too_short(self):
         record = build_record(SAMPLE_PROFILE, ["4", "2/3", "2/27"])
         with pytest.raises(BranchDataError, match="level 4"):
-            compute_C(SAMPLE_PROFILE, record)
+            compute_C(SAMPLE_PROFILE, record, 4)
 
 
 class TestLevelPolygon:
@@ -112,7 +117,7 @@ class TestLevelPolygon:
         record = build_record(SAMPLE_PROFILE, ["2/3", "2/27"])
         data, record, n_used = limiting_data_for_branch(SAMPLE_PROFILE, record)
         assert data.C == Fraction(2, 3)
-        assert n_used == 1
+        assert n_used == 0
         polygon = level_polygon(SAMPLE_PROFILE, data, 1)
         assert polygon.vertices == (
             (1, Fraction(29, 9)),
@@ -208,7 +213,8 @@ class TestReindex:
         data, record, _ = limiting_data_for_branch(SAMPLE_PROFILE, record)
         tail = reindexed_record(record, 3)
         assert tail.valuations[0] == Fraction(2, 243)
-        assert compute_C(SAMPLE_PROFILE, tail) == Fraction(2, 243)
+        assert compute_C(SAMPLE_PROFILE, tail, halving_level(SAMPLE_PROFILE, tail)) == Fraction(2, 243)
+        assert data.C / SAMPLE_PROFILE.q**3 == Fraction(2, 243)
 
     def test_reindex_bounds(self):
         record = build_record(SAMPLE_PROFILE, ["4", "2/3", "2/27"])

@@ -8,7 +8,8 @@ of its transition functions, and its ``hh`` entries match the per-level
 oracle.  The integer tower builder agrees with the ``Fraction`` fold of
 the level model, in its result or in the exception it raises.  Runs are derandomized, so the suite sees the same examples every
 time.  Branch steps, which query the profile's cached coefficient hull,
-agree with a fresh ``lower_hull`` of the step's points.  The report
+agree with a fresh ``lower_hull`` of the step's points, and record
+completion in closed form agrees with a walk of such hulls.  The report
 writer prints generated JSON values exactly as ``json.dumps(indent=2)``.
 """
 
@@ -28,6 +29,9 @@ from ramstab.branches import (
     BranchDataError,
     PolynomialValuationProfile,
     branch_step_candidates,
+    halving_level,
+    is_forced_step,
+    minimal_d_estimate,
     predict_branch,
     zero_departure_candidates,
 )
@@ -43,12 +47,24 @@ from ramstab.hasseherbrand import (
     tower_json,
 )
 from ramstab.inputdoc import InputDocument, parse_document
-from ramstab.limitdata import compute_C, level_polygon, limiting_data_for_branch, reindexed_record
+from ramstab.limitdata import (
+    complete_record,
+    compute_C,
+    level_polygon,
+    limiting_data_for_branch,
+    reindexed_record,
+)
 from ramstab.plf import compose
 from ramstab.polygons import copolygon, lower_hull
 from ramstab.valuations import format_rational, parse_rational
 
-from helpers import tower_json_oracle, tower_oracle
+from helpers import (
+    ceiling_halving_level,
+    hull_step_candidates,
+    hull_stepped_extension,
+    tower_json_oracle,
+    tower_oracle,
+)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schema" / "input.schema.json").read_text()
@@ -152,6 +168,60 @@ def test_step_candidates_match_a_fresh_hull(profile, v):
         assert zero_departure_candidates(profile) == lower_hull(points).root_valuations()
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    profile=profiles(),
+    base=base_valuations,
+    choices=st.lists(st.integers(0, 1), max_size=4),
+    depth=st.integers(1, 4),
+)
+# base 1000 on x^2: the ceiling rule walked 1000 steps, past the old 512-step cap
+@example(
+    profile=PolynomialValuationProfile(p=2, r=1, v_p=1, coeff_valuations={2: 0}),
+    base=Fraction(1000),
+    choices=[],
+    depth=1,
+)
+# based at zero: the step leaving zero is forced, and so is every later one
+@example(
+    profile=PolynomialValuationProfile(p=3, r=1, v_p=1, coeff_valuations={1: 2, 2: 1, 3: 0}),
+    base=None,
+    choices=[],
+    depth=1,
+)
+def test_closed_form_completion_matches_the_hull_stepped_walk(profile, base, choices, depth):
+    try:
+        record = predict_branch(profile, base, choices, depth)
+    except BranchDataError:
+        assume(False)
+    _vertices, roots = profile.coefficient_hull
+    bound = [profile.q * roots[-1]] if roots else []
+    probes = [v for v in record.valuations if v is not None] + bound
+    for v in probes + [w + Fraction(1, 10**6) for w in bound]:
+        assert is_forced_step(profile, v) == (len(hull_step_candidates(profile, v)) == 1)
+    try:
+        completed, N = complete_record(profile, record)
+    except BranchDataError:
+        # no recorded level is forced, so the walk cannot take its next step
+        with pytest.raises(BranchDataError):
+            hull_stepped_extension(profile, record.valuations, len(record.valuations) + 1)
+        return
+    walked = hull_stepped_extension(profile, record.valuations, len(completed.valuations))
+    assert list(completed.valuations) == walked
+    assert completed.d_estimates == tuple(
+        None if v is None else minimal_d_estimate(v, profile.e_ke) for v in walked
+    )
+    C = compute_C(profile, completed, N)
+    old_N = ceiling_halving_level(profile, record)
+    old_walk = hull_stepped_extension(profile, record.valuations, old_N + 1)
+    if len(hull_step_candidates(profile, old_walk[old_N])) == 1:
+        assert profile.q**old_N * old_walk[old_N] == C
+    # a tail's C, read off at its own halving level, is C / q^n
+    for n in range(len(completed.valuations)):
+        tail = reindexed_record(completed, n)
+        assert compute_C(profile, tail, halving_level(profile, tail)) == C / profile.q**n
+
+
 TOWER_DEPTH = 6
 
 
@@ -182,7 +252,7 @@ def test_certificates_revalidate_and_towers_match_compose(profile, base, choices
     if not cert.certified:
         return
     working = reindexed_record(record, cert.reindex)
-    working_data = replace(data, C=compute_C(profile, working))
+    working_data = replace(data, C=compute_C(profile, working, halving_level(profile, working)))
     v_base = working.first_finite()
     try:
         tower = build_tower(level_model(profile, working_data, cert.d_used, v_base), TOWER_DEPTH)
@@ -255,7 +325,7 @@ def test_phi_is_the_scaled_dual_of_the_level_polygon(profile, base, choices, dep
     if not cert.certified:
         return
     working = reindexed_record(record, cert.reindex)
-    working_data = replace(data, C=compute_C(profile, working))
+    working_data = replace(data, C=compute_C(profile, working, halving_level(profile, working)))
     v_base = working.first_finite()
     expected = [
         dual_phi(profile, working_data, n, cert.d_used, v_base)
@@ -328,7 +398,7 @@ def test_integer_tower_matches_the_fraction_fold(profile, base, choices, depth, 
     if not cert.certified:
         return
     working = reindexed_record(record, cert.reindex)
-    working_data = replace(data, C=compute_C(profile, working))
+    working_data = replace(data, C=compute_C(profile, working, halving_level(profile, working)))
     model = level_model(profile, working_data, cert.d_used, working.first_finite())
     for tower_depth in range(1, 13):
         assert_tower_matches_oracle(model, tower_depth)
