@@ -19,7 +19,6 @@ from .branches import (
     branch_step_candidates,
     build_record,
     estimate_d,
-    extend_record,
     find_stable_index,
     halving_level,
     predict_branch,

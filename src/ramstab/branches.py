@@ -34,7 +34,6 @@ __all__ = [
     "zero_departure_candidates",
     "predict_branch",
     "build_record",
-    "extend_record",
     "is_forced_step",
     "halving_level",
     "minimal_d_estimate",
@@ -326,28 +325,6 @@ def halving_level(profile: PolynomialValuationProfile, record: BranchValuationRe
     raise BranchDataError(
         f"cannot extend: step {len(vals) - 1} has {len(candidates)} candidate "
         f"valuations {[str(c) for c in candidates]}; supply more branch data"
-    )
-
-
-def extend_record(
-    profile: PolynomialValuationProfile,
-    record: BranchValuationRecord,
-    N: int,
-    min_length: int,
-) -> BranchValuationRecord:
-    """Extend a record to ``min_length`` entries by halving from level
-    N = ``halving_level(profile, record)``: entry N + k is v(a_N)/q^k."""
-    vals = record.valuations
-    if len(vals) >= min_length:
-        return record
-    q = profile.q
-    v_N = vals[N] if N < len(vals) else zero_departure_candidates(profile)[0]
-    added = tuple(v_N / q ** (n - N) for n in range(len(vals), min_length))
-    log.info("extended branch record by %d forced steps to length %d", len(added), min_length)
-    return BranchValuationRecord(
-        valuations=vals + added,
-        d_estimates=record.d_estimates
-        + tuple(minimal_d_estimate(v, profile.e_ke) for v in added),
     )
 
 

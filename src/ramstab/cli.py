@@ -36,7 +36,7 @@ from .limitdata import (
     complete_record,
     compute_C,
     level_polygon,
-    limiting_data_for_branch,
+    limiting_data,
     reindexed_record,
 )
 from .polygons import copolygon
@@ -119,14 +119,27 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _error_payload(exc: Exception) -> dict:
-    # a BranchDataError past the document edge comes from completing the record
-    field = exc.field if isinstance(exc, InputError) else "branch_valuations"
-    return {"error": str(exc), "field": field}
+    return {"error": str(exc), "field": exc.field if isinstance(exc, InputError) else None}
+
+
+def _complete(doc):
+    """``complete_record`` on a document: a record with no forced level is
+    an input error on its branch valuations."""
+    try:
+        return complete_record(doc.profile, doc.record)
+    except BranchDataError as exc:
+        raise InputError("branch_valuations", str(exc)) from exc
+
+
+def _limiting_data(doc):  # limiting_data_for_branch through _complete
+    record, N = _complete(doc)
+    data = replace(limiting_data(doc.profile, record.sign), C=compute_C(doc.profile, record, N))
+    return data, record, N
 
 
 def _limit_data_payload(path) -> dict:
     doc = load_document(path)
-    data, _record, level_for_C = limiting_data_for_branch(doc.profile, doc.record)
+    data, _record, level_for_C = _limiting_data(doc)
     payload = data.to_json()
     payload["N"] = level_for_C
     payload["notes"] = REPORT_NOTES
@@ -141,7 +154,7 @@ def _cmd_limit_data(args) -> int:
 def _branch_payload(path) -> dict:
     doc = load_document(path)
     profile = doc.profile
-    record, level_for_C = complete_record(profile, doc.record)
+    record, level_for_C = _complete(doc)
     d_est, trusted = estimate_d(profile, record)
     return {
         "valuations": [format_rational(v) for v in record.valuations],
@@ -165,7 +178,7 @@ def _cmd_branch(args) -> int:
 def _certify_payload(path) -> tuple[dict, int]:
     doc = load_document(path)
     profile = doc.profile
-    data, record, _n = limiting_data_for_branch(profile, doc.record)
+    data, record, _n = _limiting_data(doc)
     cert = certify(profile, record, data, doc.d)
     normal_form, witness = pcb_normal_form(profile)
     base = record.first_finite()
@@ -213,7 +226,7 @@ def _certified_tower(doc, depth: int):
     tower; all but the certificate are None when it does not certify.
     """
     profile = doc.profile
-    data, record, _n = limiting_data_for_branch(profile, doc.record)
+    data, record, _n = _limiting_data(doc)
     cert = certify(profile, record, data, doc.d)
     if not cert.certified:
         return cert, None, None, None

@@ -15,6 +15,7 @@ polygons.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -23,8 +24,9 @@ from .branches import (
     BranchDataError,
     BranchValuationRecord,
     PolynomialValuationProfile,
-    extend_record,
     halving_level,
+    minimal_d_estimate,
+    zero_departure_candidates,
 )
 from .polygons import NewtonPolygon, lower_hull
 from .valuations import binom_valuation, format_rational
@@ -39,6 +41,8 @@ __all__ = [
     "limiting_data_for_branch",
     "reindexed_record",
 ]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -180,17 +184,26 @@ def level_polygon(
 def complete_record(
     profile: PolynomialValuationProfile, record: BranchValuationRecord
 ) -> Tuple[BranchValuationRecord, int]:
-    """Extend the record past the halving level N far enough for C and the
-    stability screen, through the first level with |v| <= 1/q^2 and one
+    """Extend the record past the halving level N (entry N + k is
+    v(a_N)/q^k) through the first level with |v| <= 1/q^2 whose d-estimate
+    has settled (equals the next level's, so every later one), and one
     more; return it with N, the level to read C at."""
     N = halving_level(profile, record)
-    record = extend_record(profile, record, N, N + 1)
-    # past N the valuation divides by q each step
-    t, level = abs(record.valuations[N]) * profile.q**2, N
-    while t > 1:
-        t /= profile.q
+    vals, q, e = record.valuations, profile.q, profile.e_ke
+    v_N = vals[N] if N < len(vals) else zero_departure_candidates(profile)[0]
+    # the estimate changes at every step until it settles, then never again
+    v, level = v_N, N
+    while abs(v) * q * q > 1 or minimal_d_estimate(v, e) != minimal_d_estimate(v / q, e):
+        v /= q
         level += 1
-    return extend_record(profile, record, N, level + 2), N
+    added = tuple(v_N / q ** (n - N) for n in range(len(vals), level + 2))
+    if added:
+        log.info("extended branch record by %d forced steps to length %d", len(added), level + 2)
+        record = BranchValuationRecord(
+            valuations=vals + added,
+            d_estimates=record.d_estimates + tuple(minimal_d_estimate(w, e) for w in added),
+        )
+    return record, N
 
 
 def limiting_data_for_branch(

@@ -13,13 +13,13 @@ from ramstab.branches import (
     branch_step_candidates,
     build_record,
     estimate_d,
-    extend_record,
     find_stable_index,
     halving_level,
     minimal_d_estimate,
     predict_branch,
     zero_departure_candidates,
 )
+from ramstab.limitdata import complete_record
 
 
 class TestProfileValidation:
@@ -119,7 +119,8 @@ class TestRecordValidation:
 
     def test_extension_is_forced_only(self):
         record = build_record(SAMPLE_PROFILE, ["4", "2/3"])
-        extended = extend_record(SAMPLE_PROFILE, record, halving_level(SAMPLE_PROFILE, record), 5)
+        extended, N = complete_record(SAMPLE_PROFILE, record)
+        assert N == 1
         assert [str(v) for v in extended.valuations] == ["4", "2/3", "2/27", "2/243", "2/2187"]
         assert extended.d_estimates == (4, 2, 2, 2, 2)
         stuck = build_record(SAMPLE_PROFILE, ["4"])
@@ -147,8 +148,10 @@ class TestBounds:
         # the step leaving zero is forced: its valuation is the one root valuation, 1
         record = build_record(UNIFORMIZER_PROFILE, [None])
         assert halving_level(UNIFORMIZER_PROFILE, record) == 1
-        assert extend_record(UNIFORMIZER_PROFILE, record, 1, 3).valuations == (
-            None, Fraction(1), Fraction(1, 3)
+        completed, N = complete_record(UNIFORMIZER_PROFILE, record)
+        assert N == 1
+        assert completed.valuations == (
+            None, Fraction(1), Fraction(1, 3), Fraction(1, 9), Fraction(1, 27)
         )
         with pytest.raises(BranchDataError, match="step 0 has 2 candidate"):
             halving_level(SAMPLE_PROFILE, build_record(SAMPLE_PROFILE, [None]))

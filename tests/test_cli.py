@@ -157,6 +157,24 @@ class TestCertifyCommand:
             assert payload[SAMPLE]["kind"] == "PotentiallyTRS"
             assert payload[str(stuck)]["field"] == "branch_valuations"
 
+    def test_completion_runs_until_the_d_estimate_settles(self, capsys, tmp_path):
+        # 1024/17 halves from level 0 and crosses 1/4 at level 8, but its
+        # d-estimate (the numerator) only reaches 1 at level 10
+        doc = {
+            "p": 2, "r": 1, "v_p": 1, "coeff_valuations": {"2": "0"},
+            "base_valuation": "1024/17", "branch_valuations": ["1024/17"],
+        }
+        path = tmp_path / "settles-late.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "certify", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["kind"], payload["reindex"], payload["d_used"]) == ("PotentiallyTRS", 10, 1)
+        code, out, _ = run(capsys, "branch", str(path))
+        payload = json.loads(out)
+        assert payload["N"] == 0 and payload["d_heuristic"] == 1
+        assert payload["d_estimates"] == [1024 >> n for n in range(11)] + [1]
+
     def test_malformed_input_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"p": 3}))

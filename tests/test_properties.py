@@ -9,7 +9,8 @@ oracle.  The integer tower builder agrees with the ``Fraction`` fold of
 the level model, in its result or in the exception it raises.  Runs are derandomized, so the suite sees the same examples every
 time.  Branch steps, which query the profile's cached coefficient hull,
 agree with a fresh ``lower_hull`` of the step's points, and record
-completion in closed form agrees with a walk of such hulls.  The report
+completion in closed form agrees with a walk of such hulls, which, walked
+further, changes no d-estimate or certificate verdict.  The report
 writer prints generated JSON values exactly as ``json.dumps(indent=2)``.
 """
 
@@ -29,6 +30,8 @@ from ramstab.branches import (
     BranchDataError,
     PolynomialValuationProfile,
     branch_step_candidates,
+    build_record,
+    estimate_d,
     halving_level,
     is_forced_step,
     minimal_d_estimate,
@@ -174,6 +177,7 @@ def test_step_candidates_match_a_fresh_hull(profile, v):
     base=base_valuations,
     choices=st.lists(st.integers(0, 1), max_size=4),
     depth=st.integers(1, 4),
+    power=st.integers(0, 12),
 )
 # base 1000 on x^2: the ceiling rule walked 1000 steps, past the old 512-step cap
 @example(
@@ -181,6 +185,15 @@ def test_step_candidates_match_a_fresh_hull(profile, v):
     base=Fraction(1000),
     choices=[],
     depth=1,
+    power=0,
+)
+# 1024/17 crosses 1/4 at level 8; its d-estimate settles at level 10
+@example(
+    profile=PolynomialValuationProfile(p=2, r=1, v_p=1, coeff_valuations={2: 0}),
+    base=Fraction(1024, 17),
+    choices=[],
+    depth=1,
+    power=0,
 )
 # based at zero: the step leaving zero is forced, and so is every later one
 @example(
@@ -188,8 +201,12 @@ def test_step_candidates_match_a_fresh_hull(profile, v):
     base=None,
     choices=[],
     depth=1,
+    power=0,
 )
-def test_closed_form_completion_matches_the_hull_stepped_walk(profile, base, choices, depth):
+def test_closed_form_completion_matches_the_hull_stepped_walk(profile, base, choices, depth, power):
+    # a base times p^power has a numerator rich in p, so its d-estimate settles late
+    if base is not None:
+        base *= profile.p**power
     try:
         record = predict_branch(profile, base, choices, depth)
     except BranchDataError:
@@ -211,11 +228,21 @@ def test_closed_form_completion_matches_the_hull_stepped_walk(profile, base, cho
     assert completed.d_estimates == tuple(
         None if v is None else minimal_d_estimate(v, profile.e_ke) for v in walked
     )
+    # walking further changes neither the d-estimate nor the certificate
+    longer = build_record(
+        profile, hull_stepped_extension(profile, completed.valuations, len(walked) + 3)
+    )
+    assert estimate_d(profile, longer) == estimate_d(profile, completed)
+    data, _, _ = limiting_data_for_branch(profile, record)
+    cert, further = certify(profile, completed, data), certify(profile, longer, data)
+    assert (cert.kind, cert.reindex, cert.d_used) == (further.kind, further.reindex, further.d_used)
     C = compute_C(profile, completed, N)
     old_N = ceiling_halving_level(profile, record)
-    old_walk = hull_stepped_extension(profile, record.valuations, old_N + 1)
-    if len(hull_step_candidates(profile, old_walk[old_N])) == 1:
-        assert profile.q**old_N * old_walk[old_N] == C
+    # ceil(v(a_0)) steps: walked up to the base-1000 example's length
+    if old_N <= 1000:
+        old_walk = hull_stepped_extension(profile, record.valuations, old_N + 1)
+        if len(hull_step_candidates(profile, old_walk[old_N])) == 1:
+            assert profile.q**old_N * old_walk[old_N] == C
     # a tail's C, read off at its own halving level, is C / q^n
     for n in range(len(completed.valuations)):
         tail = reindexed_record(completed, n)
