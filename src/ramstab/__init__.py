@@ -44,10 +44,9 @@ from .certificates import (
     revalidate,
 )
 from .hasseherbrand import (
-    TowerFunction,
+    Tower,
     TowerInvariantError,
     breaks_and_subfields,
-    build_phi,
     build_tower,
     depth_past_limit,
     level_model,

@@ -17,6 +17,7 @@ import logging
 import os
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -36,7 +37,7 @@ from .limitdata import (
     complete_record,
     compute_C,
     level_polygon,
-    limiting_data,
+    limiting_data_for_branch,
     reindexed_record,
 )
 from .polygons import copolygon
@@ -122,24 +123,19 @@ def _error_payload(exc: Exception) -> dict:
     return {"error": str(exc), "field": exc.field if isinstance(exc, InputError) else None}
 
 
-def _complete(doc):
-    """``complete_record`` on a document: a record with no forced level is
-    an input error on its branch valuations."""
+def _from_branch(stage, doc):
+    """``stage(profile, record)`` on a document, ``complete_record`` or
+    ``limiting_data_for_branch``: a record with no forced level is an
+    input error on its branch valuations."""
     try:
-        return complete_record(doc.profile, doc.record)
+        return stage(doc.profile, doc.record)
     except BranchDataError as exc:
         raise InputError("branch_valuations", str(exc)) from exc
 
 
-def _limiting_data(doc):  # limiting_data_for_branch through _complete
-    record, N = _complete(doc)
-    data = replace(limiting_data(doc.profile, record.sign), C=compute_C(doc.profile, record, N))
-    return data, record, N
-
-
 def _limit_data_payload(path) -> dict:
     doc = load_document(path)
-    data, _record, level_for_C = _limiting_data(doc)
+    data, _record, level_for_C = _from_branch(limiting_data_for_branch, doc)
     payload = data.to_json()
     payload["N"] = level_for_C
     payload["notes"] = REPORT_NOTES
@@ -154,7 +150,7 @@ def _cmd_limit_data(args) -> int:
 def _branch_payload(path) -> dict:
     doc = load_document(path)
     profile = doc.profile
-    record, level_for_C = _complete(doc)
+    record, level_for_C = _from_branch(complete_record, doc)
     d_est, trusted = estimate_d(profile, record)
     return {
         "valuations": [format_rational(v) for v in record.valuations],
@@ -178,7 +174,7 @@ def _cmd_branch(args) -> int:
 def _certify_payload(path) -> tuple[dict, int]:
     doc = load_document(path)
     profile = doc.profile
-    data, record, _n = _limiting_data(doc)
+    data, record, _n = _from_branch(limiting_data_for_branch, doc)
     cert = certify(profile, record, data, doc.d)
     normal_form, witness = pcb_normal_form(profile)
     base = record.first_finite()
@@ -226,7 +222,7 @@ def _certified_tower(doc, depth: int):
     tower; all but the certificate are None when it does not certify.
     """
     profile = doc.profile
-    data, record, _n = _limiting_data(doc)
+    data, record, _n = _from_branch(limiting_data_for_branch, doc)
     cert = certify(profile, record, data, doc.d)
     if not cert.certified:
         return cert, None, None, None
@@ -244,12 +240,12 @@ def _certified_tower(doc, depth: int):
     return cert, working, working_data, tower
 
 
-def _breaks_payload(cert, working_data, tower) -> dict:
+def _breaks_payload(cert, tower) -> dict:
     """What ``breaks`` and ``hh`` both print: depth, reindex, breaks and subfields."""
     return {
-        "depth": len(tower),
+        "depth": tower.depth,
         "reindex": cert.reindex,
-        **breaks_and_subfields(tower, working_data, reindex=cert.reindex),
+        **breaks_and_subfields(tower, reindex=cert.reindex),
     }
 
 
@@ -257,7 +253,7 @@ def _hh_payload(path, depth: int) -> tuple[dict, int]:
     cert, working, working_data, tower = _certified_tower(load_document(path), depth)
     if tower is None:
         return {"certificate": cert.to_json()}, 1
-    shared = _breaks_payload(cert, working_data, tower)
+    shared = _breaks_payload(cert, tower)
     payload = {
         "depth": shared.pop("depth"),
         "reindex": shared.pop("reindex"),
@@ -280,11 +276,11 @@ def _cmd_hh(args) -> int:
 
 
 def _cmd_breaks(args) -> int:
-    cert, _working, working_data, tower = _certified_tower(load_document(args.input), args.depth)
+    cert, _working, _data, tower = _certified_tower(load_document(args.input), args.depth)
     if tower is None:
         _emit({"certificate": cert.to_json()}, args.out)
         return 1
-    _emit(_breaks_payload(cert, working_data, tower), args.out)
+    _emit(_breaks_payload(cert, tower), args.out)
     return 0
 
 
@@ -295,9 +291,20 @@ def _cmd_plot(args) -> int:
         _emit({"certificate": cert.to_json()}, None)
         return 1
     polygon = level_polygon(doc.profile, working_data, args.depth)
-    top = tower[-1]
+    dual = copolygon(polygon)
+    q, D, size = tower.q, tower.D, tower.size
+    E = D * q ** (args.depth - 1)
+    xs = [Fraction(x, D) for x in tower.xs]
+    phi = list(zip(xs[-size:], (Fraction(y, D) for y in tower.phi_ys[-size:])))
+    top = list(zip(xs, (Fraction(y, E) for y in tower.ys)))
     try:
-        svg = render_level_report(polygon, copolygon(polygon), top.phi, top.plf, args.depth)
+        svg = render_level_report(
+            polygon,
+            (dual.vertices, dual.final_slope),
+            (phi, Fraction(1, q)),
+            (top, Fraction(1, q**args.depth)),
+            args.depth,
+        )
     except OverflowError as exc:
         raise InputError(
             "depth", f"{args.depth} is too deep to plot: the tower's coordinates overflow a float"

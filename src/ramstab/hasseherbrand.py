@@ -19,9 +19,9 @@ function Phi_n = Phi_{n-1} o phi_n is Phi_{n-1} followed by the vertices
 of phi_n mapped through the final ray of Phi_{n-1}, of slope 1/q^(n-1)
 (the composition rule for Herbrand functions, Serre, Local Fields, IV 3).
 With x over D and y over D*q^(depth-1), that append is integer
-multiply-adds, and a printed coordinate becomes a Fraction only once.
-The tower is therefore one vertex tuple, and level n is its first
-(V-1)*n vertices.
+multiply-adds.  The tower is therefore one record of numerators, level
+n is its first (V-1)*n vertices, and a coordinate becomes a Fraction
+only when it is printed or plotted.
 
 Three properties are checked at every level: the x-coordinates of phi_n
 strictly increase (so the level-n polygon is strictly convex), the first
@@ -51,15 +51,13 @@ from typing import List, Optional, Tuple
 
 from .branches import PolynomialValuationProfile
 from .limitdata import LimitingRamificationData
-from .plf import PLFunction
 from .valuations import digit_limit, format_rational
 
 __all__ = [
     "LevelModel",
-    "TowerFunction",
+    "Tower",
     "TowerInvariantError",
     "level_model",
-    "build_phi",
     "build_tower",
     "printable_depth",
     "depth_past_limit",
@@ -128,40 +126,30 @@ class LevelModel:
             )
         return xs, [a * q_n + b for a, b in zip(self.AY, self.BY)]
 
-    def phi(self, n: int) -> PLFunction:
-        """The transition function of level n."""
-        xs, ys = self.numerators(n)
-        D = self.D
-        vertices = tuple((Fraction(x, D), Fraction(y, D)) for x, y in zip(xs, ys))
-        return PLFunction.unchecked(Fraction(1), vertices, Fraction(1, self.q))
-
 
 @dataclass(frozen=True)
-class TowerFunction:
-    """Transition function of the whole tower up to a level, with its breaks
-    and the level's own transition function ``phi``.
+class Tower:
+    """The tower to its depth, on integer numerators.
 
-    Every level of one tower shares the deepest level's function ``top``:
-    this level is its first ``size`` vertices, continued by the ray of
-    slope 1/q^level that leaves the last of them.
+    ``xs`` and ``ys`` are the vertices of the deepest function, x over
+    ``D`` and y over D*q^(depth-1); its initial slope is 1 and its final
+    slope 1/q^depth.  Level n is its first ``size``*n vertices, continued
+    by the ray of slope 1/q^n that leaves the last of them; those are the
+    breaks of level n.  ``phi_ys`` holds the y over D of each phi_n in
+    turn, ``size`` per level; phi_n has the x of level n's last ``size``
+    vertices, initial slope 1 and final slope 1/q.
     """
 
-    level: int
-    phi: PLFunction
-    top: PLFunction
-    size: int
+    q: int
+    D: int
+    size: int  # V - 1, the vertices of one phi_n
+    xs: Tuple[int, ...]
+    ys: Tuple[int, ...]
+    phi_ys: Tuple[int, ...]
 
     @property
-    def plf(self) -> PLFunction:
-        return self.top.prefix(self.size)
-
-    @property
-    def breaks(self) -> Tuple[Fraction, ...]:
-        return tuple(x for x, _ in self.top.vertices[: self.size])
-
-    @property
-    def altitude(self) -> Fraction:
-        return self.top.vertices[self.size - 1][1]
+    def depth(self) -> int:
+        return len(self.xs) // self.size
 
 
 def level_model(
@@ -194,14 +182,7 @@ def level_model(
     return LevelModel(profile.q, shift, tuple(coefficients))
 
 
-def build_phi(
-    profile: PolynomialValuationProfile, data: LimitingRamificationData, n: int, d: int, v_base
-) -> PLFunction:
-    """Transition function for one level in the stable regime."""
-    return level_model(profile, data, d, v_base).phi(n)
-
-
-def build_tower(model: LevelModel, depth: int) -> List[TowerFunction]:
+def build_tower(model: LevelModel, depth: int) -> Tower:
     """Compose transition functions up to ``depth``, checking every level.
 
     Each vertex (x, y) of phi_n is appended as (x, alt + (y - x_last) /
@@ -220,10 +201,9 @@ def build_tower(model: LevelModel, depth: int) -> List[TowerFunction]:
         raise ValueError("depth must be >= 1")
     q, D = model.q, model.D
     Q = q ** (depth - 1)
-    E = D * Q
     xs: List[int] = []  # over D
-    ys: List[int] = []  # over E
-    phi_ys: List[List[int]] = []  # level n's own y, over D
+    ys: List[int] = []  # over D*Q
+    phi_ys: List[int] = []  # each level's own y, over D
     x_last = alt = 0
     scale = Q  # q^(depth - n) at level n
     debug = log.isEnabledFor(logging.DEBUG)
@@ -237,31 +217,13 @@ def build_tower(model: LevelModel, depth: int) -> List[TowerFunction]:
             )
         xs.extend(level_xs)
         ys.extend(alt + (y - x_last) * scale for y in level_ys)
+        phi_ys.extend(level_ys)
         x_last, alt = xs[-1], ys[-1]
         scale //= q
-        phi_ys.append(level_ys)
         if debug:
-            log.debug("tower level %d: %d breaks, altitude %s", n, len(xs), Fraction(alt, E))
+            log.debug("tower level %d: %d breaks, altitude %s", n, len(xs), Fraction(alt, D * Q))
     _check_deepest(xs, ys, Q, q)
-    breaks = [Fraction(x, D) for x in xs]
-    top = PLFunction.unchecked(
-        Fraction(1), tuple(zip(breaks, [Fraction(y, E) for y in ys])), Fraction(1, Q * q)
-    )
-    size = len(model.coefficients)
-    initial, final = Fraction(1), Fraction(1, q)
-    return [
-        TowerFunction(
-            level=n,
-            phi=PLFunction.unchecked(
-                initial,
-                tuple(zip(breaks[(n - 1) * size : n * size], [Fraction(y, D) for y in level_ys])),
-                final,
-            ),
-            top=top,
-            size=size * n,
-        )
-        for n, level_ys in enumerate(phi_ys, start=1)
-    ]
+    return Tower(q, D, len(model.coefficients), tuple(xs), tuple(ys), tuple(phi_ys))
 
 
 def _check_deepest(xs: List[int], ys: List[int], Q: int, q: int) -> None:
@@ -285,44 +247,40 @@ def _check_deepest(xs: List[int], ys: List[int], Q: int, q: int) -> None:
         raise ValueError("segment slopes must be strictly decreasing (strict concavity)")
 
 
-def tower_json(tower: List[TowerFunction], breaks: List[str]) -> dict:
+def tower_json(tower: Tower, breaks: List[str]) -> dict:
     """The ``phi`` and ``Phi`` entries that ``hh`` prints for every level.
 
     ``breaks`` is the deepest level's break list as ``breaks_and_subfields``
     formats it, so each number is formatted once.  Level n of ``Phi`` is
-    the first ``size`` vertices of the deepest level, so its breaks,
+    the first ``size``*n vertices of the deepest level, so its breaks,
     vertices and altitude are slices and entries of the deepest level's
     formatted vertex list, and its final slope is 1/q^n.  The x of every
     vertex of phi_n is the break that ``build_tower`` appended unchanged.
     """
-    top = tower[-1].top
-    vertices = [[x, format_rational(y)] for x, (_, y) in zip(breaks, top.vertices)]
-    initial = format_rational(top.initial_slope)
+    q, D, size = tower.q, tower.D, tower.size
+    E = D * q ** (tower.depth - 1)
+    vertices = [[x, format_rational(Fraction(y, E))] for x, y in zip(breaks, tower.ys)]
+    phi_ys = [format_rational(Fraction(y, D)) for y in tower.phi_ys]
+    phi_final = format_rational(Fraction(1, q))
     phis, levels = [], []
-    start, final = 0, Fraction(1)
-    for tf in tower:
-        phi = tf.phi
-        final *= phi.final_slope
+    for n in range(1, tower.depth + 1):
+        start, end = size * (n - 1), size * n
         phis.append(
             {
-                "level": tf.level,
-                "initial_slope": format_rational(phi.initial_slope),
-                "vertices": [
-                    [x, format_rational(y)]
-                    for x, (_, y) in zip(breaks[start : tf.size], phi.vertices)
-                ],
-                "final_slope": format_rational(phi.final_slope),
+                "level": n,
+                "initial_slope": "1",
+                "vertices": [[x, y] for x, y in zip(breaks[start:end], phi_ys[start:end])],
+                "final_slope": phi_final,
             }
         )
-        start = tf.size
         levels.append(
             {
-                "level": tf.level,
-                "breaks": breaks[: tf.size],
-                "altitude": vertices[tf.size - 1][1],
-                "initial_slope": initial,
-                "vertices": vertices[: tf.size],
-                "final_slope": format_rational(final),
+                "level": n,
+                "breaks": breaks[:end],
+                "altitude": vertices[end - 1][1],
+                "initial_slope": "1",
+                "vertices": vertices[:end],
+                "final_slope": format_rational(Fraction(1, q**n)),
             }
         )
     return {"phi": phis, "Phi": levels}
@@ -384,9 +342,7 @@ def depth_past_limit(model: LevelModel, depth: int) -> Optional[int]:
     return limit if depth > limit else None
 
 
-def breaks_and_subfields(
-    tower: List[TowerFunction], data: LimitingRamificationData, reindex: int = 0
-) -> dict:
+def breaks_and_subfields(tower: Tower, reindex: int = 0) -> dict:
     """Break sequence of the deepest level and the elementary-subfield table.
 
     The level-k subfield of the tower is the elementary subfield with index
@@ -394,13 +350,10 @@ def breaks_and_subfields(
     nonpositive indices denote the working ground field itself.  Break
     values beyond the computed depth are reported as None.
     """
-    if not tower:
-        raise ValueError("empty tower")
-    deepest = tower[-1]
-    breaks = [format_rational(b) for b in deepest.breaks]
+    breaks = [format_rational(Fraction(x, tower.D)) for x in tower.xs]
     rows = []
-    for k in range(reindex + deepest.level + 1):
-        idx = (data.V - 1) * (k - reindex) + 1
+    for k in range(reindex + tower.depth + 1):
+        idx = tower.size * (k - reindex) + 1
         if idx <= 0:
             rows.append(
                 {"level": k, "elementary_index": idx, "field": "ground", "break": None}

@@ -72,33 +72,6 @@ class PLFunction:
         result.append(self.final_slope)
         return result
 
-    @classmethod
-    def unchecked(
-        cls, initial_slope: Fraction, vertices: Tuple[Vertex, ...], final_slope: Fraction
-    ) -> "PLFunction":
-        """A function from exact parts already known to be valid, built
-        without the checks."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "initial_slope", initial_slope)
-        object.__setattr__(f, "vertices", vertices)
-        object.__setattr__(f, "final_slope", final_slope)
-        return f
-
-    def prefix(self, count: int) -> "PLFunction":
-        """The function up to its ``count``-th vertex, continued by the
-        segment that leaves that vertex as the final ray.
-
-        A prefix of a valid function is valid, so it is not checked again.
-        """
-        if count == len(self.vertices):
-            return self
-        if not 1 <= count < len(self.vertices):
-            raise ValueError(f"prefix length {count} outside 1..{len(self.vertices)}")
-        (x0, y0), (x1, y1) = self.vertices[count - 1 : count + 1]
-        return PLFunction.unchecked(
-            self.initial_slope, self.vertices[:count], (y1 - y0) / (x1 - x0)
-        )
-
     def evaluate(self, x) -> Fraction:
         return evaluate(self, x)
 

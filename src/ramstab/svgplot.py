@@ -23,15 +23,14 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _plf_polyline(plf) -> List[Tuple[float, float]]:
+def _plf_polyline(vertices, final_slope) -> List[Tuple[float, float]]:
+    """The function through the origin with these vertices, drawn a quarter
+    of its last x (at least 1) along its final ray."""
+    x_last, y_last = vertices[-1]
+    reach = max(Fraction(1), x_last // 4 + 1)
     points = [(0.0, 0.0)]
-    points.extend((float(x), float(y)) for x, y in plf.vertices)
-    if plf.vertices:
-        x_last, y_last = plf.vertices[-1]
-        reach = max(Fraction(1), x_last // 4 + 1)
-        points.append((float(x_last + reach), float(y_last + plf.final_slope * reach)))
-    else:
-        points.append((1.0, float(plf.final_slope)))
+    points.extend((float(x), float(y)) for x, y in vertices)
+    points.append((float(x_last + reach), float(y_last + final_slope * reach)))
     return points
 
 
@@ -79,13 +78,17 @@ class _Panel:
         return [frame, label, line, marks]
 
 
-def render_level_report(polygon, copolygon_plf, phi, tower_plf, level: int) -> str:
-    """Four labeled panels: the level polygon, its dual, phi_n, and the tower map."""
+def render_level_report(polygon, dual, phi, tower, level: int) -> str:
+    """Four labeled panels: the level polygon, its dual, phi_n, and the tower map.
+
+    ``dual``, ``phi`` and ``tower`` are each a function through the origin,
+    given as its vertex list and its final slope.
+    """
     panels = [
         _Panel(f"newton polygon, level {level}", _polygon_polyline(polygon), _COLORS[0]),
-        _Panel(f"copolygon, level {level}", _plf_polyline(copolygon_plf), _COLORS[1]),
-        _Panel(f"transition phi_{level}", _plf_polyline(phi), _COLORS[2]),
-        _Panel(f"tower map, depth {level}", _plf_polyline(tower_plf), _COLORS[3]),
+        _Panel(f"copolygon, level {level}", _plf_polyline(*dual), _COLORS[1]),
+        _Panel(f"transition phi_{level}", _plf_polyline(*phi), _COLORS[2]),
+        _Panel(f"tower map, depth {level}", _plf_polyline(*tower), _COLORS[3]),
     ]
     width = 2 * PANEL_W
     height = 2 * PANEL_H

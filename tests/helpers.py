@@ -3,17 +3,18 @@
 Every oracle here stays independent of the code path it checks: the hull
 oracle tests chords pairwise, the factorial oracle counts prime powers in
 factorials, the composition oracle samples pointwise, the tower JSON
-oracle formats every level from that level's own function, the tower
-oracle folds the level model in ``Fraction`` arithmetic, and the branch
-oracle extends a record one fresh hull per step.
+oracle formats every level from that level's own function, rebuilt by
+the checked ``PLFunction`` constructor, the tower oracle folds the level
+model in ``Fraction`` arithmetic, and the branch oracle extends a record
+one fresh hull per step.
 """
 
 import math
 from fractions import Fraction
 
 from ramstab.branches import BranchDataError, PolynomialValuationProfile
-from ramstab.hasseherbrand import TowerFunction, TowerInvariantError
-from ramstab.plf import PLFunction
+from ramstab.hasseherbrand import TowerInvariantError
+from ramstab.plf import PLFunction, altitude
 from ramstab.polygons import lower_hull
 from ramstab.valuations import format_rational
 
@@ -152,65 +153,108 @@ UNIFORMIZER_PROFILE = PolynomialValuationProfile(
 )
 
 
+def tower_vertices(tower):
+    """The vertices of a ``Tower``'s deepest function and of every phi_n in
+    turn, as ``Fraction`` pairs."""
+    D = tower.D
+    E = D * tower.q ** (tower.depth - 1)
+    xs = [Fraction(x, D) for x in tower.xs]
+    return (
+        list(zip(xs, (Fraction(y, E) for y in tower.ys))),
+        list(zip(xs, (Fraction(y, D) for y in tower.phi_ys))),
+    )
+
+
+def tower_levels(tower):
+    """The (phi_n, Phi_n) pairs of a ``Tower``, level by level, each built
+    by the checked ``PLFunction`` constructor from ``tower_vertices``:
+    phi_n with slopes 1 and 1/q, Phi_n the first ``size``*n vertices of the
+    deepest function with final slope 1/q^n."""
+    q, size = tower.q, tower.size
+    vertices, phi_vertices = tower_vertices(tower)
+    return [
+        (
+            PLFunction(1, tuple(phi_vertices[size * (n - 1) : size * n]), Fraction(1, q)),
+            PLFunction(1, tuple(vertices[: size * n]), Fraction(1, q**n)),
+        )
+        for n in range(1, tower.depth + 1)
+    ]
+
+
 def tower_json_oracle(tower):
     """The ``phi`` and ``Phi`` entries of ``hh``, each level formatted on
     its own: its breaks, its altitude and its whole function."""
+    levels = tower_levels(tower)
     return {
-        "phi": [{"level": tf.level, **tf.phi.to_json()} for tf in tower],
+        "phi": [{"level": n, **phi.to_json()} for n, (phi, _) in enumerate(levels, start=1)],
         "Phi": [
             {
-                "level": tf.level,
-                "breaks": [format_rational(b) for b in tf.breaks],
-                "altitude": format_rational(tf.altitude),
-                **tf.plf.to_json(),
+                "level": n,
+                "breaks": [format_rational(x) for x, _ in Phi.vertices],
+                "altitude": format_rational(altitude(Phi)),
+                **Phi.to_json(),
             }
-            for tf in tower
+            for n, (_, Phi) in enumerate(levels, start=1)
         ],
     }
 
 
-def tower_oracle(model, depth):
-    """``build_tower`` as a ``Fraction`` fold, with the same checks and messages.
+def level_vertices(model, n):
+    """phi_n's vertices evaluated from the model's ``Fraction``
+    coefficients, after the two per-level checks with the messages of
+    ``LevelModel.numerators``."""
+    q_n = model.q**n
+    xs = [ax * q_n + bx for ax, bx, _, _ in model.coefficients]
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise ValueError(
+            f"level {n} is not in the stable regime: "
+            "segment slopes must be strictly increasing (strict convexity)"
+        )
+    if xs[0] <= 0:
+        raise ValueError(
+            f"level {n} vertex positions are not positive (shift {model.shift}); "
+            "outside the supported regime"
+        )
+    return [(x, ay * q_n + by) for x, (_, _, ay, by) in zip(xs, model.coefficients)]
 
-    Each phi_n is evaluated from the model's ``Fraction`` coefficients and
-    appended as (x, alt + (y - x_last) * final), where (x_last, alt) is the
-    last vertex so far and ``final`` the final slope 1/q^(n-1); the deepest
-    function is validated by ``PLFunction``.
+
+def phi_oracle(model, n):
+    """phi_n as a checked ``PLFunction``, from ``level_vertices``."""
+    return PLFunction(1, tuple(level_vertices(model, n)), Fraction(1, model.q))
+
+
+def tower_oracle(model, depth):
+    """``build_tower`` as a ``Fraction`` fold, with the same checks and
+    messages, returning what ``tower_levels`` returns.
+
+    Each phi_n is evaluated by ``level_vertices`` and appended as
+    (x, alt + (y - x_last) * final), where (x_last, alt) is the last vertex
+    so far and ``final`` the final slope 1/q^(n-1); the deepest function is
+    validated by ``PLFunction``.  Only then is every level built, so the
+    first failure raised is the one ``build_tower`` raises.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     phis, vertices = [], []
     x_last, alt, final = Fraction(0), Fraction(0), Fraction(1)
     for n in range(1, depth + 1):
-        q_n = model.q**n
-        xs = [ax * q_n + bx for ax, bx, _, _ in model.coefficients]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError(
-                f"level {n} is not in the stable regime: "
-                "segment slopes must be strictly increasing (strict convexity)"
-            )
-        if xs[0] <= 0:
-            raise ValueError(
-                f"level {n} vertex positions are not positive (shift {model.shift}); "
-                "outside the supported regime"
-            )
-        phi = PLFunction.unchecked(
-            Fraction(1),
-            tuple((x, ay * q_n + by) for x, (_, _, ay, by) in zip(xs, model.coefficients)),
-            Fraction(1, model.q),
-        )
-        if xs[0] <= x_last:
+        phi = level_vertices(model, n)
+        if phi[0][0] <= x_last:
             raise TowerInvariantError(
                 "composition-gap",
-                f"first vertex {xs[0]} of phi_{n} does not lie "
+                f"first vertex {phi[0][0]} of phi_{n} does not lie "
                 f"strictly beyond the last vertex {x_last} of phi_{n - 1}",
             )
-        vertices.extend((x, alt + (y - x_last) * final) for x, y in phi.vertices)
+        vertices.extend((x, alt + (y - x_last) * final) for x, y in phi)
         final /= model.q
         x_last, alt = vertices[-1]
         phis.append(phi)
-    top = PLFunction(Fraction(1), tuple(vertices), final)
+    PLFunction(1, tuple(vertices), final)
+    size = len(model.coefficients)
     return [
-        TowerFunction(level=n, phi=phi, top=top, size=len(model.coefficients) * n)
+        (
+            PLFunction(1, tuple(phi), Fraction(1, model.q)),
+            PLFunction(1, tuple(vertices[: size * n]), Fraction(1, model.q**n)),
+        )
         for n, phi in enumerate(phis, start=1)
     ]

@@ -22,9 +22,9 @@ from helpers import (
 
 from ramstab.branches import build_record, predict_branch
 from ramstab.cli import main
-from ramstab.hasseherbrand import breaks_and_subfields, build_phi, build_tower, level_model
+from ramstab.hasseherbrand import breaks_and_subfields, build_tower, level_model
 from ramstab.limitdata import level_polygon, limiting_data_for_branch
-from ramstab.plf import compose, evaluate
+from ramstab.plf import altitude, compose, evaluate
 from ramstab.polygons import below_line, lower_hull
 from ramstab.valuations import binom_valuation, kummer_carries
 
@@ -99,23 +99,25 @@ class TestCriterion3:
         ]
 
         # the five structural invariants at every level
-        from helpers import UNIFORMIZER_PROFILE
+        from helpers import UNIFORMIZER_PROFILE, phi_oracle, tower_levels
 
         record = build_record(UNIFORMIZER_PROFILE, ["1", "1/3", "1/9"])
         data, record, _ = limiting_data_for_branch(UNIFORMIZER_PROFILE, record)
-        tower = build_tower(level_model(UNIFORMIZER_PROFILE, data, 1, Fraction(1)), 5)
-        phis = [build_phi(UNIFORMIZER_PROFILE, data, n, 1, Fraction(1)) for n in range(1, 6)]
+        model = level_model(UNIFORMIZER_PROFILE, data, 1, Fraction(1))
+        tower = build_tower(model, 5)
+        levels = [level for _, level in tower_levels(tower)]
+        phis = [phi_oracle(model, n) for n in range(1, 6)]
         V = data.V
-        for n, tf in enumerate(tower, start=1):
-            assert len(tf.plf.vertices) == (V - 1) * n  # 1. vertex count
-            assert tf.plf.vertices[-1][0] == phis[n - 1].vertices[-1][0]  # 2.
-            assert tf.plf.final_slope == Fraction(1, 3**n)  # 3. final slope
-        for prev, cur in zip(tower, tower[1:]):
-            k = len(prev.plf.vertices)
-            assert cur.plf.vertices[:k] == prev.plf.vertices  # 4. prefix
-            assert cur.altitude > prev.altitude  # 5. altitude growth
+        for n, level in enumerate(levels, start=1):
+            assert len(level.vertices) == (V - 1) * n  # 1. vertex count
+            assert level.vertices[-1][0] == phis[n - 1].vertices[-1][0]  # 2.
+            assert level.final_slope == Fraction(1, 3**n)  # 3. final slope
+        for prev, cur in zip(levels, levels[1:]):
+            k = len(prev.vertices)
+            assert cur.vertices[:k] == prev.vertices  # 4. prefix
+            assert altitude(cur) > altitude(prev)  # 5. altitude growth
 
-        table = breaks_and_subfields(tower, data)
+        table = breaks_and_subfields(tower)
         for row in table["subfields"]:
             assert row["elementary_index"] == row["level"] + 1
         elapsed = time.monotonic() - start

@@ -251,7 +251,7 @@ class TestTowerCommands:
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 1
-        assert err == b""
+        assert err == b"", err.decode(errors="replace")
 
     @pytest.mark.parametrize(
         "argv",
@@ -375,7 +375,6 @@ def count_stage_calls(capsys, *argv, code=0):
         "branch_step_candidates": branches.branch_step_candidates,
         "limiting_data": limitdata.limiting_data,
         "lower_hull": polygons.lower_hull,
-        "build_phi": hasseherbrand.build_phi,
         "level_model": hasseherbrand.level_model,
         "level_polygon": limitdata.level_polygon,
         "binom_valuation": valuations.binom_valuation,

@@ -7,7 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import UNIFORMIZER_PROFILE, SAMPLE_PROFILE, random_profile
+from helpers import (
+    UNIFORMIZER_PROFILE,
+    SAMPLE_PROFILE,
+    phi_oracle,
+    random_profile,
+    tower_levels,
+    tower_vertices,
+)
 
 from ramstab import hasseherbrand
 from ramstab.branches import build_record, predict_branch
@@ -16,14 +23,13 @@ from ramstab.hasseherbrand import (
     LevelModel,
     TowerInvariantError,
     breaks_and_subfields,
-    build_phi,
     build_tower,
     depth_past_limit,
     level_model,
     printable_depth,
 )
 from ramstab.limitdata import LimitingRamificationData, level_polygon, limiting_data_for_branch
-from ramstab.plf import PLFunction, compose, evaluate
+from ramstab.plf import PLFunction, altitude, compose, evaluate
 from ramstab.valuations import format_rational
 
 
@@ -40,35 +46,40 @@ def sample_data_rebased():
     return data, record
 
 
+def phi_at(profile, data, n, d, v_base):
+    return phi_oracle(level_model(profile, data, d, v_base), n)
+
+
 class TestBuildPhi:
+    """phi_n of one level: its values from the level model's ``Fraction``
+    coefficients, its failures from ``LevelModel.numerators``."""
+
     def test_uniformizer_level_one(self):
         data, _ = uniformizer_data()
-        phi = build_phi(UNIFORMIZER_PROFILE, data, 1, 1, Fraction(1))
+        phi = phi_at(UNIFORMIZER_PROFILE, data, 1, 1, Fraction(1))
         assert phi.vertices == ((Fraction(2), Fraction(2)),)
         assert phi.slopes() == [1, Fraction(1, 3)]
 
     def test_uniformizer_level_two(self):
         data, _ = uniformizer_data()
-        phi = build_phi(UNIFORMIZER_PROFILE, data, 2, 1, Fraction(1))
+        phi = phi_at(UNIFORMIZER_PROFILE, data, 2, 1, Fraction(1))
         assert phi.vertices == ((Fraction(5), Fraction(5)),)
 
     def test_unit_d_has_no_shift(self):
         # (d - 1) = 0 kills the shift term for either sign of the base
-        from ramstab.branches import predict_branch
-
         data, _ = uniformizer_data()
-        phi_pos = build_phi(UNIFORMIZER_PROFILE, data, 1, 1, Fraction(1))
+        phi_pos = phi_at(UNIFORMIZER_PROFILE, data, 1, 1, Fraction(1))
         assert phi_pos.vertices[0][0] == 2
         record = predict_branch(UNIFORMIZER_PROFILE, -1, depth=2)
         neg_data, record, _ = limiting_data_for_branch(UNIFORMIZER_PROFILE, record)
         assert neg_data.sign == -1 and neg_data.C == -1
         # level-1 polygon (1, 1 - 2/3), (3, 0): slope -1/6, vertex at 1/2
-        phi_neg = build_phi(UNIFORMIZER_PROFILE, neg_data, 1, 1, Fraction(-1))
+        phi_neg = phi_at(UNIFORMIZER_PROFILE, neg_data, 1, 1, Fraction(-1))
         assert phi_neg.vertices == ((Fraction(1, 2), Fraction(1, 2)),)
 
     def test_shift_term_applies_for_d_greater_one(self):
         data, record = sample_data_rebased()
-        phi = build_phi(SAMPLE_PROFILE, data, 1, 2, Fraction(2, 3))
+        phi = phi_at(SAMPLE_PROFILE, data, 1, 2, Fraction(2, 3))
         # steepest slope of the level-1 polygon: (2 - 29/9) / 2 = -11/18
         # shallowest: -1/3; shift = (2-1) * 2/3
         assert phi.vertices[0][0] == 9 * Fraction(1, 3) + Fraction(2, 3)
@@ -78,11 +89,11 @@ class TestBuildPhi:
     def test_divisible_d_rejected(self):
         data, _ = uniformizer_data()
         with pytest.raises(ValueError, match="divisible"):
-            build_phi(UNIFORMIZER_PROFILE, data, 1, 3, Fraction(1))
+            level_model(UNIFORMIZER_PROFILE, data, 3, Fraction(1))
 
     def test_vertex_count(self):
         data, _ = sample_data_rebased()
-        phi = build_phi(SAMPLE_PROFILE, data, 2, 2, Fraction(2, 3))
+        phi = phi_at(SAMPLE_PROFILE, data, 2, 2, Fraction(2, 3))
         assert len(phi.vertices) == data.V - 1
 
 
@@ -97,18 +108,20 @@ class TestLevelModel:
         with pytest.raises(ValueError) as oracle:
             level_polygon(SAMPLE_PROFILE, data, 1)
         with pytest.raises(ValueError) as err:
-            build_phi(SAMPLE_PROFILE, data, 1, 1, Fraction(1))
+            level_model(SAMPLE_PROFILE, data, 1, Fraction(1)).numerators(1)
         assert str(err.value) == str(oracle.value)
 
     def test_first_vertex_at_zero_is_not_positive(self):
         # level-n slope -2/2 puts the first vertex at 3^n * 1 + (-1 - 1) * 3/2
         data = LimitingRamificationData(V=2, R=(0, 1), M=(2, 0), E=(0, 0), sign=1, C=Fraction(1))
+        model = level_model(UNIFORMIZER_PROFILE, data, -1, Fraction(3, 2))
         with pytest.raises(ValueError) as err:
-            build_phi(UNIFORMIZER_PROFILE, data, 1, -1, Fraction(3, 2))
+            model.numerators(1)
         assert str(err.value) == (
             "level 1 vertex positions are not positive (shift -3); outside the supported regime"
         )
-        assert build_phi(UNIFORMIZER_PROFILE, data, 2, -1, Fraction(3, 2)).vertices[0][0] == 6
+        xs, _ = model.numerators(2)
+        assert Fraction(xs[0], model.D) == phi_oracle(model, 2).vertices[0][0] == 6
 
 
 class TestDeepestValidation:
@@ -145,7 +158,7 @@ class TestDeepestValidation:
     def test_raises_the_plfunction_message(self, coefficients, message):
         model = LevelModel(q=3, shift=Fraction(0), coefficients=coefficients)
         for n in (1, 2, 3):
-            model.phi(n)  # every level passes its own checks
+            model.numerators(n)  # every level passes its own checks
         for depth in (1, 3):
             with pytest.raises(ValueError) as err:
                 build_tower(model, depth)
@@ -156,24 +169,26 @@ class TestBuildTower:
     def test_uniformizer_depth_two(self):
         data, _ = uniformizer_data()
         tower = build_tower(level_model(UNIFORMIZER_PROFILE, data, 1, Fraction(1)), 2)
-        assert tower[-1].plf.vertices == (
+        _, top = tower_levels(tower)[-1]
+        assert top.vertices == (
             (Fraction(2), Fraction(2)),
             (Fraction(5), Fraction(3)),
         )
-        assert tower[-1].plf.slopes() == [1, Fraction(1, 3), Fraction(1, 9)]
+        assert top.slopes() == [1, Fraction(1, 3), Fraction(1, 9)]
 
     def test_uniformizer_depth_three_adds_fourteen(self):
         data, _ = uniformizer_data()
         tower = build_tower(level_model(UNIFORMIZER_PROFILE, data, 1, Fraction(1)), 3)
-        assert tower[-1].breaks == (2, 5, 14)
-        assert tower[-1].plf.vertices[-1] == (Fraction(14), Fraction(4))
-        assert tower[-1].plf.final_slope == Fraction(1, 27)
+        assert [Fraction(x, tower.D) for x in tower.xs] == [2, 5, 14]
+        _, top = tower_levels(tower)[-1]
+        assert top.vertices[-1] == (Fraction(14), Fraction(4))
+        assert top.final_slope == Fraction(1, 27)
 
     def test_depth_one_is_the_transition_function(self):
         data, _ = uniformizer_data()
-        phi = build_phi(UNIFORMIZER_PROFILE, data, 1, 1, Fraction(1))
-        tower = build_tower(level_model(UNIFORMIZER_PROFILE, data, 1, Fraction(1)), 1)
-        assert tower[0].plf == phi
+        model = level_model(UNIFORMIZER_PROFILE, data, 1, Fraction(1))
+        [(phi, top)] = tower_levels(build_tower(model, 1))
+        assert top == phi == phi_oracle(model, 1)
 
     def test_structural_invariants_along_the_tower(self):
         for profile, (data, record), d in (
@@ -182,31 +197,32 @@ class TestBuildTower:
         ):
             v_base = record.valuations[0]
             depth = 5
-            tower = build_tower(level_model(profile, data, d, v_base), depth)
-            phis = [build_phi(profile, data, n, d, v_base) for n in range(1, depth + 1)]
-            for n, tf in enumerate(tower, start=1):
-                assert tf.level == n
-                assert len(tf.plf.vertices) == (data.V - 1) * n
-                assert tf.plf.final_slope == Fraction(1, profile.q**n)
-                assert tf.plf.vertices[-1][0] == phis[n - 1].vertices[-1][0]
-            for prev, cur in zip(tower, tower[1:]):
-                assert cur.altitude > prev.altitude
-                k = len(prev.plf.vertices)
-                assert cur.plf.vertices[:k] == prev.plf.vertices
+            model = level_model(profile, data, d, v_base)
+            tower = build_tower(model, depth)
+            assert tower.depth == depth
+            levels = [top for _, top in tower_levels(tower)]
+            phis = [phi_oracle(model, n) for n in range(1, depth + 1)]
+            for n, top in enumerate(levels, start=1):
+                assert len(top.vertices) == (data.V - 1) * n
+                assert top.final_slope == Fraction(1, profile.q**n)
+                assert top.vertices[-1][0] == phis[n - 1].vertices[-1][0]
+            for prev, cur in zip(levels, levels[1:]):
+                assert altitude(cur) > altitude(prev)
+                k = len(prev.vertices)
+                assert cur.vertices[:k] == prev.vertices
             for prev, cur in zip(phis, phis[1:]):
                 assert cur.vertices[0][0] > prev.vertices[-1][0]
 
     def test_prefix_agreement_pointwise(self):
-        import random
-
         rng = random.Random(55)
         data, record = sample_data_rebased()
         tower = build_tower(level_model(SAMPLE_PROFILE, data, 2, Fraction(2, 3)), 4)
-        for prev, cur in zip(tower, tower[1:]):
-            cutoff = prev.plf.vertices[-1][0]
+        levels = [top for _, top in tower_levels(tower)]
+        for prev, cur in zip(levels, levels[1:]):
+            cutoff = prev.vertices[-1][0]
             for _ in range(50):
                 x = Fraction(rng.randint(0, cutoff.numerator), cutoff.denominator)
-                assert evaluate(cur.plf, x) == evaluate(prev.plf, x)
+                assert evaluate(cur, x) == evaluate(prev, x)
 
     def test_altitude_progression_constants(self):
         # last-vertex positions follow A*q^n + B; recover A, B from two
@@ -217,15 +233,16 @@ class TestBuildTower:
         ):
             v_base = record.valuations[0]
             tower = build_tower(level_model(profile, data, d, v_base), 4)
+            levels = [top for _, top in tower_levels(tower)]
             q = profile.q
-            xs = [tf.plf.vertices[-1][0] for tf in tower]
+            xs = [top.vertices[-1][0] for top in levels]
             A = Fraction(xs[1] - xs[0], q**2 - q**1)
             B = xs[0] - A * q
             assert xs[2] == A * q**3 + B
             assert xs[3] == A * q**4 + B
             gap_bound = A * (profile.p - Fraction(profile.p, q))
-            for prev, cur in zip(tower, tower[1:]):
-                assert cur.altitude - prev.altitude >= gap_bound
+            for prev, cur in zip(levels, levels[1:]):
+                assert altitude(cur) - altitude(prev) >= gap_bound
 
     def test_gap_violation_aborts_loudly(self):
         # a huge error coefficient makes the steep first segment of the
@@ -269,15 +286,12 @@ class TestClosedFormTower:
 
     def test_matches_compose_fold_level_by_level(self):
         for profile, data, d, v_base in fixture_cases() + v2_trs_towers(4):
-            tower = build_tower(level_model(profile, data, d, v_base), 8)
+            model = level_model(profile, data, d, v_base)
             folded = None
-            for n, tf in enumerate(tower, start=1):
-                phi = build_phi(profile, data, n, d, v_base)
+            for n, level in enumerate(tower_levels(build_tower(model, 8)), start=1):
+                phi = phi_oracle(model, n)
                 folded = phi if folded is None else compose(folded, phi)
-                assert tf.plf == folded
-                assert tf.phi == phi
-                assert tf.breaks == tuple(x for x, _ in folded.vertices)
-                assert tf.altitude == folded.vertices[-1][1]
+                assert level == (phi, folded)
 
     def test_breaks_path_validates_once_and_never_composes(self, monkeypatch):
         def no_compose(*args):
@@ -301,7 +315,7 @@ class TestClosedFormTower:
         data, _ = sample_data_rebased()
         depth = 20
         tower = build_tower(level_model(SAMPLE_PROFILE, data, 2, Fraction(2, 3)), depth)
-        table = breaks_and_subfields(tower, data)
+        table = breaks_and_subfields(tower)
         assert len(table["breaks"]) == (data.V - 1) * depth
         # the deepest level in full, on its numerators, and nothing else
         assert checks == [(data.V - 1) * depth]
@@ -310,12 +324,12 @@ class TestClosedFormTower:
     def test_lower_levels_are_prefixes_of_the_deepest(self):
         data, _ = sample_data_rebased()
         tower = build_tower(level_model(SAMPLE_PROFILE, data, 2, Fraction(2, 3)), 6)
-        top = tower[-1].plf
-        for tf in tower:
-            assert tf.plf.vertices == top.vertices[: len(tf.plf.vertices)]
+        levels = [level for _, level in tower_levels(tower)]
+        top = levels[-1]
+        for level in levels:
+            assert level.vertices == top.vertices[: len(level.vertices)]
             # the final ray of each level is the next segment of the deepest
-            assert tf.plf.final_slope == top.slopes()[len(tf.plf.vertices)]
-            assert PLFunction(tf.plf.initial_slope, tf.plf.vertices, tf.plf.final_slope) == tf.plf
+            assert level.final_slope == top.slopes()[len(level.vertices)]
 
 
 @pytest.mark.skipif(
@@ -336,23 +350,21 @@ class TestPrintableDepth:
         for profile, data, d, v_base in fixture_cases():
             model = level_model(profile, data, d, v_base)
             limit = printable_depth(model)
-            tower = build_tower(model, limit + 12)
-            top = tower[-1].plf
-            printed = [c for vertex in top.vertices[: (data.V - 1) * limit] for c in vertex]
-            for tf in tower[:limit]:
-                printed.extend(c for vertex in tf.phi.vertices for c in vertex)
-                printed.append(tf.plf.final_slope)
+            vertices, phi_vertices = tower_vertices(build_tower(model, limit + 12))
+            end = (data.V - 1) * limit
+            printed = [c for vertex in vertices[:end] + phi_vertices[:end] for c in vertex]
+            printed.extend(Fraction(1, profile.q**n) for n in range(1, limit + 1))
             for value in printed:
                 format_rational(value)
             with pytest.raises(ValueError):
-                format_rational(top.vertices[-1][0])
+                format_rational(vertices[-1][0])
 
     def test_v2_documents_print_at_their_limit(self, digits_640):
         for profile, data, d, v_base in v2_trs_towers(4):
             model = level_model(profile, data, d, v_base)
             limit = printable_depth(model)
-            tower = build_tower(model, limit)
-            for value in (c for vertex in tower[-1].plf.vertices for c in vertex):
+            vertices, _ = tower_vertices(build_tower(model, limit))
+            for value in (c for vertex in vertices for c in vertex):
                 format_rational(value)
 
     @pytest.mark.parametrize("digits", [640, 4300])
@@ -373,7 +385,7 @@ class TestBreaksAndSubfields:
     def test_uniformizer_depth_three(self):
         data, _ = uniformizer_data()
         tower = build_tower(level_model(UNIFORMIZER_PROFILE, data, 1, Fraction(1)), 3)
-        table = breaks_and_subfields(tower, data)
+        table = breaks_and_subfields(tower)
         assert table["breaks"] == ["2", "5", "14"]
         rows = {row["level"]: row for row in table["subfields"]}
         assert rows[0]["elementary_index"] == 1 and rows[0]["break"] == "2"
@@ -384,7 +396,7 @@ class TestBreaksAndSubfields:
     def test_depth_one_single_break(self):
         data, _ = uniformizer_data()
         tower = build_tower(level_model(UNIFORMIZER_PROFILE, data, 1, Fraction(1)), 1)
-        table = breaks_and_subfields(tower, data)
+        table = breaks_and_subfields(tower)
         assert table["breaks"] == ["2"]
         rows = {row["level"]: row for row in table["subfields"]}
         # the level-1 field sits strictly above the single computed break
@@ -393,7 +405,7 @@ class TestBreaksAndSubfields:
     def test_reindexed_levels_map_to_ground(self):
         data, _ = sample_data_rebased()
         tower = build_tower(level_model(SAMPLE_PROFILE, data, 2, Fraction(2, 3)), 2)
-        table = breaks_and_subfields(tower, data, reindex=1)
+        table = breaks_and_subfields(tower, reindex=1)
         rows = {row["level"]: row for row in table["subfields"]}
         assert rows[0]["field"] == "ground" and rows[0]["elementary_index"] == -1
         assert rows[1]["elementary_index"] == 1
@@ -403,5 +415,5 @@ class TestBreaksAndSubfields:
 
     def test_empty_tower_rejected(self):
         data, _ = uniformizer_data()
-        with pytest.raises(ValueError):
-            breaks_and_subfields([], data)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            build_tower(level_model(UNIFORMIZER_PROFILE, data, 1, Fraction(1)), 0)

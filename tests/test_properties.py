@@ -44,7 +44,6 @@ from ramstab.hasseherbrand import (
     LevelModel,
     TowerInvariantError,
     breaks_and_subfields,
-    build_phi,
     build_tower,
     level_model,
     tower_json,
@@ -65,7 +64,10 @@ from helpers import (
     ceiling_halving_level,
     hull_step_candidates,
     hull_stepped_extension,
+    level_vertices,
+    phi_oracle,
     tower_json_oracle,
+    tower_levels,
     tower_oracle,
 )
 
@@ -280,20 +282,20 @@ def test_certificates_revalidate_and_towers_match_compose(profile, base, choices
         return
     working = reindexed_record(record, cert.reindex)
     working_data = replace(data, C=compute_C(profile, working, halving_level(profile, working)))
-    v_base = working.first_finite()
+    model = level_model(profile, working_data, cert.d_used, working.first_finite())
     try:
-        tower = build_tower(level_model(profile, working_data, cert.d_used, v_base), TOWER_DEPTH)
+        tower = build_tower(model, TOWER_DEPTH)
     except ValueError as exc:
         # phi_n places its vertices at -e_ke*q^n*s + (d - 1)*|v_base| for the
         # negative polygon slopes s, so only a negative d can make one nonpositive
         assert cert.d_used < 0 and "outside the supported regime" in str(exc)
         return
     folded = None
-    for n, tf in enumerate(tower, start=1):
-        phi = build_phi(profile, working_data, n, cert.d_used, v_base)
+    for n, level in enumerate(tower_levels(tower), start=1):
+        phi = phi_oracle(model, n)
         folded = phi if folded is None else compose(folded, phi)
-        assert tf.plf == folded
-    breaks = breaks_and_subfields(tower, working_data)["breaks"]
+        assert level == (phi, folded)
+    breaks = breaks_and_subfields(tower)["breaks"]
     assert tower_json(tower, breaks) == tower_json_oracle(tower)
 
 
@@ -358,19 +360,19 @@ def test_phi_is_the_scaled_dual_of_the_level_polygon(profile, base, choices, dep
         dual_phi(profile, working_data, n, cert.d_used, v_base)
         for n in range(1, TOWER_DEPTH + 1)
     ]
+    model = level_model(profile, working_data, cert.d_used, v_base)
     for n, vertices in enumerate(expected, start=1):
         if vertices is None:
             with pytest.raises(ValueError):
-                build_phi(profile, working_data, n, cert.d_used, v_base)
+                model.numerators(n)
         else:
-            assert list(build_phi(profile, working_data, n, cert.d_used, v_base).vertices) == vertices
-    model = level_model(profile, working_data, cert.d_used, v_base)
+            assert level_vertices(model, n) == vertices
     if None in expected:
         with pytest.raises(ValueError):
             build_tower(model, TOWER_DEPTH)
     else:
         tower = build_tower(model, TOWER_DEPTH)
-        assert [list(tf.phi.vertices) for tf in tower] == expected
+        assert [list(phi.vertices) for phi, _ in tower_levels(tower)] == expected
 
 
 def assert_tower_matches_oracle(model, depth):
@@ -383,12 +385,7 @@ def assert_tower_matches_oracle(model, depth):
             build_tower(model, depth)
         assert type(err.value) is type(exc) and str(err.value) == str(exc)
         return
-    tower = build_tower(model, depth)
-    assert tower[-1].top == expected[-1].top
-    for got, want in zip(tower, expected, strict=True):
-        assert (got.level, got.size) == (want.level, want.size)
-        assert got.phi == want.phi
-        assert got.plf.final_slope == want.plf.final_slope
+    assert tower_levels(build_tower(model, depth)) == expected
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
