@@ -19,12 +19,14 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .branches import BranchDataError, estimate_d, find_stable_index
 from .certificates import certify, pcb_normal_form, pcb_sufficient
 from .hasseherbrand import (
+    Prefix,
     TowerInvariantError,
     breaks_and_subfields,
     build_tower,
@@ -69,12 +71,21 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _json_chunks(value, chunks: list, newline: str = "\n") -> None:
+class _Report(list):
+    """The chunks of one report, and ``shared``: by id and indent, the text
+    of each list that a ``Prefix`` was cut from, and each item's end in it."""
+
+    __slots__ = ("shared",)
+
+
+def _json_chunks(value, chunks: _Report, newline: str = "\n") -> None:
     """Append the text of ``json.dumps(value, indent=2)`` to ``chunks``.
 
     Reports hold only dicts with str keys, lists, tuples, str, int, bool
     and None; anything else, a float or a non-str key included, raises
     TypeError.  ``newline`` is the line break and indent of this depth.
+    A non-empty ``Prefix`` is a cut of its list's text, rendered once
+    per report and indent.
     """
     if isinstance(value, str):
         chunks.append(encode_basestring_ascii(value))
@@ -91,6 +102,20 @@ def _json_chunks(value, chunks: list, newline: str = "\n") -> None:
             _json_chunks(item, chunks, inner)
             sep = "," + inner
         chunks.append(newline + "}" if value else "{}")
+    elif type(value) is Prefix and value:
+        key, inner = (id(value.whole), newline), newline + "  "
+        if key not in chunks.shared:
+            pieces = []  # each item of the whole list after its separator
+            for i, item in enumerate(value.whole):
+                mark = len(chunks)
+                chunks.append(("," if i else "[") + inner)
+                _json_chunks(item, chunks, inner)
+                pieces.append("".join(chunks[mark:]))
+                del chunks[mark:]
+            chunks.shared[key] = "".join(pieces), list(accumulate(map(len, pieces)))
+        text, ends = chunks.shared[key]
+        chunks.append(text[: ends[len(value) - 1]])
+        chunks.append(newline + "]")
     elif isinstance(value, (list, tuple)):
         inner = newline + "  "
         sep = "[" + inner
@@ -105,7 +130,8 @@ def _json_chunks(value, chunks: list, newline: str = "\n") -> None:
 
 def _render(payload: dict) -> str:
     """The report as printed: ``json.dumps(payload, indent=2)`` and a newline."""
-    chunks: list = []
+    chunks = _Report()
+    chunks.shared = {}
     _json_chunks(payload, chunks)
     chunks.append("\n")
     return "".join(chunks)

@@ -247,15 +247,27 @@ def _check_deepest(xs: List[int], ys: List[int], Q: int, q: int) -> None:
         raise ValueError("segment slopes must be strictly decreasing (strict concavity)")
 
 
+class Prefix(list):
+    """``whole[:end]``, which also names the list it was cut from."""
+
+    __slots__ = ("whole",)
+
+    def __init__(self, whole: list, end: int):
+        super().__init__(whole[:end])
+        self.whole = whole
+
+
 def tower_json(tower: Tower, breaks: List[str]) -> dict:
     """The ``phi`` and ``Phi`` entries that ``hh`` prints for every level.
 
     ``breaks`` is the deepest level's break list as ``breaks_and_subfields``
     formats it, so each number is formatted once.  Level n of ``Phi`` is
-    the first ``size``*n vertices of the deepest level, so its breaks,
-    vertices and altitude are slices and entries of the deepest level's
-    formatted vertex list, and its final slope is 1/q^n.  The x of every
-    vertex of phi_n is the break that ``build_tower`` appended unchanged.
+    the first ``size``*n vertices of the deepest level, so its breaks and
+    vertices are ``Prefix`` views of ``breaks`` and of the deepest level's
+    formatted vertex list (a writer prints each list once and every level
+    as a slice of that text), its altitude is an entry of that list, and
+    its final slope is 1/q^n.  The x of every vertex of phi_n is the break
+    that ``build_tower`` appended unchanged.
     """
     q, D, size = tower.q, tower.D, tower.size
     E = D * q ** (tower.depth - 1)
@@ -276,10 +288,10 @@ def tower_json(tower: Tower, breaks: List[str]) -> dict:
         levels.append(
             {
                 "level": n,
-                "breaks": breaks[:end],
+                "breaks": Prefix(breaks, end),
                 "altitude": vertices[end - 1][1],
                 "initial_slope": "1",
-                "vertices": vertices[:end],
+                "vertices": Prefix(vertices, end),
                 "final_slope": format_rational(Fraction(1, q**n)),
             }
         )

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, plotting, selftest."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -239,6 +240,24 @@ class TestTowerCommands:
         _cert, _working, _data, tower = cli._certified_tower(load_document(fixture), 20)
         assert {"phi": payload["phi"], "Phi": payload["Phi"]} == tower_json_oracle(tower)
 
+    @pytest.mark.parametrize(
+        "fixture, depth, size, digest",
+        [
+            (SAMPLE, 60, 631174,
+             "0eb5290840991e09439c730ea332ebf7ab16bf51395ad1150797467cfac7bef1"),
+            (UNIFORMIZER, 200, 2688290,
+             "aac7d190dbfe735fa177dbd1839ec30e4fc24ec8dd400a1848c5d7a7ecdeba20"),
+        ],
+    )
+    def test_deep_hh_bytes_are_pinned(self, capsys, fixture, depth, size, digest):
+        # deeper than the goldens: every level of Phi is printed as a cut of
+        # one rendered list, and must read as it did when printed in full
+        code, out, _ = run(capsys, "hh", "--depth", str(depth), fixture)
+        assert code == 0
+        printed = out.encode()
+        assert len(printed) == size
+        assert hashlib.sha256(printed).hexdigest() == digest
+
     def test_closed_stdout_exits_quietly(self):
         # the report is far larger than a pipe buffer, so the write meets
         # the closed pipe whether or not it starts before the close
@@ -448,6 +467,23 @@ class TestStageCounts:
             for depth in (10, 20, 40)
         )
         assert c40 - c20 == 2 * (c20 - c10)
+
+    def test_hh_encodes_linearly_in_depth(self, capsys, monkeypatch):
+        # every level's breaks and vertices are cuts of one rendered list:
+        # encoding each level's prefix again is quadratic (a ratio of 3.4)
+        encode, calls = cli.encode_basestring_ascii, []
+
+        def counting(text):
+            calls.append(text)
+            return encode(text)
+
+        monkeypatch.setattr(cli, "encode_basestring_ascii", counting)
+        counts = []
+        for depth in (40, 80):
+            calls.clear()
+            assert run(capsys, "hh", "--depth", str(depth), UNIFORMIZER)[0] == 0
+            counts.append(len(calls))
+        assert counts[1] <= 2.2 * counts[0]
 
     def test_hull_count_does_not_grow_with_the_record(self, capsys, tmp_path):
         # branch steps query the profile's one coefficient hull

@@ -11,7 +11,8 @@ time.  Branch steps, which query the profile's cached coefficient hull,
 agree with a fresh ``lower_hull`` of the step's points, and record
 completion in closed form agrees with a walk of such hulls, which, walked
 further, changes no d-estimate or certificate verdict.  The report
-writer prints generated JSON values exactly as ``json.dumps(indent=2)``.
+writer prints generated JSON values, prefix views of shared lists
+included, exactly as ``json.dumps(indent=2)``.
 """
 
 import json
@@ -42,6 +43,7 @@ from ramstab.certificates import certify, revalidate
 from ramstab.cli import _render
 from ramstab.hasseherbrand import (
     LevelModel,
+    Prefix,
     TowerInvariantError,
     breaks_and_subfields,
     build_tower,
@@ -494,6 +496,32 @@ json_values = st.recursive(
 @given(value=json_values)
 def test_report_writer_matches_json_dumps(value):
     assert _render(value) == json.dumps(value, indent=2) + "\n"
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(whole=st.lists(json_values, max_size=6), data=st.data())
+def test_report_writer_prints_prefix_views_as_json_dumps(whole, data):
+    # views of one list twice at one indent and once at a deeper one, the
+    # empty and the full view, the list itself, and views in a viewed list
+    ends = st.integers(0, len(whole))
+    same, again, deeper = (Prefix(whole, data.draw(ends)) for _ in "abc")
+    payload = {
+        "same": [same, again],
+        "deeper": {"views": [deeper, Prefix(whole, 0), Prefix(whole, len(whole))]},
+        "whole": whole,
+        "nested": Prefix([same, deeper, whole], data.draw(st.integers(0, 3))),
+    }
+    assert _render(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_report_writer_keeps_nothing_between_reports():
+    # the same list, so the same id, at the same indent in two reports
+    whole = ["1", [2, "3"], (4,)]
+    first = {"levels": [Prefix(whole, 1), Prefix(whole, 3)]}
+    assert _render(first) == json.dumps(first, indent=2) + "\n"
+    whole[0] = "changed"
+    second = {"levels": [Prefix(whole, 1), Prefix(whole, 3)]}
+    assert _render(second) == json.dumps(second, indent=2) + "\n"
 
 
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
