@@ -9,7 +9,7 @@ ramification breaks and elementary-subfield table of the tower.  All
 arithmetic is exact rational.
 """
 
-from .valuations import binom_valuation, format_rational, kummer_carries, parse_rational
+from .valuations import format_rational, kummer_carries, parse_rational
 from .polygons import NewtonPolygon, below_line, copolygon, lower_hull, slopes
 from .plf import PLFunction, altitude, compose, evaluate, identity_plf, make_plf
 from .branches import (

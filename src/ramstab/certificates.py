@@ -276,6 +276,11 @@ def certify(
             reason=f"p = {p} divides d = {d_used}; tameness fails",
         )
 
+    # settled run: from level ``settled`` on, every d-estimate to the end is equal
+    d_estimates = record.d_estimates
+    settled = len(d_estimates)
+    while settled and d_estimates[settled - 1] == d_estimates[-1]:
+        settled -= 1
     for n, v in enumerate(record.valuations):
         if v is None:
             continue
@@ -297,10 +302,8 @@ def certify(
             )
             screen_ok = True
         else:
-            d_n = record.d_estimates[n]
-            tail = record.d_estimates[n:]
-            # settled run: entries from n to the end of the record, all equal
-            run = len(tail) if all(e == d_n for e in tail) else 0
+            d_n = d_estimates[n]
+            run = len(d_estimates) - n if n >= settled else 0
             c_settled = CertificateCheck(
                 name="d-estimate-settled",
                 level=n,

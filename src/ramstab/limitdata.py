@@ -2,15 +2,15 @@
 
 For every sufficiently deep level n the Newton polygon of the shifted
 iterate has the same V vertices, located at (p^{r_i}, m_i + e_i*C/q^n).
-The main terms and error factors are computed from exact minima over the
-coefficient valuations; which index achieves a tied minimum is decided by
-the sign of the base valuation (first index when positive, last when
-negative) and is not configurable.
+The main terms and error factors are integer minima over the coefficient
+valuations, for every p^k in one pass over the base-p digits of the
+support; which index achieves a tied minimum is decided by the sign of the
+base valuation (first index when positive, last when negative).
 
-The surrogate hull used to select the vertices places each point at
-height M + E/q^2; any larger power of q would select the same vertices,
-and the test suite cross-checks the surrogate against exact level
-polygons.
+The surrogate hull used to select the vertices places each point at the
+integer height M*q^2 + sign*E, that is M + sign*E/q^2 scaled by q^2; any
+larger power of q would select the same vertices, and the test suite
+cross-checks the surrogate against exact level polygons.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .branches import (
     zero_departure_candidates,
 )
 from .polygons import NewtonPolygon, lower_hull
-from .valuations import binom_valuation, format_rational
+from .valuations import format_rational
 
 __all__ = [
     "LimitingRamificationData",
@@ -89,55 +89,54 @@ class LimitingRamificationData:
 
 
 def main_and_error(
-    profile: PolynomialValuationProfile, k: int, sign: int
-) -> Tuple[int, int]:
-    """Main term and error factor of the candidate vertex over p^k.
+    profile: PolynomialValuationProfile, sign: int
+) -> Tuple[Tuple[int, int], ...]:
+    """Main terms and error factors ((M_0, E_0), ..., (M_r, E_r)) over p^0..p^r.
 
-    M_{p^k} is the minimum over p^k <= j <= q of v(C(j, p^k)) + v(P_j);
-    E_{p^k} is j* - p^k for the first (sign +1) or last (sign -1) index j*
-    achieving that minimum.  These tie rules are exactly the ones that
-    minimize the exact heights once the vanishing error terms are restored.
-    Zero coefficients contribute no term, so only the support is visited.
+    M_k is the minimum over p^k <= j <= q of v(C(j, p^k)) + v(P_j); E_k is
+    j* - p^k for the first (sign +1) or last (sign -1) index j* achieving
+    that minimum.  These tie rules are exactly the ones that minimize the
+    exact heights once the vanishing error terms are restored.  By Kummer's
+    theorem v(C(j, p^k)) is v(p) times the borrows in j - p^k: the run of
+    zero base-p digits of j from digit k up.  Only the support is visited.
     """
-    if not 0 <= k <= profile.r:
-        raise ValueError(f"k must lie in 0..{profile.r}, got {k}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    pk = profile.p**k
-    best = best_j = None
+    p, v_p = profile.p, profile.v_p
+    best, best_j = [None] * (profile.r + 1), [0] * (profile.r + 1)
     for j in sorted(profile.coeff_valuations):
-        if j < pk:
-            continue
-        term = binom_valuation(j, pk, profile.p, profile.v_p) + profile.coeff_valuations[j]
-        if best is None or term < best or (sign < 0 and term == best):
-            best = term
-            best_j = j
-    assert best is not None and best.denominator == 1  # j = q always contributes 0 + 0
-    return int(best), best_j - pk
+        coefficient, digits, rest = profile.coeff_valuations[j], [], j
+        while rest:
+            rest, digit = divmod(rest, p)
+            digits.append(digit)
+        run = 0  # the top digit is nonzero
+        for k in reversed(range(len(digits))):
+            run = run + 1 if digits[k] == 0 else 0
+            term = run * v_p + coefficient
+            if best[k] is None or term < best[k] or (sign < 0 and term == best[k]):
+                best[k], best_j[k] = term, j
+    # j = q is in the support and has a term over every p^k
+    return tuple((m, j - p**k) for k, (m, j) in enumerate(zip(best, best_j)))
 
 
 def limiting_data(
     profile: PolynomialValuationProfile, sign: int
 ) -> LimitingRamificationData:
-    """Select the stable vertex set from the surrogate hull of (p^k, M + sign*E/q^2).
+    """Select the stable vertex set from the surrogate hull of (p^k, M*q^2 + sign*E).
 
     The surrogate error term carries the sign of the base valuation: the
     exact level-n heights are M + E*C/q^n and C shares that sign, so when
     main terms are collinear the error must push the candidate vertex the
     same way it does in the exact polygons.
     """
-    q = profile.q
-    table = {k: main_and_error(profile, k, sign) for k in range(profile.r + 1)}
-    points = [
-        (profile.p**k, Fraction(m) + sign * Fraction(e, q * q))
-        for k, (m, e) in table.items()
-    ]
-    hull = lower_hull(points)
+    q2 = profile.q**2
+    table = main_and_error(profile, sign)
     exponents = {profile.p**k: k for k in range(profile.r + 1)}
+    hull = lower_hull((x, table[k][0] * q2 + sign * table[k][1]) for x, k in exponents.items())
     R = tuple(exponents[x] for x, _ in hull.vertices)
     M = tuple(table[k][0] for k in R)
     E = tuple(table[k][1] for k in R)
-    assert all(e <= q - 1 for e in E)
+    assert all(e <= profile.q - 1 for e in E)
     return LimitingRamificationData(V=len(R), R=R, M=M, E=E, sign=sign)
 
 

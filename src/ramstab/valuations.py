@@ -9,8 +9,9 @@ it.  Inside the pipeline a zero coefficient is an index absent from a
 profile's coefficient valuations, and a zero base point is a None entry of
 a branch record.
 
-Also provides the base-p carry count that governs the p-adic valuation of
-binomial coefficients (Kummer's theorem), and the prime test.
+Also provides the prime test, and the base-p carry walk of Kummer's theorem
+on binomial valuations: the oracle for ``limitdata.main_and_error``, which
+reads those valuations in closed form.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "kummer_carries",
-    "binom_valuation",
 ]
 
 RATIONAL_PATTERN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -112,10 +112,3 @@ def kummer_carries(j: int, i: int, p: int) -> int:
         a //= p
         b //= p
     return carries
-
-
-def binom_valuation(j: int, i: int, p: int, v_p) -> Fraction:
-    """Valuation of C(j, i) in a value group where ``p`` has valuation ``v_p``."""
-    if v_p <= 0:
-        raise ValueError("v_p must be positive")
-    return Fraction(kummer_carries(j, i, p) * v_p)

@@ -5,8 +5,9 @@ oracle tests chords pairwise, the factorial oracle counts prime powers in
 factorials, the composition oracle samples pointwise, the tower JSON
 oracle formats every level from that level's own function, rebuilt by
 the checked ``PLFunction`` constructor, the tower oracle folds the level
-model in ``Fraction`` arithmetic, and the branch oracle extends a record
-one fresh hull per step.
+model in ``Fraction`` arithmetic, the branch oracle extends a record
+one fresh hull per step, and the main-and-error oracle scans every p^k
+with the carry walk.
 """
 
 import math
@@ -16,7 +17,7 @@ from ramstab.branches import BranchDataError, PolynomialValuationProfile
 from ramstab.hasseherbrand import TowerInvariantError
 from ramstab.plf import PLFunction, altitude
 from ramstab.polygons import lower_hull
-from ramstab.valuations import format_rational
+from ramstab.valuations import format_rational, kummer_carries
 
 
 def legendre_factorial_table(limit, p):
@@ -111,6 +112,25 @@ def random_profile(rng, p=None, r=None):
         e_ke=rng.choice((1, 1, 2)),
     )
 
+
+
+def main_and_error_oracle(profile, sign):
+    """((M_k, E_k) for k = 0..r) by one scan of the support per k: the
+    minimum of kummer_carries(j, p^k) * v(p) + v(P_j) over j >= p^k, at the
+    first (sign +1) or last (sign -1) minimizing index.  Limiting data
+    before the one-pass closed form, kept as an oracle."""
+    table = []
+    for k in range(profile.r + 1):
+        pk = profile.p**k
+        best = best_j = None
+        for j in sorted(profile.coeff_valuations):
+            if j < pk:
+                continue
+            term = kummer_carries(j, pk, profile.p) * profile.v_p + profile.coeff_valuations[j]
+            if best is None or term < best or (sign < 0 and term == best):
+                best, best_j = term, j
+        table.append((best, best_j - pk))
+    return tuple(table)
 
 def hull_step_candidates(profile, v):
     """Root valuations of P(x) - a given v(a) = v (None for a = 0), from a

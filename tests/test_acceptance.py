@@ -26,7 +26,7 @@ from ramstab.hasseherbrand import breaks_and_subfields, build_tower, level_model
 from ramstab.limitdata import level_polygon, limiting_data_for_branch
 from ramstab.plf import altitude, compose, evaluate
 from ramstab.polygons import below_line, lower_hull
-from ramstab.valuations import binom_valuation, kummer_carries
+from ramstab.valuations import kummer_carries
 
 from test_cli import UNIFORMIZER, SAMPLE
 
@@ -233,7 +233,7 @@ class TestCriterion7:
                         coefficient = profile.coeff_valuations.get(j)
                         if coefficient is None:  # a zero coefficient contributes no term
                             continue
-                        value = binom_valuation(j, i, p, profile.v_p) + coefficient + (j - i) * v_n
+                        value = kummer_carries(j, i, p) * profile.v_p + coefficient + (j - i) * v_n
                         if best is None or value < best:
                             best, ties = value, 1
                         elif value == best:

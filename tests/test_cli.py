@@ -29,6 +29,19 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def long_degree_document(tmp_path):
+    """p = 2, r = 4000, support {1, q}, base -1, d = 1: a 1,336-byte
+    document with 4,001 candidate vertices over p^0..p^r."""
+    q = 2**4000
+    doc = {
+        "p": 2, "r": 4000, "v_p": 1, "coeff_valuations": {"1": "1", str(q): "0"},
+        "base_valuation": "-1", "branch_valuations": ["-1"], "d": 1,
+    }
+    path = tmp_path / "r4000.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestLimitData:
     def test_sample_values(self, capsys):
         code, out, _ = run(capsys, "limit-data", SAMPLE)
@@ -175,6 +188,38 @@ class TestCertifyCommand:
         payload = json.loads(out)
         assert payload["N"] == 0 and payload["d_heuristic"] == 1
         assert payload["d_estimates"] == [1024 >> n for n in range(11)] + [1]
+
+    @pytest.mark.parametrize(
+        "command, size, digest",
+        [
+            ("limit-data", 229, "c3fc118bbcf5115b2675c955e5fb35838f3d7958112420b09677d59cbdc37349"),
+            ("certify", 32959, "fb31adf676971ff71fb1c929c724e64a666e5efd489dad52eee27ee5861f7219"),
+        ],
+    )
+    def test_long_degree_reports_are_pinned(self, capsys, tmp_path, command, size, digest):
+        # the table of all 4,001 (M, E) pairs is read in one pass over the
+        # support; per-k carry walks took ~30 s here
+        code, out, _ = run(capsys, command, long_degree_document(tmp_path))
+        assert code == 0
+        printed = out.encode()
+        assert len(printed) == size
+        assert hashlib.sha256(printed).hexdigest() == digest
+
+    def test_large_base_certificate_is_pinned(self, capsys, tmp_path):
+        # ~1,000 levels: the settled run of every level is read in one pass
+        base = str(10**300)
+        doc = {
+            "p": 2, "r": 1, "v_p": 1, "coeff_valuations": {"2": "0"},
+            "base_valuation": base, "branch_valuations": [base],
+        }
+        path = tmp_path / "large-base.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "certify", str(path))
+        assert code == 0
+        printed = out.encode()
+        assert len(printed) == 3344858
+        digest = "9e9b79e1361294c8c43e788ef0485bfb531db6328a3f80cd5432209dedd6a33b"
+        assert hashlib.sha256(printed).hexdigest() == digest
 
     def test_malformed_input_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -396,7 +441,8 @@ def count_stage_calls(capsys, *argv, code=0):
         "lower_hull": polygons.lower_hull,
         "level_model": hasseherbrand.level_model,
         "level_polygon": limitdata.level_polygon,
-        "binom_valuation": valuations.binom_valuation,
+        "main_and_error": limitdata.main_and_error,
+        "kummer_carries": valuations.kummer_carries,
         "find_stable_index": branches.find_stable_index,
         "format_rational": valuations.format_rational,
         "printable_depth": hasseherbrand.printable_depth,
@@ -431,6 +477,9 @@ class TestStageCounts:
         counts = count_stage_calls(capsys, "certify", SAMPLE)
         assert counts["build_record"] == 1
         assert counts["limiting_data"] == 1
+        # one table for every k, read without the carry walk
+        assert counts["main_and_error"] == 1
+        assert counts["kummer_carries"] == 0
         assert counts["lower_hull"] <= 2
         assert counts["find_stable_index"] == 0
         # the two steps of the recorded valuations are validated; the
@@ -533,8 +582,13 @@ class TestStageCounts:
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(doc))
         counts = count_stage_calls(capsys, "certify", str(path))
-        support, r = len(doc["coeff_valuations"]), doc["r"]
-        assert 0 < counts["binom_valuation"] <= support * (r + 1)
+        assert counts["main_and_error"] == 1
+        assert counts["kummer_carries"] == 0
+
+    def test_certify_reads_the_long_degree_table_once(self, capsys, tmp_path):
+        counts = count_stage_calls(capsys, "certify", long_degree_document(tmp_path))
+        assert counts["main_and_error"] == 1
+        assert counts["kummer_carries"] == 0
 
     def test_branch_computes_no_limiting_data(self, capsys):
         counts = count_stage_calls(capsys, "branch", SAMPLE)

@@ -23,27 +23,25 @@ from ramstab.limitdata import (
     reindexed_record,
 )
 from ramstab.polygons import lower_hull
-from ramstab.valuations import binom_valuation
+from ramstab.valuations import kummer_carries
 
 
 class TestMainAndError:
     def test_sample_k0(self):
-        assert main_and_error(SAMPLE_PROFILE, 0, 1) == (3, 3)
+        assert main_and_error(SAMPLE_PROFILE, 1)[0] == (3, 3)
 
     def test_sample_k1(self):
-        assert main_and_error(SAMPLE_PROFILE, 1, 1) == (2, 0)
+        assert main_and_error(SAMPLE_PROFILE, 1)[1] == (2, 0)
 
     def test_leading_k_is_trivial(self):
-        assert main_and_error(SAMPLE_PROFILE, 2, 1) == (0, 0)
-        assert main_and_error(UNIFORMIZER_PROFILE, 1, 1) == (0, 0)
+        # one entry per k = 0..r; the last is over q itself
+        assert len(main_and_error(SAMPLE_PROFILE, 1)) == 3
+        assert main_and_error(SAMPLE_PROFILE, 1)[-1] == (0, 0)
+        assert main_and_error(UNIFORMIZER_PROFILE, 1)[-1] == (0, 0)
 
     def test_negative_sign_takes_last_index(self):
         # sample profile, k=0: minimum 3 achieved at j=4 and j=7
-        assert main_and_error(SAMPLE_PROFILE, 0, -1) == (3, 6)
-
-    def test_bad_k_rejected(self):
-        with pytest.raises(ValueError):
-            main_and_error(SAMPLE_PROFILE, 3, 1)
+        assert main_and_error(SAMPLE_PROFILE, -1)[0] == (3, 6)
 
 
 class TestLimitingData:
@@ -153,7 +151,7 @@ def exact_height(profile, i, v_n):
         coefficient = profile.coeff_valuations.get(j)
         if coefficient is None:  # a zero coefficient contributes no term
             continue
-        value = binom_valuation(j, i, profile.p, profile.v_p) + coefficient + (j - i) * v_n
+        value = kummer_carries(j, i, profile.p) * profile.v_p + coefficient + (j - i) * v_n
         if best is None or value < best:
             best, arg, tie = value, j, False
         elif value == best:

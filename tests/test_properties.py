@@ -10,7 +10,9 @@ the level model, in its result or in the exception it raises.  Runs are derandom
 time.  Branch steps, which query the profile's cached coefficient hull,
 agree with a fresh ``lower_hull`` of the step's points, and record
 completion in closed form agrees with a walk of such hulls, which, walked
-further, changes no d-estimate or certificate verdict.  The report
+further, changes no d-estimate or certificate verdict.  The one-pass
+limiting-data table agrees with a per-k scan of Kummer carries, and its
+integer surrogate hull with the ``Fraction`` one.  The report
 writer prints generated JSON values, prefix views of shared lists
 included, exactly as ``json.dumps(indent=2)``.
 """
@@ -55,18 +57,21 @@ from ramstab.limitdata import (
     complete_record,
     compute_C,
     level_polygon,
+    limiting_data,
     limiting_data_for_branch,
+    main_and_error,
     reindexed_record,
 )
 from ramstab.plf import compose
 from ramstab.polygons import copolygon, lower_hull
-from ramstab.valuations import format_rational, parse_rational
+from ramstab.valuations import format_rational, kummer_carries, parse_rational
 
 from helpers import (
     ceiling_halving_level,
     hull_step_candidates,
     hull_stepped_extension,
     level_vertices,
+    main_and_error_oracle,
     phi_oracle,
     tower_json_oracle,
     tower_levels,
@@ -173,6 +178,52 @@ def test_step_candidates_match_a_fresh_hull(profile, v):
             zero_departure_candidates(profile)
     else:
         assert zero_departure_candidates(profile) == lower_hull(points).root_valuations()
+
+
+@st.composite
+def tied_profiles(draw):
+    """p in {2, 3, 5, 7}, r <= 4, a sparse support rich in zero base-p
+    digits with small valuations and, often, two indices whose terms over
+    one p^k are made equal on purpose."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    r = draw(st.integers(1, 4))
+    q, v_p = p**r, draw(st.integers(1, 3))
+    index = st.integers(1, q - 1) | st.builds(
+        lambda k, a: a * p**k, st.integers(0, r - 1), st.integers(1, p - 1)
+    )
+    support = sorted(draw(st.sets(index, max_size=10)))
+    coeffs = {j: draw(st.integers(1, 4)) for j in support}
+    if len(support) >= 2 and draw(st.booleans()):
+        j0, j1 = draw(st.permutations(support))[:2]
+        k = draw(st.integers(0, r))
+        assume(p**k <= min(j0, j1))
+        tied = coeffs[j0] + (kummer_carries(j0, p**k, p) - kummer_carries(j1, p**k, p)) * v_p
+        assume(tied >= 1)
+        coeffs[j1] = tied
+    coeffs[q] = 0
+    return PolynomialValuationProfile(p=p, r=r, v_p=v_p, coeff_valuations=coeffs)
+
+
+def support_ends(p, r):
+    return PolynomialValuationProfile(p=p, r=r, v_p=1, coeff_valuations={1: 1, p**r: 0})
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(profile=tied_profiles())
+@example(profile=support_ends(2, 64))
+@example(profile=support_ends(3, 40))
+# main terms 3, 2, 0 over 1, 2, 4 are collinear: the error term decides
+@example(profile=PolynomialValuationProfile(p=2, r=2, v_p=2, coeff_valuations={3: 3, 4: 0}))
+def test_main_and_error_matches_the_per_k_carry_scan(profile):
+    q, exponents = profile.q, {profile.p**k: k for k in range(profile.r + 1)}
+    for sign in (1, -1):
+        table = main_and_error_oracle(profile, sign)
+        assert main_and_error(profile, sign) == table
+        # the integer surrogate hull selects the Fraction one's vertices
+        hull = lower_hull(
+            (x, table[k][0] + sign * Fraction(table[k][1], q * q)) for x, k in exponents.items()
+        )
+        assert limiting_data(profile, sign).R == tuple(exponents[x] for x, _ in hull.vertices)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

@@ -11,7 +11,6 @@ import pytest
 from ramstab.valuations import (
     PRIME_BOUND,
     _check_prime,
-    binom_valuation,
     format_rational,
     kummer_carries,
     parse_rational,
@@ -76,11 +75,6 @@ class TestKummerCarries:
         assert kummer_carries(9, 9, 3) == 0
         assert kummer_carries(9, 1, 3) == 2
 
-    def test_scaled_by_vp(self):
-        assert binom_valuation(9, 3, 3, 2) == 2
-        assert binom_valuation(9, 9, 3, 2) == 0
-        assert binom_valuation(9, 1, 3, 2) == 4
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
             kummer_carries(3, 5, 3)
@@ -90,8 +84,6 @@ class TestKummerCarries:
             kummer_carries(9, 3, 1)
         with pytest.raises(ValueError):
             kummer_carries(9, -1, 3)
-        with pytest.raises(ValueError):
-            binom_valuation(9, 3, 3, 0)
 
     def test_small_factorial_oracle(self):
         # exhaustive small sweep; the full sweep is an acceptance criterion
