@@ -9,9 +9,8 @@ ramification breaks and elementary-subfield table of the tower.  All
 arithmetic is exact rational.
 """
 
-from .valuations import format_rational, kummer_carries, parse_rational
-from .polygons import NewtonPolygon, below_line, copolygon, lower_hull, slopes
-from .plf import PLFunction, altitude, compose, evaluate, identity_plf, make_plf
+from .valuations import format_rational, parse_rational
+from .polygons import NewtonPolygon, copolygon, lower_hull, slopes
 from .branches import (
     BranchDataError,
     BranchValuationRecord,
@@ -21,7 +20,6 @@ from .branches import (
     estimate_d,
     find_stable_index,
     halving_level,
-    predict_branch,
     stability_screen,
 )
 from .limitdata import (

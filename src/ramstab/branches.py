@@ -16,7 +16,6 @@ a uniformizer base point, where every level is Eisenstein and d = 1.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,7 +31,6 @@ __all__ = [
     "BranchDataError",
     "branch_step_candidates",
     "zero_departure_candidates",
-    "predict_branch",
     "build_record",
     "is_forced_step",
     "halving_level",
@@ -41,8 +39,6 @@ __all__ = [
     "stability_screen",
     "find_stable_index",
 ]
-
-log = logging.getLogger(__name__)
 
 
 class BranchDataError(ValueError):
@@ -256,48 +252,6 @@ def build_record(
         None if v is None else minimal_d_estimate(v, profile.e_ke) for v in vals
     )
     return BranchValuationRecord(valuations=vals, d_estimates=d_estimates)
-
-
-def predict_branch(
-    profile: PolynomialValuationProfile,
-    v_alpha0,
-    choices: Sequence[int] = (),
-    depth: int = 1,
-) -> BranchValuationRecord:
-    """Extend a base valuation through ``depth`` steps of the polygon dynamics.
-
-    Steps with a single candidate are forced; at a step with several
-    candidates the next entry of ``choices`` selects one (index into the
-    decreasing candidate list) and an out-of-range or missing choice fails
-    loudly.  A base valuation of None (a zero base point) takes the step
-    leaving zero first; branches that stay at zero longer are not
-    predicted, so supply their leading None entries to ``build_record``.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    vals = [v_alpha0]
-    queue = list(choices)
-    for step in range(depth):
-        candidates = _step_candidates(profile, vals[-1])
-        if len(candidates) == 1:
-            pick = candidates[0]
-        else:
-            if not queue:
-                raise BranchDataError(
-                    f"step {step} is ambiguous: candidates {[str(c) for c in candidates]}; "
-                    "supply a slope choice"
-                )
-            idx = queue.pop(0)
-            if not 0 <= idx < len(candidates):
-                raise BranchDataError(
-                    f"slope choice {idx} out of range at step {step}: "
-                    f"{len(candidates)} candidates"
-                )
-            pick = candidates[idx]
-        vals.append(pick)
-    if queue:
-        log.warning("unused slope choices: %s", queue)
-    return build_record(profile, vals)
 
 
 def is_forced_step(profile: PolynomialValuationProfile, v: Fraction) -> bool:

@@ -44,7 +44,7 @@ from .limitdata import (
 )
 from .polygons import copolygon
 from .svgplot import render_level_report
-from .valuations import format_rational
+from .valuations import digit_limit, format_rational
 
 log = logging.getLogger(__name__)
 
@@ -260,7 +260,7 @@ def _certified_tower(doc, depth: int):
         raise InputError(
             "depth",
             f"{depth} is past {limit}, the deepest tower of this document whose "
-            f"numbers print within {sys.get_int_max_str_digits()} digits",
+            f"numbers print within {digit_limit()} digits",
         )
     tower = build_tower(model, depth)
     return cert, working, working_data, tower
@@ -317,7 +317,6 @@ def _cmd_plot(args) -> int:
         _emit({"certificate": cert.to_json()}, None)
         return 1
     polygon = level_polygon(doc.profile, working_data, args.depth)
-    dual = copolygon(polygon)
     q, D, size = tower.q, tower.D, tower.size
     E = D * q ** (args.depth - 1)
     xs = [Fraction(x, D) for x in tower.xs]
@@ -326,7 +325,7 @@ def _cmd_plot(args) -> int:
     try:
         svg = render_level_report(
             polygon,
-            (dual.vertices, dual.final_slope),
+            copolygon(polygon),
             (phi, Fraction(1, q)),
             (top, Fraction(1, q**args.depth)),
             args.depth,

@@ -227,8 +227,11 @@ def build_tower(model: LevelModel, depth: int) -> Tower:
 
 
 def _check_deepest(xs: List[int], ys: List[int], Q: int, q: int) -> None:
-    """``PLFunction``'s checks, with its messages, on the function with
-    vertices (x/D, y/(D*Q)), initial slope 1 and final slope 1/(q*Q).
+    """The checks that make a transition function, each with its own
+    message: vertex positions positive and increasing, the first vertex on
+    the initial segment through the origin, and segment slopes positive
+    and strictly decreasing.  They run on the function with vertices
+    (x/D, y/(D*Q)), initial slope 1 and final slope 1/(q*Q).
 
     A slope is kept as a pair (a, b) of positive b with value a/(b*Q), so
     the initial slope is (Q, 1), a segment's is (dy, dx) and the final one

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple
 
-from .plf import PLFunction, make_plf
 from .valuations import format_rational
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "DegenerateHullError",
     "lower_hull",
     "slopes",
-    "below_line",
     "copolygon",
 ]
 
@@ -101,20 +99,9 @@ def slopes(polygon: NewtonPolygon) -> list[Fraction]:
     return _segment_slopes(polygon.vertices)
 
 
-def below_line(p, p_mid, p_end) -> bool:
-    """True iff p_mid lies strictly below the line through p and p_end.
-
-    Exact rational comparison, cross-multiplied; x-coordinates must be
-    strictly increasing.
-    """
-    (x0, y0), (x1, y1), (x2, y2) = p, p_mid, p_end
-    if not (x0 < x1 < x2):
-        raise ValueError("x-coordinates must be strictly increasing")
-    return (y1 - y0) * (x2 - x0) < (y2 - y0) * (x1 - x0)
-
-
-def copolygon(polygon: NewtonPolygon) -> PLFunction:
-    """The dual piecewise-linear function of a Newton polygon.
+def copolygon(polygon: NewtonPolygon) -> Tuple[tuple, Fraction]:
+    """The dual piecewise-linear function of a Newton polygon, as its vertex
+    list and its final slope.
 
     Each polygon segment of slope s contributes one vertex at x = -s; the
     dual's segment slopes are the polygon's vertex x-coordinates in
@@ -128,6 +115,11 @@ def copolygon(polygon: NewtonPolygon) -> PLFunction:
     Only the all-negative-slope case arises for the polygons built by this
     package; mixed-sign slopes would place dual vertices outside x > 0 and
     are rejected (experimental territory, see README).
+
+    The dual is strictly concave by construction: its vertex x-coordinates
+    are the polygon's negated slopes, strictly increasing, and its segment
+    slopes are the polygon's distinct vertex x-coordinates, decreasing.  So
+    every vertex is a genuine slope break and no check is needed.
     """
     verts = polygon.vertices
     if len(verts) < 2:
@@ -151,4 +143,4 @@ def copolygon(polygon: NewtonPolygon) -> PLFunction:
     for j in range(1, v - 1):
         y = y + widths[j] * (xs[j] - xs[j - 1])
         dual_vertices.append((xs[j], y))
-    return make_plf(widths[0], dual_vertices, widths[-1])
+    return tuple(dual_vertices), widths[-1]

@@ -1,4 +1,4 @@
-"""Exact valuations: finite rationals, and base-p carry counts.
+"""Exact valuations: finite rationals, and the prime test.
 
 Every valuation computed by this package is a finite ``fractions.Fraction``.
 No floating point is used anywhere; geometric decisions downstream hinge
@@ -9,9 +9,8 @@ it.  Inside the pipeline a zero coefficient is an index absent from a
 profile's coefficient valuations, and a zero base point is a None entry of
 a branch record.
 
-Also provides the prime test, and the base-p carry walk of Kummer's theorem
-on binomial valuations: the oracle for ``limitdata.main_and_error``, which
-reads those valuations in closed form.
+Also provides the exact prime test below ``PRIME_BOUND`` and
+``digit_limit``, the interpreter's limit on the digits of an int.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from typing import Optional
 __all__ = [
     "parse_rational",
     "format_rational",
-    "kummer_carries",
 ]
 
 RATIONAL_PATTERN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -89,26 +87,3 @@ def _check_prime(p: int) -> bool:
         if x != 1 and all(pow(x, 1 << i, p) != p - 1 for i in range(twos)):
             return False
     return True
-
-
-def kummer_carries(j: int, i: int, p: int) -> int:
-    """Number of carries when adding ``i`` and ``j - i`` in base ``p``.
-
-    This count, times the valuation of ``p``, is the valuation of the
-    binomial coefficient C(j, i) (Kummer's theorem).
-    """
-    if not isinstance(j, int) or not isinstance(i, int):
-        raise ValueError("arguments must be integers")
-    if i < 0 or j < 0 or i > j:
-        raise ValueError(f"need 0 <= i <= j, got i={i}, j={j}")
-    if not _check_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    a, b = i, j - i
-    carries = 0
-    carry = 0
-    while a or b or carry:
-        carry = 1 if a % p + b % p + carry >= p else 0
-        carries += carry
-        a //= p
-        b //= p
-    return carries

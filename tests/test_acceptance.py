@@ -13,20 +13,24 @@ import time
 from fractions import Fraction
 
 from helpers import (
+    altitude,
+    below_line,
     brute_hull_vertex_set,
+    compose,
+    evaluate,
+    kummer_carries,
     legendre_factorial_table,
+    predict_branch,
     random_plf,
     random_point_set,
     random_profile,
 )
 
-from ramstab.branches import build_record, predict_branch
+from ramstab.branches import build_record
 from ramstab.cli import main
 from ramstab.hasseherbrand import breaks_and_subfields, build_tower, level_model
 from ramstab.limitdata import level_polygon, limiting_data_for_branch
-from ramstab.plf import altitude, compose, evaluate
-from ramstab.polygons import below_line, lower_hull
-from ramstab.valuations import kummer_carries
+from ramstab.polygons import lower_hull
 
 from test_cli import UNIFORMIZER, SAMPLE
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import UNIFORMIZER_PROFILE, SAMPLE_PROFILE, random_profile
+from helpers import UNIFORMIZER_PROFILE, SAMPLE_PROFILE, predict_branch, random_profile
 
 from ramstab.branches import (
     BranchDataError,
@@ -16,7 +16,6 @@ from ramstab.branches import (
     find_stable_index,
     halving_level,
     minimal_d_estimate,
-    predict_branch,
     zero_departure_candidates,
 )
 from ramstab.limitdata import complete_record

@@ -11,12 +11,11 @@ from pathlib import Path
 import pytest
 
 from ramstab import branches, cli, hasseherbrand, limitdata, polygons, valuations
-from ramstab.plf import PLFunction
 from ramstab.cli import main
-from ramstab.branches import build_record, predict_branch
+from ramstab.branches import build_record
 from ramstab.inputdoc import InputDocument, load_document
 
-from helpers import tower_json_oracle
+from helpers import predict_branch, tower_json_oracle
 
 REPO = Path(__file__).resolve().parent.parent
 SAMPLE = str(REPO / "src" / "ramstab" / "data" / "sample.json")
@@ -272,7 +271,6 @@ class TestTowerCommands:
             raise AssertionError("breaks must not serialise phi or Phi")
 
         monkeypatch.setattr(cli, "tower_json", no_json)
-        monkeypatch.setattr(PLFunction, "to_json", no_json)
         code, out, _ = run(capsys, "breaks", "--depth", "3", SAMPLE)
         assert code == 0
         assert list(json.loads(out)) == ["depth", "reindex", "breaks", "subfields", "break_scale"]
@@ -367,6 +365,22 @@ class TestTowerCommands:
         assert body.startswith("<svg")
         assert "polyline" in body and "</svg>" in body
 
+    @pytest.mark.parametrize(
+        "fixture, depth, digest",
+        [
+            (SAMPLE, 1, "22aa9c957addbda45493e7d8522df94f8e37fe36c2c60a13fa3b1e2d7a48d7ce"),
+            (SAMPLE, 2, "4603bd0711093a5dbe6caaeef77be233c0b6d0663a7ec5270572b40f1abf6e4a"),
+            (SAMPLE, 3, "0db6789c03636035a3e16749997f00a5863a2c30404a72b2aebd59b16ee99daf"),
+            (UNIFORMIZER, 1, "301db62aebea9cf41c34d7d07d138c2079a64ca61cb6e0f8cff6e736713c6852"),
+            (UNIFORMIZER, 2, "684b79f4c07886606658ac1bdae23cc5d582e74a4c389fffef9f2a039908a02e"),
+            (UNIFORMIZER, 3, "8505452af375d9cb630aec20a00d70bab43ed8ae35ec3cf1b3e9c2190a351b71"),
+        ],
+    )
+    def test_plot_svg_is_pinned(self, capsys, tmp_path, fixture, depth, digest):
+        target = tmp_path / "plot.svg"
+        code, _, _ = run(capsys, "plot", "--depth", str(depth), "--out", str(target), fixture)
+        assert code == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
     def test_plot_too_deep_for_floats_exits_2(self, tmp_path):
         # depth 700 prints within the digit limit, but the SVG's float
@@ -442,7 +456,6 @@ def count_stage_calls(capsys, *argv, code=0):
         "level_model": hasseherbrand.level_model,
         "level_polygon": limitdata.level_polygon,
         "main_and_error": limitdata.main_and_error,
-        "kummer_carries": valuations.kummer_carries,
         "find_stable_index": branches.find_stable_index,
         "format_rational": valuations.format_rational,
         "printable_depth": hasseherbrand.printable_depth,
@@ -477,9 +490,8 @@ class TestStageCounts:
         counts = count_stage_calls(capsys, "certify", SAMPLE)
         assert counts["build_record"] == 1
         assert counts["limiting_data"] == 1
-        # one table for every k, read without the carry walk
+        # one table for every k
         assert counts["main_and_error"] == 1
-        assert counts["kummer_carries"] == 0
         assert counts["lower_hull"] <= 2
         assert counts["find_stable_index"] == 0
         # the two steps of the recorded valuations are validated; the
@@ -583,12 +595,10 @@ class TestStageCounts:
         path.write_text(json.dumps(doc))
         counts = count_stage_calls(capsys, "certify", str(path))
         assert counts["main_and_error"] == 1
-        assert counts["kummer_carries"] == 0
 
     def test_certify_reads_the_long_degree_table_once(self, capsys, tmp_path):
         counts = count_stage_calls(capsys, "certify", long_degree_document(tmp_path))
         assert counts["main_and_error"] == 1
-        assert counts["kummer_carries"] == 0
 
     def test_branch_computes_no_limiting_data(self, capsys):
         counts = count_stage_calls(capsys, "branch", SAMPLE)

@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import UNIFORMIZER_PROFILE, SAMPLE_PROFILE, random_profile
-
-from ramstab.branches import (
-    BranchDataError,
-    build_record,
-    halving_level,
+from helpers import (
+    UNIFORMIZER_PROFILE,
+    SAMPLE_PROFILE,
+    kummer_carries,
     predict_branch,
+    random_profile,
 )
+
+from ramstab.branches import BranchDataError, build_record, halving_level
 from ramstab.limitdata import (
     LimitingRamificationData,
     compute_C,
@@ -23,7 +24,6 @@ from ramstab.limitdata import (
     reindexed_record,
 )
 from ramstab.polygons import lower_hull
-from ramstab.valuations import kummer_carries
 
 
 class TestMainAndError:

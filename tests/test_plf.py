@@ -1,19 +1,18 @@
-"""Piecewise-linear function algebra: evaluation, composition, transforms."""
+"""The piecewise-linear function oracle: evaluation, composition, altitude."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import random_plf
-
-from ramstab.plf import (
+from helpers import (
     PLFunction,
     altitude,
     compose,
     evaluate,
     identity_plf,
     make_plf,
+    random_plf,
 )
 
 UNIFORMIZER_PHI1 = PLFunction(1, ((2, 2),), Fraction(1, 3))

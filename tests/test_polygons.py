@@ -5,17 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_hull_vertex_set, random_point_set
+from helpers import below_line, brute_hull_vertex_set, dual_plf, evaluate, random_point_set
 
 from ramstab.polygons import (
     DegenerateHullError,
     NewtonPolygon,
-    below_line,
     copolygon,
     lower_hull,
     slopes,
 )
-from ramstab.plf import evaluate
 
 
 class TestLowerHull:
@@ -129,18 +127,16 @@ class TestVertexStabilityLemma:
 class TestCopolygon:
     def test_two_segment_dual(self):
         hull = lower_hull([(1, 3), (3, 2), (9, 0)])
-        dual = copolygon(hull)
-        assert dual.vertices == (
-            (Fraction(1, 3), Fraction(3)),
-            (Fraction(1, 2), Fraction(7, 2)),
+        assert copolygon(hull) == (
+            ((Fraction(1, 3), Fraction(3)), (Fraction(1, 2), Fraction(7, 2))),
+            Fraction(1),
         )
-        assert dual.slopes() == [Fraction(9), Fraction(3), Fraction(1)]
+        assert dual_plf(hull).slopes() == [Fraction(9), Fraction(3), Fraction(1)]
 
     def test_single_segment_dual(self):
         hull = lower_hull([(1, 1), (3, 0)])
-        dual = copolygon(hull)
-        assert dual.vertices == ((Fraction(1, 2), Fraction(3, 2)),)
-        assert dual.slopes() == [Fraction(3), Fraction(1)]
+        assert copolygon(hull) == (((Fraction(1, 2), Fraction(3, 2)),), Fraction(1))
+        assert dual_plf(hull).slopes() == [Fraction(3), Fraction(1)]
 
     def test_vertex_count_is_one_less(self):
         rng = random.Random(5)
@@ -150,7 +146,7 @@ class TestCopolygon:
             hull = lower_hull(pts)
             if any(s >= 0 for s in slopes(hull)):
                 continue
-            dual = copolygon(hull)
+            dual = dual_plf(hull)
             assert len(dual.vertices) == len(hull.vertices) - 1
             built += 1
 
@@ -167,7 +163,7 @@ class TestCopolygon:
             if any(s >= 0 for s in slopes(hull)):
                 continue
             assert hull.vertices[-1][1] == 0
-            dual = copolygon(hull)
+            dual = dual_plf(hull)
             for _ in range(20):
                 x = Fraction(rng.randint(0, 60), rng.randint(1, 10))
                 envelope = min(h + w * x for w, h in hull.vertices)
@@ -177,7 +173,7 @@ class TestCopolygon:
     def test_duality_recovers_slope_data(self):
         # applying the dual twice recovers the slope multiset
         hull = lower_hull([(1, 3), (3, 2), (9, 0)])
-        dual = copolygon(hull)
+        dual = dual_plf(hull)
         recovered = sorted(-x for x, _ in dual.vertices)
         assert recovered == sorted(slopes(hull))
         assert sorted(dual.slopes()) == sorted(x for x, _ in hull.vertices)
@@ -196,7 +192,7 @@ class TestSerialization:
         assert hull.to_json() == [[1, "29/9"], [3, "2"], [9, "0"]]
 
     def test_plf_json_fields(self):
-        dual = copolygon(lower_hull([(1, 1), (3, 0)]))
+        dual = dual_plf(lower_hull([(1, 1), (3, 0)]))
         assert dual.to_json() == {
             "initial_slope": "3",
             "vertices": [["1/2", "3/2"]],

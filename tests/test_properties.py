@@ -38,7 +38,6 @@ from ramstab.branches import (
     halving_level,
     is_forced_step,
     minimal_d_estimate,
-    predict_branch,
     zero_departure_candidates,
 )
 from ramstab.certificates import certify, revalidate
@@ -62,17 +61,20 @@ from ramstab.limitdata import (
     main_and_error,
     reindexed_record,
 )
-from ramstab.plf import compose
-from ramstab.polygons import copolygon, lower_hull
-from ramstab.valuations import format_rational, kummer_carries, parse_rational
+from ramstab.polygons import lower_hull
+from ramstab.valuations import format_rational, parse_rational
 
 from helpers import (
     ceiling_halving_level,
+    compose,
+    dual_plf,
     hull_step_candidates,
     hull_stepped_extension,
+    kummer_carries,
     level_vertices,
     main_and_error_oracle,
     phi_oracle,
+    predict_branch,
     tower_json_oracle,
     tower_levels,
     tower_oracle,
@@ -362,7 +364,7 @@ def dual_phi(profile, data, n, d, v_base):
     e_ke*q^n and y by e_ke*q^(n-1), then shifting both, gives phi_n.
     """
     try:
-        dual = copolygon(level_polygon(profile, data, n))
+        dual = dual_plf(level_polygon(profile, data, n))
     except ValueError:
         return None
     q, shift = profile.q, (d - 1) * abs(v_base)

@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from helpers import kummer_carries
+
 from ramstab.valuations import (
     PRIME_BOUND,
     _check_prime,
     format_rational,
-    kummer_carries,
     parse_rational,
 )
 
