@@ -93,14 +93,36 @@ class PolynomialValuationProfile:
         if coeffs.get(q) != 0:
             raise ValueError(f"coeff_valuations[{q}] must be present and 0 (monic)")
 
-    @property
+    # q, the hull and the constants of the level scan depend on the
+    # polynomial alone, so each is computed once per profile
+    @cached_property
     def q(self) -> int:
         return self.p**self.r
 
-    def min_nonleading_valuation(self) -> Optional[int]:
+    @cached_property
+    def coefficient_floor(self) -> Optional[int]:
         """Smallest valuation among nonzero coefficients of index < q; None if none."""
         q = self.q
         return min((v for i, v in self.coeff_valuations.items() if i < q), default=None)
+
+    @cached_property
+    def q_squared(self) -> int:
+        return self.q * self.q
+
+    @cached_property
+    def screen_threshold(self) -> str:
+        """The text of the stability screen's threshold 1/q^2."""
+        return f"1/{self.q_squared}"
+
+    def within_threshold(self, v: Fraction) -> bool:
+        """|v| <= 1/q^2, tested on v = a/b as |a| q^2 <= b."""
+        return abs(v.numerator) * self.q_squared <= v.denominator
+
+    @cached_property
+    def forced_step_bound(self) -> Optional[Fraction]:
+        """q times the smallest root valuation (see ``is_forced_step``); None for x^q."""
+        roots = self.coefficient_hull[1]
+        return self.q * roots[-1] if roots else None
 
     @cached_property
     def coefficient_hull(self) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Fraction, ...]]:
@@ -160,7 +182,7 @@ def branch_step_candidates(profile: PolynomialValuationProfile, v_prev) -> list[
             "use zero_departure_candidates for the step leaving zero"
         )
     vertices, roots = profile.coefficient_hull
-    v = Fraction(v_prev)
+    v = v_prev if type(v_prev) is Fraction else Fraction(v_prev)
     # The slope from (0, v) to vertex j + 1 is a weighted mean of the slope
     # to vertex j and the slope of hull segment j, so it does not rise while
     # segment j's slope is at most the slope to vertex j, i.e. while
@@ -199,10 +221,8 @@ def minimal_d_estimate(v, e_ke: int) -> int:
     ramification index over E to be a multiple of both b and e_ke; assuming
     it equals lcm(b, e_ke) gives d = v * lcm(b, e_ke), an integer.
     """
-    e = math.lcm(v.denominator, e_ke)
-    d = v * e
-    assert d.denominator == 1
-    return d.numerator
+    b = v.denominator
+    return v.numerator * (math.lcm(b, e_ke) // b)
 
 
 def build_record(
@@ -259,8 +279,8 @@ def is_forced_step(profile: PolynomialValuationProfile, v: Fraction) -> bool:
     candidate v/q: the hull of (0, v) and the coefficient points is then one
     segment to (q, 0).  That holds iff v < 0, or P = x^q, or v <= q times
     the smallest root valuation, and it stays true as |v| shrinks."""
-    _vertices, roots = profile.coefficient_hull
-    return v < 0 or not roots or v <= profile.q * roots[-1]
+    bound = profile.forced_step_bound
+    return v < 0 or bound is None or v <= bound
 
 
 def halving_level(profile: PolynomialValuationProfile, record: BranchValuationRecord) -> int:
@@ -312,15 +332,13 @@ def stability_screen(
     the d-estimate; the interpretation is recorded in every emitted
     certificate.
     """
-    p, q = profile.p, profile.q
-    threshold = Fraction(1, q * q)
-    floor = profile.min_nonleading_valuation()
+    p, floor, threshold = profile.p, profile.coefficient_floor, profile.screen_threshold
     if floor is not None:
         below = ("<", str(floor), v < floor)
     else:
         below = ("==", str(v), True)
     return (
-        ("valuation-threshold", str(abs(v)), "<=", str(threshold), abs(v) <= threshold),
+        ("valuation-threshold", str(abs(v)), "<=", threshold, profile.within_threshold(v)),
         ("d-estimate-prime-to-p", str(p), "not-divides", str(abs(d_n)), abs(d_n) % p != 0),
         ("valuation-below-coefficients", str(v), *below),
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 from .branches import (
     BranchValuationRecord,
@@ -176,9 +176,10 @@ def pcb_normal_form(profile: PolynomialValuationProfile) -> Tuple[bool, Optional
 
 
 def composition_criterion(
-    data: LimitingRamificationData, v_base, p: int, q: int
-) -> Tuple[bool, Tuple[CertificateCheck, ...]]:
-    """Sufficient condition for identity segments to cover all earlier vertices.
+    data: LimitingRamificationData, p: int, q: int
+) -> Callable[[int, Fraction], CertificateCheck]:
+    """Sufficient condition for identity segments to cover all earlier vertices,
+    as the check of one level n with base valuation v(a_0) = v: ``check(n, v)``.
 
     Automatic when the limiting polygon has a single slope (V = 2);
     otherwise the steepest limiting slope must beat the shallowest by a
@@ -186,33 +187,23 @@ def composition_criterion(
 
         -q (m_V - m_{V-1}) / (p^{r_V} - p^{r_{V-1}})
             >  -(m_2 - m_1) / (p^{r_2} - p^{r_1})  +  2 |v(a_0)| / (p - 1)
+
+    Every term but the margin's |v(a_0)| is built once, here.
     """
     if data.V == 2:
-        check = CertificateCheck(
-            name="single-limiting-slope",
-            level=None,
-            lhs=str(data.V),
-            op="==",
-            rhs="2",
-            passed=True,
-        )
-        return True, (check,)
+        return lambda n, v: CertificateCheck("single-limiting-slope", n, "2", "==", "2", True)
     lhs = -Fraction(q) * Fraction(
         data.M[-1] - data.M[-2], p ** data.R[-1] - p ** data.R[-2]
     )
-    rhs = -Fraction(data.M[1] - data.M[0], p ** data.R[1] - p ** data.R[0]) + Fraction(
-        2, p - 1
-    ) * abs(v_base)
-    passed = lhs > rhs
-    check = CertificateCheck(
-        name="composition-criterion",
-        level=None,
-        lhs=str(lhs),
-        op=">",
-        rhs=str(rhs),
-        passed=passed,
-    )
-    return passed, (check,)
+    lhs_text = str(lhs)
+    shallowest = -Fraction(data.M[1] - data.M[0], p ** data.R[1] - p ** data.R[0])
+    margin = Fraction(2, p - 1)
+
+    def check(n: int, v: Fraction) -> CertificateCheck:
+        rhs = shallowest + margin * abs(v)
+        return CertificateCheck("composition-criterion", n, lhs_text, ">", str(rhs), lhs > rhs)
+
+    return check
 
 
 def pcb_sufficient(p: int, v_p, v_base) -> bool:
@@ -222,12 +213,6 @@ def pcb_sufficient(p: int, v_p, v_base) -> bool:
     the composition criterion without evaluating it.
     """
     return abs(v_base) < Fraction(p - 1) * v_p / 2
-
-
-def _at_level(checks: Sequence[CertificateCheck], level: int):
-    return tuple(
-        CertificateCheck(c.name, level, c.lhs, c.op, c.rhs, c.passed) for c in checks
-    )
 
 
 def certify(
@@ -248,7 +233,7 @@ def certify(
     passes the screen at level 0 outright, since every level is then
     Eisenstein.
     """
-    p, q = profile.p, profile.q
+    p = profile.p
     est, est_trusted = estimate_d(profile, record)
     if d is not None:
         d_used, d_trusted = d, True
@@ -281,16 +266,15 @@ def certify(
     settled = len(d_estimates)
     while settled and d_estimates[settled - 1] == d_estimates[-1]:
         settled -= 1
+    criterion = composition_criterion(data, p, profile.q)
     for n, v in enumerate(record.valuations):
         if v is None:
             continue
-        level_checks: list[CertificateCheck] = []
-
-        comp_ok, comp_checks = composition_criterion(data, v, p, q)
-        level_checks.extend(_at_level(comp_checks, n))
+        comp = criterion(n, v)
+        checks.append(comp)
 
         if n == 0 and v * profile.e_ke == 1:
-            level_checks.append(
+            checks.append(
                 CertificateCheck(
                     name="uniformizer-base",
                     level=0,
@@ -317,11 +301,10 @@ def certify(
                 for name, lhs, op, rhs, passed in stability_screen(profile, v, d_n)
             )
             screen = (c_threshold, c_settled, c_tame_n, c_below)
-            level_checks.extend(screen)
+            checks.extend(screen)
             screen_ok = all(c.passed for c in screen)
 
-        checks.extend(level_checks)
-        if comp_ok and screen_ok:
+        if comp.passed and screen_ok:
             kind = "TRS" if n == 0 else "PotentiallyTRS"
             return StabilityCertificate(
                 kind=kind,

@@ -34,7 +34,7 @@ from .hasseherbrand import (
     level_model,
     tower_json,
 )
-from .inputdoc import InputError, load_document
+from .inputdoc import InputError, check_r_digits, load_document
 from .limitdata import (
     complete_record,
     compute_C,
@@ -159,6 +159,13 @@ def _from_branch(stage, doc):
         raise InputError("branch_valuations", str(exc)) from exc
 
 
+def _check_threshold(profile) -> None:
+    """Reject an ``r`` whose q^2 has more digits than the limit: the
+    stability screen prints its threshold 1/q^2 at every level it checks."""
+    why = "the stability screen cannot print its threshold 1/q^2"
+    check_r_digits(profile.p, 2 * profile.r, "q^2", why)
+
+
 def _limit_data_payload(path) -> dict:
     doc = load_document(path)
     data, _record, level_for_C = _from_branch(limiting_data_for_branch, doc)
@@ -176,6 +183,7 @@ def _cmd_limit_data(args) -> int:
 def _branch_payload(path) -> dict:
     doc = load_document(path)
     profile = doc.profile
+    _check_threshold(profile)
     record, level_for_C = _from_branch(complete_record, doc)
     d_est, trusted = estimate_d(profile, record)
     return {
@@ -200,6 +208,7 @@ def _cmd_branch(args) -> int:
 def _certify_payload(path) -> tuple[dict, int]:
     doc = load_document(path)
     profile = doc.profile
+    _check_threshold(profile)
     data, record, _n = _from_branch(limiting_data_for_branch, doc)
     cert = certify(profile, record, data, doc.d)
     normal_form, witness = pcb_normal_form(profile)
@@ -248,6 +257,7 @@ def _certified_tower(doc, depth: int):
     tower; all but the certificate are None when it does not certify.
     """
     profile = doc.profile
+    _check_threshold(profile)
     data, record, _n = _from_branch(limiting_data_for_branch, doc)
     cert = certify(profile, record, data, doc.d)
     if not cert.certified:

@@ -24,7 +24,7 @@ from .branches import (
 )
 from .valuations import _check_prime, digit_limit, format_rational, parse_rational
 
-__all__ = ["InputDocument", "InputError", "parse_document", "load_document"]
+__all__ = ["InputDocument", "InputError", "parse_document", "load_document", "check_r_digits"]
 
 INDEX_PATTERN = re.compile(r"[1-9][0-9]*")
 
@@ -75,24 +75,21 @@ def _require_int(obj, field, minimum=None):
     return value
 
 
-def _check_q_digits(p: int, r: int) -> None:
-    """Reject an ``r`` whose q = p^r has more digits than the limit.
+def check_r_digits(p: int, e: int, name: str, why: str) -> None:
+    """Reject an ``r`` whose power ``name`` = p^e has more digits than the
+    limit; ``why`` says what would have to print it.
 
-    A valid document writes its index q, so no valid document has such a q.
-    This is decided before q is computed: since 2^(b-1) <= p < 2^b for the
+    This is decided before p^e is computed: since 2^(b-1) <= p < 2^b for the
     bit length b of p, and 2^(3L) < 10^L < 2^(4L) for the limit L, bit
-    lengths settle every case but a narrow band, where q has fewer than 8L
-    bits and the exact compare is cheap.
+    lengths settle every case but a narrow band, where p^e has fewer than
+    8L bits and the exact compare is cheap.
     """
     limit = digit_limit()
     if not limit:
         return
     b = p.bit_length()
-    if r * (b - 1) >= 4 * limit or (r * b > 3 * limit and p**r >= 10**limit):
-        raise InputError(
-            "r",
-            f"q = {p}^{r} has more than {limit} digits, so no document can write its index q",
-        )
+    if e * (b - 1) >= 4 * limit or (e * b > 3 * limit and p**e >= 10**limit):
+        raise InputError("r", f"{name} = {p}^{e} has more than {limit} digits, so {why}")
 
 
 def _index(key, q: int) -> int:
@@ -139,7 +136,7 @@ def parse_document(obj) -> InputDocument:
     if not prime:
         raise InputError("p", f"{p} is not prime")
     r = _require_int(obj, "r", minimum=1)
-    _check_q_digits(p, r)
+    check_r_digits(p, r, "q", "no document can write its index q")
     v_p = _require_int(obj, "v_p", minimum=1)
     e_ke = _require_int(obj, "e_ke", minimum=1) if "e_ke" in obj else 1
     q = p**r

@@ -129,7 +129,7 @@ def limiting_data(
     main terms are collinear the error must push the candidate vertex the
     same way it does in the exact polygons.
     """
-    q2 = profile.q**2
+    q2 = profile.q_squared
     table = main_and_error(profile, sign)
     exponents = {profile.p**k: k for k in range(profile.r + 1)}
     hull = lower_hull((x, table[k][0] * q2 + sign * table[k][1]) for x, k in exponents.items())
@@ -190,17 +190,21 @@ def complete_record(
     N = halving_level(profile, record)
     vals, q, e = record.valuations, profile.q, profile.e_ke
     v_N = vals[N] if N < len(vals) else zero_departure_candidates(profile)[0]
-    # the estimate changes at every step until it settles, then never again
-    v, level = v_N, N
-    while abs(v) * q * q > 1 or minimal_d_estimate(v, e) != minimal_d_estimate(v / q, e):
-        v /= q
-        level += 1
-    added = tuple(v_N / q ** (n - N) for n in range(len(vals), level + 2))
-    if added:
-        log.info("extended branch record by %d forced steps to length %d", len(added), level + 2)
+    # levels N, N + 1, ... and their estimates; the estimate changes at
+    # every step until it settles, then never again
+    walk = [v_N, v_N / q]
+    estimates = [minimal_d_estimate(v, e) for v in walk]
+    while not profile.within_threshold(walk[-2]) or estimates[-2] != estimates[-1]:
+        walk.append(walk[-1] / q)
+        estimates.append(minimal_d_estimate(walk[-1], e))
+    start = len(vals) - N
+    if start < len(walk):
+        log.info(
+            "extended branch record by %d forced steps to length %d", len(walk) - start, N + len(walk)
+        )
         record = BranchValuationRecord(
-            valuations=vals + added,
-            d_estimates=record.d_estimates + tuple(minimal_d_estimate(w, e) for w in added),
+            valuations=vals + tuple(walk[start:]),
+            d_estimates=record.d_estimates + tuple(estimates[start:]),
         )
     return record, N
 

@@ -6,8 +6,9 @@ factorials, the carry oracle walks base-p digits, the composition oracle
 samples pointwise, the tower JSON oracle formats every level from that
 level's own function, rebuilt by the checked ``PLFunction`` constructor,
 the tower oracle folds the level model in ``Fraction`` arithmetic, the
-branch oracle extends a record one fresh hull per step, and the
-main-and-error oracle scans every p^k with the carry walk.
+branch oracle extends a record one fresh hull per step, the
+main-and-error oracle scans every p^k with the carry walk, and the
+certify oracle builds every level's checks from scratch.
 
 ``PLFunction``, with ``make_plf``, ``evaluate``, ``compose`` and
 ``altitude``, is the general algebra of concave piecewise-linear
@@ -31,7 +32,9 @@ from ramstab.branches import (
     PolynomialValuationProfile,
     _step_candidates,
     build_record,
+    estimate_d,
 )
+from ramstab.certificates import CertificateCheck, StabilityCertificate
 from ramstab.hasseherbrand import TowerInvariantError
 from ramstab.polygons import NewtonPolygon, copolygon, lower_hull
 from ramstab.valuations import _check_prime, format_rational
@@ -533,3 +536,157 @@ def tower_oracle(model, depth):
         )
         for n, phi in enumerate(phis, start=1)
     ]
+
+
+def stability_screen_oracle(profile, v, d_n):
+    """``stability_screen`` as it was before the profile cached its
+    constants: the threshold ``Fraction`` and the floor scan, per level."""
+    p, q = profile.p, profile.q
+    threshold = Fraction(1, q * q)
+    floor = min((w for i, w in profile.coeff_valuations.items() if i < q), default=None)
+    if floor is not None:
+        below = ("<", str(floor), v < floor)
+    else:
+        below = ("==", str(v), True)
+    return (
+        ("valuation-threshold", str(abs(v)), "<=", str(threshold), abs(v) <= threshold),
+        ("d-estimate-prime-to-p", str(p), "not-divides", str(abs(d_n)), abs(d_n) % p != 0),
+        ("valuation-below-coefficients", str(v), *below),
+    )
+
+
+def composition_criterion_oracle(data, v_base, p, q):
+    """The composition criterion of one base valuation, all of its terms
+    built afresh: (passed, (check,)) with no level."""
+    if data.V == 2:
+        check = CertificateCheck(
+            name="single-limiting-slope",
+            level=None,
+            lhs=str(data.V),
+            op="==",
+            rhs="2",
+            passed=True,
+        )
+        return True, (check,)
+    lhs = -Fraction(q) * Fraction(
+        data.M[-1] - data.M[-2], p ** data.R[-1] - p ** data.R[-2]
+    )
+    rhs = -Fraction(data.M[1] - data.M[0], p ** data.R[1] - p ** data.R[0]) + Fraction(
+        2, p - 1
+    ) * abs(v_base)
+    passed = lhs > rhs
+    check = CertificateCheck(
+        name="composition-criterion",
+        level=None,
+        lhs=str(lhs),
+        op=">",
+        rhs=str(rhs),
+        passed=passed,
+    )
+    return passed, (check,)
+
+
+def _at_level(checks, level):
+    return tuple(
+        CertificateCheck(c.name, level, c.lhs, c.op, c.rhs, c.passed) for c in checks
+    )
+
+
+def certify_oracle(profile, record, data, d=None):
+    """``certify`` with every level's checks built from scratch: the
+    composition criterion and the stability screen are evaluated per level
+    and their checks copied to the level, so nothing is shared between
+    levels."""
+    p, q = profile.p, profile.q
+    est, est_trusted = estimate_d(profile, record)
+    if d is not None:
+        d_used, d_trusted = d, True
+    else:
+        d_used, d_trusted = est, est_trusted
+    checks = []
+
+    tame = CertificateCheck(
+        name="d-prime-to-p",
+        level=None,
+        lhs=str(p),
+        op="not-divides",
+        rhs=str(abs(d_used)),
+        passed=abs(d_used) % p != 0,
+    )
+    checks.append(tame)
+    if not tame.passed:
+        return StabilityCertificate(
+            kind="NotCertified",
+            reindex=0,
+            d_used=d_used,
+            d_trusted=d_trusted,
+            conditional_on_d=False,
+            checks=tuple(checks),
+            reason=f"p = {p} divides d = {d_used}; tameness fails",
+        )
+
+    # settled run: from level ``settled`` on, every d-estimate to the end is equal
+    d_estimates = record.d_estimates
+    settled = len(d_estimates)
+    while settled and d_estimates[settled - 1] == d_estimates[-1]:
+        settled -= 1
+    for n, v in enumerate(record.valuations):
+        if v is None:
+            continue
+        level_checks = []
+
+        comp_ok, comp_checks = composition_criterion_oracle(data, v, p, q)
+        level_checks.extend(_at_level(comp_checks, n))
+
+        if n == 0 and v * profile.e_ke == 1:
+            level_checks.append(
+                CertificateCheck(
+                    name="uniformizer-base",
+                    level=0,
+                    lhs=str(v * profile.e_ke),
+                    op="==",
+                    rhs="1",
+                    passed=True,
+                )
+            )
+            screen_ok = True
+        else:
+            d_n = d_estimates[n]
+            run = len(d_estimates) - n if n >= settled else 0
+            c_settled = CertificateCheck(
+                name="d-estimate-settled",
+                level=n,
+                lhs=str(run),
+                op=">=",
+                rhs="2",
+                passed=run >= 2,
+            )
+            c_threshold, c_tame_n, c_below = (
+                CertificateCheck(name, n, lhs, op, rhs, passed)
+                for name, lhs, op, rhs, passed in stability_screen_oracle(profile, v, d_n)
+            )
+            screen = (c_threshold, c_settled, c_tame_n, c_below)
+            level_checks.extend(screen)
+            screen_ok = all(c.passed for c in screen)
+
+        checks.extend(level_checks)
+        if comp_ok and screen_ok:
+            kind = "TRS" if n == 0 else "PotentiallyTRS"
+            return StabilityCertificate(
+                kind=kind,
+                reindex=n,
+                d_used=d_used,
+                d_trusted=d_trusted,
+                conditional_on_d=not d_trusted,
+                checks=tuple(checks),
+            )
+
+    return StabilityCertificate(
+        kind="NotCertified",
+        reindex=0,
+        d_used=d_used,
+        d_trusted=d_trusted,
+        conditional_on_d=not d_trusted,
+        checks=tuple(checks),
+        reason="no recorded level passes both the composition criterion and the stability screen",
+    )

@@ -42,9 +42,9 @@ class TestProfileValidation:
         # a zero coefficient is an absent index
         assert SAMPLE_PROFILE.coeff_valuations.get(2) is None
         assert SAMPLE_PROFILE.coeff_valuations.get(3) == 2
-        assert SAMPLE_PROFILE.min_nonleading_valuation() == 2
+        assert SAMPLE_PROFILE.coefficient_floor == 2
         monomial = PolynomialValuationProfile(p=3, r=1, v_p=1, coeff_valuations={3: 0})
-        assert monomial.min_nonleading_valuation() is None
+        assert monomial.coefficient_floor is None
 
 
 class TestStepCandidates:

@@ -37,28 +37,28 @@ class TestPCBNormalForm:
 class TestCompositionCriterion:
     def test_sample_passes_at_small_base(self):
         data = limiting_data(SAMPLE_PROFILE, 1)
-        ok, checks = composition_criterion(data, Fraction(2, 3), 3, 9)
-        assert ok
-        assert checks[0].lhs == "3" and checks[0].rhs == "7/6"
+        check = composition_criterion(data, 3, 9)(1, Fraction(2, 3))
+        assert check.passed and check.level == 1
+        assert check.lhs == "3" and check.rhs == "7/6"
 
     def test_sample_fails_at_large_base(self):
         data = limiting_data(SAMPLE_PROFILE, 1)
-        ok, checks = composition_criterion(data, 4, 3, 9)
-        assert not ok
-        assert checks[0].lhs == "3" and checks[0].rhs == "9/2"
+        check = composition_criterion(data, 3, 9)(0, Fraction(4))
+        assert not check.passed
+        assert check.lhs == "3" and check.rhs == "9/2"
 
     def test_single_slope_is_automatic(self):
         data = limiting_data(UNIFORMIZER_PROFILE, 1)
-        ok, checks = composition_criterion(data, 1000, 3, 3)
-        assert ok and checks[0].name == "single-limiting-slope"
+        check = composition_criterion(data, 3, 3)(0, Fraction(1000))
+        assert check.passed and check.name == "single-limiting-slope"
 
     def test_degree_p_always_passes(self):
         rng = random.Random(31)
         for _ in range(30):
             profile = random_profile(rng, r=1)
             data = limiting_data(profile, 1)
-            ok, checks = composition_criterion(data, rng.randint(1, 50), profile.p, profile.q)
-            assert ok and checks[0].name == "single-limiting-slope"
+            check = composition_criterion(data, profile.p, profile.q)(0, Fraction(rng.randint(1, 50)))
+            assert check.passed and check.name == "single-limiting-slope"
 
 
 class TestPCBSufficient:
@@ -129,10 +129,9 @@ class TestCertify:
 
         record, data = self.sample_branch()
         cert = certify(SAMPLE_PROFILE, record, data, d=2)
+        check = crit(data, SAMPLE_PROFILE.p, SAMPLE_PROFILE.q)
         for n in range(cert.reindex, len(record.valuations)):
-            v = record.valuations[n]
-            ok, _ = crit(data, v, SAMPLE_PROFILE.p, SAMPLE_PROFILE.q)
-            assert ok
+            assert check(n, record.valuations[n]).passed
 
     def test_reindex_is_at_least_the_stability_screen(self):
         from ramstab.branches import find_stable_index

@@ -1,16 +1,18 @@
 """Command-line surface: outputs, exit codes, plotting, selftest."""
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ramstab import branches, cli, hasseherbrand, limitdata, polygons, valuations
+from ramstab import branches, certificates, cli, hasseherbrand, limitdata, polygons, valuations
 from ramstab.cli import main
 from ramstab.branches import build_record
 from ramstab.inputdoc import InputDocument, load_document
@@ -140,6 +142,37 @@ class TestCertifyCommand:
             sys.set_int_max_str_digits(saved)
         assert code == 2 and out == ""
         assert json.loads(err)["field"] == "r"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no int digit limit"
+    )
+    def test_unprintable_threshold_is_rejected_on_r(self, capsys, tmp_path):
+        # at a 640-digit limit q = 2^1100 prints (332 digits) and q^2 does
+        # not (663): each command that screens levels rejects r before the
+        # limiting data, and limit-data, which prints no q^2, still runs
+        q = 2**1100
+        doc = {
+            "p": 2, "r": 1100, "v_p": 1, "coeff_valuations": {"1": "1", str(q): "0"},
+            "base_valuation": "-1", "branch_valuations": ["-1"], "d": 1,
+        }
+        path = tmp_path / "r1100.json"
+        path.write_text(json.dumps(doc))
+        svg = str(tmp_path / "plot.svg")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for argv in (
+                ["certify"], ["branch"], ["hh", "--depth", "1"], ["breaks", "--depth", "1"],
+                ["plot", "--depth", "1", "--out", svg],
+            ):
+                code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+                assert code == 2 and out == ""
+                assert json.loads(err)["field"] == "r" and "1/q^2" in json.loads(err)["error"]
+            counts = count_stage_calls(capsys, "certify", str(path), code=2)
+            assert counts["limiting_data"] == 0
+            assert run(capsys, "limit-data", str(path))[0] == 0
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     def test_pool_is_imported_only_for_jobs(self):
         paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
@@ -459,8 +492,12 @@ def count_stage_calls(capsys, *argv, code=0):
         "find_stable_index": branches.find_stable_index,
         "format_rational": valuations.format_rational,
         "printable_depth": hasseherbrand.printable_depth,
+        "composition_criterion": certificates.composition_criterion,
+        "stability_screen": branches.stability_screen,
     }
-    counts = dict.fromkeys(originals, 0)
+    # the level scan's constants, cached on the profile
+    cached = ("coefficient_floor", "q_squared", "screen_threshold", "forced_step_bound")
+    counts = dict.fromkeys([*originals, *cached], 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -471,6 +508,11 @@ def count_stage_calls(capsys, *argv, code=0):
 
     wrappers = {name: counting(name, fn) for name, fn in originals.items()}
     with pytest.MonkeyPatch.context() as patch:
+        profile_class = branches.PolynomialValuationProfile
+        for name in cached:
+            counted = functools.cached_property(counting(name, vars(profile_class)[name].func))
+            counted.__set_name__(profile_class, name)
+            patch.setattr(profile_class, name, counted)
         for mod_name, module in list(sys.modules.items()):
             if mod_name != "ramstab" and not mod_name.startswith("ramstab."):
                 continue
@@ -511,6 +553,27 @@ class TestStageCounts:
         path.write_text(json.dumps(doc))
         counts = count_stage_calls(capsys, "certify", str(path))
         assert counts["branch_step_candidates"] == 0
+
+    def test_certify_builds_the_level_constants_once(self, capsys, tmp_path):
+        # v(P_1) = 2 and following the largest root: bases 16 and 76 certify
+        # at levels 10 and 40, so the scan screens levels 0..10 and 0..40;
+        # only the per-level screen grows with the record
+        profile = branches.PolynomialValuationProfile(
+            p=2, r=3, v_p=1, coeff_valuations={1: 2, 3: 4, 5: 1, 6: 3, 8: 0}
+        )
+        screens = []
+        for base, levels in ((16, 10), (76, 40)):
+            record = predict_branch(profile, Fraction(base), [0] * levels, levels)
+            path = tmp_path / f"long{levels}.json"
+            path.write_text(json.dumps(InputDocument(profile, record, d=3).to_json()))
+            counts = count_stage_calls(capsys, "certify", str(path))
+            assert counts["coefficient_floor"] == 1
+            assert counts["q_squared"] == 1
+            assert counts["screen_threshold"] == 1
+            assert counts["forced_step_bound"] == 1
+            assert counts["composition_criterion"] == 1
+            screens.append(counts["stability_screen"])
+        assert screens == [11, 41]
 
     def test_hh(self, capsys):
         counts = count_stage_calls(capsys, "hh", "--depth", "3", SAMPLE)

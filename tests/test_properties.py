@@ -12,7 +12,9 @@ agree with a fresh ``lower_hull`` of the step's points, and record
 completion in closed form agrees with a walk of such hulls, which, walked
 further, changes no d-estimate or certificate verdict.  The one-pass
 limiting-data table agrees with a per-k scan of Kummer carries, and its
-integer surrogate hull with the ``Fraction`` one.  The report
+integer surrogate hull with the ``Fraction`` one.  ``certify``, which
+builds the level scan's constants once, agrees with the oracle that
+builds every level's checks afresh.  The report
 writer prints generated JSON values, prefix views of shared lists
 included, exactly as ``json.dumps(indent=2)``.
 """
@@ -38,6 +40,7 @@ from ramstab.branches import (
     halving_level,
     is_forced_step,
     minimal_d_estimate,
+    stability_screen,
     zero_departure_candidates,
 )
 from ramstab.certificates import certify, revalidate
@@ -66,6 +69,7 @@ from ramstab.valuations import format_rational, parse_rational
 
 from helpers import (
     ceiling_halving_level,
+    certify_oracle,
     compose,
     dual_plf,
     hull_step_candidates,
@@ -75,6 +79,7 @@ from helpers import (
     main_and_error_oracle,
     phi_oracle,
     predict_branch,
+    stability_screen_oracle,
     tower_json_oracle,
     tower_levels,
     tower_oracle,
@@ -304,6 +309,52 @@ def test_closed_form_completion_matches_the_hull_stepped_walk(profile, base, cho
     for n in range(len(completed.valuations)):
         tail = reindexed_record(completed, n)
         assert compute_C(profile, tail, halving_level(profile, tail)) == C / profile.q**n
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    profile=profiles(),
+    base=base_valuations,
+    choices=st.lists(st.integers(0, 1), max_size=4),
+    depth=st.integers(1, 4),
+    d=st.none() | st.integers(-9, 9).filter(bool),
+)
+# a long record: v(P_1) = 2 and base 80, following the largest root, falls
+# by 2 per level for ~40 levels
+@example(
+    profile=PolynomialValuationProfile(
+        p=2, r=3, v_p=1, coeff_valuations={1: 2, 3: 4, 5: 1, 6: 3, 8: 0}
+    ),
+    base=Fraction(80), choices=[0] * 40, depth=45, d=3,
+)
+# x^q: no coefficient floor
+@example(profile=monomial(3, 2), base=Fraction(5), choices=[], depth=2, d=None)
+# the sample fixture, V = 3
+@example(
+    profile=PolynomialValuationProfile(
+        p=3, r=2, v_p=2, coeff_valuations={1: 4, 3: 2, 4: 3, 6: 4, 7: 3, 9: 0}
+    ),
+    base=Fraction(4), choices=[0], depth=2, d=2,
+)
+# a uniformizer base
+@example(
+    profile=PolynomialValuationProfile(p=3, r=1, v_p=1, coeff_valuations={1: 2, 2: 1, 3: 0}),
+    base=Fraction(1), choices=[], depth=2, d=None,
+)
+# a negative base
+@example(profile=monomial(2, 1), base=Fraction(-11), choices=[], depth=1, d=None)
+def test_certify_matches_the_per_level_oracle(profile, base, choices, depth, d):
+    # the level scan reads the profile's cached constants and builds the
+    # composition terms once; the oracle builds every level's checks afresh
+    try:
+        record = predict_branch(profile, base, choices, depth)
+        data, record, _ = limiting_data_for_branch(profile, record)
+    except BranchDataError:
+        assume(False)
+    assert certify(profile, record, data, d) == certify_oracle(profile, record, data, d)
+    for v, d_n in zip(record.valuations, record.d_estimates):
+        if v is not None:
+            assert stability_screen(profile, v, d_n) == stability_screen_oracle(profile, v, d_n)
 
 
 TOWER_DEPTH = 6
