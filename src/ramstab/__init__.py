@@ -7,50 +7,37 @@ polygons, certifies tame ramification stability with machine-checkable
 inequalities, and builds the exact piecewise-linear transition functions,
 ramification breaks and elementary-subfield table of the tower.  All
 arithmetic is exact rational.
+
+Names are re-exported lazily: each module is imported on first use of one
+of its names, so a command loads only the stages it runs.
 """
 
-from .valuations import format_rational, parse_rational
-from .polygons import NewtonPolygon, copolygon, lower_hull, slopes
-from .branches import (
-    BranchDataError,
-    BranchValuationRecord,
-    PolynomialValuationProfile,
-    branch_step_candidates,
-    build_record,
-    estimate_d,
-    find_stable_index,
-    halving_level,
-    stability_screen,
-)
-from .limitdata import (
-    LimitingRamificationData,
-    complete_record,
-    compute_C,
-    level_polygon,
-    limiting_data,
-    limiting_data_for_branch,
-    main_and_error,
-    reindexed_record,
-)
-from .certificates import (
-    CertificateCheck,
-    StabilityCertificate,
-    certify,
-    composition_criterion,
-    pcb_normal_form,
-    pcb_sufficient,
-    revalidate,
-)
-from .hasseherbrand import (
-    Tower,
-    TowerInvariantError,
-    breaks_and_subfields,
-    build_tower,
-    depth_past_limit,
-    level_model,
-    printable_depth,
-    tower_json,
-)
-from .inputdoc import InputDocument, InputError, load_document, parse_document
-
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "valuations": "TowerInvariantError format_rational parse_rational",
+    "polygons": "NewtonPolygon copolygon lower_hull slopes",
+    "branches": "BranchDataError BranchValuationRecord PolynomialValuationProfile "
+    "branch_step_candidates build_record estimate_d find_stable_index halving_level "
+    "stability_screen",
+    "limitdata": "LimitingRamificationData complete_record compute_C level_polygon "
+    "limiting_data limiting_data_for_branch main_and_error reindexed_record",
+    "certificates": "CertificateCheck StabilityCertificate certify composition_criterion "
+    "pcb_normal_form pcb_sufficient revalidate",
+    "hasseherbrand": "Tower breaks_and_subfields build_tower "
+    "depth_past_limit level_model printable_depth tower_json",
+    "inputdoc": "InputDocument InputError load_document parse_document",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import the module that defines ``name`` (PEP 562) and keep the name."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value

@@ -17,10 +17,9 @@ a uniformizer base point, where every level is Eisenstein and d = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .polygons import lower_hull
 from .valuations import _check_prime
@@ -50,36 +49,33 @@ def _leading_zeros(valuations: Sequence[Optional[Fraction]]) -> int:
     return next((n for n, v in enumerate(valuations) if v is not None), len(valuations))
 
 
-@dataclass(frozen=True)
 class PolynomialValuationProfile:
     """Valuation data of a monic degree-q polynomial congruent to x^q mod pi.
 
     ``coeff_valuations`` maps indices 1..q to integer valuations in the
     value group; absent indices are zero coefficients.
     The normalization is v(E) = Z for a subfield E over which the ground
-    field K has ramification index ``e_ke``, and ``v_p`` = v(p).
+    field K has ramification index ``e_ke``, and ``v_p`` = v(p).  Profiles
+    compare by these five fields, and are not changed once built: what
+    depends on them is cached.
     """
 
-    p: int
-    r: int
-    v_p: int
-    coeff_valuations: Mapping[int, int]
-    e_ke: int = 1
-
-    def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 2:
-            raise ValueError(f"p must be an integer >= 2, got {self.p!r}")
-        if not _check_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
-        if not isinstance(self.r, int) or self.r < 1:
-            raise ValueError(f"r must be a positive integer, got {self.r!r}")
-        if not isinstance(self.v_p, int) or self.v_p < 1:
-            raise ValueError(f"v_p must be a positive integer, got {self.v_p!r}")
-        if not isinstance(self.e_ke, int) or self.e_ke < 1:
-            raise ValueError(f"e_ke must be a positive integer, got {self.e_ke!r}")
+    def __init__(
+        self, p: int, r: int, v_p: int, coeff_valuations: Mapping[int, int], e_ke: int = 1
+    ):
+        if not isinstance(p, int) or p < 2:
+            raise ValueError(f"p must be an integer >= 2, got {p!r}")
+        if not _check_prime(p):
+            raise ValueError(f"p={p} is not prime")
+        if not isinstance(r, int) or r < 1:
+            raise ValueError(f"r must be a positive integer, got {r!r}")
+        if not isinstance(v_p, int) or v_p < 1:
+            raise ValueError(f"v_p must be a positive integer, got {v_p!r}")
+        if not isinstance(e_ke, int) or e_ke < 1:
+            raise ValueError(f"e_ke must be a positive integer, got {e_ke!r}")
+        self.p, self.r, self.v_p, self.e_ke = p, r, v_p, e_ke
         q = self.q
-        coeffs = dict(self.coeff_valuations)
-        object.__setattr__(self, "coeff_valuations", coeffs)
+        self.coeff_valuations = coeffs = dict(coeff_valuations)
         for i, v in coeffs.items():
             if not isinstance(i, int) or not 1 <= i <= q:
                 raise ValueError(f"coefficient index {i!r} outside 1..{q}")
@@ -92,6 +88,19 @@ class PolynomialValuationProfile:
                 )
         if coeffs.get(q) != 0:
             raise ValueError(f"coeff_valuations[{q}] must be present and 0 (monic)")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return "PolynomialValuationProfile(p=%r, r=%r, v_p=%r, coeff_valuations=%r, e_ke=%r)" % (
+            self._key()
+        )
+
+    def _key(self):
+        return self.p, self.r, self.v_p, self.coeff_valuations, self.e_ke
 
     # q, the hull and the constants of the level scan depend on the
     # polynomial alone, so each is computed once per profile
@@ -140,8 +149,7 @@ class PolynomialValuationProfile:
         return hull.vertices, tuple(hull.root_valuations())
 
 
-@dataclass(frozen=True)
-class BranchValuationRecord:
+class BranchValuationRecord(NamedTuple):
     """Recorded (and possibly extended) valuations along one branch.
 
     Leading None entries are base points equal to zero; after the first
@@ -236,7 +244,7 @@ def build_record(
     where the later value is not a root valuation of P(x) minus the
     earlier level.
     """
-    vals = tuple(None if v is None else Fraction(v) for v in valuations)
+    vals = tuple(v if v is None or type(v) is Fraction else Fraction(v) for v in valuations)
     if not vals:
         raise BranchDataError("branch valuations must be nonempty")
     seen_finite = False

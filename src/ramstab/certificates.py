@@ -13,9 +13,8 @@ recomputing anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .branches import (
     BranchValuationRecord,
@@ -54,8 +53,7 @@ _OPS = {
 }
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
+class CertificateCheck(NamedTuple):
     """One recorded comparison: exact left/right values, operator, outcome."""
 
     name: str
@@ -98,8 +96,12 @@ def revalidate(certificate: "StabilityCertificate") -> bool:
     )
 
 
-@dataclass(frozen=True)
-class StabilityCertificate:
+_FIELDS = [("kind", str), ("reindex", int), ("d_used", int), ("d_trusted", bool),
+           ("conditional_on_d", bool), ("checks", Tuple[CertificateCheck, ...]),
+           ("interpretation_notes", Tuple[str, ...]), ("reason", Optional[str])]
+
+
+class StabilityCertificate(NamedTuple("StabilityCertificate", _FIELDS)):
     """Outcome of certification with every checked inequality embedded.
 
     kind is "TRS", "PotentiallyTRS" or "NotCertified"; reindex is the level
@@ -108,16 +110,16 @@ class StabilityCertificate:
     holds if the estimate is correct.
     """
 
-    kind: str
-    reindex: int
-    d_used: int
-    d_trusted: bool
-    conditional_on_d: bool
-    checks: Tuple[CertificateCheck, ...]
-    interpretation_notes: Tuple[str, ...] = INTERPRETATION_NOTES
-    reason: Optional[str] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(
+        cls, kind, reindex, d_used, d_trusted, conditional_on_d, checks,
+        interpretation_notes=INTERPRETATION_NOTES, reason=None,
+    ):
+        self = super().__new__(
+            cls, kind, reindex, d_used, d_trusted, conditional_on_d, checks,
+            interpretation_notes, reason,
+        )
         if self.kind not in ("TRS", "PotentiallyTRS", "NotCertified"):
             raise ValueError(f"unknown certificate kind {self.kind!r}")
         if self.kind == "TRS":
@@ -135,6 +137,7 @@ class StabilityCertificate:
             ]
             if bad:
                 raise ValueError(f"certified level has failed checks: {bad[0].rendered}")
+        return self
 
     @property
     def certified(self) -> bool:

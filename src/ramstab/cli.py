@@ -5,7 +5,13 @@ Exit codes: 0 success, 1 not-certified, tower invariant abort or a
 closed stdout, 2 malformed or unreadable input, a bad command line, or a
 --depth too deep to print or plot.  Logging verbosity
 comes from the RAMSTAB_LOG environment variable (error/warn/info/debug);
-there are no logging flags.
+there are no logging flags.  The package emits only info and debug
+records, so ``logging`` is imported, and configured, only when RAMSTAB_LOG
+is info or debug.
+
+A command imports only the stages it runs: the tower module for hh,
+breaks and plot, the SVG writer for plot, and the bundled-data reader for
+selftest.
 """
 
 from __future__ import annotations
@@ -13,27 +19,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
-from importlib import resources
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from .branches import BranchDataError, estimate_d, find_stable_index
 from .certificates import certify, pcb_normal_form, pcb_sufficient
-from .hasseherbrand import (
-    Prefix,
-    TowerInvariantError,
-    breaks_and_subfields,
-    build_tower,
-    depth_past_limit,
-    level_model,
-    tower_json,
-)
 from .inputdoc import InputError, check_r_digits, load_document
 from .limitdata import (
     complete_record,
@@ -42,18 +35,7 @@ from .limitdata import (
     limiting_data_for_branch,
     reindexed_record,
 )
-from .polygons import copolygon
-from .svgplot import render_level_report
-from .valuations import digit_limit, format_rational
-
-log = logging.getLogger(__name__)
-
-_LOG_LEVELS = {
-    "error": logging.ERROR,
-    "warn": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
+from .valuations import Prefix, TowerInvariantError, digit_limit, format_rational, logger
 
 REPORT_NOTES = [
     "d estimates assume minimal ramification at each level and are advisory",
@@ -61,8 +43,11 @@ REPORT_NOTES = [
 
 
 def _configure_logging():
-    name = os.environ.get("RAMSTAB_LOG", "warn").lower()
-    logging.basicConfig(level=_LOG_LEVELS.get(name, logging.WARNING))
+    level = os.environ.get("RAMSTAB_LOG", "warn").upper()
+    if level in ("INFO", "DEBUG"):
+        import logging
+
+        logging.basicConfig(level=level)
 
 
 def _positive_int(text: str) -> int:
@@ -140,7 +125,8 @@ def _render(payload: dict) -> str:
 def _emit(payload: dict, out: str | None) -> None:
     text = _render(payload)
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -256,6 +242,8 @@ def _certified_tower(doc, depth: int):
     Returns the certificate, the working record, its limiting data and the
     tower; all but the certificate are None when it does not certify.
     """
+    from .hasseherbrand import build_tower, depth_past_limit, level_model
+
     profile = doc.profile
     _check_threshold(profile)
     data, record, _n = _from_branch(limiting_data_for_branch, doc)
@@ -263,7 +251,7 @@ def _certified_tower(doc, depth: int):
     if not cert.certified:
         return cert, None, None, None
     working = reindexed_record(record, cert.reindex)
-    working_data = replace(data, C=data.C / profile.q**cert.reindex)
+    working_data = data._replace(C=data.C / profile.q**cert.reindex)
     model = level_model(profile, working_data, cert.d_used, working.first_finite())
     limit = depth_past_limit(model, depth)
     if limit is not None:
@@ -278,6 +266,8 @@ def _certified_tower(doc, depth: int):
 
 def _breaks_payload(cert, tower) -> dict:
     """What ``breaks`` and ``hh`` both print: depth, reindex, breaks and subfields."""
+    from .hasseherbrand import breaks_and_subfields
+
     return {
         "depth": tower.depth,
         "reindex": cert.reindex,
@@ -289,6 +279,8 @@ def _hh_payload(path, depth: int) -> tuple[dict, int]:
     cert, working, working_data, tower = _certified_tower(load_document(path), depth)
     if tower is None:
         return {"certificate": cert.to_json()}, 1
+    from .hasseherbrand import tower_json
+
     shared = _breaks_payload(cert, tower)
     payload = {
         "depth": shared.pop("depth"),
@@ -321,6 +313,9 @@ def _cmd_breaks(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from .polygons import copolygon
+    from .svgplot import render_level_report
+
     doc = load_document(args.input)
     cert, _working, working_data, tower = _certified_tower(doc, args.depth)
     if tower is None:
@@ -344,12 +339,18 @@ def _cmd_plot(args) -> int:
         raise InputError(
             "depth", f"{args.depth} is too deep to plot: the tower's coordinates overflow a float"
         ) from exc
-    Path(args.out).write_text(svg)
-    log.info("wrote %s", args.out)
+    with open(args.out, "w") as fh:
+        fh.write(svg)
+    log = logger(__name__, "INFO")
+    if log:
+        log.info("wrote %s", args.out)
     return 0
 
 
-def _bundled(name: str) -> Path:
+def _bundled(name: str):
+    from importlib import resources
+    from pathlib import Path
+
     return Path(str(resources.files("ramstab").joinpath("data", name)))
 
 

@@ -43,15 +43,13 @@ subfield (v(E) = Z).
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .branches import PolynomialValuationProfile
 from .limitdata import LimitingRamificationData
-from .valuations import digit_limit, format_rational
+from .valuations import Prefix, TowerInvariantError, digit_limit, format_rational, logger
 
 __all__ = [
     "LevelModel",
@@ -65,21 +63,10 @@ __all__ = [
     "breaks_and_subfields",
 ]
 
-log = logging.getLogger(__name__)
-
 # LOG2_10_NUM / LOG2_10_DEN = 3.321928094 < log2(10)
 LOG2_10_NUM, LOG2_10_DEN = 3321928094, 10**9
 
 
-class TowerInvariantError(RuntimeError):
-    """A structural property of the tower failed; names the violated property."""
-
-    def __init__(self, prop: str, detail: str):
-        self.prop = prop
-        super().__init__(f"tower invariant '{prop}' violated: {detail}")
-
-
-@dataclass(frozen=True)
 class LevelModel:
     """phi_n at every level n at once: its j-th vertex is
     (ax * q^n + bx, ay * q^n + by) for the j-th entry (ax, bx, ay, by) of
@@ -87,25 +74,28 @@ class LevelModel:
 
     The same coefficients over their common denominator ``D``: that vertex
     is (AX[j] * q^n + BX[j], AY[j] * q^n + BY[j]) / D, with integer
-    numerators computed once per model.
+    numerators computed once per model.  Models compare by (q, shift,
+    coefficients).
     """
 
-    q: int
-    shift: Fraction
-    coefficients: Tuple[Tuple[Fraction, Fraction, Fraction, Fraction], ...]
-    D: int = field(init=False, repr=False, compare=False)
-    AX: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    BX: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    AY: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    BY: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("q", "shift", "coefficients", "D", "AX", "BX", "AY", "BY")
 
-    def __post_init__(self):
-        D = math.lcm(*(c.denominator for row in self.coefficients for c in row))
-        object.__setattr__(self, "D", D)
-        for name, column in zip(("AX", "BX", "AY", "BY"), zip(*self.coefficients)):
-            object.__setattr__(
-                self, name, tuple(c.numerator * (D // c.denominator) for c in column)
-            )
+    def __init__(
+        self, q: int, shift: Fraction, coefficients: Tuple[Tuple[Fraction, ...], ...]
+    ):
+        self.q, self.shift, self.coefficients = q, shift, coefficients
+        self.D = D = math.lcm(*(c.denominator for row in coefficients for c in row))
+        self.AX, self.BX, self.AY, self.BY = (
+            tuple(c.numerator * (D // c.denominator) for c in column)
+            for column in zip(*coefficients)
+        )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.q, self.shift, self.coefficients) == (
+            other.q, other.shift, other.coefficients
+        )
 
     def numerators(self, n: int) -> Tuple[List[int], List[int]]:
         """The x and the y numerators over D of phi_n's vertices, once the
@@ -127,8 +117,7 @@ class LevelModel:
         return xs, [a * q_n + b for a, b in zip(self.AY, self.BY)]
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(NamedTuple):
     """The tower to its depth, on integer numerators.
 
     ``xs`` and ``ys`` are the vertices of the deepest function, x over
@@ -206,7 +195,7 @@ def build_tower(model: LevelModel, depth: int) -> Tower:
     phi_ys: List[int] = []  # each level's own y, over D
     x_last = alt = 0
     scale = Q  # q^(depth - n) at level n
-    debug = log.isEnabledFor(logging.DEBUG)
+    log = logger(__name__, "DEBUG")
     for n in range(1, depth + 1):
         level_xs, level_ys = model.numerators(n)
         if level_xs[0] <= x_last:
@@ -220,7 +209,7 @@ def build_tower(model: LevelModel, depth: int) -> Tower:
         phi_ys.extend(level_ys)
         x_last, alt = xs[-1], ys[-1]
         scale //= q
-        if debug:
+        if log:
             log.debug("tower level %d: %d breaks, altitude %s", n, len(xs), Fraction(alt, D * Q))
     _check_deepest(xs, ys, Q, q)
     return Tower(q, D, len(model.coefficients), tuple(xs), tuple(ys), tuple(phi_ys))
@@ -248,16 +237,6 @@ def _check_deepest(xs: List[int], ys: List[int], Q: int, q: int) -> None:
         raise ValueError("all segment slopes must be positive")
     if any(a1 * b0 >= a0 * b1 for (a0, b0), (a1, b1) in zip(slopes, slopes[1:])):
         raise ValueError("segment slopes must be strictly decreasing (strict concavity)")
-
-
-class Prefix(list):
-    """``whole[:end]``, which also names the list it was cut from."""
-
-    __slots__ = ("whole",)
-
-    def __init__(self, whole: list, end: int):
-        super().__init__(whole[:end])
-        self.whole = whole
 
 
 def tower_json(tower: Tower, breaks: List[str]) -> dict:

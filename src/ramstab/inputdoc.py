@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .branches import (
     BranchDataError,
@@ -37,8 +35,7 @@ class InputError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-@dataclass(frozen=True)
-class InputDocument:
+class InputDocument(NamedTuple):
     """Validated input: the coefficient-valuation profile, the validated
     branch record and the caller's d, if given."""
 
@@ -211,7 +208,8 @@ def load_document(path) -> InputDocument:
     A missing or unreadable file is reported against the document root "$".
     """
     try:
-        text = Path(path).read_text()
+        with open(path) as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError("$", f"cannot read the document: {exc}") from exc
     try:

@@ -15,10 +15,8 @@ cross-checks the surrogate against exact level polygons.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .branches import (
     BranchDataError,
@@ -29,7 +27,7 @@ from .branches import (
     zero_departure_candidates,
 )
 from .polygons import NewtonPolygon, lower_hull
-from .valuations import format_rational
+from .valuations import format_rational, logger
 
 __all__ = [
     "LimitingRamificationData",
@@ -42,11 +40,11 @@ __all__ = [
     "reindexed_record",
 ]
 
-log = logging.getLogger(__name__)
+_FIELDS = [("V", int), ("R", Tuple[int, ...]), ("M", Tuple[int, ...]), ("E", Tuple[int, ...]),
+           ("sign", int), ("C", Optional[Fraction])]
 
 
-@dataclass(frozen=True)
-class LimitingRamificationData:
+class LimitingRamificationData(NamedTuple("LimitingRamificationData", _FIELDS)):
     """Vertex data shared by all stable-regime polygons of one branch.
 
     V vertices sit over p^{r_1} < ... < p^{r_V} with heights
@@ -54,14 +52,10 @@ class LimitingRamificationData:
     C is branch-dependent and may be absent.
     """
 
-    V: int
-    R: Tuple[int, ...]
-    M: Tuple[int, ...]
-    E: Tuple[int, ...]
-    sign: int
-    C: Optional[Fraction] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, V, R, M, E, sign, C=None):
+        self = super().__new__(cls, V, R, M, E, sign, C)
         if self.V != len(self.R) or self.V != len(self.M) or self.V != len(self.E):
             raise ValueError("R, M, E must each have V entries")
         if self.V < 2:
@@ -76,6 +70,10 @@ class LimitingRamificationData:
             raise ValueError("main terms and error factors are nonnegative")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        return self
+
+    # ``_replace``, which attaches C, builds through ``_make``: validate that path too
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def to_json(self) -> dict:
         return {
@@ -199,9 +197,12 @@ def complete_record(
         estimates.append(minimal_d_estimate(walk[-1], e))
     start = len(vals) - N
     if start < len(walk):
-        log.info(
-            "extended branch record by %d forced steps to length %d", len(walk) - start, N + len(walk)
-        )
+        log = logger(__name__, "INFO")
+        if log:
+            log.info(
+                "extended branch record by %d forced steps to length %d",
+                len(walk) - start, N + len(walk),
+            )
         record = BranchValuationRecord(
             valuations=vals + tuple(walk[start:]),
             d_estimates=record.d_estimates + tuple(estimates[start:]),
@@ -218,7 +219,7 @@ def limiting_data_for_branch(
     used to read off C.
     """
     record, N = complete_record(profile, record)
-    data = replace(limiting_data(profile, record.sign), C=compute_C(profile, record, N))
+    data = limiting_data(profile, record.sign)._replace(C=compute_C(profile, record, N))
     return data, record, N
 
 

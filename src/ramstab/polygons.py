@@ -9,9 +9,8 @@ never vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 from .valuations import format_rational
 
@@ -28,19 +27,19 @@ class DegenerateHullError(ValueError):
     """Raised when fewer than two points are given to hull."""
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
-    """Lower convex hull, stored as its strictly convex vertex list.
+class NewtonPolygon(NamedTuple("NewtonPolygon", [("vertices", tuple)])):
+    """Lower convex hull, stored as its strictly convex vertex list
+    ``vertices``, a tuple of (x, y) pairs.
 
     x-coordinates are strictly increasing integers; heights are finite
     rationals; segment slopes are strictly increasing.
     """
 
-    vertices: Tuple[Tuple[int, Fraction], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        verts = tuple(self.vertices)
-        object.__setattr__(self, "vertices", verts)
+    def __new__(cls, vertices):
+        self = super().__new__(cls, tuple(vertices))
+        verts = self.vertices
         if not verts:
             raise ValueError("a Newton polygon needs at least one vertex")
         xs = [x for x, _ in verts]
@@ -49,6 +48,7 @@ class NewtonPolygon:
         segs = _segment_slopes(verts)
         if any(b <= a for a, b in zip(segs, segs[1:])):
             raise ValueError("segment slopes must be strictly increasing (strict convexity)")
+        return self
 
     def slopes(self) -> list[Fraction]:
         return slopes(self)

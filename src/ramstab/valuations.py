@@ -9,8 +9,11 @@ it.  Inside the pipeline a zero coefficient is an index absent from a
 profile's coefficient valuations, and a zero base point is a None entry of
 a branch record.
 
-Also provides the exact prime test below ``PRIME_BOUND`` and
-``digit_limit``, the interpreter's limit on the digits of an int.
+Also provides the exact prime test below ``PRIME_BOUND``,
+``digit_limit``, the interpreter's limit on the digits of an int, and
+what the report writer shares with the tower: ``Prefix`` and
+``TowerInvariantError``, kept here so that ``cli`` imports no tower module
+for the commands that build no tower.
 """
 
 from __future__ import annotations
@@ -45,6 +48,21 @@ def parse_rational(text: str) -> Optional[Fraction]:
     if den and int(den) == 0:
         raise ValueError(f"zero denominator in {text!r}")
     return Fraction(int(num), int(den or 1))
+
+
+def logger(name: str, level: str):
+    """The logger ``name`` if ``logging`` is loaded and it is enabled for
+    ``level``, else None.
+
+    The package emits only info and debug records, and ``cli.main`` loads
+    ``logging`` only when RAMSTAB_LOG asks for them; before that nothing is
+    configured, so those records would be dropped anyway.
+    """
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    log = logging.getLogger(name)
+    return log if log.isEnabledFor(getattr(logging, level)) else None
 
 
 def digit_limit() -> int:
@@ -87,3 +105,21 @@ def _check_prime(p: int) -> bool:
         if x != 1 and all(pow(x, 1 << i, p) != p - 1 for i in range(twos)):
             return False
     return True
+
+
+class TowerInvariantError(RuntimeError):
+    """A structural property of the tower failed; names the violated property."""
+
+    def __init__(self, prop: str, detail: str):
+        self.prop = prop
+        super().__init__(f"tower invariant '{prop}' violated: {detail}")
+
+
+class Prefix(list):
+    """``whole[:end]``, which also names the list it was cut from."""
+
+    __slots__ = ("whole",)
+
+    def __init__(self, whole: list, end: int):
+        super().__init__(whole[:end])
+        self.whole = whole

@@ -303,7 +303,8 @@ class TestTowerCommands:
         def no_json(self):
             raise AssertionError("breaks must not serialise phi or Phi")
 
-        monkeypatch.setattr(cli, "tower_json", no_json)
+        # cli imports the tower module's names when a tower command runs
+        monkeypatch.setattr(hasseherbrand, "tower_json", no_json)
         code, out, _ = run(capsys, "breaks", "--depth", "3", SAMPLE)
         assert code == 0
         assert list(json.loads(out)) == ["depth", "reindex", "breaks", "subfields", "break_scale"]
@@ -365,7 +366,7 @@ class TestTowerCommands:
         def no_tower(*args):
             raise AssertionError("the tower must not be built")
 
-        monkeypatch.setattr(cli, "build_tower", no_tower)
+        monkeypatch.setattr(hasseherbrand, "build_tower", no_tower)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         payload = json.loads(err)

@@ -2,7 +2,6 @@
 
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -253,7 +252,7 @@ class TestBuildTower:
         # a huge error coefficient makes the steep first segment of the
         # level-1 function reach past the identity region of the next one
         data, _ = sample_data_rebased()
-        broken = replace(data, C=Fraction(100))
+        broken = data._replace(C=Fraction(100))
         with pytest.raises(TowerInvariantError) as err:
             build_tower(level_model(SAMPLE_PROFILE, broken, 2, Fraction(2, 3)), 3)
         assert err.value.prop == "composition-gap"

@@ -20,7 +20,6 @@ included, exactly as ``json.dumps(indent=2)``.
 """
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -387,7 +386,7 @@ def test_certificates_revalidate_and_towers_match_compose(profile, base, choices
     if not cert.certified:
         return
     working = reindexed_record(record, cert.reindex)
-    working_data = replace(data, C=compute_C(profile, working, halving_level(profile, working)))
+    working_data = data._replace(C=compute_C(profile, working, halving_level(profile, working)))
     model = level_model(profile, working_data, cert.d_used, working.first_finite())
     try:
         tower = build_tower(model, TOWER_DEPTH)
@@ -460,7 +459,7 @@ def test_phi_is_the_scaled_dual_of_the_level_polygon(profile, base, choices, dep
     if not cert.certified:
         return
     working = reindexed_record(record, cert.reindex)
-    working_data = replace(data, C=compute_C(profile, working, halving_level(profile, working)))
+    working_data = data._replace(C=compute_C(profile, working, halving_level(profile, working)))
     v_base = working.first_finite()
     expected = [
         dual_phi(profile, working_data, n, cert.d_used, v_base)
@@ -528,7 +527,7 @@ def test_integer_tower_matches_the_fraction_fold(profile, base, choices, depth, 
     if not cert.certified:
         return
     working = reindexed_record(record, cert.reindex)
-    working_data = replace(data, C=compute_C(profile, working, halving_level(profile, working)))
+    working_data = data._replace(C=compute_C(profile, working, halving_level(profile, working)))
     model = level_model(profile, working_data, cert.d_used, working.first_finite())
     for tower_depth in range(1, 13):
         assert_tower_matches_oracle(model, tower_depth)
