@@ -134,6 +134,11 @@ class PolynomialValuationProfile:
         return self.q * roots[-1] if roots else None
 
     @cached_property
+    def root_pairs(self) -> Tuple[Tuple[int, int], ...]:
+        """The root valuations as (numerator, denominator) pairs."""
+        return tuple((v.numerator, v.denominator) for v in self.coefficient_hull[1])
+
+    @cached_property
     def coefficient_hull(self) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Fraction, ...]]:
         """Vertices of the lower hull of the coefficient points (i, v(P_i)) and
         its root valuations (negated segment slopes, decreasing).
@@ -174,36 +179,47 @@ class BranchValuationRecord(NamedTuple):
         return next((v for v in self.valuations if v is not None), None)
 
 
+def _tangent_step(profile: PolynomialValuationProfile, v: Fraction) -> Tuple[int, int, int]:
+    """The step from a finite v as (j, a, b): the candidates are a/b (b > 0,
+    not always in lowest terms), the negated slope of the tangent from
+    (0, v) to the coefficient hull's vertex j, and the root valuations
+    from ``coefficient_hull[1][j]`` on.
+
+    The slope from (0, v) to vertex j + 1 is a weighted mean of the slope
+    to vertex j and the slope of hull segment j, so it does not rise while
+    roots[j] >= a/b, compared on integers.  Ties advance: collinear points
+    are never vertices, so the tangent vertex is the last of least slope.
+    """
+    vertices = profile.coefficient_hull[0]
+    n, d = v.numerator, v.denominator
+    x, y = vertices[0]
+    a, b = n - y * d, x * d
+    j = 0
+    for root_n, root_d in profile.root_pairs:
+        if root_n * b < a * root_d:
+            break
+        j += 1
+        x, y = vertices[j]
+        a, b = n - y * d, x * d
+    return j, a, b
+
+
 def branch_step_candidates(profile: PolynomialValuationProfile, v_prev) -> list[Fraction]:
     """Possible valuations of a_n given v(a_{n-1}) = v_prev, in decreasing order.
 
     These are the negated slopes of the lower hull of (0, v_prev) together
-    with the coefficient points (i, v(P_i)); the constant coefficient of
-    P(x) - a_{n-1} is -a_{n-1} exactly, so no cancellation can occur and the
-    candidate list is exact.  That hull is the tangent from (0, v_prev) to
-    the profile's coefficient hull followed by the coefficient hull's
-    segments beyond the tangent vertex.
+    with the coefficient points (i, v(P_i)), as ``_tangent_step`` finds
+    them; the constant coefficient of P(x) - a_{n-1} is -a_{n-1} exactly, so
+    no cancellation can occur and the candidate list is exact.
     """
     if v_prev is None:
         raise BranchDataError(
             "previous valuation is infinite (zero base point); "
             "use zero_departure_candidates for the step leaving zero"
         )
-    vertices, roots = profile.coefficient_hull
     v = v_prev if type(v_prev) is Fraction else Fraction(v_prev)
-    # The slope from (0, v) to vertex j + 1 is a weighted mean of the slope
-    # to vertex j and the slope of hull segment j, so it does not rise while
-    # segment j's slope is at most the slope to vertex j, i.e. while
-    # roots[j] >= first.  Ties advance: collinear points are never vertices,
-    # so the tangent vertex is the last vertex of least slope.
-    x, y = vertices[0]
-    first = (v - y) / x
-    j = 0
-    while j < len(roots) and roots[j] >= first:
-        j += 1
-        x, y = vertices[j]
-        first = (v - y) / x
-    return [first, *roots[j:]]
+    j, a, b = _tangent_step(profile, v)
+    return [Fraction(a, b), *profile.coefficient_hull[1][j:]]
 
 
 def zero_departure_candidates(profile: PolynomialValuationProfile) -> list[Fraction]:
@@ -257,12 +273,12 @@ def build_record(
                     "(a branch cannot return to zero)"
                 )
             continue
-        if v == 0:
+        if not v.numerator:
             raise BranchDataError(f"valuations[{n}] is zero; base points of valuation 0 are not supported")
         if not seen_finite:
-            sign = 1 if v > 0 else -1
+            sign = 1 if v.numerator > 0 else -1
             seen_finite = True
-        elif (1 if v > 0 else -1) != sign:
+        elif (1 if v.numerator > 0 else -1) != sign:
             raise BranchDataError(
                 f"valuations[{n}] = {v} has the opposite sign of the first nonzero valuation"
             )
@@ -270,8 +286,15 @@ def build_record(
         prev, nxt = vals[n], vals[n + 1]
         if nxt is None:
             continue
-        candidates = _step_candidates(profile, prev)
-        if nxt not in candidates:
+        if prev is None:
+            accepted = nxt in zero_departure_candidates(profile)
+        else:
+            j, a, b = _tangent_step(profile, prev)
+            accepted = (
+                nxt.numerator * b == a * nxt.denominator or nxt in profile.coefficient_hull[1][j:]
+            )
+        if not accepted:
+            candidates = _step_candidates(profile, prev)
             raise BranchDataError(
                 f"valuations[{n + 1}] = {nxt} is not a root valuation at step {n}; "
                 f"the polygon allows {[str(c) for c in candidates]}"
@@ -288,7 +311,8 @@ def is_forced_step(profile: PolynomialValuationProfile, v: Fraction) -> bool:
     segment to (q, 0).  That holds iff v < 0, or P = x^q, or v <= q times
     the smallest root valuation, and it stays true as |v| shrinks."""
     bound = profile.forced_step_bound
-    return v < 0 or bound is None or v <= bound
+    n = v.numerator
+    return n < 0 or bound is None or n * bound.denominator <= bound.numerator * v.denominator
 
 
 def halving_level(profile: PolynomialValuationProfile, record: BranchValuationRecord) -> int:
@@ -341,14 +365,15 @@ def stability_screen(
     certificate.
     """
     p, floor, threshold = profile.p, profile.coefficient_floor, profile.screen_threshold
+    n, text = v.numerator, str(v)
     if floor is not None:
-        below = ("<", str(floor), v < floor)
+        below = ("<", str(floor), n < floor * v.denominator)
     else:
-        below = ("==", str(v), True)
+        below = ("==", text, True)
     return (
-        ("valuation-threshold", str(abs(v)), "<=", threshold, profile.within_threshold(v)),
-        ("d-estimate-prime-to-p", str(p), "not-divides", str(abs(d_n)), abs(d_n) % p != 0),
-        ("valuation-below-coefficients", str(v), *below),
+        ("valuation-threshold", text.lstrip("-"), "<=", threshold, profile.within_threshold(v)),
+        ("d-estimate-prime-to-p", str(p), "not-divides", str(abs(d_n)), d_n % p != 0),
+        ("valuation-below-coefficients", text, *below),
     )
 
 

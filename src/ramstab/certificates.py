@@ -14,6 +14,7 @@ recomputing anything.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from .branches import (
@@ -191,20 +192,29 @@ def composition_criterion(
         -q (m_V - m_{V-1}) / (p^{r_V} - p^{r_{V-1}})
             >  -(m_2 - m_1) / (p^{r_2} - p^{r_1})  +  2 |v(a_0)| / (p - 1)
 
-    Every term but the margin's |v(a_0)| is built once, here.
+    Every term but the margin's |v(a_0)| is built once, here.  With the
+    shallowest slope s/t and v = a/b, the right side is (s (p-1) b + 2 t |a|)
+    / (t (p-1) b), reduced on integers and printed as ``str(Fraction)`` would.
     """
     if data.V == 2:
         return lambda n, v: CertificateCheck("single-limiting-slope", n, "2", "==", "2", True)
     lhs = -Fraction(q) * Fraction(
         data.M[-1] - data.M[-2], p ** data.R[-1] - p ** data.R[-2]
     )
-    lhs_text = str(lhs)
+    lhs_text, lhs_num, lhs_den = str(lhs), lhs.numerator, lhs.denominator
     shallowest = -Fraction(data.M[1] - data.M[0], p ** data.R[1] - p ** data.R[0])
-    margin = Fraction(2, p - 1)
+    s, t = shallowest.numerator, shallowest.denominator
+    s_p, t_p, twice_t = s * (p - 1), t * (p - 1), 2 * t
 
     def check(n: int, v: Fraction) -> CertificateCheck:
-        rhs = shallowest + margin * abs(v)
-        return CertificateCheck("composition-criterion", n, lhs_text, ">", str(rhs), lhs > rhs)
+        b = v.denominator
+        top, bottom = s_p * b + twice_t * abs(v.numerator), t_p * b
+        g = gcd(top, bottom)
+        top, bottom = top // g, bottom // g
+        rhs = f"{top}/{bottom}" if bottom != 1 else str(top)
+        return CertificateCheck(
+            "composition-criterion", n, lhs_text, ">", rhs, lhs_num * bottom > top * lhs_den
+        )
 
     return check
 
@@ -238,31 +248,20 @@ def certify(
     """
     p = profile.p
     est, est_trusted = estimate_d(profile, record)
-    if d is not None:
-        d_used, d_trusted = d, True
-    else:
-        d_used, d_trusted = est, est_trusted
-    checks: list[CertificateCheck] = []
-
-    tame = CertificateCheck(
-        name="d-prime-to-p",
-        level=None,
-        lhs=str(p),
-        op="not-divides",
-        rhs=str(abs(d_used)),
-        passed=abs(d_used) % p != 0,
-    )
-    checks.append(tame)
-    if not tame.passed:
-        return StabilityCertificate(
-            kind="NotCertified",
-            reindex=0,
-            d_used=d_used,
-            d_trusted=d_trusted,
-            conditional_on_d=False,
-            checks=tuple(checks),
-            reason=f"p = {p} divides d = {d_used}; tameness fails",
+    d_used, d_trusted = (d, True) if d is not None else (est, est_trusted)
+    checks = [
+        CertificateCheck(
+            "d-prime-to-p", None, str(p), "not-divides", str(abs(d_used)), abs(d_used) % p != 0
         )
+    ]
+
+    def verdict(kind, reindex, conditional_on_d, reason=None):
+        return StabilityCertificate(
+            kind, reindex, d_used, d_trusted, conditional_on_d, tuple(checks), reason=reason
+        )
+
+    if not checks[0].passed:
+        return verdict("NotCertified", 0, False, f"p = {p} divides d = {d_used}; tameness fails")
 
     # settled run: from level ``settled`` on, every d-estimate to the end is equal
     d_estimates = record.d_estimates
@@ -276,54 +275,24 @@ def certify(
         comp = criterion(n, v)
         checks.append(comp)
 
-        if n == 0 and v * profile.e_ke == 1:
-            checks.append(
-                CertificateCheck(
-                    name="uniformizer-base",
-                    level=0,
-                    lhs=str(v * profile.e_ke),
-                    op="==",
-                    rhs="1",
-                    passed=True,
-                )
-            )
+        if n == 0 and v.numerator * profile.e_ke == v.denominator:
+            checks.append(CertificateCheck("uniformizer-base", 0, "1", "==", "1", True))
             screen_ok = True
         else:
-            d_n = d_estimates[n]
             run = len(d_estimates) - n if n >= settled else 0
-            c_settled = CertificateCheck(
-                name="d-estimate-settled",
-                level=n,
-                lhs=str(run),
-                op=">=",
-                rhs="2",
-                passed=run >= 2,
-            )
+            c_settled = CertificateCheck("d-estimate-settled", n, str(run), ">=", "2", run >= 2)
             c_threshold, c_tame_n, c_below = (
                 CertificateCheck(name, n, lhs, op, rhs, passed)
-                for name, lhs, op, rhs, passed in stability_screen(profile, v, d_n)
+                for name, lhs, op, rhs, passed in stability_screen(profile, v, d_estimates[n])
             )
             screen = (c_threshold, c_settled, c_tame_n, c_below)
             checks.extend(screen)
             screen_ok = all(c.passed for c in screen)
 
         if comp.passed and screen_ok:
-            kind = "TRS" if n == 0 else "PotentiallyTRS"
-            return StabilityCertificate(
-                kind=kind,
-                reindex=n,
-                d_used=d_used,
-                d_trusted=d_trusted,
-                conditional_on_d=not d_trusted,
-                checks=tuple(checks),
-            )
+            return verdict("TRS" if n == 0 else "PotentiallyTRS", n, not d_trusted)
 
-    return StabilityCertificate(
-        kind="NotCertified",
-        reindex=0,
-        d_used=d_used,
-        d_trusted=d_trusted,
-        conditional_on_d=not d_trusted,
-        checks=tuple(checks),
-        reason="no recorded level passes both the composition criterion and the stability screen",
+    return verdict(
+        "NotCertified", 0, not d_trusted,
+        "no recorded level passes both the composition criterion and the stability screen",
     )

@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 
 from .branches import BranchDataError, estimate_d, find_stable_index
 from .certificates import certify, pcb_normal_form, pcb_sufficient
-from .inputdoc import InputError, check_r_digits, load_document
+from .inputdoc import InputError, check_printable, check_r_digits, load_document
 from .limitdata import (
     complete_record,
     compute_C,
@@ -70,7 +70,9 @@ def _json_chunks(value, chunks: _Report, newline: str = "\n") -> None:
     and None; anything else, a float or a non-str key included, raises
     TypeError.  ``newline`` is the line break and indent of this depth.
     A non-empty ``Prefix`` is a cut of its list's text, rendered once
-    per report and indent.
+    per report and indent.  A list whose first item is a flat dict (str
+    keys; str, int, bool and None values) builds one ``%`` template for
+    that key shape, and each item of that shape fills it.
     """
     if isinstance(value, str):
         chunks.append(encode_basestring_ascii(value))
@@ -104,13 +106,48 @@ def _json_chunks(value, chunks: _Report, newline: str = "\n") -> None:
     elif isinstance(value, (list, tuple)):
         inner = newline + "  "
         sep = "[" + inner
+        first = value[0] if value else None
+        keys = tuple(first) if type(first) is dict else ()
+        template = _template(keys, inner) if _flat_texts(first, keys) else None
         for item in value:
             chunks.append(sep)
-            _json_chunks(item, chunks, inner)
+            texts = template and _flat_texts(item, keys)
+            if texts:
+                chunks.append(template % texts)
+            else:
+                _json_chunks(item, chunks, inner)
             sep = "," + inner
         chunks.append(newline + "]" if value else "[]")
     else:
         raise TypeError(f"{type(value).__name__} is not a report value")
+
+
+def _flat_texts(item, keys: tuple):
+    """The printed values of ``item`` if it is a dict with exactly the keys
+    ``keys``, in that order, and only values of type str, int, bool or
+    None (not subclasses); else None."""
+    if type(item) is not dict or not keys or tuple(item) != keys:
+        return None
+    texts = []
+    for value in item.values():
+        kind = type(value)
+        if kind is str:
+            texts.append(encode_basestring_ascii(value))
+        elif kind is int:
+            texts.append(int.__repr__(value))
+        elif value is None or kind is bool:
+            texts.append("null" if value is None else "true" if value else "false")
+        else:
+            return None
+    return tuple(texts)
+
+
+def _template(keys: tuple, newline: str) -> str:
+    """The text of a dict with the str keys ``keys`` at ``newline``, with a
+    ``%s`` for each value; raises TypeError on a key that is not a str."""
+    sep = "," + newline + "  "
+    fields = (encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
+    return "{" + sep[1:] + sep.join(fields) + newline + "}"
 
 
 def _render(payload: dict) -> str:
@@ -155,6 +192,7 @@ def _check_threshold(profile) -> None:
 def _limit_data_payload(path) -> dict:
     doc = load_document(path)
     data, _record, level_for_C = _from_branch(limiting_data_for_branch, doc)
+    check_printable(data.C.numerator, "the numerator of C", "limit-data cannot print C")
     payload = data.to_json()
     payload["N"] = level_for_C
     payload["notes"] = REPORT_NOTES
@@ -171,12 +209,16 @@ def _branch_payload(path) -> dict:
     profile = doc.profile
     _check_threshold(profile)
     record, level_for_C = _from_branch(complete_record, doc)
+    # the completed record ends a level past |v| <= 1/q^2: its last denominator is >= q^3
+    last, C = record.valuations[-1], compute_C(profile, record, level_for_C)
+    check_printable(last.denominator, "the last valuation's denominator", "branch cannot print it")
+    check_printable(C.numerator, "the numerator of C", "branch cannot print C")
     d_est, trusted = estimate_d(profile, record)
     return {
         "valuations": [format_rational(v) for v in record.valuations],
         "d_estimates": list(record.d_estimates),
         "stable_index": find_stable_index(profile, record),
-        "C": format_rational(compute_C(profile, record, level_for_C)),
+        "C": format_rational(C),
         "sign": record.sign,
         "N": level_for_C,
         "d": doc.d,

@@ -23,10 +23,12 @@ multiply-adds.  The tower is therefore one record of numerators, level
 n is its first (V-1)*n vertices, and a coordinate becomes a Fraction
 only when it is printed or plotted.
 
-Three properties are checked at every level: the x-coordinates of phi_n
-strictly increase (so the level-n polygon is strictly convex), the first
-of them is positive, and it lies strictly beyond the last vertex of
-phi_{n-1} (the identity-segment gap that makes the closed form exact).
+Three properties are checked at every level, each raising a named
+``TowerInvariantError``: the x-coordinates of phi_n strictly increase
+(``level-convexity``: the level-n polygon is strictly convex), the first
+of them is positive (``vertex-positivity``), and it lies strictly beyond
+the last vertex of phi_{n-1} (``composition-gap``: the identity-segment
+gap that makes the closed form exact).
 The deepest function is then validated once, in full and on its
 numerators: its first vertex lies on the identity, its x are positive
 and increasing, and its slopes are positive and strictly decreasing down
@@ -105,14 +107,16 @@ class LevelModel:
         q_n = self.q**n
         xs = [a * q_n + b for a, b in zip(self.AX, self.BX)]
         if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError(
+            raise TowerInvariantError(
+                "level-convexity",
                 f"level {n} is not in the stable regime: "
-                "segment slopes must be strictly increasing (strict convexity)"
+                "segment slopes must be strictly increasing (strict convexity)",
             )
         if xs[0] <= 0:
-            raise ValueError(
+            raise TowerInvariantError(
+                "vertex-positivity",
                 f"level {n} vertex positions are not positive (shift {self.shift}); "
-                "outside the supported regime"
+                "outside the supported regime",
             )
         return xs, [a * q_n + b for a, b in zip(self.AY, self.BY)]
 

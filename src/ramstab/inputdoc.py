@@ -22,7 +22,10 @@ from .branches import (
 )
 from .valuations import _check_prime, digit_limit, format_rational, parse_rational
 
-__all__ = ["InputDocument", "InputError", "parse_document", "load_document", "check_r_digits"]
+__all__ = [
+    "InputDocument", "InputError", "parse_document", "load_document", "check_r_digits",
+    "check_printable",
+]
 
 INDEX_PATTERN = re.compile(r"[1-9][0-9]*")
 
@@ -87,6 +90,16 @@ def check_r_digits(p: int, e: int, name: str, why: str) -> None:
     b = p.bit_length()
     if e * (b - 1) >= 4 * limit or (e * b > 3 * limit and p**e >= 10**limit):
         raise InputError("r", f"{name} = {p}^{e} has more than {limit} digits, so {why}")
+
+
+def check_printable(n: int, name: str, why: str) -> None:
+    """Reject an ``r`` that gives the integer ``name`` = n more digits than
+    the limit; ``why`` says what would have to print it.  Bit lengths
+    settle every case but the band of ``check_r_digits``."""
+    limit = digit_limit()
+    b = abs(n).bit_length()
+    if limit and b > 3 * limit and (b - 1 >= 4 * limit or abs(n) >= 10**limit):
+        raise InputError("r", f"{name} has more than {limit} digits, so {why}")
 
 
 def _index(key, q: int) -> int:

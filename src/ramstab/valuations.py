@@ -107,8 +107,9 @@ def _check_prime(p: int) -> bool:
     return True
 
 
-class TowerInvariantError(RuntimeError):
-    """A structural property of the tower failed; names the violated property."""
+class TowerInvariantError(ValueError):
+    """A structural property of the tower failed; names the violated property
+    (``level-convexity``, ``vertex-positivity`` or ``composition-gap``)."""
 
     def __init__(self, prop: str, detail: str):
         self.prop = prop

@@ -479,19 +479,21 @@ def tower_json_oracle(tower):
 
 def level_vertices(model, n):
     """phi_n's vertices evaluated from the model's ``Fraction``
-    coefficients, after the two per-level checks with the messages of
-    ``LevelModel.numerators``."""
+    coefficients, after the two per-level checks with the invariants and
+    messages of ``LevelModel.numerators``."""
     q_n = model.q**n
     xs = [ax * q_n + bx for ax, bx, _, _ in model.coefficients]
     if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ValueError(
+        raise TowerInvariantError(
+            "level-convexity",
             f"level {n} is not in the stable regime: "
-            "segment slopes must be strictly increasing (strict convexity)"
+            "segment slopes must be strictly increasing (strict convexity)",
         )
     if xs[0] <= 0:
-        raise ValueError(
+        raise TowerInvariantError(
+            "vertex-positivity",
             f"level {n} vertex positions are not positive (shift {model.shift}); "
-            "outside the supported regime"
+            "outside the supported regime",
         )
     return [(x, ay * q_n + by) for x, (_, _, ay, by) in zip(xs, model.coefficients)]
 

@@ -80,6 +80,42 @@ class TestBranchCommand:
         assert payload["d_heuristic"] == 2
 
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no int digit limit"
+    )
+    def test_unprintable_completed_record_is_rejected_on_r(self, capsys, tmp_path):
+        # at a 640-digit limit q = 2^800 (241 digits) and q^2 (482) print,
+        # so certify passes at level 2, -1/q^2; the completed record ends
+        # at -1/q^3 (723 digits), which branch cannot print
+        q = 2**800
+        doc = {
+            "p": 2, "r": 800, "v_p": 1, "coeff_valuations": {"1": "1", str(q): "0"},
+            "base_valuation": "-1", "branch_valuations": ["-1"], "d": 1,
+        }
+        tail = tmp_path / "r800.json"
+        tail.write_text(json.dumps(doc))
+        # halving sets in at level 3 of 4, 3, 2, 1: C = q^3 does not print
+        doc.update(base_valuation="4", branch_valuations=["4", "3", "2", "1"])
+        late = tmp_path / "r800-late.json"
+        late.write_text(json.dumps(doc))
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for command, path, what in (
+                ("branch", tail, "last valuation"),
+                ("branch", late, "last valuation"),
+                ("limit-data", late, "numerator of C"),
+            ):
+                code, out, err = run(capsys, command, str(path))
+                assert code == 2 and out == ""
+                error = json.loads(err)
+                assert error["field"] == "r" and what in error["error"]
+            assert run(capsys, "certify", str(tail))[0] == 0
+            assert run(capsys, "limit-data", str(tail))[0] == 0
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+
 class TestCertifyCommand:
     def test_sample_certifies(self, capsys):
         code, out, _ = run(capsys, "certify", SAMPLE)
@@ -292,6 +328,36 @@ class TestTowerCommands:
         levels = {row["level"]: row["elementary_index"] for row in payload["subfields"]}
         assert levels == {0: 1, 1: 2, 2: 3}
 
+    @pytest.mark.parametrize(
+        "doc, invariant, detail",
+        [
+            # certified TRS on a uniformizer base; level 1 is not strictly convex
+            (
+                {"p": 5, "r": 2, "coeff_valuations": {"1": "2", "25": "0"},
+                 "base_valuation": "1", "branch_valuations": ["1"]},
+                "level-convexity",
+                "level 1 is not in the stable regime: segment slopes must be strictly increasing",
+            ),
+            # certified with the estimate d = -11, which puts phi_1's first vertex at x < 0
+            (
+                {"p": 2, "r": 1, "coeff_valuations": {"2": "0"},
+                 "base_valuation": "-11", "branch_valuations": ["-11"]},
+                "vertex-positivity",
+                "level 1 vertex positions are not positive (shift -33/16)",
+            ),
+        ],
+    )
+    def test_tower_failures_name_their_invariant(self, capsys, tmp_path, doc, invariant, detail):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"v_p": 1, **doc}))
+        svg = str(tmp_path / "plot.svg")
+        for argv in (["breaks"], ["hh"], ["plot", "--out", svg]):
+            code, out, err = run(capsys, *argv, "--depth", "2", str(path))
+            assert code == 1 and out == ""
+            error = json.loads(err)
+            assert error["invariant"] == invariant and detail in error["error"]
+        assert not os.path.exists(svg)
+
     def test_sample_reindexes(self, capsys):
         code, out, _ = run(capsys, "hh", "--depth", "2", SAMPLE)
         assert code == 0
@@ -485,6 +551,7 @@ def count_stage_calls(capsys, *argv, code=0):
     originals = {
         "build_record": branches.build_record,
         "branch_step_candidates": branches.branch_step_candidates,
+        "tangent_step": branches._tangent_step,
         "limiting_data": limitdata.limiting_data,
         "lower_hull": polygons.lower_hull,
         "level_model": hasseherbrand.level_model,
@@ -537,11 +604,14 @@ class TestStageCounts:
         assert counts["main_and_error"] == 1
         assert counts["lower_hull"] <= 2
         assert counts["find_stable_index"] == 0
-        # the two steps of the recorded valuations are validated; the
-        # completion past them is closed-form
-        assert counts["branch_step_candidates"] == 2
+        # the two steps of the recorded valuations are validated, each by
+        # one tangent query and no candidate list; the completion past them
+        # is closed-form
+        assert counts["tangent_step"] == 2
+        assert counts["branch_step_candidates"] == 0
         counts = count_stage_calls(capsys, "certify", UNIFORMIZER)
-        assert counts["branch_step_candidates"] == 2
+        assert counts["tangent_step"] == 2
+        assert counts["branch_step_candidates"] == 0
 
     @pytest.mark.parametrize("base", ["400", "1000", str(10**6)])
     def test_completion_does_no_step_queries(self, capsys, tmp_path, base):
@@ -553,7 +623,7 @@ class TestStageCounts:
         path = tmp_path / "halving.json"
         path.write_text(json.dumps(doc))
         counts = count_stage_calls(capsys, "certify", str(path))
-        assert counts["branch_step_candidates"] == 0
+        assert counts["branch_step_candidates"] == counts["tangent_step"] == 0
 
     def test_certify_builds_the_level_constants_once(self, capsys, tmp_path):
         # v(P_1) = 2 and following the largest root: bases 16 and 76 certify

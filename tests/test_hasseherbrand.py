@@ -110,17 +110,20 @@ class TestLevelModel:
         )
         with pytest.raises(ValueError) as oracle:
             level_polygon(SAMPLE_PROFILE, data, 1)
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(TowerInvariantError) as err:
             level_model(SAMPLE_PROFILE, data, 1, Fraction(1)).numerators(1)
-        assert str(err.value) == str(oracle.value)
+        assert err.value.prop == "level-convexity"
+        assert str(err.value) == f"tower invariant 'level-convexity' violated: {oracle.value}"
 
     def test_first_vertex_at_zero_is_not_positive(self):
         # level-n slope -2/2 puts the first vertex at 3^n * 1 + (-1 - 1) * 3/2
         data = LimitingRamificationData(V=2, R=(0, 1), M=(2, 0), E=(0, 0), sign=1, C=Fraction(1))
         model = level_model(UNIFORMIZER_PROFILE, data, -1, Fraction(3, 2))
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(TowerInvariantError) as err:
             model.numerators(1)
+        assert err.value.prop == "vertex-positivity"
         assert str(err.value) == (
+            "tower invariant 'vertex-positivity' violated: "
             "level 1 vertex positions are not positive (shift -3); outside the supported regime"
         )
         xs, _ = model.numerators(2)

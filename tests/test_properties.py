@@ -14,11 +14,13 @@ further, changes no d-estimate or certificate verdict.  The one-pass
 limiting-data table agrees with a per-k scan of Kummer carries, and its
 integer surrogate hull with the ``Fraction`` one.  ``certify``, which
 builds the level scan's constants once, agrees with the oracle that
-builds every level's checks afresh.  The report
-writer prints generated JSON values, prefix views of shared lists
+builds every level's checks afresh.  ``build_record`` accepts a step
+exactly when a fresh hull lists it.  The report writer prints generated
+JSON values, prefix views of shared lists and lists of flat dicts
 included, exactly as ``json.dumps(indent=2)``.
 """
 
+import enum
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -184,6 +186,36 @@ def test_step_candidates_match_a_fresh_hull(profile, v):
             zero_departure_candidates(profile)
     else:
         assert zero_departure_candidates(profile) == lower_hull(points).root_valuations()
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(profile=profiles(), prev=st.none() | step_valuations, data=st.data())
+@example(
+    profile=PolynomialValuationProfile(p=3, r=2, v_p=1, coeff_valuations={3: 2, 6: 1, 9: 0}),
+    prev=Fraction(3),
+    data=None,
+)
+@example(profile=monomial(2, 1), prev=None, data=None)
+@example(profile=monomial(2, 1), prev=Fraction(-7, 3), data=None)
+def test_build_record_accepts_exactly_the_hull_candidates(profile, prev, data):
+    # prev from the draw, or on the line through a hull segment (a tie);
+    # next: every candidate, each one off by 1/(q den) either way, and every
+    # root valuation, those past the tangent included
+    intercepts = hull_intercepts(profile)
+    if data is not None and intercepts and data.draw(st.booleans()):
+        prev = data.draw(st.sampled_from(intercepts))
+    candidates = hull_step_candidates(profile, prev)
+    probes = {Fraction(1), *candidates, *profile.coefficient_hull[1]}
+    for c in candidates:
+        step = Fraction(1, profile.q * c.denominator)
+        probes.update((c - step, c + step))
+    for nxt in probes:
+        try:
+            build_record(profile, [prev, nxt])
+        except BranchDataError:
+            assert nxt not in candidates
+        else:
+            assert nxt in candidates
 
 
 @st.composite
@@ -625,6 +657,59 @@ def test_report_writer_keeps_nothing_between_reports():
     whole[0] = "changed"
     second = {"levels": [Prefix(whole, 1), Prefix(whole, 3)]}
     assert _render(second) == json.dumps(second, indent=2) + "\n"
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+
+
+class Text(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        [{"a": 1, "b": "x"}, {"b": "x", "a": 1}, {"a": 2, "b": "y"}],  # key order changes
+        [{"a": 1, "b": "x"}, {"a": [1, {"c": None}], "b": "x"}],  # gains a nested value
+        [{"a": 1, "b": "x"}, {"a": Level.ONE, "b": Text("x")}],  # int and str subclasses
+        [{"a": Level.ONE}, {"a": 1}, {"a": Text("1")}],  # a subclass in the first item
+        [{"%s": "%d", "\u00e9%": "\u00fc"}, {"%s": "%%", "\u00e9%": "%(x)s"}],  # % and non-ASCII
+        [{"a": True}, {"a": 1}, {"a": False}, {"a": 0}, {"a": None}],  # True against 1
+        [{"a": 1}, {"a": 1, "b": 2}, {}, {"b": 1}, [{"a": 1}], "a", None],  # other shapes
+        [{}, {"a": 1}],  # an empty first item
+        [[{"a": 1}], {"a": 1}],  # the first item is not a dict
+    ],
+)
+def test_report_writer_fills_templates_as_json_dumps(items):
+    payload = {"items": items, "deeper": {"lists": [items, tuple(items)]}}
+    assert _render(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+flat_leaves = st.none() | st.booleans() | st.integers() | json_text
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(first=st.dictionaries(json_text, flat_leaves, min_size=1, max_size=4), data=st.data())
+def test_report_writer_prints_lists_of_flat_dicts_as_json_dumps(first, data):
+    # later items share the first item's key shape, reorder or drop its
+    # keys, nest a value, or hold a subclass of int or str
+    keys = list(first)
+    shapes = st.sampled_from(keys).flatmap(
+        lambda key: st.sampled_from(
+            [{**first, key: [first[key]]}, {**first, key: Level.ONE}, {**first, key: Text("t")},
+             {k: v for k, v in first.items() if k != key}]
+        )
+    )
+    later = st.one_of(
+        st.tuples(*(flat_leaves for _ in keys)).map(lambda values: dict(zip(keys, values))),
+        st.permutations(keys).map(lambda order: {k: first[k] for k in order}),
+        shapes,
+        json_values,
+    )
+    items = [first, *data.draw(st.lists(later, max_size=5))]
+    payload = {"items": items, "nested": [{"items": items}]}
+    assert _render(payload) == json.dumps(payload, indent=2) + "\n"
 
 
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
