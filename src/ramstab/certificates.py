@@ -23,7 +23,9 @@ from .branches import (
     estimate_d,
     stability_screen,
 )
+from .inputdoc import check_printable
 from .limitdata import LimitingRamificationData
+from .valuations import digit_limit
 
 __all__ = [
     "CertificateCheck",
@@ -244,7 +246,8 @@ def certify(
     holds there: the d-estimate has settled and the comparisons of
     ``stability_screen`` pass.  A uniformizer base (v(a_0) * e_ke = 1)
     passes the screen at level 0 outright, since every level is then
-    Eisenstein.
+    Eisenstein.  A scanned level whose denominator has more digits than
+    the interpreter prints raises ``InputError`` on ``r``.
     """
     p = profile.p
     est, est_trusted = estimate_d(profile, record)
@@ -269,13 +272,16 @@ def certify(
     while settled and d_estimates[settled - 1] == d_estimates[-1]:
         settled -= 1
     criterion = composition_criterion(data, p, profile.q)
+    bits = 3 * digit_limit()  # the bit length past which a denominator may not print
     for n, v in enumerate(record.valuations):
         if v is None:
             continue
+        if bits and v.denominator.bit_length() > bits:
+            check_printable(v.denominator, f"level {n}'s denominator", "certify cannot print it")
         comp = criterion(n, v)
         checks.append(comp)
 
-        if n == 0 and v.numerator * profile.e_ke == v.denominator:
+        if n == 0 and est_trusted:
             checks.append(CertificateCheck("uniformizer-base", 0, "1", "==", "1", True))
             screen_ok = True
         else:

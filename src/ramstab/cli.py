@@ -1,9 +1,16 @@
 """Command-line interface.
 
 Commands: limit-data, branch, certify, hh, breaks, plot, selftest.
+The command table ``COMMANDS`` lists the six per-document commands once,
+each a function ``(doc, args) -> (payload or None, exit code)`` with its
+help text and whether it takes --depth; the parser, batch ``certify`` and
+``selftest`` read it.  One runner, ``main``, loads the document, calls the
+command and writes its payload, and ``_failure`` maps any failure to its
+error record and exit code: ``main`` prints it to stderr, and a batch
+stores it under the file's path.
 Exit codes: 0 success, 1 not-certified, tower invariant abort or a
-closed stdout, 2 malformed or unreadable input, a bad command line, or a
---depth too deep to print or plot.  Logging verbosity
+closed stdout, 2 malformed, undecodable or unreadable input, a bad
+command line, or a --depth too deep to print or plot.  Logging verbosity
 comes from the RAMSTAB_LOG environment variable (error/warn/info/debug);
 there are no logging flags.  The package emits only info and debug
 records, so ``logging`` is imported, and configured, only when RAMSTAB_LOG
@@ -168,8 +175,15 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _error_payload(exc: Exception) -> dict:
-    return {"error": str(exc), "field": exc.field if isinstance(exc, InputError) else None}
+def _failure(exc: Exception) -> tuple[dict, int]:
+    """The error record of a failed command and its exit code: 2 with the
+    ``field`` at fault for bad input, 2 for a missing file, 1 with the
+    ``invariant`` for a tower abort, and 1 for any other ValueError."""
+    if isinstance(exc, (InputError, BranchDataError)):
+        return {"error": str(exc), "field": getattr(exc, "field", None)}, 2
+    if isinstance(exc, TowerInvariantError):
+        return {"error": str(exc), "invariant": exc.prop}, 1
+    return {"error": str(exc)}, 2 if isinstance(exc, FileNotFoundError) else 1
 
 
 def _from_branch(stage, doc):
@@ -189,23 +203,24 @@ def _check_threshold(profile) -> None:
     check_r_digits(profile.p, 2 * profile.r, "q^2", why)
 
 
-def _limit_data_payload(path) -> dict:
-    doc = load_document(path)
+def _certified(doc):
+    """The certify stage: the q^2 screen, the limiting data and the
+    certificate.  Returns the certificate, the record and its limiting data."""
+    _check_threshold(doc.profile)
+    data, record, _n = _from_branch(limiting_data_for_branch, doc)
+    return certify(doc.profile, record, data, doc.d), record, data
+
+
+def _limit_data(doc, args):
     data, _record, level_for_C = _from_branch(limiting_data_for_branch, doc)
     check_printable(data.C.numerator, "the numerator of C", "limit-data cannot print C")
     payload = data.to_json()
     payload["N"] = level_for_C
     payload["notes"] = REPORT_NOTES
-    return payload
+    return payload, 0
 
 
-def _cmd_limit_data(args) -> int:
-    _emit(_limit_data_payload(args.input), args.out)
-    return 0
-
-
-def _branch_payload(path) -> dict:
-    doc = load_document(path)
+def _branch(doc, args):
     profile = doc.profile
     _check_threshold(profile)
     record, level_for_C = _from_branch(complete_record, doc)
@@ -225,20 +240,12 @@ def _branch_payload(path) -> dict:
         "d_heuristic": d_est,
         "d_trusted": True if doc.d is not None else trusted,
         "notes": REPORT_NOTES,
-    }
+    }, 0
 
 
-def _cmd_branch(args) -> int:
-    _emit(_branch_payload(args.input), args.out)
-    return 0
-
-
-def _certify_payload(path) -> tuple[dict, int]:
-    doc = load_document(path)
+def _certify(doc, args):
+    cert, record, _data = _certified(doc)
     profile = doc.profile
-    _check_threshold(profile)
-    data, record, _n = _from_branch(limiting_data_for_branch, doc)
-    cert = certify(profile, record, data, doc.d)
     normal_form, witness = pcb_normal_form(profile)
     base = record.first_finite()
     payload = cert.to_json()
@@ -252,32 +259,6 @@ def _certify_payload(path) -> tuple[dict, int]:
     return payload, 0 if cert.certified else 1
 
 
-def _certify_one(path: str) -> tuple[str, int, dict]:
-    try:
-        payload, code = _certify_payload(path)
-    except (InputError, BranchDataError) as exc:
-        payload, code = _error_payload(exc), 2
-    return path, code, payload
-
-
-def _cmd_certify(args) -> int:
-    if len(args.inputs) == 1 and args.jobs == 1:
-        payload, code = _certify_payload(args.inputs[0])
-        _emit(payload, args.out)
-        return code
-    if args.jobs > 1:
-        # imported here: the pool machinery is slow to import, and only a
-        # parallel batch needs it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_certify_one, args.inputs))
-    else:
-        results = [_certify_one(path) for path in args.inputs]
-    _emit({path: payload for path, _code, payload in results}, args.out)
-    return max(code for _path, code, _payload in results)
-
-
 def _certified_tower(doc, depth: int):
     """Certify a document and build its tower on the working base.
 
@@ -286,15 +267,12 @@ def _certified_tower(doc, depth: int):
     """
     from .hasseherbrand import build_tower, depth_past_limit, level_model
 
-    profile = doc.profile
-    _check_threshold(profile)
-    data, record, _n = _from_branch(limiting_data_for_branch, doc)
-    cert = certify(profile, record, data, doc.d)
+    cert, record, data = _certified(doc)
     if not cert.certified:
         return cert, None, None, None
     working = reindexed_record(record, cert.reindex)
-    working_data = data._replace(C=data.C / profile.q**cert.reindex)
-    model = level_model(profile, working_data, cert.d_used, working.first_finite())
+    working_data = data._replace(C=data.C / doc.profile.q**cert.reindex)
+    model = level_model(doc.profile, working_data, cert.d_used, working.first_finite())
     limit = depth_past_limit(model, depth)
     if limit is not None:
         raise InputError(
@@ -306,63 +284,46 @@ def _certified_tower(doc, depth: int):
     return cert, working, working_data, tower
 
 
-def _breaks_payload(cert, tower) -> dict:
-    """What ``breaks`` and ``hh`` both print: depth, reindex, breaks and subfields."""
-    from .hasseherbrand import breaks_and_subfields
+def _hh(doc, args):
+    cert, working, working_data, tower = _certified_tower(doc, args.depth)
+    if tower is None:
+        return {"certificate": cert.to_json()}, 1
+    from .hasseherbrand import breaks_and_subfields, tower_json
 
+    table = breaks_and_subfields(tower, reindex=cert.reindex)
     return {
         "depth": tower.depth,
         "reindex": cert.reindex,
-        **breaks_and_subfields(tower, reindex=cert.reindex),
-    }
-
-
-def _hh_payload(path, depth: int) -> tuple[dict, int]:
-    cert, working, working_data, tower = _certified_tower(load_document(path), depth)
-    if tower is None:
-        return {"certificate": cert.to_json()}, 1
-    from .hasseherbrand import tower_json
-
-    shared = _breaks_payload(cert, tower)
-    payload = {
-        "depth": shared.pop("depth"),
-        "reindex": shared.pop("reindex"),
         "d": cert.d_used,
         "d_trusted": cert.d_trusted,
         "conditional_on_d": cert.conditional_on_d,
         "base_valuation": format_rational(working.first_finite()),
         "C": format_rational(working_data.C),
-        **tower_json(tower, shared["breaks"]),
-        **shared,
+        **tower_json(tower, table["breaks"]),
+        **table,
         "notes": REPORT_NOTES,
-    }
-    return payload, 0
+    }, 0
 
 
-def _cmd_hh(args) -> int:
-    payload, code = _hh_payload(args.input, args.depth)
-    _emit(payload, args.out)
-    return code
-
-
-def _cmd_breaks(args) -> int:
-    cert, _working, _data, tower = _certified_tower(load_document(args.input), args.depth)
+def _breaks(doc, args):
+    cert, _working, _data, tower = _certified_tower(doc, args.depth)
     if tower is None:
-        _emit({"certificate": cert.to_json()}, args.out)
-        return 1
-    _emit(_breaks_payload(cert, tower), args.out)
-    return 0
+        return {"certificate": cert.to_json()}, 1
+    from .hasseherbrand import breaks_and_subfields
+
+    table = breaks_and_subfields(tower, reindex=cert.reindex)
+    return {"depth": tower.depth, "reindex": cert.reindex, **table}, 0
 
 
-def _cmd_plot(args) -> int:
+def _plot(doc, args):
+    """Write the SVG to ``--out``; print nothing but the certificate of a
+    document that does not certify."""
+    cert, _working, working_data, tower = _certified_tower(doc, args.depth)
+    if tower is None:
+        return {"certificate": cert.to_json()}, 1
     from .polygons import copolygon
     from .svgplot import render_level_report
 
-    doc = load_document(args.input)
-    cert, _working, working_data, tower = _certified_tower(doc, args.depth)
-    if tower is None:
-        _emit({"certificate": cert.to_json()}, None)
-        return 1
     polygon = level_polygon(doc.profile, working_data, args.depth)
     q, D, size = tower.q, tower.D, tower.size
     E = D * q ** (args.depth - 1)
@@ -386,7 +347,40 @@ def _cmd_plot(args) -> int:
     log = logger(__name__, "INFO")
     if log:
         log.info("wrote %s", args.out)
-    return 0
+    return None, 0
+
+
+# The per-document commands, in help order: name -> (run, help text, whether
+# it takes --depth).  ``run(doc, args)`` returns the payload to print, or
+# None, and the exit code.
+COMMANDS = {
+    "limit-data": (_limit_data, "limiting vertex data and error coefficient", False),
+    "branch": (_branch, "validated and extended branch record", False),
+    "certify": (_certify, "stability certificate (exit 1 if not certified)", False),
+    "hh": (_hh, "transition functions and tower to a depth", True),
+    "breaks": (_breaks, "ramification breaks and subfield table", True),
+    "plot": (_plot, "render polygon, dual and transition functions as SVG", True),
+}
+
+
+def _certify_one(path: str) -> tuple[dict, int]:
+    """One file of a batch: its certificate or its error record, and the
+    exit code."""
+    try:
+        return COMMANDS["certify"][0](load_document(path), None)
+    except (ValueError, FileNotFoundError) as exc:
+        return _failure(exc)
+
+
+def _certify_batch(paths: list, jobs: int) -> list:
+    if jobs > 1:
+        # imported here: the pool machinery is slow to import, and only a
+        # parallel batch needs it
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_certify_one, paths))
+    return [_certify_one(path) for path in paths]
 
 
 def _bundled(name: str):
@@ -396,25 +390,18 @@ def _bundled(name: str):
     return Path(str(resources.files("ramstab").joinpath("data", name)))
 
 
-def _cmd_selftest(args) -> int:
+def _selftest() -> int:
     failures = 0
-    cases = [
-        ("sample.branch", _branch_payload, "sample.json"),
-        ("sample.limit-data", _limit_data_payload, "sample.json"),
-        ("sample.certify", lambda p: _certify_payload(p)[0], "sample.json"),
-        ("sample.hh3", lambda p: _hh_payload(p, 3)[0], "sample.json"),
-        ("uniformizer.branch", _branch_payload, "uniformizer.json"),
-        ("uniformizer.limit-data", _limit_data_payload, "uniformizer.json"),
-        ("uniformizer.certify", lambda p: _certify_payload(p)[0], "uniformizer.json"),
-        ("uniformizer.hh5", lambda p: _hh_payload(p, 5)[0], "uniformizer.json"),
-    ]
-    for name, run, fixture in cases:
-        golden_path = _bundled(os.path.join("golden", name + ".json"))
-        expected = golden_path.read_bytes()
-        actual = _render(run(_bundled(fixture)))
-        if actual.encode() == expected:
-            print(f"selftest {name}: OK")
-        else:
+    for fixture, depth in (("sample", 3), ("uniformizer", 5)):
+        doc = load_document(_bundled(fixture + ".json"))
+        for command in ("branch", "limit-data", "certify", "hh"):
+            name = f"{fixture}.{command}" + (str(depth) if command == "hh" else "")
+            expected = _bundled(os.path.join("golden", name + ".json")).read_bytes()
+            payload, _code = COMMANDS[command][0](doc, argparse.Namespace(depth=depth))
+            actual = _render(payload)
+            if actual.encode() == expected:
+                print(f"selftest {name}: OK")
+                continue
             failures += 1
             print(f"selftest {name}: MISMATCH")
             from difflib import unified_diff  # only a mismatch needs it
@@ -440,53 +427,39 @@ def build_parser() -> argparse.ArgumentParser:
         "transition functions for branch extensions of local fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("limit-data", help="limiting vertex data and error coefficient")
-    p.add_argument("input")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_limit_data)
-
-    p = sub.add_parser("branch", help="validated and extended branch record")
-    p.add_argument("input")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_branch)
-
-    p = sub.add_parser("certify", help="stability certificate (exit 1 if not certified)")
-    p.add_argument("inputs", nargs="+")
-    p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("hh", help="transition functions and tower to a depth")
-    p.add_argument("input")
-    p.add_argument("--depth", type=_positive_int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_hh)
-
-    p = sub.add_parser("breaks", help="ramification breaks and subfield table")
-    p.add_argument("input")
-    p.add_argument("--depth", type=_positive_int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_breaks)
-
-    p = sub.add_parser("plot", help="render polygon, dual and transition functions as SVG")
-    p.add_argument("input")
-    p.add_argument("--depth", type=_positive_int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_plot)
-
-    p = sub.add_parser("selftest", help="run the bundled fixtures against golden reports")
-    p.set_defaults(func=_cmd_selftest)
-
+    for name, (_run, text, takes_depth) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name == "certify":
+            p.add_argument("inputs", nargs="+")
+            p.add_argument("--jobs", type=_positive_int, default=1)
+        else:
+            p.add_argument("input")
+        if takes_depth:
+            p.add_argument("--depth", type=_positive_int, required=True)
+        p.add_argument("--out", required=name == "plot")
+    sub.add_parser("selftest", help="run the bundled fixtures against golden reports")
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command: load its document, call its ``COMMANDS`` entry and
+    write the payload, or print the failure's record to stderr."""
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = args.command
     try:
-        return args.func(args)
+        if command == "selftest":
+            return _selftest()
+        if command == "certify" and (len(args.inputs) > 1 or args.jobs > 1):
+            results = _certify_batch(args.inputs, args.jobs)
+            _emit({path: payload for path, (payload, _code) in zip(args.inputs, results)}, args.out)
+            return max(code for _payload, code in results)
+        path = args.inputs[0] if command == "certify" else args.input
+        payload, code = COMMANDS[command][0](load_document(path), args)
+        if payload is not None:
+            # plot's --out is its SVG: a report it prints goes to stdout
+            _emit(payload, None if command == "plot" else args.out)
+        return code
     except BrokenPipeError:
         # the reader closed stdout: send what is still buffered to devnull,
         # so the flush at exit does not fail again, and exit as Python does
@@ -495,18 +468,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (InputError, BranchDataError) as exc:
-        print(json.dumps(_error_payload(exc)), file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
-    except TowerInvariantError as exc:
-        print(json.dumps({"error": str(exc), "invariant": exc.prop}), file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 1
+    except (ValueError, FileNotFoundError) as exc:
+        record, code = _failure(exc)
+        print(json.dumps(record), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -218,7 +218,8 @@ def parse_document(obj) -> InputDocument:
 def load_document(path) -> InputDocument:
     """Read and validate an input document from a JSON file.
 
-    A missing or unreadable file is reported against the document root "$".
+    A missing, unreadable or undecodable file is reported against the
+    document root "$".
     """
     try:
         with open(path) as fh:
@@ -229,4 +230,6 @@ def load_document(path) -> InputDocument:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError("$", f"not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
+        raise InputError("$", f"cannot decode the document: {exc}") from exc
     return parse_document(obj)

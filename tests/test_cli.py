@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, plotting, selftest."""
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -41,6 +42,20 @@ def long_degree_document(tmp_path):
     path = tmp_path / "r4000.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    """Run the block at the interpreter's int digit limit ``limit``; skip
+    the test on an interpreter with no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("the interpreter has no int digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 class TestLimitData:
@@ -133,6 +148,12 @@ class TestCertifyCommand:
         code, out, _ = run(capsys, "certify", str(bad))
         assert code == 1
         assert json.loads(out)["kind"] == "NotCertified"
+        # plot's --out is the SVG: the certificate it prints goes to stdout
+        svg = tmp_path / "never-written.svg"
+        code, out, err = run(capsys, "plot", "--depth", "2", "--out", str(svg), str(bad))
+        assert code == 1 and err == ""
+        assert json.loads(out)["certificate"]["kind"] == "NotCertified"
+        assert not svg.exists()
 
     def test_batch_jobs(self, capsys):
         code, out, _ = run(capsys, "certify", SAMPLE, UNIFORMIZER, "--jobs", "2")
@@ -500,7 +521,93 @@ class TestTowerCommands:
         assert not target.exists()
 
 
+class TestErrorContract:
+    """A failure exits with its documented code and record, alone or in a batch."""
+
+    @pytest.mark.parametrize("kind", ["digits", "nesting"])
+    def test_undecodable_documents_exit_2_on_the_root(self, capsys, tmp_path, kind):
+        # json.loads raises a plain ValueError on an integer literal past
+        # the digit limit, and RecursionError on 100,000 nested brackets
+        path = tmp_path / f"{kind}.json"
+        if kind == "digits":
+            obj = json.loads(Path(SAMPLE).read_text())
+            del obj["d"]
+            path.write_text(json.dumps(obj)[:-1] + ', "d": ' + "7" * 4400 + "}")
+        else:
+            path.write_text("[" * 100_000)
+        path, svg = str(path), tmp_path / "never-written.svg"
+        with int_digit_limit(4300):
+            for argv in (
+                ["limit-data"], ["branch"], ["certify"], ["hh", "--depth", "2"],
+                ["breaks", "--depth", "2"], ["plot", "--depth", "2", "--out", str(svg)],
+            ):
+                code, out, err = run(capsys, argv[0], path, *argv[1:])
+                assert code == 2 and out == ""
+                error = json.loads(err)
+                assert error["field"] == "$" and "not valid JSON" not in error["error"]
+            for jobs in ("1", "2"):
+                code, out, err = run(capsys, "certify", SAMPLE, path, "--jobs", jobs)
+                assert code == 2 and err == ""
+                payload = json.loads(out)
+                assert payload[SAMPLE]["kind"] == "PotentiallyTRS"
+                assert payload[path]["field"] == "$" and "error" in payload[path]
+        assert not svg.exists()
+
+    def test_unprintable_scanned_level_is_rejected_on_r(self, capsys, tmp_path):
+        # at a 640-digit limit q = 2^800 (241 digits) and q^2 (482) print;
+        # level 0's d-estimate -2 is not prime to 2 and levels 1 and 2 fail
+        # |v| <= 1/q^2, so the scan reaches level 3, -1/2^2399 (723 digits)
+        q = 2**800
+        doc = {
+            "p": 2, "r": 800, "v_p": 1, "coeff_valuations": {"1": "1", str(q): "0"},
+            "base_valuation": "-2", "branch_valuations": ["-2"],
+        }
+        path = tmp_path / "r800-base-2.json"
+        path.write_text(json.dumps(doc))
+        svg = tmp_path / "never-written.svg"
+        with int_digit_limit(640):
+            for argv in (
+                ["certify"], ["breaks", "--depth", "2"], ["hh", "--depth", "2"],
+                ["plot", "--depth", "2", "--out", str(svg)],
+            ):
+                code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+                assert code == 2 and out == ""
+                error = json.loads(err)
+                assert error["field"] == "r" and "level 3" in error["error"]
+        assert not svg.exists()
+
+
+USAGE = [
+    "[-h] {limit-data,branch,certify,hh,breaks,plot,selftest} ...",
+    "limit-data [-h] [--out OUT] input",
+    "branch [-h] [--out OUT] input",
+    "certify [-h] [--jobs JOBS] [--out OUT] inputs [inputs ...]",
+    "hh [-h] --depth DEPTH [--out OUT] input",
+    "breaks [-h] --depth DEPTH [--out OUT] input",
+    "plot [-h] --depth DEPTH --out OUT input",
+    "selftest [-h]",
+]
+
+SUBCOMMAND_HELP = {
+    "limit-data": "limiting vertex data and error coefficient",
+    "branch": "validated and extended branch record",
+    "certify": "stability certificate (exit 1 if not certified)",
+    "hh": "transition functions and tower to a depth",
+    "breaks": "ramification breaks and subfield table",
+    "plot": "render polygon, dual and transition functions as SVG",
+    "selftest": "run the bundled fixtures against golden reports",
+}
+
+
 class TestArgumentValidation:
+    def test_usage_lines_and_help_strings_are_pinned(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        usage = [parser.format_usage()] + [p.format_usage() for p in sub.choices.values()]
+        assert usage == [f"usage: ramstab {line}\n" for line in USAGE]
+        assert {a.dest: a.help for a in sub._choices_actions} == SUBCOMMAND_HELP
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -750,10 +857,12 @@ class TestSelftest:
 
     def test_selftest_compares_bytes_and_prints_a_diff(self, capsys, monkeypatch):
         # the same report with one value changed, and with keys reordered
-        changed = {**cli._branch_payload(SAMPLE), "stable_index": 4}
-        reordered = dict(reversed(list(cli._limit_data_payload(SAMPLE).items())))
-        monkeypatch.setattr(cli, "_branch_payload", lambda path: changed)
-        monkeypatch.setattr(cli, "_limit_data_payload", lambda path: reordered)
+        doc = load_document(SAMPLE)
+        changed = {**cli.COMMANDS["branch"][0](doc, None)[0], "stable_index": 4}
+        reordered = dict(reversed(list(cli.COMMANDS["limit-data"][0](doc, None)[0].items())))
+        for name, payload in (("branch", changed), ("limit-data", reordered)):
+            entry = (lambda doc, args, payload=payload: (payload, 0), *cli.COMMANDS[name][1:])
+            monkeypatch.setitem(cli.COMMANDS, name, entry)
         code, out, _ = run(capsys, "selftest")
         assert code == 1
         assert "selftest sample.branch: MISMATCH" in out
