@@ -16,11 +16,11 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "valuations": "TowerInvariantError format_rational parse_rational",
-    "polygons": "NewtonPolygon copolygon lower_hull slopes",
+    "polygons": "NewtonPolygon lower_hull slopes",
     "branches": "BranchDataError BranchValuationRecord PolynomialValuationProfile "
     "branch_step_candidates build_record estimate_d find_stable_index halving_level "
     "stability_screen",
-    "limitdata": "LimitingRamificationData complete_record compute_C level_polygon "
+    "limitdata": "LimitingRamificationData complete_record compute_C "
     "limiting_data limiting_data_for_branch main_and_error reindexed_record",
     "certificates": "CertificateCheck StabilityCertificate certify composition_criterion "
     "pcb_normal_form pcb_sufficient revalidate",

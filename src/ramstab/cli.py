@@ -38,7 +38,6 @@ from .inputdoc import InputError, check_printable, check_r_digits, load_document
 from .limitdata import (
     complete_record,
     compute_C,
-    level_polygon,
     limiting_data_for_branch,
     reindexed_record,
 )
@@ -262,14 +261,15 @@ def _certify(doc, args):
 def _certified_tower(doc, depth: int):
     """Certify a document and build its tower on the working base.
 
-    Returns the certificate, the working record, its limiting data and the
-    tower; all but the certificate are None when it does not certify.
+    Returns the certificate, the working record, its limiting data, its
+    level model and the tower; all but the certificate are None when it
+    does not certify.
     """
     from .hasseherbrand import build_tower, depth_past_limit, level_model
 
     cert, record, data = _certified(doc)
     if not cert.certified:
-        return cert, None, None, None
+        return cert, None, None, None, None
     working = reindexed_record(record, cert.reindex)
     working_data = data._replace(C=data.C / doc.profile.q**cert.reindex)
     model = level_model(doc.profile, working_data, cert.d_used, working.first_finite())
@@ -281,11 +281,11 @@ def _certified_tower(doc, depth: int):
             f"numbers print within {digit_limit()} digits",
         )
     tower = build_tower(model, depth)
-    return cert, working, working_data, tower
+    return cert, working, working_data, model, tower
 
 
 def _hh(doc, args):
-    cert, working, working_data, tower = _certified_tower(doc, args.depth)
+    cert, working, working_data, _model, tower = _certified_tower(doc, args.depth)
     if tower is None:
         return {"certificate": cert.to_json()}, 1
     from .hasseherbrand import breaks_and_subfields, tower_json
@@ -306,7 +306,7 @@ def _hh(doc, args):
 
 
 def _breaks(doc, args):
-    cert, _working, _data, tower = _certified_tower(doc, args.depth)
+    cert, _working, _data, _model, tower = _certified_tower(doc, args.depth)
     if tower is None:
         return {"certificate": cert.to_json()}, 1
     from .hasseherbrand import breaks_and_subfields
@@ -318,29 +318,34 @@ def _breaks(doc, args):
 def _plot(doc, args):
     """Write the SVG to ``--out``; print nothing but the certificate of a
     document that does not certify."""
-    cert, _working, working_data, tower = _certified_tower(doc, args.depth)
+    cert, _working, data, model, tower = _certified_tower(doc, args.depth)
     if tower is None:
         return {"certificate": cert.to_json()}, 1
-    from .polygons import copolygon
     from .svgplot import render_level_report
 
-    polygon = level_polygon(doc.profile, working_data, args.depth)
+    depth, p, e_ke = args.depth, doc.profile.p, doc.profile.e_ke
     q, D, size = tower.q, tower.D, tower.size
-    E = D * q ** (args.depth - 1)
+    Q = q ** (depth - 1)
+    error = data.C / (q * Q)
+    polygon = [(p**r_i, m_i + e_i * error) for r_i, m_i, e_i in zip(data.R, data.M, data.E)]
     xs = [Fraction(x, D) for x in tower.xs]
     phi = list(zip(xs[-size:], (Fraction(y, D) for y in tower.phi_ys[-size:])))
-    top = list(zip(xs, (Fraction(y, E) for y in tower.ys)))
+    top = list(zip(xs, (Fraction(y, D * Q) for y in tower.ys)))
+    # phi_n is the polygon's dual with x scaled by e_ke q^n, y by e_ke q^(n-1),
+    # and both shifted; the dual's final slope is the first vertex's x, p^0
+    shift = model.shift
+    dual = [((x - shift) / (e_ke * q * Q), (y - shift) / (e_ke * Q)) for x, y in phi]
     try:
         svg = render_level_report(
             polygon,
-            copolygon(polygon),
+            (dual, Fraction(1)),
             (phi, Fraction(1, q)),
-            (top, Fraction(1, q**args.depth)),
-            args.depth,
+            (top, Fraction(1, q * Q)),
+            depth,
         )
     except OverflowError as exc:
         raise InputError(
-            "depth", f"{args.depth} is too deep to plot: the tower's coordinates overflow a float"
+            "depth", f"{depth} is too deep to plot: the tower's coordinates overflow a float"
         ) from exc
     with open(args.out, "w") as fh:
         fh.write(svg)

@@ -92,14 +92,15 @@ def check_r_digits(p: int, e: int, name: str, why: str) -> None:
         raise InputError("r", f"{name} = {p}^{e} has more than {limit} digits, so {why}")
 
 
-def check_printable(n: int, name: str, why: str) -> None:
-    """Reject an ``r`` that gives the integer ``name`` = n more digits than
-    the limit; ``why`` says what would have to print it.  Bit lengths
-    settle every case but the band of ``check_r_digits``."""
+def check_printable(n: int, name: str, why: str, field: str = "r") -> None:
+    """Reject a ``field``, by default ``r``, that gives the integer
+    ``name`` = n more digits than the limit; ``why`` says what would have
+    to print it.  Bit lengths settle every case but the band of
+    ``check_r_digits``."""
     limit = digit_limit()
     b = abs(n).bit_length()
     if limit and b > 3 * limit and (b - 1 >= 4 * limit or abs(n) >= 10**limit):
-        raise InputError("r", f"{name} has more than {limit} digits, so {why}")
+        raise InputError(field, f"{name} has more than {limit} digits, so {why}")
 
 
 def _index(key, q: int) -> int:

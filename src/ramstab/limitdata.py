@@ -26,7 +26,7 @@ from .branches import (
     minimal_d_estimate,
     zero_departure_candidates,
 )
-from .polygons import NewtonPolygon, lower_hull
+from .polygons import lower_hull
 from .valuations import format_rational, logger
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "main_and_error",
     "limiting_data",
     "compute_C",
-    "level_polygon",
     "complete_record",
     "limiting_data_for_branch",
     "reindexed_record",
@@ -151,31 +150,6 @@ def compute_C(
     if vN is None:
         raise BranchDataError(f"valuation at level {N} is infinite; C undefined")
     return profile.q**N * vN
-
-
-def level_polygon(
-    profile: PolynomialValuationProfile, data: LimitingRamificationData, n: int
-) -> NewtonPolygon:
-    """The exact level-n polygon: vertices (p^{r_i}, m_i + e_i*C/q^n).
-
-    Valid in the stable regime; if the stated points are not strictly
-    convex the level is not stable and construction fails loudly.
-    """
-    if data.C is None:
-        raise ValueError("limiting data has no error coefficient C")
-    if n < 0:
-        raise ValueError("level must be nonnegative")
-    q = profile.q
-    error = Fraction(data.C, q**n)
-    points = [
-        (profile.p**r_i, Fraction(m_i) + e_i * error)
-        for r_i, m_i, e_i in zip(data.R, data.M, data.E)
-    ]
-    try:
-        polygon = NewtonPolygon(tuple(points))
-    except ValueError as exc:
-        raise ValueError(f"level {n} is not in the stable regime: {exc}") from exc
-    return polygon
 
 
 def complete_record(

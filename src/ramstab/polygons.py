@@ -1,4 +1,4 @@
-"""Exact Newton polygons: lower convex hulls of valuation data and their duals.
+"""Exact Newton polygons: lower convex hulls of valuation data.
 
 The hull is taken over points (i, v(coefficient of x^i)); segment slopes are
 then typically negative, and the valuation of a root attached to a segment is
@@ -12,14 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Tuple
 
-from .valuations import format_rational
-
 __all__ = [
     "NewtonPolygon",
     "DegenerateHullError",
     "lower_hull",
     "slopes",
-    "copolygon",
 ]
 
 
@@ -56,9 +53,6 @@ class NewtonPolygon(NamedTuple("NewtonPolygon", [("vertices", tuple)])):
     def root_valuations(self) -> list[Fraction]:
         """Distinct root valuations encoded by the polygon: negated slopes, decreasing."""
         return [-s for s in slopes(self)]
-
-    def to_json(self) -> list:
-        return [[x, format_rational(y)] for x, y in self.vertices]
 
 
 def _segment_slopes(verts) -> list[Fraction]:
@@ -97,50 +91,3 @@ def slopes(polygon: NewtonPolygon) -> list[Fraction]:
     if len(polygon.vertices) < 2:
         raise ValueError("a single-vertex polygon has no slopes")
     return _segment_slopes(polygon.vertices)
-
-
-def copolygon(polygon: NewtonPolygon) -> Tuple[tuple, Fraction]:
-    """The dual piecewise-linear function of a Newton polygon, as its vertex
-    list and its final slope.
-
-    Each polygon segment of slope s contributes one vertex at x = -s; the
-    dual's segment slopes are the polygon's vertex x-coordinates in
-    decreasing order, so a V-vertex polygon dualizes to a (V-1)-vertex
-    function.  The result is anchored at f(0) = 0; when the polygon's last
-    vertex has height 0 (every polygon arising here is monic, so it does)
-    this is exactly the lower envelope x -> min_i (y_i + x_i * x) over the
-    polygon vertices (x_i, y_i), and in general it is that envelope with
-    the last vertex height subtracted.
-
-    Only the all-negative-slope case arises for the polygons built by this
-    package; mixed-sign slopes would place dual vertices outside x > 0 and
-    are rejected (experimental territory, see README).
-
-    The dual is strictly concave by construction: its vertex x-coordinates
-    are the polygon's negated slopes, strictly increasing, and its segment
-    slopes are the polygon's distinct vertex x-coordinates, decreasing.  So
-    every vertex is a genuine slope break and no check is needed.
-    """
-    verts = polygon.vertices
-    if len(verts) < 2:
-        raise ValueError("cannot dualize a polygon with fewer than two vertices")
-    if verts[0][0] < 1:
-        raise ValueError(
-            "dual slopes are the polygon vertex x-coordinates, which must be >= 1"
-        )
-    segs = _segment_slopes(verts)
-    if any(s >= 0 for s in segs):
-        raise ValueError(
-            "copolygon requires strictly negative polygon slopes; "
-            f"got {[str(s) for s in segs]} (mixed-sign duals are not supported)"
-        )
-    v = len(verts)
-    xs = [-s for s in reversed(segs)]  # strictly increasing, positive
-    widths = [Fraction(verts[v - 1 - j][0]) for j in range(v)]  # slope after j-th vertex
-    dual_vertices = []
-    y = widths[0] * xs[0]
-    dual_vertices.append((xs[0], y))
-    for j in range(1, v - 1):
-        y = y + widths[j] * (xs[j] - xs[j - 1])
-        dual_vertices.append((xs[j], y))
-    return tuple(dual_vertices), widths[-1]

@@ -34,10 +34,6 @@ def _plf_polyline(vertices, final_slope) -> List[Tuple[float, float]]:
     return points
 
 
-def _polygon_polyline(polygon) -> List[Tuple[float, float]]:
-    return [(float(x), float(y)) for x, y in polygon.vertices]
-
-
 class _Panel:
     def __init__(self, title: str, points: Sequence[Tuple[float, float]], color: str):
         self.title = title
@@ -47,21 +43,19 @@ class _Panel:
     def render(self, ox: float, oy: float) -> List[str]:
         xs = [p[0] for p in self.points]
         ys = [p[1] for p in self.points]
-        span_x = max(xs) - min(xs) or 1.0
-        span_y = max(ys) - min(ys) or 1.0
+        x0, y0 = min(xs), min(ys)
+        span_x = max(xs) - x0 or 1.0
+        span_y = max(ys) - y0 or 1.0
         sx = (PANEL_W - 2 * MARGIN) / span_x
         sy = (PANEL_H - 2 * MARGIN) / span_y
 
-        def to_svg(p):
-            x = ox + MARGIN + (p[0] - min(xs)) * sx
-            y = oy + PANEL_H - MARGIN - (p[1] - min(ys)) * sy
-            return f"{_fmt(x)},{_fmt(y)}"
-
-        path = " ".join(to_svg(p) for p in self.points)
+        coords = [
+            (_fmt(ox + MARGIN + (x - x0) * sx), _fmt(oy + PANEL_H - MARGIN - (y - y0) * sy))
+            for x, y in self.points
+        ]
+        path = " ".join(f"{x},{y}" for x, y in coords)
         marks = "".join(
-            f'<circle cx="{to_svg(p).split(",")[0]}" cy="{to_svg(p).split(",")[1]}" '
-            f'r="3" fill="{self.color}"/>'
-            for p in self.points
+            f'<circle cx="{x}" cy="{y}" r="3" fill="{self.color}"/>' for x, y in coords
         )
         frame = (
             f'<rect x="{_fmt(ox + 4)}" y="{_fmt(oy + 4)}" width="{_fmt(PANEL_W - 8)}" '
@@ -81,11 +75,13 @@ class _Panel:
 def render_level_report(polygon, dual, phi, tower, level: int) -> str:
     """Four labeled panels: the level polygon, its dual, phi_n, and the tower map.
 
-    ``dual``, ``phi`` and ``tower`` are each a function through the origin,
-    given as its vertex list and its final slope.
+    ``polygon`` is the level polygon's vertex list.  ``dual``, ``phi`` and
+    ``tower`` are each a function through the origin, given as its vertex
+    list and its final slope.
     """
+    outline = [(float(x), float(y)) for x, y in polygon]
     panels = [
-        _Panel(f"newton polygon, level {level}", _polygon_polyline(polygon), _COLORS[0]),
+        _Panel(f"newton polygon, level {level}", outline, _COLORS[0]),
         _Panel(f"copolygon, level {level}", _plf_polyline(*dual), _COLORS[1]),
         _Panel(f"transition phi_{level}", _plf_polyline(*phi), _COLORS[2]),
         _Panel(f"tower map, depth {level}", _plf_polyline(*tower), _COLORS[3]),

@@ -7,14 +7,16 @@ samples pointwise, the tower JSON oracle formats every level from that
 level's own function, rebuilt by the checked ``PLFunction`` constructor,
 the tower oracle folds the level model in ``Fraction`` arithmetic, the
 branch oracle extends a record one fresh hull per step, the
-main-and-error oracle scans every p^k with the carry walk, and the
-certify oracle builds every level's checks from scratch.
+main-and-error oracle scans every p^k with the carry walk, the certify
+oracle builds every level's checks from scratch, and the level-polygon
+oracle validates the exact level-n heights as a ``NewtonPolygon``.
 
 ``PLFunction``, with ``make_plf``, ``evaluate``, ``compose`` and
 ``altitude``, is the general algebra of concave piecewise-linear
 functions.  The package uses closed forms instead: the tower is an append
-and the dual is ``copolygon``'s (vertices, final slope) pair.  The algebra
-stays here as the oracle for both, as ``kummer_carries`` is for
+and phi_n is the scaled dual of the level polygon, read off the level
+model.  The algebra stays here as the oracle for both, with ``dual_plf``
+the dual by its definition, as ``kummer_carries`` is for
 ``main_and_error``; ``predict_branch`` walks a branch through chosen step
 candidates for the generators, and ``below_line`` is the exact
 three-point test.
@@ -36,7 +38,7 @@ from ramstab.branches import (
 )
 from ramstab.certificates import CertificateCheck, StabilityCertificate
 from ramstab.hasseherbrand import TowerInvariantError
-from ramstab.polygons import NewtonPolygon, copolygon, lower_hull
+from ramstab.polygons import NewtonPolygon, lower_hull, slopes
 from ramstab.valuations import _check_prime, format_rational
 
 log = logging.getLogger(__name__)
@@ -194,11 +196,39 @@ def altitude(f: PLFunction) -> Fraction:
 
 
 def dual_plf(polygon: NewtonPolygon) -> PLFunction:
-    """``copolygon``'s (vertices, final slope) pair as a checked
-    ``PLFunction``, its initial slope read off the first vertex."""
-    vertices, final_slope = copolygon(polygon)
-    x0, y0 = vertices[0]
-    return PLFunction(y0 / x0, vertices, final_slope)
+    """The dual of a polygon by its definition: the lower envelope
+    x -> min_i (h_i + w_i * x) over its vertices (w_i, h_i), less the last
+    height so that it passes through the origin, with a vertex at x = -s
+    for each segment slope s.  A slope s >= 0 or a first vertex at w = 0
+    fails the ``PLFunction`` checks."""
+    verts = polygon.vertices
+    floor = verts[-1][1]
+    vertices = [
+        (-s, min(h - floor - w * s for w, h in verts)) for s in reversed(slopes(polygon))
+    ]
+    return PLFunction(verts[-1][0], vertices, verts[0][0])
+
+
+def level_polygon(profile, data, n):
+    """The exact level-n polygon: vertices (p^{r_i}, m_i + e_i*C/q^n),
+    validated as a ``NewtonPolygon``.
+
+    Valid in the stable regime; if the stated points are not strictly
+    convex the level is not stable and construction fails loudly.
+    """
+    if data.C is None:
+        raise ValueError("limiting data has no error coefficient C")
+    if n < 0:
+        raise ValueError("level must be nonnegative")
+    error = Fraction(data.C, profile.q**n)
+    points = [
+        (profile.p**r_i, Fraction(m_i) + e_i * error)
+        for r_i, m_i, e_i in zip(data.R, data.M, data.E)
+    ]
+    try:
+        return NewtonPolygon(tuple(points))
+    except ValueError as exc:
+        raise ValueError(f"level {n} is not in the stable regime: {exc}") from exc
 
 
 def below_line(p, p_mid, p_end) -> bool:

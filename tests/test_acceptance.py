@@ -20,6 +20,7 @@ from helpers import (
     evaluate,
     kummer_carries,
     legendre_factorial_table,
+    level_polygon,
     predict_branch,
     random_plf,
     random_point_set,
@@ -29,7 +30,7 @@ from helpers import (
 from ramstab.branches import build_record
 from ramstab.cli import main
 from ramstab.hasseherbrand import breaks_and_subfields, build_tower, level_model
-from ramstab.limitdata import level_polygon, limiting_data_for_branch
+from ramstab.limitdata import limiting_data_for_branch
 from ramstab.polygons import lower_hull
 
 from test_cli import UNIFORMIZER, SAMPLE

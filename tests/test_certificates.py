@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import UNIFORMIZER_PROFILE, SAMPLE_PROFILE, random_profile
+from helpers import UNIFORMIZER_PROFILE, SAMPLE_PROFILE, level_polygon, random_profile
 
 from ramstab.branches import PolynomialValuationProfile, build_record
 from ramstab.certificates import (
@@ -18,7 +18,7 @@ from ramstab.certificates import (
     pcb_sufficient,
     revalidate,
 )
-from ramstab.limitdata import level_polygon, limiting_data, limiting_data_for_branch
+from ramstab.limitdata import limiting_data, limiting_data_for_branch
 
 
 class TestPCBNormalForm:

@@ -401,7 +401,7 @@ class TestTowerCommands:
         code, out, _ = run(capsys, "hh", "--depth", "20", fixture)
         assert code == 0
         payload = json.loads(out)
-        _cert, _working, _data, tower = cli._certified_tower(load_document(fixture), 20)
+        *_, tower = cli._certified_tower(load_document(fixture), 20)
         assert {"phi": payload["phi"], "Phi": payload["Phi"]} == tower_json_oracle(tower)
 
     @pytest.mark.parametrize(
@@ -464,13 +464,11 @@ class TestTowerCommands:
     )
     def test_breaks_runs_to_the_printable_depth(self, capsys):
         doc = load_document(UNIFORMIZER)
-        cert, working, data, _ = cli._certified_tower(doc, 1)
+        *_, model, _tower = cli._certified_tower(doc, 1)
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)  # the smallest limit the interpreter allows
         try:
-            limit = hasseherbrand.printable_depth(
-                hasseherbrand.level_model(doc.profile, data, cert.d_used, working.first_finite())
-            )
+            limit = hasseherbrand.printable_depth(model)
             code, out, _ = run(capsys, "breaks", "--depth", str(limit), UNIFORMIZER)
             assert code == 0 and len(json.loads(out)["breaks"]) == limit
             code, _, err = run(capsys, "breaks", "--depth", str(limit + 1), UNIFORMIZER)
@@ -492,9 +490,11 @@ class TestTowerCommands:
             (SAMPLE, 1, "22aa9c957addbda45493e7d8522df94f8e37fe36c2c60a13fa3b1e2d7a48d7ce"),
             (SAMPLE, 2, "4603bd0711093a5dbe6caaeef77be233c0b6d0663a7ec5270572b40f1abf6e4a"),
             (SAMPLE, 3, "0db6789c03636035a3e16749997f00a5863a2c30404a72b2aebd59b16ee99daf"),
+            (SAMPLE, 5, "c96d7e13634cbfb66d8bca96068769662b0d6058d35ae74654d0dc02faedf3ba"),
             (UNIFORMIZER, 1, "301db62aebea9cf41c34d7d07d138c2079a64ca61cb6e0f8cff6e736713c6852"),
             (UNIFORMIZER, 2, "684b79f4c07886606658ac1bdae23cc5d582e74a4c389fffef9f2a039908a02e"),
             (UNIFORMIZER, 3, "8505452af375d9cb630aec20a00d70bab43ed8ae35ec3cf1b3e9c2190a351b71"),
+            (UNIFORMIZER, 5, "966204ca0072add7c7b6a993336d96fcd5e3d1ee75cdcea428070dbf994b1e33"),
         ],
     )
     def test_plot_svg_is_pinned(self, capsys, tmp_path, fixture, depth, digest):
@@ -576,6 +576,43 @@ class TestErrorContract:
                 assert error["field"] == "r" and "level 3" in error["error"]
         assert not svg.exists()
 
+    @pytest.mark.parametrize(
+        "base, e_ke, d, at_fault",
+        [
+            (f"-{10**645 + 1}", 1, None, "level 678's criterion bound"),
+            (f"-{10**646 + 1}/7", 10, None, "the estimated d"),
+            (f"-{10**646 + 1}/7", 10, 1, "level 0's d-estimate"),
+        ],
+        ids=["criterion", "d-estimate", "level-d-estimate"],
+    )
+    def test_unprintable_base_magnitude_is_rejected_on_the_base(
+        self, capsys, tmp_path, base, e_ke, d, at_fault
+    ):
+        # sample without d, at a 647-digit limit: the scan stops at level
+        # 678, where |v| <= 1/q^2 and the denominator 9^678 still prints, but
+        # the composition criterion's right side, about 4 * 9^678, does not;
+        # with e_ke = 10 the estimated d, 10 (10^646 + 1), does not either;
+        # given d = 1, level 0's d-estimate, -10 (10^646 + 1), is the first
+        doc = json.loads(Path(SAMPLE).read_text())
+        if d is None:
+            del doc["d"]
+        else:
+            doc["d"] = d
+        doc.update(base_valuation=base, branch_valuations=[base], e_ke=e_ke)
+        path = tmp_path / "huge-base.json"
+        path.write_text(json.dumps(doc))
+        svg = tmp_path / "never-written.svg"
+        with int_digit_limit(647):
+            for argv in (
+                ["certify"], ["breaks", "--depth", "2"], ["hh", "--depth", "2"],
+                ["plot", "--depth", "2", "--out", str(svg)],
+            ):
+                code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+                assert code == 2 and out == ""
+                error = json.loads(err)
+                assert error["field"] == "base_valuation" and at_fault in error["error"]
+        assert not svg.exists()
+
 
 USAGE = [
     "[-h] {limit-data,branch,certify,hh,breaks,plot,selftest} ...",
@@ -651,7 +688,8 @@ class TestArgumentValidation:
 
 def count_stage_calls(capsys, *argv, code=0):
     """Run one command, which exits with ``code``, with the pipeline stages
-    wrapped at every ramstab binding.
+    wrapped at every ramstab binding and ``NewtonPolygon`` constructions
+    counted.
 
     The wrappers are removed on return, so calls in one test count apart.
     """
@@ -662,7 +700,6 @@ def count_stage_calls(capsys, *argv, code=0):
         "limiting_data": limitdata.limiting_data,
         "lower_hull": polygons.lower_hull,
         "level_model": hasseherbrand.level_model,
-        "level_polygon": limitdata.level_polygon,
         "main_and_error": limitdata.main_and_error,
         "find_stable_index": branches.find_stable_index,
         "format_rational": valuations.format_rational,
@@ -672,7 +709,7 @@ def count_stage_calls(capsys, *argv, code=0):
     }
     # the level scan's constants, cached on the profile
     cached = ("coefficient_floor", "q_squared", "screen_threshold", "forced_step_bound")
-    counts = dict.fromkeys([*originals, *cached], 0)
+    counts = dict.fromkeys([*originals, *cached, "NewtonPolygon"], 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -683,6 +720,8 @@ def count_stage_calls(capsys, *argv, code=0):
 
     wrappers = {name: counting(name, fn) for name, fn in originals.items()}
     with pytest.MonkeyPatch.context() as patch:
+        polygon_class = polygons.NewtonPolygon
+        patch.setattr(polygon_class, "__new__", counting("NewtonPolygon", polygon_class.__new__))
         profile_class = branches.PolynomialValuationProfile
         for name in cached:
             counted = functools.cached_property(counting(name, vars(profile_class)[name].func))
@@ -758,8 +797,7 @@ class TestStageCounts:
         assert counts["build_record"] == 1
         assert counts["limiting_data"] == 1
         assert counts["level_model"] == 1
-        assert counts["level_polygon"] == 0
-        assert counts["lower_hull"] <= 2
+        assert counts["NewtonPolygon"] == counts["lower_hull"] <= 2
         assert counts["find_stable_index"] == 0
 
     def test_hh_formats_linearly_in_depth(self, capsys):
@@ -815,11 +853,12 @@ class TestStageCounts:
         assert counts["printable_depth"] == 1
 
     def test_plot(self, capsys, tmp_path):
-        # the drawn polygon is the only one built: the tower reads the level model
+        # every panel reads the limiting data and the tower: the only
+        # polygons built are the hulls of the certify stage
         out = str(tmp_path / "plot.svg")
         counts = count_stage_calls(capsys, "plot", "--depth", "3", "--out", out, SAMPLE)
-        assert counts["level_polygon"] == 1
         assert counts["level_model"] == 1
+        assert counts["NewtonPolygon"] == counts["lower_hull"] <= 2
 
     def test_certify_visits_only_the_support(self, capsys, tmp_path):
         # q = 1000000007: a loop over every index 1..q would not finish

@@ -12,6 +12,7 @@ from helpers import (
     altitude,
     compose,
     evaluate,
+    level_polygon,
     phi_oracle,
     predict_branch,
     random_profile,
@@ -32,7 +33,7 @@ from ramstab.hasseherbrand import (
     level_model,
     printable_depth,
 )
-from ramstab.limitdata import LimitingRamificationData, level_polygon, limiting_data_for_branch
+from ramstab.limitdata import LimitingRamificationData, limiting_data_for_branch
 from ramstab.valuations import format_rational
 
 

@@ -9,6 +9,7 @@ from helpers import (
     UNIFORMIZER_PROFILE,
     SAMPLE_PROFILE,
     kummer_carries,
+    level_polygon,
     predict_branch,
     random_profile,
 )
@@ -17,7 +18,6 @@ from ramstab.branches import BranchDataError, build_record, halving_level
 from ramstab.limitdata import (
     LimitingRamificationData,
     compute_C,
-    level_polygon,
     limiting_data,
     limiting_data_for_branch,
     main_and_error,

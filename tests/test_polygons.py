@@ -1,4 +1,4 @@
-"""Lower hulls, the below-line predicate, and copolygon duality."""
+"""Lower hulls, the below-line predicate, and the dual oracle (the copolygon)."""
 
 import random
 from fractions import Fraction
@@ -10,7 +10,6 @@ from helpers import below_line, brute_hull_vertex_set, dual_plf, evaluate, rando
 from ramstab.polygons import (
     DegenerateHullError,
     NewtonPolygon,
-    copolygon,
     lower_hull,
     slopes,
 )
@@ -126,17 +125,14 @@ class TestVertexStabilityLemma:
 
 class TestCopolygon:
     def test_two_segment_dual(self):
-        hull = lower_hull([(1, 3), (3, 2), (9, 0)])
-        assert copolygon(hull) == (
-            ((Fraction(1, 3), Fraction(3)), (Fraction(1, 2), Fraction(7, 2))),
-            Fraction(1),
-        )
-        assert dual_plf(hull).slopes() == [Fraction(9), Fraction(3), Fraction(1)]
+        dual = dual_plf(lower_hull([(1, 3), (3, 2), (9, 0)]))
+        assert dual.vertices == ((Fraction(1, 3), Fraction(3)), (Fraction(1, 2), Fraction(7, 2)))
+        assert dual.slopes() == [Fraction(9), Fraction(3), Fraction(1)]
 
     def test_single_segment_dual(self):
-        hull = lower_hull([(1, 1), (3, 0)])
-        assert copolygon(hull) == (((Fraction(1, 2), Fraction(3, 2)),), Fraction(1))
-        assert dual_plf(hull).slopes() == [Fraction(3), Fraction(1)]
+        dual = dual_plf(lower_hull([(1, 1), (3, 0)]))
+        assert dual.vertices == ((Fraction(1, 2), Fraction(3, 2)),)
+        assert dual.slopes() == [Fraction(3), Fraction(1)]
 
     def test_vertex_count_is_one_less(self):
         rng = random.Random(5)
@@ -151,8 +147,8 @@ class TestCopolygon:
             built += 1
 
     def test_dual_is_the_lower_envelope(self):
-        # copolygon(x) = min over hull vertices (w, h) of h + w*x, once the
-        # heights are normalized so the rightmost vertex sits at 0
+        # the dual is min over hull vertices (w, h) of h + w*x at every x, not
+        # only at its vertices, once the rightmost vertex sits at height 0
         rng = random.Random(6)
         built = 0
         while built < 60:
@@ -178,19 +174,8 @@ class TestCopolygon:
         assert recovered == sorted(slopes(hull))
         assert sorted(dual.slopes()) == sorted(x for x, _ in hull.vertices)
 
-    def test_mixed_sign_slopes_rejected(self):
-        hull = lower_hull([(1, -2), (3, 0)])
-        with pytest.raises(ValueError, match="negative"):
-            copolygon(hull)
-        with pytest.raises(ValueError, match=">= 1"):
-            copolygon(lower_hull([(0, 1), (3, 0)]))
-
 
 class TestSerialization:
-    def test_polygon_json_pairs(self):
-        hull = lower_hull([(1, Fraction(29, 9)), (3, 2), (9, 0)])
-        assert hull.to_json() == [[1, "29/9"], [3, "2"], [9, "0"]]
-
     def test_plf_json_fields(self):
         dual = dual_plf(lower_hull([(1, 1), (3, 0)]))
         assert dual.to_json() == {

@@ -59,7 +59,6 @@ from ramstab.inputdoc import InputDocument, parse_document
 from ramstab.limitdata import (
     complete_record,
     compute_C,
-    level_polygon,
     limiting_data,
     limiting_data_for_branch,
     main_and_error,
@@ -76,6 +75,7 @@ from helpers import (
     hull_step_candidates,
     hull_stepped_extension,
     kummer_carries,
+    level_polygon,
     level_vertices,
     main_and_error_oracle,
     phi_oracle,
