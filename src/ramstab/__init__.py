@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "valuations": "TowerInvariantError format_rational parse_rational",
-    "polygons": "NewtonPolygon lower_hull slopes",
+    "polygons": "lower_hull",
     "branches": "BranchDataError BranchValuationRecord PolynomialValuationProfile "
     "branch_step_candidates build_record estimate_d find_stable_index halving_level "
     "stability_screen",

@@ -134,11 +134,6 @@ class PolynomialValuationProfile:
         return self.q * roots[-1] if roots else None
 
     @cached_property
-    def root_pairs(self) -> Tuple[Tuple[int, int], ...]:
-        """The root valuations as (numerator, denominator) pairs."""
-        return tuple((v.numerator, v.denominator) for v in self.coefficient_hull[1])
-
-    @cached_property
     def coefficient_hull(self) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Fraction, ...]]:
         """Vertices of the lower hull of the coefficient points (i, v(P_i)) and
         its root valuations (negated segment slopes, decreasing).
@@ -151,7 +146,9 @@ class PolynomialValuationProfile:
         if len(points) < 2:
             return tuple(points), ()
         hull = lower_hull(points)
-        return hull.vertices, tuple(hull.root_valuations())
+        return hull, tuple(
+            Fraction(y0 - y1, x1 - x0) for (x0, y0), (x1, y1) in zip(hull, hull[1:])
+        )
 
 
 class BranchValuationRecord(NamedTuple):
@@ -187,19 +184,19 @@ def _tangent_step(profile: PolynomialValuationProfile, v: Fraction) -> Tuple[int
 
     The slope from (0, v) to vertex j + 1 is a weighted mean of the slope
     to vertex j and the slope of hull segment j, so it does not rise while
-    roots[j] >= a/b, compared on integers.  Ties advance: collinear points
-    are never vertices, so the tangent vertex is the last of least slope.
+    that segment's root valuation (y_j - y_{j+1}) / (x_{j+1} - x_j) is at
+    least a/b, compared on integers.  Ties advance: collinear points are
+    never vertices, so the tangent vertex is the last of least slope.
     """
     vertices = profile.coefficient_hull[0]
     n, d = v.numerator, v.denominator
     x, y = vertices[0]
     a, b = n - y * d, x * d
     j = 0
-    for root_n, root_d in profile.root_pairs:
-        if root_n * b < a * root_d:
+    for x1, y1 in vertices[1:]:
+        if (y - y1) * b < a * (x1 - x):
             break
-        j += 1
-        x, y = vertices[j]
+        j, x, y = j + 1, x1, y1
         a, b = n - y * d, x * d
     return j, a, b
 

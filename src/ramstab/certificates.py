@@ -23,7 +23,7 @@ from .branches import (
     estimate_d,
     stability_screen,
 )
-from .inputdoc import check_printable
+from .inputdoc import check_printable, denominator_field
 from .limitdata import LimitingRamificationData
 from .valuations import digit_limit
 
@@ -255,8 +255,9 @@ def certify(
     ``stability_screen`` pass.  A uniformizer base (v(a_0) * e_ke = 1)
     passes the screen at level 0 outright, since every level is then
     Eisenstein.  A scanned level whose denominator has more digits than
-    the interpreter prints raises ``InputError`` on ``r``; a d-estimate or
-    a criterion bound that has, on ``base_valuation``.
+    the interpreter prints raises ``InputError`` on the field that
+    ``denominator_field`` names; a d-estimate or a criterion bound that
+    has, on ``base_valuation``.
     """
     p, bits = profile.p, 3 * digit_limit()  # bits: past this, a number may not print
     why = "certify cannot print it"
@@ -288,7 +289,8 @@ def certify(
         if v is None:
             continue
         if bits and v.denominator.bit_length() > bits:
-            check_printable(v.denominator, f"level {n}'s denominator", why)
+            field = denominator_field(profile.q)
+            check_printable(v.denominator, f"level {n}'s denominator", why, field)
         if bits and d_estimates[n].bit_length() > bits:
             check_printable(d_estimates[n], f"level {n}'s d-estimate", why, "base_valuation")
         comp = criterion(n, v)

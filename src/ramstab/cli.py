@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii
 
 from .branches import BranchDataError, estimate_d, find_stable_index
 from .certificates import certify, pcb_normal_form, pcb_sufficient
-from .inputdoc import InputError, check_printable, check_r_digits, load_document
+from .inputdoc import InputError, check_printable, check_r_digits, denominator_field, load_document
 from .limitdata import (
     complete_record,
     compute_C,
@@ -225,7 +225,8 @@ def _branch(doc, args):
     record, level_for_C = _from_branch(complete_record, doc)
     # the completed record ends a level past |v| <= 1/q^2: its last denominator is >= q^3
     last, C = record.valuations[-1], compute_C(profile, record, level_for_C)
-    check_printable(last.denominator, "the last valuation's denominator", "branch cannot print it")
+    name, why = "the last valuation's denominator", "branch cannot print it"
+    check_printable(last.denominator, name, why, denominator_field(profile.q))
     check_printable(C.numerator, "the numerator of C", "branch cannot print C")
     d_est, trusted = estimate_d(profile, record)
     return {
@@ -384,7 +385,8 @@ def _certify_batch(paths: list, jobs: int) -> list:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_certify_one, paths))
+            chunks = max(1, len(paths) // (4 * jobs))
+            return list(pool.map(_certify_one, paths, chunksize=chunks))
     return [_certify_one(path) for path in paths]
 
 

@@ -51,7 +51,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .branches import PolynomialValuationProfile
 from .limitdata import LimitingRamificationData
-from .valuations import Prefix, TowerInvariantError, digit_limit, format_rational, logger
+from .valuations import Prefix, TowerInvariantError, digit_limit, format_rational, logger, power_of_ten
 
 __all__ = [
     "LevelModel",
@@ -308,7 +308,7 @@ def printable_depth(model: LevelModel) -> Optional[int]:
         return None
     q = model.q
     # the largest n with n q^n < 10^digits / (2T), found bit by bit
-    bound = -(-(10**digits) // (2 * _numerator_bound(model)))
+    bound = -(-power_of_ten(digits) // (2 * _numerator_bound(model)))
     powers = [q]  # q^(2^k)
     while powers[-1] < bound:
         powers.append(powers[-1] ** 2)

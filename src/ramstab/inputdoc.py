@@ -20,7 +20,7 @@ from .branches import (
     _leading_zeros,
     build_record,
 )
-from .valuations import _check_prime, digit_limit, format_rational, parse_rational
+from .valuations import _check_prime, digit_limit, format_rational, parse_rational, power_of_ten
 
 __all__ = [
     "InputDocument", "InputError", "parse_document", "load_document", "check_r_digits",
@@ -88,7 +88,7 @@ def check_r_digits(p: int, e: int, name: str, why: str) -> None:
     if not limit:
         return
     b = p.bit_length()
-    if e * (b - 1) >= 4 * limit or (e * b > 3 * limit and p**e >= 10**limit):
+    if e * (b - 1) >= 4 * limit or (e * b > 3 * limit and p**e >= power_of_ten(limit)):
         raise InputError("r", f"{name} = {p}^{e} has more than {limit} digits, so {why}")
 
 
@@ -99,8 +99,15 @@ def check_printable(n: int, name: str, why: str, field: str = "r") -> None:
     ``check_r_digits``."""
     limit = digit_limit()
     b = abs(n).bit_length()
-    if limit and b > 3 * limit and (b - 1 >= 4 * limit or abs(n) >= 10**limit):
+    if limit and b > 3 * limit and (b - 1 >= 4 * limit or abs(n) >= power_of_ten(limit)):
         raise InputError(field, f"{name} has more than {limit} digits, so {why}")
+
+
+def denominator_field(q: int) -> str:
+    """The field at fault when a denominator of a completed record has more
+    digits than the limit: ``r`` when q^3, the last denominator for a base
+    of magnitude 1, has, else ``base_valuation``."""
+    return "r" if q**3 >= power_of_ten(digit_limit()) else "base_valuation"
 
 
 def _index(key, q: int) -> int:

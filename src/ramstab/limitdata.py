@@ -130,7 +130,7 @@ def limiting_data(
     table = main_and_error(profile, sign)
     exponents = {profile.p**k: k for k in range(profile.r + 1)}
     hull = lower_hull((x, table[k][0] * q2 + sign * table[k][1]) for x, k in exponents.items())
-    R = tuple(exponents[x] for x, _ in hull.vertices)
+    R = tuple(exponents[x] for x, _ in hull)
     M = tuple(table[k][0] for k in R)
     E = tuple(table[k][1] for k in R)
     assert all(e <= profile.q - 1 for e in E)

@@ -10,7 +10,8 @@ profile's coefficient valuations, and a zero base point is a None entry of
 a branch record.
 
 Also provides the exact prime test below ``PRIME_BOUND``,
-``digit_limit``, the interpreter's limit on the digits of an int, and
+``digit_limit``, the interpreter's limit on the digits of an int, with
+``power_of_ten`` to test against it, and
 what the report writer shares with the tower: ``Prefix`` and
 ``TowerInvariantError``, kept here so that ``cli`` imports no tower module
 for the commands that build no tower.
@@ -69,6 +70,13 @@ def digit_limit() -> int:
     """The interpreter's limit on the digits of an int read from or written
     to a string; 0 when there is none."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@lru_cache(maxsize=None)
+def power_of_ten(limit: int) -> int:
+    """10**limit, the least integer with more than ``limit`` digits, built
+    once per limit for the exact print-limit tests."""
+    return 10**limit
 
 
 def format_rational(value: Optional[Fraction]) -> str:

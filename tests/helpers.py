@@ -9,7 +9,8 @@ the tower oracle folds the level model in ``Fraction`` arithmetic, the
 branch oracle extends a record one fresh hull per step, the
 main-and-error oracle scans every p^k with the carry walk, the certify
 oracle builds every level's checks from scratch, and the level-polygon
-oracle validates the exact level-n heights as a ``NewtonPolygon``.
+oracle checks the exact level-n heights for strict convexity with
+``below_line``.
 
 ``PLFunction``, with ``make_plf``, ``evaluate``, ``compose`` and
 ``altitude``, is the general algebra of concave piecewise-linear
@@ -18,8 +19,9 @@ and phi_n is the scaled dual of the level polygon, read off the level
 model.  The algebra stays here as the oracle for both, with ``dual_plf``
 the dual by its definition, as ``kummer_carries`` is for
 ``main_and_error``; ``predict_branch`` walks a branch through chosen step
-candidates for the generators, and ``below_line`` is the exact
-three-point test.
+candidates for the generators, ``below_line`` is the exact three-point
+test, and ``root_valuations`` reads the negated segment slopes off a
+vertex tuple, as ``lower_hull`` and ``level_polygon`` return it.
 """
 
 import logging
@@ -38,7 +40,7 @@ from ramstab.branches import (
 )
 from ramstab.certificates import CertificateCheck, StabilityCertificate
 from ramstab.hasseherbrand import TowerInvariantError
-from ramstab.polygons import NewtonPolygon, lower_hull, slopes
+from ramstab.polygons import lower_hull
 from ramstab.valuations import _check_prime, format_rational
 
 log = logging.getLogger(__name__)
@@ -195,23 +197,29 @@ def altitude(f: PLFunction) -> Fraction:
     return f.vertices[-1][1]
 
 
-def dual_plf(polygon: NewtonPolygon) -> PLFunction:
-    """The dual of a polygon by its definition: the lower envelope
-    x -> min_i (h_i + w_i * x) over its vertices (w_i, h_i), less the last
-    height so that it passes through the origin, with a vertex at x = -s
-    for each segment slope s.  A slope s >= 0 or a first vertex at w = 0
-    fails the ``PLFunction`` checks."""
-    verts = polygon.vertices
-    floor = verts[-1][1]
-    vertices = [
-        (-s, min(h - floor - w * s for w, h in verts)) for s in reversed(slopes(polygon))
+def root_valuations(vertices) -> list[Fraction]:
+    """The negated segment slopes of a vertex tuple, decreasing when the
+    vertices are strictly convex."""
+    return [Fraction(y0 - y1, x1 - x0) for (x0, y0), (x1, y1) in zip(vertices, vertices[1:])]
+
+
+def dual_plf(vertices) -> PLFunction:
+    """The dual of a polygon, given as its vertex tuple, by its definition:
+    the lower envelope x -> min_i (h_i + w_i * x) over its vertices
+    (w_i, h_i), less the last height so that it passes through the origin,
+    with a vertex at x = u for each root valuation u.  A root valuation
+    u <= 0 or a first vertex at w = 0 fails the ``PLFunction`` checks."""
+    floor = vertices[-1][1]
+    breaks = [
+        (u, min(h - floor + w * u for w, h in vertices))
+        for u in reversed(root_valuations(vertices))
     ]
-    return PLFunction(verts[-1][0], vertices, verts[0][0])
+    return PLFunction(vertices[-1][0], breaks, vertices[0][0])
 
 
 def level_polygon(profile, data, n):
-    """The exact level-n polygon: vertices (p^{r_i}, m_i + e_i*C/q^n),
-    validated as a ``NewtonPolygon``.
+    """The exact level-n polygon as its vertex tuple (p^{r_i}, m_i + e_i*C/q^n),
+    each interior vertex checked to lie strictly below its neighbours' chord.
 
     Valid in the stable regime; if the stated points are not strictly
     convex the level is not stable and construction fails loudly.
@@ -221,14 +229,16 @@ def level_polygon(profile, data, n):
     if n < 0:
         raise ValueError("level must be nonnegative")
     error = Fraction(data.C, profile.q**n)
-    points = [
+    points = tuple(
         (profile.p**r_i, Fraction(m_i) + e_i * error)
         for r_i, m_i, e_i in zip(data.R, data.M, data.E)
-    ]
-    try:
-        return NewtonPolygon(tuple(points))
-    except ValueError as exc:
-        raise ValueError(f"level {n} is not in the stable regime: {exc}") from exc
+    )
+    if not all(below_line(*triple) for triple in zip(points, points[1:], points[2:])):
+        raise ValueError(
+            f"level {n} is not in the stable regime: "
+            "segment slopes must be strictly increasing (strict convexity)"
+        )
+    return points
 
 
 def below_line(p, p_mid, p_end) -> bool:
@@ -426,7 +436,7 @@ def hull_step_candidates(profile, v):
     points = list(profile.coeff_valuations.items())
     if v is not None:
         points.append((0, v))
-    return lower_hull(points).root_valuations() if len(points) > 1 else []
+    return root_valuations(lower_hull(points)) if len(points) > 1 else []
 
 
 def hull_stepped_extension(profile, valuations, length):

@@ -246,8 +246,8 @@ class TestCriterion7:
                     assert ties == 1, "minimizer must be unique"
                     points.append((i, best))
                 hull = lower_hull(points)
-                assert hull.vertices == polygon.vertices
-                for x, _ in hull.vertices:
+                assert hull == polygon
+                for x, _ in hull:
                     while x % p == 0:
                         x //= p
                     assert x == 1, "vertices only at prime powers"
@@ -265,7 +265,7 @@ class TestCriterion8:
             pts = random_point_set(rng)
             hull = lower_hull(pts)
             expected = brute_hull_vertex_set([(x, Fraction(y)) for x, y in pts])
-            assert list(hull.vertices) == expected
+            assert list(hull) == expected
         elapsed = time.monotonic() - start
         with capsys.disabled():
             _report(8, f"hull == brute force on 1000 point sets, {elapsed:.1f}s")

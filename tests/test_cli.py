@@ -613,6 +613,33 @@ class TestErrorContract:
                 assert error["field"] == "base_valuation" and at_fault in error["error"]
         assert not svg.exists()
 
+    @pytest.mark.parametrize(
+        "digits, limit, argv, at_fault",
+        [
+            (638, 640, ["certify"], "level 671's denominator"),
+            (638, 640, ["breaks", "--depth", "2"], "level 671's denominator"),
+            (645, 647, ["branch"], "the last valuation's denominator"),
+        ],
+        ids=["certify", "breaks", "branch"],
+    )
+    def test_unprintable_denominator_of_a_large_base_is_rejected_on_the_base(
+        self, capsys, tmp_path, digits, limit, argv, at_fault
+    ):
+        # sample without d, on the base -(10^digits + 1): its q^3 = 729
+        # prints at any limit, so a denominator past the limit, a scanned
+        # level's or the completed record's last, comes of the base
+        doc = json.loads(Path(SAMPLE).read_text())
+        del doc["d"]
+        base = f"-{10**digits + 1}"
+        doc.update(base_valuation=base, branch_valuations=[base])
+        path = tmp_path / "large-base.json"
+        path.write_text(json.dumps(doc))
+        with int_digit_limit(limit):
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["field"] == "base_valuation" and at_fault in error["error"]
+
 
 USAGE = [
     "[-h] {limit-data,branch,certify,hh,breaks,plot,selftest} ...",
@@ -688,8 +715,7 @@ class TestArgumentValidation:
 
 def count_stage_calls(capsys, *argv, code=0):
     """Run one command, which exits with ``code``, with the pipeline stages
-    wrapped at every ramstab binding and ``NewtonPolygon`` constructions
-    counted.
+    wrapped at every ramstab binding.
 
     The wrappers are removed on return, so calls in one test count apart.
     """
@@ -709,7 +735,7 @@ def count_stage_calls(capsys, *argv, code=0):
     }
     # the level scan's constants, cached on the profile
     cached = ("coefficient_floor", "q_squared", "screen_threshold", "forced_step_bound")
-    counts = dict.fromkeys([*originals, *cached, "NewtonPolygon"], 0)
+    counts = dict.fromkeys([*originals, *cached], 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -720,8 +746,6 @@ def count_stage_calls(capsys, *argv, code=0):
 
     wrappers = {name: counting(name, fn) for name, fn in originals.items()}
     with pytest.MonkeyPatch.context() as patch:
-        polygon_class = polygons.NewtonPolygon
-        patch.setattr(polygon_class, "__new__", counting("NewtonPolygon", polygon_class.__new__))
         profile_class = branches.PolynomialValuationProfile
         for name in cached:
             counted = functools.cached_property(counting(name, vars(profile_class)[name].func))
@@ -797,7 +821,7 @@ class TestStageCounts:
         assert counts["build_record"] == 1
         assert counts["limiting_data"] == 1
         assert counts["level_model"] == 1
-        assert counts["NewtonPolygon"] == counts["lower_hull"] <= 2
+        assert counts["lower_hull"] <= 2
         assert counts["find_stable_index"] == 0
 
     def test_hh_formats_linearly_in_depth(self, capsys):
@@ -858,7 +882,7 @@ class TestStageCounts:
         out = str(tmp_path / "plot.svg")
         counts = count_stage_calls(capsys, "plot", "--depth", "3", "--out", out, SAMPLE)
         assert counts["level_model"] == 1
-        assert counts["NewtonPolygon"] == counts["lower_hull"] <= 2
+        assert counts["lower_hull"] <= 2
 
     def test_certify_visits_only_the_support(self, capsys, tmp_path):
         # q = 1000000007: a loop over every index 1..q would not finish

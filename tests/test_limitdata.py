@@ -117,7 +117,7 @@ class TestLevelPolygon:
         assert data.C == Fraction(2, 3)
         assert n_used == 0
         polygon = level_polygon(SAMPLE_PROFILE, data, 1)
-        assert polygon.vertices == (
+        assert polygon == (
             (1, Fraction(29, 9)),
             (3, Fraction(2)),
             (9, Fraction(0)),
@@ -127,13 +127,13 @@ class TestLevelPolygon:
         record = build_record(UNIFORMIZER_PROFILE, ["1", "1/3"])
         data, record, _ = limiting_data_for_branch(UNIFORMIZER_PROFILE, record)
         polygon = level_polygon(UNIFORMIZER_PROFILE, data, 1)
-        assert polygon.vertices == ((1, Fraction(4, 3)), (3, Fraction(0)))
+        assert polygon == ((1, Fraction(4, 3)), (3, Fraction(0)))
 
     def test_error_terms_vanish_in_the_limit(self):
         record = build_record(SAMPLE_PROFILE, ["2/3", "2/27"])
         data, record, _ = limiting_data_for_branch(SAMPLE_PROFILE, record)
         polygon = level_polygon(SAMPLE_PROFILE, data, 60)
-        for (x, y), m in zip(polygon.vertices, data.M):
+        for (x, y), m in zip(polygon, data.M):
             assert abs(y - m) < Fraction(1, 10**20)
 
     def test_requires_C(self):
@@ -178,9 +178,9 @@ class TestHeightOracle:
                     assert not tie, "minimizer must be unique"
                     full.append((i, height))
                 hull = lower_hull(full)
-                assert hull.vertices == polygon.vertices
+                assert hull == polygon
                 # vertices occur only at powers of p
-                for x, _ in hull.vertices:
+                for x, _ in hull:
                     while x % profile.p == 0:
                         x //= profile.p
                     assert x == 1
@@ -199,7 +199,7 @@ class TestHeightOracle:
                 if abs(Fraction(data.C, profile.q**n)) > Fraction(1, profile.q**2):
                     continue
                 polygon = level_polygon(profile, data, n)
-                assert tuple(x for x, _ in polygon.vertices) == tuple(
+                assert tuple(x for x, _ in polygon) == tuple(
                     profile.p**r for r in data.R
                 )
             checked += 1

@@ -5,45 +5,47 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import below_line, brute_hull_vertex_set, dual_plf, evaluate, random_point_set
-
-from ramstab.polygons import (
-    DegenerateHullError,
-    NewtonPolygon,
-    lower_hull,
-    slopes,
+from helpers import (
+    below_line,
+    brute_hull_vertex_set,
+    dual_plf,
+    evaluate,
+    random_point_set,
+    root_valuations,
 )
+
+from ramstab.branches import PolynomialValuationProfile
+from ramstab.polygons import lower_hull
 
 
 class TestLowerHull:
     def test_three_vertex_example(self):
         hull = lower_hull([(1, Fraction(29, 9)), (3, 2), (9, 0)])
-        assert hull.vertices == ((1, Fraction(29, 9)), (3, Fraction(2)), (9, Fraction(0)))
+        assert hull == ((1, Fraction(29, 9)), (3, Fraction(2)), (9, Fraction(0)))
 
     def test_collinear_points_collapse(self):
         hull = lower_hull([(0, 0), (1, 0), (2, 0)])
-        assert hull.vertices == ((0, Fraction(0)), (2, Fraction(0)))
+        assert hull == ((0, Fraction(0)), (2, Fraction(0)))
 
     def test_single_segment_example(self):
         pts = [(0, Fraction(2, 3)), (1, 4), (3, 2), (4, 3), (6, 4), (7, 3), (9, 0)]
         hull = lower_hull(pts)
-        assert hull.vertices == ((0, Fraction(2, 3)), (9, Fraction(0)))
-        assert slopes(hull) == [Fraction(-2, 27)]
+        assert hull == ((0, Fraction(2, 3)), (9, Fraction(0)))
+        assert root_valuations(hull) == [Fraction(2, 27)]
 
     def test_degenerate_inputs_rejected(self):
-        with pytest.raises(DegenerateHullError):
+        with pytest.raises(ValueError, match="at least two points"):
             lower_hull([(0, 1)])
-        with pytest.raises(DegenerateHullError):
+        with pytest.raises(ValueError, match="at least two points"):
             lower_hull([])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="distinct"):
             lower_hull([(0, 1), (0, 2), (1, 0)])
 
     def test_every_point_on_or_above_hull(self):
         rng = random.Random(23)
         for _ in range(200):
             pts = random_point_set(rng)
-            hull = lower_hull(pts)
-            verts = hull.vertices
+            verts = lower_hull(pts)
             for x, y in pts:
                 for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
                     if x0 <= x <= x1:
@@ -54,24 +56,18 @@ class TestLowerHull:
         rng = random.Random(7)
         for _ in range(300):
             pts = random_point_set(rng)
-            hull = lower_hull(pts)
-            assert list(hull.vertices) == brute_hull_vertex_set(
+            assert list(lower_hull(pts)) == brute_hull_vertex_set(
                 [(x, Fraction(y)) for x, y in pts]
             )
 
 
 class TestSlopes:
     def test_two_segment_example(self):
-        hull = lower_hull([(1, 3), (3, 2), (9, 0)])
-        assert slopes(hull) == [Fraction(-1, 2), Fraction(-1, 3)]
-        assert hull.root_valuations() == [Fraction(1, 2), Fraction(1, 3)]
-
-    def test_flat_segment(self):
-        assert slopes(lower_hull([(0, 0), (1, 0)])) == [Fraction(0)]
-
-    def test_single_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            slopes(NewtonPolygon(((1, Fraction(0)),)))
+        # the coefficient points (1, 3), (3, 2), (9, 0): segment slopes -1/2 and -1/3
+        profile = PolynomialValuationProfile(p=3, r=2, v_p=1, coeff_valuations={1: 3, 3: 2, 9: 0})
+        vertices, roots = profile.coefficient_hull
+        assert vertices == ((1, 3), (3, 2), (9, 0))
+        assert roots == (Fraction(1, 2), Fraction(1, 3))
 
 
 class TestBelowLine:
@@ -140,10 +136,10 @@ class TestCopolygon:
         while built < 100:
             pts = random_point_set(rng, min_x=1)
             hull = lower_hull(pts)
-            if any(s >= 0 for s in slopes(hull)):
+            if any(u <= 0 for u in root_valuations(hull)):
                 continue
             dual = dual_plf(hull)
-            assert len(dual.vertices) == len(hull.vertices) - 1
+            assert len(dual.vertices) == len(hull) - 1
             built += 1
 
     def test_dual_is_the_lower_envelope(self):
@@ -156,13 +152,13 @@ class TestCopolygon:
             floor = [y for x, y in pts if x == max(px for px, _ in pts)][0]
             pts = [(x, y - floor) for x, y in pts]
             hull = lower_hull(pts)
-            if any(s >= 0 for s in slopes(hull)):
+            if any(u <= 0 for u in root_valuations(hull)):
                 continue
-            assert hull.vertices[-1][1] == 0
+            assert hull[-1][1] == 0
             dual = dual_plf(hull)
             for _ in range(20):
                 x = Fraction(rng.randint(0, 60), rng.randint(1, 10))
-                envelope = min(h + w * x for w, h in hull.vertices)
+                envelope = min(h + w * x for w, h in hull)
                 assert evaluate(dual, x) == envelope
             built += 1
 
@@ -170,9 +166,9 @@ class TestCopolygon:
         # applying the dual twice recovers the slope multiset
         hull = lower_hull([(1, 3), (3, 2), (9, 0)])
         dual = dual_plf(hull)
-        recovered = sorted(-x for x, _ in dual.vertices)
-        assert recovered == sorted(slopes(hull))
-        assert sorted(dual.slopes()) == sorted(x for x, _ in hull.vertices)
+        recovered = sorted(x for x, _ in dual.vertices)
+        assert recovered == sorted(root_valuations(hull))
+        assert sorted(dual.slopes()) == sorted(x for x, _ in hull)
 
 
 class TestSerialization:

@@ -80,6 +80,7 @@ from helpers import (
     main_and_error_oracle,
     phi_oracle,
     predict_branch,
+    root_valuations,
     stability_screen_oracle,
     tower_json_oracle,
     tower_levels,
@@ -136,7 +137,7 @@ def test_documents_round_trip(profile, base, choices, depth, d):
 
 def reference_candidates(profile, v):
     """Root valuations of a fresh lower hull of (0, v) and the coefficient points."""
-    return lower_hull([(0, v), *profile.coeff_valuations.items()]).root_valuations()
+    return root_valuations(lower_hull([(0, v), *profile.coeff_valuations.items()]))
 
 
 def hull_intercepts(profile):
@@ -145,7 +146,7 @@ def hull_intercepts(profile):
     points = list(profile.coeff_valuations.items())
     if len(points) < 2:
         return []
-    vertices = lower_hull(points).vertices
+    vertices = lower_hull(points)
     return [
         y0 - Fraction(y1 - y0, x1 - x0) * x0
         for (x0, y0), (x1, y1) in zip(vertices, vertices[1:])
@@ -185,7 +186,7 @@ def test_step_candidates_match_a_fresh_hull(profile, v):
         with pytest.raises(BranchDataError):
             zero_departure_candidates(profile)
     else:
-        assert zero_departure_candidates(profile) == lower_hull(points).root_valuations()
+        assert zero_departure_candidates(profile) == root_valuations(lower_hull(points))
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -261,7 +262,7 @@ def test_main_and_error_matches_the_per_k_carry_scan(profile):
         hull = lower_hull(
             (x, table[k][0] + sign * Fraction(table[k][1], q * q)) for x, k in exponents.items()
         )
-        assert limiting_data(profile, sign).R == tuple(exponents[x] for x, _ in hull.vertices)
+        assert limiting_data(profile, sign).R == tuple(exponents[x] for x, _ in hull)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

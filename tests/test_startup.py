@@ -1,6 +1,8 @@
-"""Cold start: a command imports only the stages it runs, and logging
-loads only when RAMSTAB_LOG asks for info or debug records."""
+"""Cold start: a command imports only the stages it runs, every name of the
+lazy export table resolves, and logging loads only when RAMSTAB_LOG asks
+for info or debug records."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -66,6 +68,22 @@ def test_breaks_loads_the_tower_but_not_the_plot(loaded_after):
 
 def test_no_module_uses_dataclasses():
     assert [p.name for p in sorted(PACKAGE.rglob("*.py")) if "dataclass" in p.read_text()] == []
+
+
+def test_every_exported_name_resolves():
+    import ramstab
+
+    # each name of the package resolves through the PEP 562 hook to its module's own
+    for name in ramstab.__all__:
+        module = importlib.import_module(f"ramstab.{ramstab._MODULE_OF[name]}")
+        assert ramstab.__getattr__(name) is getattr(module, name)
+    # and each stage module defines every name it lists
+    missing = []
+    for path in PACKAGE.glob("*.py"):
+        if path.stem != "__init__":
+            module = vars(importlib.import_module(f"ramstab.{path.stem}"))
+            missing += [f"{path.stem}.{n}" for n in module.get("__all__", ()) if n not in module]
+    assert missing == []
 
 
 def run_cli(*argv, **env):
