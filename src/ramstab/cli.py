@@ -9,10 +9,10 @@ command and writes its payload, and ``_failure`` maps any failure to its
 error record and exit code: ``main`` prints it to stderr, and a batch
 stores it under the file's path.
 Exit codes: 0 success, 1 not-certified, tower invariant abort or a
-closed stdout, 2 malformed, undecodable or unreadable input, a bad
-command line, or a --depth too deep to print or plot.  Logging verbosity
-comes from the RAMSTAB_LOG environment variable (error/warn/info/debug);
-there are no logging flags.  The package emits only info and debug
+closed stdout, 2 malformed, undecodable or unreadable input, an --out
+that cannot be written, a bad command line, or a --depth too deep to
+print or plot.  Logging verbosity comes from the RAMSTAB_LOG environment
+variable (error/warn/info/debug); there are no logging flags.  The package emits only info and debug
 records, so ``logging`` is imported, and configured, only when RAMSTAB_LOG
 is info or debug.
 
@@ -28,7 +28,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
@@ -57,7 +56,7 @@ def _configure_logging():
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
+    if not (text.isascii() and text.isdecimal()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
@@ -165,24 +164,29 @@ def _render(payload: dict) -> str:
     return "".join(chunks)
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = _render(payload)
-    if out:
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, the command's --out, or to stdout
+    without one; a file that cannot be written is an input error on "out"."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError("out", f"cannot write the file: {exc}") from exc
 
 
 def _failure(exc: Exception) -> tuple[dict, int]:
     """The error record of a failed command and its exit code: 2 with the
-    ``field`` at fault for bad input, 2 for a missing file, 1 with the
-    ``invariant`` for a tower abort, and 1 for any other ValueError."""
+    ``field`` at fault for bad input or an --out that cannot be written, 1
+    with the ``invariant`` for a tower abort, and 1 for any other
+    ValueError."""
     if isinstance(exc, (InputError, BranchDataError)):
         return {"error": str(exc), "field": getattr(exc, "field", None)}, 2
     if isinstance(exc, TowerInvariantError):
         return {"error": str(exc), "invariant": exc.prop}, 1
-    return {"error": str(exc)}, 2 if isinstance(exc, FileNotFoundError) else 1
+    return {"error": str(exc)}, 1
 
 
 def _from_branch(stage, doc):
@@ -329,27 +333,25 @@ def _plot(doc, args):
     Q = q ** (depth - 1)
     error = data.C / (q * Q)
     polygon = [(p**r_i, m_i + e_i * error) for r_i, m_i, e_i in zip(data.R, data.M, data.E)]
-    xs = [Fraction(x, D) for x in tower.xs]
-    phi = list(zip(xs[-size:], (Fraction(y, D) for y in tower.phi_ys[-size:])))
-    top = list(zip(xs, (Fraction(y, D * Q) for y in tower.ys)))
+    xs, phi_ys = tower.xs[-size:], tower.phi_ys[-size:]
     # phi_n is the polygon's dual with x scaled by e_ke q^n, y by e_ke q^(n-1),
-    # and both shifted; the dual's final slope is the first vertex's x, p^0
-    shift = model.shift
-    dual = [((x - shift) / (e_ke * q * Q), (y - shift) / (e_ke * Q)) for x, y in phi]
+    # and both shifted; the dual's final slope is the first vertex's x, p^0.
+    # with shift = r/s, a coordinate c/D less the shift is (c s - r D)/(D s)
+    r, s = model.shift.numerator, model.shift.denominator
+    dual_xs, dual_ys = ([c * s - r * D for c in cs] for cs in (xs, phi_ys))
     try:
         svg = render_level_report(
             polygon,
-            (dual, Fraction(1)),
-            (phi, Fraction(1, q)),
-            (top, Fraction(1, q * Q)),
+            (dual_xs, D * s * e_ke * q * Q, dual_ys, D * s * e_ke * Q, (1, 1)),
+            (xs, D, phi_ys, D, (1, q)),
+            (tower.xs, D, tower.ys, D * Q, (1, q * Q)),
             depth,
         )
     except OverflowError as exc:
         raise InputError(
             "depth", f"{depth} is too deep to plot: the tower's coordinates overflow a float"
         ) from exc
-    with open(args.out, "w") as fh:
-        fh.write(svg)
+    _write(svg, args.out)
     log = logger(__name__, "INFO")
     if log:
         log.info("wrote %s", args.out)
@@ -374,7 +376,7 @@ def _certify_one(path: str) -> tuple[dict, int]:
     exit code."""
     try:
         return COMMANDS["certify"][0](load_document(path), None)
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:
         return _failure(exc)
 
 
@@ -459,13 +461,14 @@ def main(argv=None) -> int:
             return _selftest()
         if command == "certify" and (len(args.inputs) > 1 or args.jobs > 1):
             results = _certify_batch(args.inputs, args.jobs)
-            _emit({path: payload for path, (payload, _code) in zip(args.inputs, results)}, args.out)
+            report = {path: payload for path, (payload, _code) in zip(args.inputs, results)}
+            _write(_render(report), args.out)
             return max(code for _payload, code in results)
         path = args.inputs[0] if command == "certify" else args.input
         payload, code = COMMANDS[command][0](load_document(path), args)
         if payload is not None:
             # plot's --out is its SVG: a report it prints goes to stdout
-            _emit(payload, None if command == "plot" else args.out)
+            _write(_render(payload), None if command == "plot" else args.out)
         return code
     except BrokenPipeError:
         # the reader closed stdout: send what is still buffered to devnull,
@@ -475,7 +478,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:
         record, code = _failure(exc)
         print(json.dumps(record), file=sys.stderr)
         return code

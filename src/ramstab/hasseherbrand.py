@@ -20,8 +20,8 @@ of phi_n mapped through the final ray of Phi_{n-1}, of slope 1/q^(n-1)
 (the composition rule for Herbrand functions, Serre, Local Fields, IV 3).
 With x over D and y over D*q^(depth-1), that append is integer
 multiply-adds.  The tower is therefore one record of numerators, level
-n is its first (V-1)*n vertices, and a coordinate becomes a Fraction
-only when it is printed or plotted.
+n is its first (V-1)*n vertices, and a number is printed from its
+numerator and denominator by one gcd and plotted as their quotient.
 
 Three properties are checked at every level, each raising a named
 ``TowerInvariantError``: the x-coordinates of phi_n strictly increase
@@ -51,7 +51,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .branches import PolynomialValuationProfile
 from .limitdata import LimitingRamificationData
-from .valuations import Prefix, TowerInvariantError, digit_limit, format_rational, logger, power_of_ten
+from .valuations import Prefix, TowerInvariantError, digit_limit, format_ratio, logger, power_of_ten
 
 __all__ = [
     "LevelModel",
@@ -205,8 +205,8 @@ def build_tower(model: LevelModel, depth: int) -> Tower:
         if level_xs[0] <= x_last:
             raise TowerInvariantError(
                 "composition-gap",
-                f"first vertex {Fraction(level_xs[0], D)} of phi_{n} does not lie "
-                f"strictly beyond the last vertex {Fraction(x_last, D)} of phi_{n - 1}",
+                f"first vertex {format_ratio(level_xs[0], D)} of phi_{n} does not lie "
+                f"strictly beyond the last vertex {format_ratio(x_last, D)} of phi_{n - 1}",
             )
         xs.extend(level_xs)
         ys.extend(alt + (y - x_last) * scale for y in level_ys)
@@ -214,7 +214,7 @@ def build_tower(model: LevelModel, depth: int) -> Tower:
         x_last, alt = xs[-1], ys[-1]
         scale //= q
         if log:
-            log.debug("tower level %d: %d breaks, altitude %s", n, len(xs), Fraction(alt, D * Q))
+            log.debug("tower level %d: %d breaks, altitude %s", n, len(xs), format_ratio(alt, D * Q))
     _check_deepest(xs, ys, Q, q)
     return Tower(q, D, len(model.coefficients), tuple(xs), tuple(ys), tuple(phi_ys))
 
@@ -257,9 +257,9 @@ def tower_json(tower: Tower, breaks: List[str]) -> dict:
     """
     q, D, size = tower.q, tower.D, tower.size
     E = D * q ** (tower.depth - 1)
-    vertices = [[x, format_rational(Fraction(y, E))] for x, y in zip(breaks, tower.ys)]
-    phi_ys = [format_rational(Fraction(y, D)) for y in tower.phi_ys]
-    phi_final = format_rational(Fraction(1, q))
+    vertices = [[x, format_ratio(y, E)] for x, y in zip(breaks, tower.ys)]
+    phi_ys = [format_ratio(y, D) for y in tower.phi_ys]
+    phi_final = f"1/{q}"  # 1/q^n is in lowest terms
     phis, levels = [], []
     for n in range(1, tower.depth + 1):
         start, end = size * (n - 1), size * n
@@ -278,7 +278,7 @@ def tower_json(tower: Tower, breaks: List[str]) -> dict:
                 "altitude": vertices[end - 1][1],
                 "initial_slope": "1",
                 "vertices": Prefix(vertices, end),
-                "final_slope": format_rational(Fraction(1, q**n)),
+                "final_slope": f"1/{q**n}",
             }
         )
     return {"phi": phis, "Phi": levels}
@@ -348,7 +348,7 @@ def breaks_and_subfields(tower: Tower, reindex: int = 0) -> dict:
     nonpositive indices denote the working ground field itself.  Break
     values beyond the computed depth are reported as None.
     """
-    breaks = [format_rational(Fraction(x, tower.D)) for x in tower.xs]
+    breaks = [format_ratio(x, tower.D) for x in tower.xs]
     rows = []
     for k in range(reindex + tower.depth + 1):
         idx = tower.size * (k - reindex) + 1

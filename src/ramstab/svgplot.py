@@ -7,7 +7,6 @@ never read back.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 __all__ = ["render_level_report"]
@@ -23,14 +22,15 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _plf_polyline(vertices, final_slope) -> List[Tuple[float, float]]:
-    """The function through the origin with these vertices, drawn a quarter
-    of its last x (at least 1) along its final ray."""
-    x_last, y_last = vertices[-1]
-    reach = max(Fraction(1), x_last // 4 + 1)
+def _plf_polyline(xs, dx, ys, dy, slope) -> List[Tuple[float, float]]:
+    """The function through the origin with the vertices (x/dx, y/dy) for
+    x, y in ``xs``, ``ys``, drawn a quarter of its last x (at least 1)
+    along its final ray, of slope a/b for (a, b) = ``slope``."""
+    (a, b), x_last, y_last = slope, xs[-1], ys[-1]
+    reach = max(1, x_last // (4 * dx) + 1)
     points = [(0.0, 0.0)]
-    points.extend((float(x), float(y)) for x, y in vertices)
-    points.append((float(x_last + reach), float(y_last + final_slope * reach)))
+    points.extend((x / dx, y / dy) for x, y in zip(xs, ys))
+    points.append(((x_last + reach * dx) / dx, (y_last * b + a * reach * dy) / (dy * b)))
     return points
 
 
@@ -75,9 +75,10 @@ class _Panel:
 def render_level_report(polygon, dual, phi, tower, level: int) -> str:
     """Four labeled panels: the level polygon, its dual, phi_n, and the tower map.
 
-    ``polygon`` is the level polygon's vertex list.  ``dual``, ``phi`` and
-    ``tower`` are each a function through the origin, given as its vertex
-    list and its final slope.
+    ``polygon`` is the level polygon's vertex list, in exact numbers.
+    ``dual``, ``phi`` and ``tower`` are each a function through the origin
+    on integers, (xs, dx, ys, dy, (a, b)): its vertices (x/dx, y/dy), with
+    dx, dy > 0, and its final slope a/b, with b > 0.
     """
     outline = [(float(x), float(y)) for x, y in polygon]
     panels = [

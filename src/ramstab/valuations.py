@@ -9,16 +9,17 @@ it.  Inside the pipeline a zero coefficient is an index absent from a
 profile's coefficient valuations, and a zero base point is a None entry of
 a branch record.
 
-Also provides the exact prime test below ``PRIME_BOUND``,
-``digit_limit``, the interpreter's limit on the digits of an int, with
-``power_of_ten`` to test against it, and
-what the report writer shares with the tower: ``Prefix`` and
-``TowerInvariantError``, kept here so that ``cli`` imports no tower module
-for the commands that build no tower.
+Also provides ``format_ratio``, which prints the tower's integer pairs,
+the exact prime test below ``PRIME_BOUND``, ``digit_limit``, the
+interpreter's limit on the digits of an int, with ``power_of_ten`` to
+test against it, and what the report writer shares with the tower:
+``Prefix`` and ``TowerInvariantError``, kept here so that ``cli`` imports
+no tower module for the commands that build no tower.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -28,6 +29,7 @@ from typing import Optional
 __all__ = [
     "parse_rational",
     "format_rational",
+    "format_ratio",
 ]
 
 RATIONAL_PATTERN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -85,6 +87,12 @@ def format_rational(value: Optional[Fraction]) -> str:
         return "inf"
     # a Fraction or an int already prints in lowest terms
     return str(value) if type(value) in (Fraction, int) else str(Fraction(value))
+
+
+def format_ratio(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for integers ``n`` and ``d > 0``, reduced by one gcd."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 # Miller-Rabin to the prime bases up to 41 decides primality exactly below

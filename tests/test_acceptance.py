@@ -3,11 +3,13 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Oracles here are independent of the code paths they check:
 factorial valuations for the carry counts, exhaustive chord tests for the
-hulls, pointwise sampling for composition, and term-by-term minima for the
-level-polygon heights.
+hulls, pointwise sampling for composition, term-by-term minima for the
+level-polygon heights, and Serre's ramification of the Lubin-Tate torsion
+towers for the printed breaks and altitudes.
 """
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -307,3 +309,69 @@ class TestCriterion9:
         elapsed = time.monotonic() - start
         with capsys.disabled():
             _report(9, f"halving and divisor ratios on 60 branches x 6 steps, {elapsed:.1f}s")
+
+
+def lubin_tate_psi(p, m, v):
+    """Serre's Herbrand psi of K_m/K, for K_m the field of the pi^m-torsion
+    of a Lubin-Tate series over K with residue field F_p (Serre, Local
+    Fields, IV 4, and Lubin-Tate theory): Gal(K_m/K) is (O_K/pi^m)^*, its
+    upper filtration is G^v = G for v <= 0 and U^(k) for k - 1 < v <= k,
+    trivial past m - 1, so psi has slope (G^0 : G^w) = (p-1) p^(min(k, m) - 1)
+    on (k - 1, k]."""
+    if v <= 0:
+        return Fraction(v)
+    return sum(
+        (min(Fraction(v), k) - (k - 1)) * (p - 1) * p ** (min(k, m) - 1)
+        for k in range(1, math.ceil(v) + 1)
+    )
+
+
+class TestCriterion10:
+    """Classical anchor: the Lubin-Tate torsion tower of x^p + pi x."""
+
+    def test_lubin_tate_breaks_and_altitudes(self, capsys, tmp_path):
+        # The branch from 0 of P = x^p + pi x is the pi-power torsion tower
+        # K_n; over K = Q_p (v_p = 1) it is the cyclotomic tower Q_p(zeta_p^n).
+        # Over the working base K_m, m the certificate's reindex, level k adds
+        # K_(m+k), whose new lower break (Serre's i_G) is p^(m+k-1) - 1 and new
+        # upper break over K is u = m + k - 1.  The package counts a break as
+        # v(sigma pi - pi), one more than i_G, and scales by e(K_m/K):
+        #   x_k = (i_k + 1) / e(K_m/K),  y_k = (psi_{K_m/K}(u_k) + 1) / e(K_m/K).
+        start, runs = time.monotonic(), 0
+        for p in (2, 3, 5, 7):
+            for v_p in (1, 2, 3):
+                doc = {
+                    "p": p, "r": 1, "v_p": v_p, "coeff_valuations": {"1": "1", str(p): "0"},
+                    "base_valuation": "inf", "branch_valuations": ["inf", f"1/{p - 1}"],
+                }
+                path = tmp_path / f"lubin-tate-{p}-{v_p}.json"
+                path.write_text(json.dumps(doc))
+                for depth in range(1, 7):
+                    assert main(["breaks", "--depth", str(depth), str(path)]) == 0
+                    breaks = json.loads(capsys.readouterr().out)
+                    assert main(["hh", "--depth", str(depth), str(path)]) == 0
+                    hh = json.loads(capsys.readouterr().out)
+                    runs += 2
+                    m = breaks["reindex"]
+                    assert hh["reindex"] == m >= 1
+                    e_m = (p - 1) * p ** (m - 1)  # e(K_m/K) = [K_m : K]
+                    xs, ys = [], []
+                    for k in range(1, depth + 1):
+                        i_k, u_k = p ** (m + k - 1) - 1, m + k - 1
+                        assert lubin_tate_psi(p, m + k, u_k) == i_k  # Herbrand: i = psi(u)
+                        xs.append(str(Fraction(i_k + 1, e_m)))
+                        ys.append(str((lubin_tate_psi(p, m, u_k) + 1) / e_m))
+                    assert breaks["breaks"] == hh["breaks"] == xs
+                    for n, level in enumerate(hh["Phi"], start=1):
+                        assert level["breaks"] == xs[:n]
+                        assert level["vertices"] == [list(v) for v in zip(xs[:n], ys[:n])]
+                        assert level["altitude"] == ys[n - 1]
+                        # phi of K_(m+n)/K_m ends in slope 1/[K_(m+n) : K_m]
+                        assert level["final_slope"] == f"1/{p ** n}"
+        elapsed = time.monotonic() - start
+        with capsys.disabled():
+            _report(
+                10,
+                f"Lubin-Tate towers, p in 2..7, v_p in 1..3: breaks p^k/(p-1) and "
+                f"altitudes k + 1/(p-1) from Serre's formulas, {runs} runs, {elapsed:.1f}s",
+            )

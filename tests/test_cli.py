@@ -495,6 +495,11 @@ class TestTowerCommands:
             (UNIFORMIZER, 2, "684b79f4c07886606658ac1bdae23cc5d582e74a4c389fffef9f2a039908a02e"),
             (UNIFORMIZER, 3, "8505452af375d9cb630aec20a00d70bab43ed8ae35ec3cf1b3e9c2190a351b71"),
             (UNIFORMIZER, 5, "966204ca0072add7c7b6a993336d96fcd5e3d1ee75cdcea428070dbf994b1e33"),
+            (SAMPLE, 20, "5b27122ed882cd4a17b7dbc96a03f6e8a46ca3e41de9c357d7d744e1a98857f3"),
+            (SAMPLE, 300, "523f1464728afc4053b63a2df0ad4003117d78e26b2f083889d03efe45614916"),
+            (UNIFORMIZER, 40, "74dec1f2d4e81276e7504e7f0df56c5a115c2e3fc92e151b09bb2183d801f7cd"),
+            # the deepest tower of this fixture whose coordinates fit a float
+            (UNIFORMIZER, 646, "bb1919e8bcc48dc76a921b8224fade27fcffa41abe6e8ec65608e68f7bf4856f"),
         ],
     )
     def test_plot_svg_is_pinned(self, capsys, tmp_path, fixture, depth, digest):
@@ -504,21 +509,22 @@ class TestTowerCommands:
         assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
     def test_plot_too_deep_for_floats_exits_2(self, tmp_path):
-        # depth 700 prints within the digit limit, but the SVG's float
-        # coordinates overflow past about 645 levels on this fixture
+        # these depths print within the digit limit, but the SVG's float
+        # coordinates overflow past 646 levels on this fixture
         target = tmp_path / "deep.svg"
         paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "ramstab.cli", "plot", "--depth", "700", UNIFORMIZER,
-             "--out", str(target)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        payload = json.loads(proc.stderr)
-        assert payload["field"] == "depth" and "error" in payload
-        assert not target.exists()
+        for depth in (647, 700):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ramstab.cli", "plot", "--depth", str(depth), UNIFORMIZER,
+                 "--out", str(target)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert "Traceback" not in proc.stderr
+            payload = json.loads(proc.stderr)
+            assert payload["field"] == "depth" and "error" in payload
+            assert not target.exists()
 
 
 class TestErrorContract:
@@ -552,6 +558,25 @@ class TestErrorContract:
                 assert payload[SAMPLE]["kind"] == "PotentiallyTRS"
                 assert payload[path]["field"] == "$" and "error" in payload[path]
         assert not svg.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", SAMPLE],
+            ["hh", "--depth", "2", SAMPLE],
+            ["plot", "--depth", "2", SAMPLE],
+            ["certify", SAMPLE, UNIFORMIZER],
+        ],
+        ids=["certify", "hh", "plot", "batch"],
+    )
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_unwritable_out_exits_2_on_out(self, capsys, tmp_path, argv, target):
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "report.json"
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2 and stdout == ""
+        error = json.loads(err)
+        assert error["field"] == "out" and str(out) in error["error"]
+        assert sorted(tmp_path.iterdir()) == []
 
     def test_unprintable_scanned_level_is_rejected_on_r(self, capsys, tmp_path):
         # at a 640-digit limit q = 2^800 (241 digits) and q^2 (482) print;
@@ -680,6 +705,9 @@ class TestArgumentValidation:
             ["hh", "--depth", "two", SAMPLE],
             ["plot", "--depth", "0", "--out", "never-written.svg", SAMPLE],
             ["certify", "--jobs", "0", SAMPLE],
+            # digits that are decimal but not ASCII, as no document number may be
+            ["breaks", "--depth", "\u0661\u0660", SAMPLE],
+            ["certify", "--jobs", "\uff12", SAMPLE, UNIFORMIZER],
         ],
     )
     def test_nonpositive_counts_are_usage_errors(self, capsys, argv):

@@ -17,7 +17,8 @@ builds the level scan's constants once, agrees with the oracle that
 builds every level's checks afresh.  ``build_record`` accepts a step
 exactly when a fresh hull lists it.  The report writer prints generated
 JSON values, prefix views of shared lists and lists of flat dicts
-included, exactly as ``json.dumps(indent=2)``.
+included, exactly as ``json.dumps(indent=2)``.  An integer pair prints as
+its ``Fraction`` does, and their quotient is that ``Fraction``'s float.
 """
 
 import enum
@@ -65,7 +66,7 @@ from ramstab.limitdata import (
     reindexed_record,
 )
 from ramstab.polygons import lower_hull
-from ramstab.valuations import format_rational, parse_rational
+from ramstab.valuations import format_ratio, format_rational, parse_rational
 
 from helpers import (
     ceiling_halving_level,
@@ -722,3 +723,34 @@ def test_report_writer_rejects_floats_and_non_str_keys(value, bad):
     for wrapped in (bad, [value, bad], {"key": bad}, (bad,)):
         with pytest.raises(TypeError):
             _render(wrapped)
+
+
+# the largest float is 2^1024 - 2^971; from 2^1024 - 2^970 on, a value
+# rounds past it
+FLOAT_EDGE = 2**1024 - 2**970
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    n=st.integers(-(2**4000), 2**4000),
+    d=st.integers(1, 2**4000),
+    common=st.integers(1, 2**64),
+)
+@example(n=0, d=1, common=1)
+@example(n=0, d=7, common=3)
+@example(n=-(2**4000), d=1, common=1)
+@example(n=FLOAT_EDGE - 1, d=1, common=1)
+@example(n=FLOAT_EDGE, d=1, common=1)
+@example(n=3 * FLOAT_EDGE - 1, d=3, common=5)
+@example(n=-3 * FLOAT_EDGE, d=3, common=5)
+@example(n=1, d=2**1100, common=1)
+def test_integer_pairs_print_and_plot_as_their_fraction(n, d, common):
+    n, d = n * common, d * common
+    assert format_ratio(n, d) == str(Fraction(n, d))
+    try:
+        expected = float(Fraction(n, d))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            n / d
+    else:
+        assert n / d == expected
