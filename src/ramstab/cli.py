@@ -10,9 +10,10 @@ error record and exit code: ``main`` prints it to stderr, and a batch
 stores it under the file's path.
 Exit codes: 0 success, 1 not-certified, tower invariant abort or a
 closed stdout, 2 malformed, undecodable or unreadable input, an --out
-that cannot be written, a bad command line, or a --depth too deep to
-print or plot.  Logging verbosity comes from the RAMSTAB_LOG environment
-variable (error/warn/info/debug); there are no logging flags.  The package emits only info and debug
+that cannot be written, a bad command line, a --depth too deep to print
+or plot, or an r whose q = p^r is too large to plot.  Logging verbosity
+comes from the RAMSTAB_LOG environment variable (error/warn/info/debug);
+there are no logging flags.  The package emits only info and debug
 records, so ``logging`` is imported, and configured, only when RAMSTAB_LOG
 is info or debug.
 
@@ -348,9 +349,13 @@ def _plot(doc, args):
             depth,
         )
     except OverflowError as exc:
-        raise InputError(
-            "depth", f"{depth} is too deep to plot: the tower's coordinates overflow a float"
-        ) from exc
+        # the polygon's last x is q itself: then no depth can be plotted
+        field, why = "depth", f"{depth} is too deep to plot: the tower's coordinates overflow"
+        try:
+            float(q)
+        except OverflowError:
+            field, why = "r", f"{doc.profile.r} is too large to plot: q = p^r overflows"
+        raise InputError(field, why + " a float") from exc
     _write(svg, args.out)
     log = logger(__name__, "INFO")
     if log:
@@ -386,7 +391,8 @@ def _certify_batch(paths: list, jobs: int) -> list:
         # parallel batch needs it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a pool starts all its workers at once: no more than there are files
+        with ProcessPoolExecutor(max_workers=min(jobs, len(paths))) as pool:
             chunks = max(1, len(paths) // (4 * jobs))
             return list(pool.map(_certify_one, paths, chunksize=chunks))
     return [_certify_one(path) for path in paths]

@@ -8,8 +8,9 @@ closed form: each polygon segment of slope s contributes a vertex at
 with slopes 1, p^{r_{V-1}}/q, ..., p^{r_1}/q = 1/q left to right and the
 identity segment through the origin fixing the heights.  The segment of
 the level-n polygon from (p^{r_k}, m_k + e_k*C/q^n) to the next vertex
-has q^n * s = (q^n * dM + dE * C) / dP, so every coordinate of phi_n is
-affine in q^n; ``level_model`` computes those coefficients once.
+has q^n * s = (q^n * dM + dE * C) / dP, so every x of phi_n is affine in
+q^n, and so is every y, which follows from the x and the fixed slopes;
+``level_model`` computes those coefficients once.
 
 The tower is computed on integers.  ``LevelModel`` writes every
 coefficient over one common denominator D, so each coordinate of phi_n is
@@ -23,21 +24,20 @@ multiply-adds.  The tower is therefore one record of numerators, level
 n is its first (V-1)*n vertices, and a number is printed from its
 numerator and denominator by one gcd and plotted as their quotient.
 
+Each rule of a transition function is checked in one place.  A
+``LevelModel`` takes the slopes of phi_n, not its heights, and rejects
+them once per model unless they strictly decrease from 1 to above 1/q.
 Three properties are checked at every level, each raising a named
 ``TowerInvariantError``: the x-coordinates of phi_n strictly increase
 (``level-convexity``: the level-n polygon is strictly convex), the first
 of them is positive (``vertex-positivity``), and it lies strictly beyond
 the last vertex of phi_{n-1} (``composition-gap``: the identity-segment
-gap that makes the closed form exact).
-The deepest function is then validated once, in full and on its
-numerators: its first vertex lies on the identity, its x are positive
-and increasing, and its slopes are positive and strictly decreasing down
-to the final 1/q^depth, compared by cross-multiplication.  The rest holds
-by construction: phi_n has one vertex per polygon segment, its slopes are
-fixed by R and fall from 1 to 1/q, appending keeps its last x, the fold
-makes the final slope of level n 1/q^n, and the altitude grows because
-the first vertex of phi_n lies on the identity, past the gap.  A
-violation aborts loudly rather than returning a silently wrong function.
+gap that makes the closed form exact).  The rest of the tower follows:
+its x are positive and increasing; its first vertex lies on the identity;
+and its slopes 1, then s_j/q^(n-1) within level n, 1/q^(n-1) into the
+first vertex of level n and 1/q^depth past the last, are positive and
+strictly decreasing.  A violation aborts loudly rather than returning a
+silently wrong function.
 
 Ramification breaks are reported on the scale normalized by the base
 subfield (v(E) = Z).
@@ -70,33 +70,38 @@ LOG2_10_NUM, LOG2_10_DEN = 3321928094, 10**9
 
 
 class LevelModel:
-    """phi_n at every level n at once: its j-th vertex is
-    (ax * q^n + bx, ay * q^n + by) for the j-th entry (ax, bx, ay, by) of
-    ``coefficients``.
+    """phi_n at every level n at once, on integers: its j-th vertex is
+    (AX[j] * q^n + BX[j], AY[j] * q^n + BY[j]) / D.
 
-    The same coefficients over their common denominator ``D``: that vertex
-    is (AX[j] * q^n + BX[j], AY[j] * q^n + BY[j]) / D, with integer
-    numerators computed once per model.  Models compare by (q, shift,
-    coefficients).
+    Built from the x rows (ax, bx) of the vertices, vertex j at
+    x = ax * q^n + bx, and the slopes of phi_n into vertices 1, 2, ...:
+    the first vertex lies on the identity, and each later y follows from
+    the y before it and its slope.  Those slopes must strictly decrease
+    from 1 to above phi_n's final slope 1/q, one per vertex after the
+    first, or the model is not a transition function and is rejected.
     """
 
-    __slots__ = ("q", "shift", "coefficients", "D", "AX", "BX", "AY", "BY")
+    __slots__ = ("q", "shift", "D", "AX", "BX", "AY", "BY")
 
     def __init__(
-        self, q: int, shift: Fraction, coefficients: Tuple[Tuple[Fraction, ...], ...]
+        self, q: int, shift: Fraction, xs: List[Tuple[Fraction, Fraction]], slopes: List[Fraction]
     ):
-        self.q, self.shift, self.coefficients = q, shift, coefficients
-        self.D = D = math.lcm(*(c.denominator for row in coefficients for c in row))
+        if len(slopes) != len(xs) - 1:
+            raise ValueError(
+                "phi_n takes one slope per vertex after its first: "
+                f"{len(xs)} vertices, {len(slopes)} slopes"
+            )
+        if any(b >= a for a, b in zip((1, *slopes), (*slopes, Fraction(1, q)))):
+            raise ValueError("segment slopes must be strictly decreasing (strict concavity)")
+        ys = [xs[0]]  # on the identity segment
+        for (ax0, bx0), (ax, bx), slope in zip(xs, xs[1:], slopes):
+            ay0, by0 = ys[-1]
+            ys.append((ay0 + slope * (ax - ax0), by0 + slope * (bx - bx0)))
+        columns = (*zip(*xs), *zip(*ys))  # ints and Fractions: both have a denominator
+        self.q, self.shift = q, shift
+        self.D = D = math.lcm(*(c.denominator for column in columns for c in column))
         self.AX, self.BX, self.AY, self.BY = (
-            tuple(c.numerator * (D // c.denominator) for c in column)
-            for column in zip(*coefficients)
-        )
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.q, self.shift, self.coefficients) == (
-            other.q, other.shift, other.coefficients
+            tuple(c.numerator * (D // c.denominator) for c in column) for column in columns
         )
 
     def numerators(self, n: int) -> Tuple[List[int], List[int]]:
@@ -150,9 +155,9 @@ def level_model(
 ) -> LevelModel:
     """The closed form of the module docstring with q^n left free.
 
-    Requires p not dividing d.  The shallowest polygon segment gives the
-    first vertex; the slope into each later vertex is p^{r_{k+1}}/q for its
-    segment k, so the heights accumulate affinely too.
+    Requires p not dividing d.  Each polygon segment, shallowest first,
+    gives the x row of one vertex; the slope into each later vertex is
+    p^{r_{k+1}}/q for its segment k.
     """
     if abs(d) % profile.p == 0:
         raise ValueError(f"d = {d} is divisible by p = {profile.p}")
@@ -160,19 +165,14 @@ def level_model(
         raise ValueError("limiting data has no error coefficient C")
     p, e_ke = profile.p, profile.e_ke
     shift = (d - 1) * abs(v_base)
-    coefficients = []
+    xs = []
     for k in reversed(range(data.V - 1)):
         width = p ** data.R[k + 1] - p ** data.R[k]
         ax = Fraction(-e_ke * (data.M[k + 1] - data.M[k]), width)
         bx = Fraction(-e_ke * (data.E[k + 1] - data.E[k]) * data.C, width) + shift
-        if coefficients:
-            slope = Fraction(p ** data.R[k + 1], profile.q)
-            ax0, bx0, ay0, by0 = coefficients[-1]
-            ay, by = ay0 + slope * (ax - ax0), by0 + slope * (bx - bx0)
-        else:
-            ay, by = ax, bx  # on the identity segment
-        coefficients.append((ax, bx, ay, by))
-    return LevelModel(profile.q, shift, tuple(coefficients))
+        xs.append((ax, bx))
+    slopes = [Fraction(p**r_k, profile.q) for r_k in reversed(data.R[1:-1])]
+    return LevelModel(profile.q, shift, xs, slopes)
 
 
 def build_tower(model: LevelModel, depth: int) -> Tower:
@@ -181,14 +181,11 @@ def build_tower(model: LevelModel, depth: int) -> Tower:
     Each vertex (x, y) of phi_n is appended as (x, alt + (y - x_last) /
     q^(n-1)), where (x_last, alt) is the last vertex so far.  On the
     numerators, x over D and y over D*q^(depth-1), that is
-    alt + (y - x_last) * q^(depth-n).  The deepest function is validated
-    once, in full; that covers every level, since the slopes of level n
-    are a prefix of its slopes and level n's final slope 1/q^n is its next
-    slope.
+    alt + (y - x_last) * q^(depth-n).
 
     Callers are expected to hold a certificate for the working base; the
-    builder still re-checks the identity-segment gap, and aborts with the
-    violated property on any failure.
+    builder still checks each level and the identity-segment gap, and
+    aborts with the violated property on any failure.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -215,32 +212,7 @@ def build_tower(model: LevelModel, depth: int) -> Tower:
         scale //= q
         if log:
             log.debug("tower level %d: %d breaks, altitude %s", n, len(xs), format_ratio(alt, D * Q))
-    _check_deepest(xs, ys, Q, q)
-    return Tower(q, D, len(model.coefficients), tuple(xs), tuple(ys), tuple(phi_ys))
-
-
-def _check_deepest(xs: List[int], ys: List[int], Q: int, q: int) -> None:
-    """The checks that make a transition function, each with its own
-    message: vertex positions positive and increasing, the first vertex on
-    the initial segment through the origin, and segment slopes positive
-    and strictly decreasing.  They run on the function with vertices
-    (x/D, y/(D*Q)), initial slope 1 and final slope 1/(q*Q).
-
-    A slope is kept as a pair (a, b) of positive b with value a/(b*Q), so
-    the initial slope is (Q, 1), a segment's is (dy, dx) and the final one
-    (1, q); pairs are compared by cross-multiplication.
-    """
-    if xs[0] <= 0 or any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ValueError("vertex x-coordinates must be positive and strictly increasing")
-    if ys[0] != xs[0] * Q:
-        raise ValueError("first vertex must lie on the initial segment through the origin")
-    slopes = [(Q, 1)]
-    slopes.extend((y1 - y0, x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]))
-    slopes.append((1, q))
-    if any(a <= 0 for a, _ in slopes):
-        raise ValueError("all segment slopes must be positive")
-    if any(a1 * b0 >= a0 * b1 for (a0, b0), (a1, b1) in zip(slopes, slopes[1:])):
-        raise ValueError("segment slopes must be strictly decreasing (strict concavity)")
+    return Tower(q, D, len(model.AX), tuple(xs), tuple(ys), tuple(phi_ys))
 
 
 def tower_json(tower: Tower, breaks: List[str]) -> dict:

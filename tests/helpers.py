@@ -518,11 +518,11 @@ def tower_json_oracle(tower):
 
 
 def level_vertices(model, n):
-    """phi_n's vertices evaluated from the model's ``Fraction``
-    coefficients, after the two per-level checks with the invariants and
-    messages of ``LevelModel.numerators``."""
-    q_n = model.q**n
-    xs = [ax * q_n + bx for ax, bx, _, _ in model.coefficients]
+    """phi_n's vertices as ``Fraction``s, the model's integer columns
+    evaluated at q^n over D, after the two per-level checks with the
+    invariants and messages of ``LevelModel.numerators``."""
+    q_n, D = model.q**n, model.D
+    xs = [Fraction(a * q_n + b, D) for a, b in zip(model.AX, model.BX)]
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise TowerInvariantError(
             "level-convexity",
@@ -535,7 +535,7 @@ def level_vertices(model, n):
             f"level {n} vertex positions are not positive (shift {model.shift}); "
             "outside the supported regime",
         )
-    return [(x, ay * q_n + by) for x, (_, _, ay, by) in zip(xs, model.coefficients)]
+    return [(x, Fraction(a * q_n + b, D)) for x, a, b in zip(xs, model.AY, model.BY)]
 
 
 def phi_oracle(model, n):
@@ -570,7 +570,7 @@ def tower_oracle(model, depth):
         x_last, alt = vertices[-1]
         phis.append(phi)
     PLFunction(1, tuple(vertices), final)
-    size = len(model.coefficients)
+    size = len(model.AX)
     return [
         (
             PLFunction(1, tuple(phi), Fraction(1, model.q)),

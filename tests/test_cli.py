@@ -162,6 +162,32 @@ class TestCertifyCommand:
         assert payload[SAMPLE]["kind"] == "PotentiallyTRS"
         assert payload[UNIFORMIZER]["kind"] == "TRS"
 
+    def test_batch_starts_no_more_workers_than_files(self, capsys, monkeypatch):
+        # a pool starts all its workers at the first submit: record the
+        # size asked for, and map in this process instead
+        import concurrent.futures
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        serial = run(capsys, "certify", SAMPLE, UNIFORMIZER, "--jobs", "1")
+        assert run(capsys, "certify", SAMPLE, UNIFORMIZER, "--jobs", "64") == serial
+        assert run(capsys, "certify", SAMPLE, SAMPLE, UNIFORMIZER, "--jobs", "2")[0] == 0
+        assert sizes == [2, 2]
+
     def test_batch_reports_each_bad_file(self, capsys, tmp_path):
         missing = str(tmp_path / "missing.json")
         invalid = tmp_path / "invalid.json"
@@ -664,6 +690,29 @@ class TestErrorContract:
         assert code == 2 and out == ""
         error = json.loads(err)
         assert error["field"] == "base_valuation" and at_fault in error["error"]
+
+    def test_plot_of_a_q_past_floats_exits_2_on_r(self, capsys, tmp_path):
+        # q = 2^1100 is the polygon's last x, past the largest float: no
+        # depth can be plotted, though the document certifies and its
+        # breaks print
+        q = 2**1100
+        doc = {
+            "p": 2, "r": 1100, "v_p": 1, "coeff_valuations": {"1": "1", str(q): "0"},
+            "base_valuation": "-1", "branch_valuations": ["-1"], "d": 1,
+        }
+        path = tmp_path / "r1100.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "certify", str(path))[0] == 0
+        assert run(capsys, "breaks", "--depth", "1", str(path))[0] == 0
+        svg = tmp_path / "never-written.svg"
+        for depth in ("1", "2"):
+            code, out, err = run(capsys, "plot", "--depth", depth, "--out", str(svg), str(path))
+            assert code == 2 and out == ""
+            assert json.loads(err) == {
+                "error": "r: 1100 is too large to plot: q = p^r overflows a float",
+                "field": "r",
+            }
+        assert not svg.exists()
 
 
 USAGE = [

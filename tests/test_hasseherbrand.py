@@ -17,11 +17,9 @@ from helpers import (
     predict_branch,
     random_profile,
     tower_levels,
-    tower_oracle,
     tower_vertices,
 )
 
-from ramstab import hasseherbrand
 from ramstab.branches import build_record
 from ramstab.certificates import certify
 from ramstab.hasseherbrand import (
@@ -55,8 +53,8 @@ def phi_at(profile, data, n, d, v_base):
 
 
 class TestBuildPhi:
-    """phi_n of one level: its values from the level model's ``Fraction``
-    coefficients, its failures from ``LevelModel.numerators``."""
+    """phi_n of one level: its values from the level model's integer
+    columns over D, its failures from ``LevelModel.numerators``."""
 
     def test_uniformizer_level_one(self):
         data, _ = uniformizer_data()
@@ -131,46 +129,34 @@ class TestLevelModel:
         assert Fraction(xs[0], model.D) == phi_oracle(model, 2).vertices[0][0] == 6
 
 
-class TestDeepestValidation:
-    """Hand-built models that pass every per-level check, but whose deepest
-    function is not a transition function: the builder raises the message
-    ``PLFunction`` gives for it in the ``Fraction`` fold."""
+class TestModelValidation:
+    """A model whose slopes do not make a transition function cannot be
+    built: the constructor checks them once, for every level."""
 
     @pytest.mark.parametrize(
-        "coefficients, message",
+        "slopes",
         [
-            # phi_n has its one vertex at (3^n, 3^n + 1), above the identity
-            (
-                ((Fraction(1), Fraction(0), Fraction(1), Fraction(1)),),
-                "first vertex must lie on the initial segment through the origin",
-            ),
-            # phi_n runs at slope 1 from (3^n, 3^n) to (2*3^n, 2*3^n)
-            (
-                (
-                    (Fraction(1), Fraction(0), Fraction(1), Fraction(0)),
-                    (Fraction(2), Fraction(0), Fraction(2), Fraction(0)),
-                ),
-                "segment slopes must be strictly decreasing (strict concavity)",
-            ),
-            # phi_n falls from (3^n, 3^n) to (2*3^n, 3^n/2)
-            (
-                (
-                    (Fraction(1), Fraction(0), Fraction(1), Fraction(0)),
-                    (Fraction(2), Fraction(0), Fraction(1, 2), Fraction(0)),
-                ),
-                "all segment slopes must be positive",
-            ),
+            # phi_n would run at slope 1 from (3^n, 3^n) to (2*3^n, 2*3^n)
+            (Fraction(1),),
+            # phi_n would fall from (3^n, 3^n) to (2*3^n, 3^n/2)
+            (Fraction(-1, 2),),
         ],
     )
-    def test_raises_the_plfunction_message(self, coefficients, message):
-        model = LevelModel(q=3, shift=Fraction(0), coefficients=coefficients)
-        for n in (1, 2, 3):
-            model.numerators(n)  # every level passes its own checks
-        for depth in (1, 3):
-            for build in (build_tower, tower_oracle):
-                with pytest.raises(ValueError) as err:
-                    build(model, depth)
-                assert str(err.value) == message
+    def test_rejects_slopes_that_do_not_decrease(self, slopes):
+        with pytest.raises(ValueError) as err:
+            LevelModel(3, Fraction(0), ((1, 0), (2, 0)), slopes)
+        assert str(err.value) == "segment slopes must be strictly decreasing (strict concavity)"
+
+    @pytest.mark.parametrize("slopes", [(), (Fraction(1, 2), Fraction(2, 5))])
+    def test_rejects_a_slope_count_other_than_one_per_later_vertex(self, slopes):
+        with pytest.raises(ValueError, match="one slope per vertex after its first"):
+            LevelModel(3, Fraction(0), ((1, 0), (2, 0)), slopes)
+
+    def test_heights_follow_from_the_identity_and_the_slopes(self):
+        # phi_n: (3^n, 3^n) on the identity, then slope 1/2 to (2*3^n + 1, ...)
+        model = LevelModel(3, Fraction(0), ((1, 0), (2, 1)), (Fraction(1, 2),))
+        assert (model.D, model.AX, model.BX, model.AY, model.BY) == (2, (2, 4), (0, 2), (2, 3), (0, 1))
+        assert phi_oracle(model, 1).vertices == ((3, 3), (7, 5))
 
 
 class TestBuildTower:
@@ -301,24 +287,25 @@ class TestClosedFormTower:
                 folded = phi if folded is None else compose(folded, phi)
                 assert level == (phi, folded)
 
-    def test_breaks_path_validates_once_and_never_composes(self, monkeypatch):
-        # the package holds no general composition to call: see
-        # test_layout.py, which scans it for code only the tests use
-        checks = []
-        original = hasseherbrand._check_deepest
+    def test_breaks_path_composes_nothing(self, monkeypatch):
+        # the package holds no general composition to call (see
+        # test_layout.py): each level is evaluated once and appended
+        levels = []
+        original = LevelModel.numerators
 
-        def counting(xs, *args):
-            checks.append(len(xs))
-            original(xs, *args)
+        def counting(model, n):
+            levels.append(original(model, n))
+            return levels[-1]
 
-        monkeypatch.setattr(hasseherbrand, "_check_deepest", counting)
+        monkeypatch.setattr(LevelModel, "numerators", counting)
         data, _ = sample_data_rebased()
         depth = 20
         tower = build_tower(level_model(SAMPLE_PROFILE, data, 2, Fraction(2, 3)), depth)
         table = breaks_and_subfields(tower)
+        assert len(levels) == depth
+        assert tower.xs == tuple(x for xs, _ in levels for x in xs)
+        assert tower.phi_ys == tuple(y for _, ys in levels for y in ys)
         assert len(table["breaks"]) == (data.V - 1) * depth
-        # the deepest level in full, on its numerators, and nothing else
-        assert checks == [(data.V - 1) * depth]
 
     def test_lower_levels_are_prefixes_of_the_deepest(self):
         data, _ = sample_data_rebased()

@@ -572,41 +572,52 @@ small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
 @st.composite
 def free_level_models(draw):
-    """Level models beyond what ``level_model`` builds: increasing positive
-    ax, any bx, and y accumulated from slopes in any order, with
-    the first vertex usually on the identity and sometimes beside it."""
+    """``LevelModel`` arguments beyond what ``level_model`` passes:
+    increasing positive ax, any bx, and slopes that strictly decrease
+    inside (1/q, 1), or one of the slope lists the constructor rejects: a
+    slope of 1 or of 1/q, slopes out of order, one slope too many or too
+    few, or slopes of any sign in any order."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 9)))
     size = draw(st.integers(1, 3))
     ax = sorted(draw(st.sets(st.builds(Fraction, st.integers(1, 12), st.integers(1, 4)),
                              min_size=size, max_size=size)))
-    bx = [draw(small_fractions) for _ in range(size)]
-    ay, by = [ax[0]], [bx[0] + draw(st.sampled_from((0, 0, 0, 1, Fraction(-1, 2))))]
-    for j in range(1, size):
-        slope = draw(st.builds(Fraction, st.integers(-2, 9), st.integers(1, 9)))
-        ay.append(ay[-1] + slope * (ax[j] - ax[j - 1]))
-        by.append(by[-1] + slope * (bx[j] - bx[j - 1]))
-    return LevelModel(
-        q=draw(st.sampled_from((2, 3, 4, 5, 9))),
-        shift=draw(small_fractions),
-        coefficients=tuple(zip(ax, bx, ay, by)),
-    )
+    xs = tuple((a, draw(small_fractions)) for a in ax)
+    inside = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+    inside = inside.filter(lambda s: Fraction(1, q) < s < 1)
+    slopes = sorted(draw(st.sets(inside, min_size=size - 1, max_size=size - 1)), reverse=True)
+    fault = draw(st.sampled_from((None, None, None, "1", "1/q", "unsorted", "count", "any")))
+    if fault in ("1", "1/q") and slopes:
+        slopes[draw(st.integers(0, len(slopes) - 1))] = 1 if fault == "1" else Fraction(1, q)
+    elif fault == "unsorted":
+        slopes.reverse()
+    elif fault == "count":
+        slopes = slopes[1:] if slopes and draw(st.booleans()) else [*slopes, Fraction(1, 2)]
+    elif fault == "any":
+        slopes = [draw(st.builds(Fraction, st.integers(-2, 9), st.integers(1, 9)))
+                  for _ in range(size - 1)]
+    return q, draw(small_fractions), xs, tuple(slopes)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(model=free_level_models(), depth=st.integers(1, 12))
+@given(args=free_level_models(), depth=st.integers(1, 12))
 # the first vertex of phi_2 lands exactly on the last vertex 9 of phi_1
-@example(
-    model=LevelModel(
-        q=3,
-        shift=Fraction(0),
-        coefficients=(
-            (Fraction(1), Fraction(0), Fraction(1), Fraction(0)),
-            (Fraction(2), Fraction(3), Fraction(4, 3), Fraction(2)),
-        ),
-    ),
-    depth=2,
-)
-def test_integer_tower_matches_the_fraction_fold_on_free_models(model, depth):
-    assert_tower_matches_oracle(model, depth)
+@example(args=(3, Fraction(0), ((1, 0), (2, 3)), (Fraction(1, 2),)), depth=2)
+def test_integer_tower_matches_the_fraction_fold_on_free_models(args, depth):
+    """Every accepted model builds the tower the ``Fraction`` fold builds;
+    the constructor rejects exactly the slope lists that are not one per
+    later vertex, strictly decreasing from 1 to above 1/q."""
+    q, _shift, xs, slopes = args
+    if len(slopes) != len(xs) - 1:
+        with pytest.raises(ValueError, match="one slope per vertex after its first"):
+            LevelModel(*args)
+    elif list(slopes) != sorted(set(slopes), reverse=True) or not all(
+        Fraction(1, q) < s < 1 for s in slopes
+    ):
+        with pytest.raises(ValueError) as err:
+            LevelModel(*args)
+        assert str(err.value) == "segment slopes must be strictly decreasing (strict concavity)"
+    else:
+        assert_tower_matches_oracle(LevelModel(*args), depth)
 
 
 # quotes, backslashes, control and non-ASCII characters, and a lone surrogate
