@@ -25,7 +25,7 @@ _EXPORTS = {
     "certificates": "CertificateCheck StabilityCertificate certify composition_criterion "
     "pcb_normal_form pcb_sufficient revalidate",
     "hasseherbrand": "Tower breaks_and_subfields build_tower "
-    "depth_past_limit level_model printable_depth tower_json",
+    "depth_past_limit level_model printable_depth",
     "inputdoc": "InputDocument InputError load_document parse_document",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

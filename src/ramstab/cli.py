@@ -19,7 +19,10 @@ is info or debug.
 
 A command imports only the stages it runs: the tower module for hh,
 breaks and plot, the SVG writer for plot, and the bundled-data reader for
-selftest.
+selftest.  Reports print exactly as ``json.dumps(indent=2)``: ``_render``
+writes them as chunks of text, and ``_tower_text`` writes hh's ``phi``
+and ``Phi`` from the tower's numerators, each level of ``Phi`` a cut of
+the deepest level's text.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .limitdata import (
     limiting_data_for_branch,
     reindexed_record,
 )
-from .valuations import Prefix, TowerInvariantError, digit_limit, format_rational, logger
+from .valuations import TowerInvariantError, digit_limit, format_ratio, format_rational, logger
 
 REPORT_NOTES = [
     "d estimates assume minimal ramification at each level and are advisory",
@@ -62,23 +65,21 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-class _Report(list):
-    """The chunks of one report, and ``shared``: by id and indent, the text
-    of each list that a ``Prefix`` was cut from, and each item's end in it."""
+class _Text(list):
+    """Chunks of report text at the indent of a top-level key, written as they are."""
 
-    __slots__ = ("shared",)
+    __slots__ = ()
 
 
-def _json_chunks(value, chunks: _Report, newline: str = "\n") -> None:
+def _json_chunks(value, chunks: list, newline: str = "\n") -> None:
     """Append the text of ``json.dumps(value, indent=2)`` to ``chunks``.
 
     Reports hold only dicts with str keys, lists, tuples, str, int, bool
     and None; anything else, a float or a non-str key included, raises
     TypeError.  ``newline`` is the line break and indent of this depth.
-    A non-empty ``Prefix`` is a cut of its list's text, rendered once
-    per report and indent.  A list whose first item is a flat dict (str
-    keys; str, int, bool and None values) builds one ``%`` template for
-    that key shape, and each item of that shape fills it.
+    A ``_Text`` is extended as it is.  A list whose first item is a flat
+    dict (str keys; str, int, bool and None values) builds one ``%``
+    template for that key shape, and each item of that shape fills it.
     """
     if isinstance(value, str):
         chunks.append(encode_basestring_ascii(value))
@@ -95,29 +96,19 @@ def _json_chunks(value, chunks: _Report, newline: str = "\n") -> None:
             _json_chunks(item, chunks, inner)
             sep = "," + inner
         chunks.append(newline + "}" if value else "{}")
-    elif type(value) is Prefix and value:
-        key, inner = (id(value.whole), newline), newline + "  "
-        if key not in chunks.shared:
-            pieces = []  # each item of the whole list after its separator
-            for i, item in enumerate(value.whole):
-                mark = len(chunks)
-                chunks.append(("," if i else "[") + inner)
-                _json_chunks(item, chunks, inner)
-                pieces.append("".join(chunks[mark:]))
-                del chunks[mark:]
-            chunks.shared[key] = "".join(pieces), list(accumulate(map(len, pieces)))
-        text, ends = chunks.shared[key]
-        chunks.append(text[: ends[len(value) - 1]])
-        chunks.append(newline + "]")
+    elif type(value) is _Text:
+        chunks.extend(value)
     elif isinstance(value, (list, tuple)):
         inner = newline + "  "
         sep = "[" + inner
         first = value[0] if value else None
         keys = tuple(first) if type(first) is dict else ()
-        template = _template(keys, inner) if _flat_texts(first, keys) else None
-        for item in value:
+        texts = _flat_texts(first, keys)  # the first item's, then each item's in turn
+        template = texts and _template(keys, inner)
+        for i, item in enumerate(value):
+            if i and template:
+                texts = _flat_texts(item, keys)
             chunks.append(sep)
-            texts = template and _flat_texts(item, keys)
             if texts:
                 chunks.append(template % texts)
             else:
@@ -156,10 +147,58 @@ def _template(keys: tuple, newline: str) -> str:
     return "{" + sep[1:] + sep.join(fields) + newline + "}"
 
 
+def _tower_text(tower, breaks: list) -> tuple:
+    """The ``phi`` and ``Phi`` values of ``hh``, as ``_Text`` at the indent
+    of a top-level key; ``breaks`` is the deepest level's break list.
+
+    Each number is formatted and quoted once.  Level n of ``Phi`` is the
+    first ``size``*n vertices of the deepest level: its breaks and vertices
+    are prefixes of the deepest level's two lists, each joined once, and
+    each prefix is a chunk of its own, copied only by the final join (the
+    printed bytes are quadratic in the depth).  phi_n has the x of level
+    n's last ``size`` vertices, its own y and final slope 1/q.
+    """
+    q, D, size = tower.q, tower.D, tower.size
+    E = D * q ** (tower.depth - 1)
+    quote = encode_basestring_ascii
+    xs = [quote(x) for x in breaks]
+    ys = [quote(format_ratio(y, E)) for y in tower.ys]
+    phi_ys = [quote(format_ratio(y, D)) for y in tower.phi_ys]
+    top, level, key, item, entry = ("\n" + "  " * k for k in range(1, 6))  # each one deeper
+    pair = item + "[" + entry + "%s," + entry + "%s" + item + "]"
+    # the deepest level's lists, open, and the end of each level's prefix
+    # of each: an item's text is its separator, "[" or ",", then its own
+    texts, ends = [], []
+    for items in ([item + x for x in xs], [pair % xy for xy in zip(xs, ys)]):
+        texts.append("[" + ",".join(items))
+        ends.append(list(accumulate(len(text) + 1 for text in items))[size - 1 :: size])
+    breaks_text, vertices_text = texts
+    # a level of Phi: head, its breaks, middle, its vertices and tail
+    keys = ("level", "breaks", "altitude", "initial_slope", "vertices", "final_slope")
+    cut = "\0" + key + "]"
+    fill = ("%s", cut, "%s", '"1"', cut, '"1/%s"')
+    head, middle, tail = (_template(keys, level) % fill).split("\0")
+    keys = ("level", "initial_slope", "vertices", "final_slope")
+    phi_level = _template(keys, level) % ("%s", '"1"', "[%s" + key + "]", quote(f"1/{q}"))
+    phi_vertices = [pair % xy for xy in zip(xs, phi_ys)]
+    phis, levels, sep, q_n = [], _Text(), "[" + level, q
+    for n, (breaks_end, vertices_end) in enumerate(zip(*ends), start=1):
+        phis.append(phi_level % (n, ",".join(phi_vertices[size * (n - 1) : size * n])))
+        levels += (
+            sep + head % n,
+            breaks_text[:breaks_end],
+            middle % ys[size * n - 1],
+            vertices_text[:vertices_end],
+            tail % q_n,
+        )
+        sep, q_n = "," + level, q_n * q
+    levels.append(top + "]")
+    return _Text(("[" + level + ("," + level).join(phis) + top + "]",)), levels
+
+
 def _render(payload: dict) -> str:
     """The report as printed: ``json.dumps(payload, indent=2)`` and a newline."""
-    chunks = _Report()
-    chunks.shared = {}
+    chunks = []
     _json_chunks(payload, chunks)
     chunks.append("\n")
     return "".join(chunks)
@@ -294,9 +333,10 @@ def _hh(doc, args):
     cert, working, working_data, _model, tower = _certified_tower(doc, args.depth)
     if tower is None:
         return {"certificate": cert.to_json()}, 1
-    from .hasseherbrand import breaks_and_subfields, tower_json
+    from .hasseherbrand import breaks_and_subfields
 
     table = breaks_and_subfields(tower, reindex=cert.reindex)
+    phi, Phi = _tower_text(tower, table["breaks"])
     return {
         "depth": tower.depth,
         "reindex": cert.reindex,
@@ -305,7 +345,8 @@ def _hh(doc, args):
         "conditional_on_d": cert.conditional_on_d,
         "base_valuation": format_rational(working.first_finite()),
         "C": format_rational(working_data.C),
-        **tower_json(tower, table["breaks"]),
+        "phi": phi,
+        "Phi": Phi,
         **table,
         "notes": REPORT_NOTES,
     }, 0

@@ -22,7 +22,8 @@ of phi_n mapped through the final ray of Phi_{n-1}, of slope 1/q^(n-1)
 With x over D and y over D*q^(depth-1), that append is integer
 multiply-adds.  The tower is therefore one record of numerators, level
 n is its first (V-1)*n vertices, and a number is printed from its
-numerator and denominator by one gcd and plotted as their quotient.
+numerator and denominator by one gcd and plotted as their quotient
+(``cli`` prints each level of ``hh`` as a cut of the deepest level's text).
 
 Each rule of a transition function is checked in one place.  A
 ``LevelModel`` takes the slopes of phi_n, not its heights, and rejects
@@ -51,7 +52,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .branches import PolynomialValuationProfile
 from .limitdata import LimitingRamificationData
-from .valuations import Prefix, TowerInvariantError, digit_limit, format_ratio, logger, power_of_ten
+from .valuations import TowerInvariantError, digit_limit, format_ratio, logger, power_of_ten
 
 __all__ = [
     "LevelModel",
@@ -61,7 +62,6 @@ __all__ = [
     "build_tower",
     "printable_depth",
     "depth_past_limit",
-    "tower_json",
     "breaks_and_subfields",
 ]
 
@@ -213,47 +213,6 @@ def build_tower(model: LevelModel, depth: int) -> Tower:
         if log:
             log.debug("tower level %d: %d breaks, altitude %s", n, len(xs), format_ratio(alt, D * Q))
     return Tower(q, D, len(model.AX), tuple(xs), tuple(ys), tuple(phi_ys))
-
-
-def tower_json(tower: Tower, breaks: List[str]) -> dict:
-    """The ``phi`` and ``Phi`` entries that ``hh`` prints for every level.
-
-    ``breaks`` is the deepest level's break list as ``breaks_and_subfields``
-    formats it, so each number is formatted once.  Level n of ``Phi`` is
-    the first ``size``*n vertices of the deepest level, so its breaks and
-    vertices are ``Prefix`` views of ``breaks`` and of the deepest level's
-    formatted vertex list (a writer prints each list once and every level
-    as a slice of that text), its altitude is an entry of that list, and
-    its final slope is 1/q^n.  The x of every vertex of phi_n is the break
-    that ``build_tower`` appended unchanged.
-    """
-    q, D, size = tower.q, tower.D, tower.size
-    E = D * q ** (tower.depth - 1)
-    vertices = [[x, format_ratio(y, E)] for x, y in zip(breaks, tower.ys)]
-    phi_ys = [format_ratio(y, D) for y in tower.phi_ys]
-    phi_final = f"1/{q}"  # 1/q^n is in lowest terms
-    phis, levels = [], []
-    for n in range(1, tower.depth + 1):
-        start, end = size * (n - 1), size * n
-        phis.append(
-            {
-                "level": n,
-                "initial_slope": "1",
-                "vertices": [[x, y] for x, y in zip(breaks[start:end], phi_ys[start:end])],
-                "final_slope": phi_final,
-            }
-        )
-        levels.append(
-            {
-                "level": n,
-                "breaks": Prefix(breaks, end),
-                "altitude": vertices[end - 1][1],
-                "initial_slope": "1",
-                "vertices": Prefix(vertices, end),
-                "final_slope": f"1/{q**n}",
-            }
-        )
-    return {"phi": phis, "Phi": levels}
 
 
 def _numerator_bound(model: LevelModel) -> int:

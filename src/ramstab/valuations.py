@@ -12,9 +12,8 @@ a branch record.
 Also provides ``format_ratio``, which prints the tower's integer pairs,
 the exact prime test below ``PRIME_BOUND``, ``digit_limit``, the
 interpreter's limit on the digits of an int, with ``power_of_ten`` to
-test against it, and what the report writer shares with the tower:
-``Prefix`` and ``TowerInvariantError``, kept here so that ``cli`` imports
-no tower module for the commands that build no tower.
+test against it, and ``TowerInvariantError``, kept here so that ``cli``
+imports no tower module for the commands that build no tower.
 """
 
 from __future__ import annotations
@@ -131,12 +130,3 @@ class TowerInvariantError(ValueError):
         self.prop = prop
         super().__init__(f"tower invariant '{prop}' violated: {detail}")
 
-
-class Prefix(list):
-    """``whole[:end]``, which also names the list it was cut from."""
-
-    __slots__ = ("whole",)
-
-    def __init__(self, whole: list, end: int):
-        super().__init__(whole[:end])
-        self.whole = whole

@@ -413,11 +413,10 @@ class TestTowerCommands:
         assert payload["base_valuation"] == "2/243"
 
     def test_breaks_formats_no_transition_function(self, capsys, monkeypatch):
-        def no_json(self):
+        def no_text(tower, breaks):
             raise AssertionError("breaks must not serialise phi or Phi")
 
-        # cli imports the tower module's names when a tower command runs
-        monkeypatch.setattr(hasseherbrand, "tower_json", no_json)
+        monkeypatch.setattr(cli, "_tower_text", no_text)
         code, out, _ = run(capsys, "breaks", "--depth", "3", SAMPLE)
         assert code == 0
         assert list(json.loads(out)) == ["depth", "reindex", "breaks", "subfields", "break_scale"]

@@ -16,9 +16,10 @@ integer surrogate hull with the ``Fraction`` one.  ``certify``, which
 builds the level scan's constants once, agrees with the oracle that
 builds every level's checks afresh.  ``build_record`` accepts a step
 exactly when a fresh hull lists it.  The report writer prints generated
-JSON values, prefix views of shared lists and lists of flat dicts
-included, exactly as ``json.dumps(indent=2)``.  An integer pair prints as
-its ``Fraction`` does, and their quotient is that ``Fraction``'s float.
+JSON values, lists of flat dicts included, exactly as
+``json.dumps(indent=2)``, and ``hh``'s tower text as ``json.dumps`` prints
+the per-level oracle.  An integer pair prints as its ``Fraction`` does,
+and their quotient is that ``Fraction``'s float.
 """
 
 import enum
@@ -33,6 +34,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from hypothesis import assume, example, given, settings, strategies as st
 
+from ramstab import cli
 from ramstab.branches import (
     BranchDataError,
     PolynomialValuationProfile,
@@ -46,15 +48,13 @@ from ramstab.branches import (
     zero_departure_candidates,
 )
 from ramstab.certificates import certify, revalidate
-from ramstab.cli import _render
+from ramstab.cli import _Text, _json_chunks, _render, _tower_text
 from ramstab.hasseherbrand import (
     LevelModel,
-    Prefix,
     TowerInvariantError,
     breaks_and_subfields,
     build_tower,
     level_model,
-    tower_json,
 )
 from ramstab.inputdoc import InputDocument, parse_document
 from ramstab.limitdata import (
@@ -434,8 +434,15 @@ def test_certificates_revalidate_and_towers_match_compose(profile, base, choices
         phi = phi_oracle(model, n)
         folded = phi if folded is None else compose(folded, phi)
         assert level == (phi, folded)
-    breaks = breaks_and_subfields(tower)["breaks"]
-    assert tower_json(tower, breaks) == tower_json_oracle(tower)
+    assert_tower_text_matches_oracle(tower)
+
+
+def assert_tower_text_matches_oracle(tower):
+    """``hh``'s ``phi`` and ``Phi`` print byte for byte as ``json.dumps``
+    prints the per-level oracle's entries."""
+    phi, Phi = _tower_text(tower, breaks_and_subfields(tower)["breaks"])
+    expected = json.dumps(tower_json_oracle(tower), indent=2) + "\n"
+    assert _render({"phi": phi, "Phi": Phi}) == expected
 
 
 def dual_phi(profile, data, n, d, v_base):
@@ -516,15 +523,18 @@ def test_phi_is_the_scaled_dual_of_the_level_polygon(profile, base, choices, dep
 
 def assert_tower_matches_oracle(model, depth):
     """``build_tower`` returns what the ``Fraction`` fold returns, level by
-    level, or raises the same exception with the same message."""
+    level, or raises the same exception with the same message.  Returns
+    the tower, or None when both raise."""
     try:
         expected = tower_oracle(model, depth)
     except (ValueError, TowerInvariantError) as exc:
         with pytest.raises((ValueError, TowerInvariantError)) as err:
             build_tower(model, depth)
         assert type(err.value) is type(exc) and str(err.value) == str(exc)
-        return
-    assert tower_levels(build_tower(model, depth)) == expected
+        return None
+    tower = build_tower(model, depth)
+    assert tower_levels(tower) == expected
+    return tower
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -617,7 +627,9 @@ def test_integer_tower_matches_the_fraction_fold_on_free_models(args, depth):
             LevelModel(*args)
         assert str(err.value) == "segment slopes must be strictly decreasing (strict concavity)"
     else:
-        assert_tower_matches_oracle(LevelModel(*args), depth)
+        tower = assert_tower_matches_oracle(LevelModel(*args), depth)
+        if tower is not None:
+            assert_tower_text_matches_oracle(tower)
 
 
 # quotes, backslashes, control and non-ASCII characters, and a lone surrogate
@@ -647,29 +659,28 @@ def test_report_writer_matches_json_dumps(value):
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(whole=st.lists(json_values, max_size=6), data=st.data())
-def test_report_writer_prints_prefix_views_as_json_dumps(whole, data):
-    # views of one list twice at one indent and once at a deeper one, the
-    # empty and the full view, the list itself, and views in a viewed list
-    ends = st.integers(0, len(whole))
-    same, again, deeper = (Prefix(whole, data.draw(ends)) for _ in "abc")
-    payload = {
-        "same": [same, again],
-        "deeper": {"views": [deeper, Prefix(whole, 0), Prefix(whole, len(whole))]},
-        "whole": whole,
-        "nested": Prefix([same, deeper, whole], data.draw(st.integers(0, 3))),
-    }
+@given(value=json_values, after=json_values)
+def test_report_writer_extends_text_chunks_as_they_are(value, after):
+    # a value's chunks at the indent of a top-level key print as the value
+    chunks = []
+    _json_chunks(value, chunks, "\n  ")
+    payload = {"text": _Text(chunks), "after": after}
+    assert _render(payload) == json.dumps({"text": value, "after": after}, indent=2) + "\n"
+
+
+def test_report_writer_reads_each_list_item_once(monkeypatch):
+    # the first item's texts choose the template and are also its fill
+    flat_texts, items = cli._flat_texts, []
+
+    def counting(item, keys):
+        items.append(item)
+        return flat_texts(item, keys)
+
+    monkeypatch.setattr(cli, "_flat_texts", counting)
+    checks = [{"name": f"check {i}", "passed": i % 2 == 0, "level": i} for i in range(5)]
+    payload = {"checks": checks, "nested": {"rows": tuple(checks[:2])}}
     assert _render(payload) == json.dumps(payload, indent=2) + "\n"
-
-
-def test_report_writer_keeps_nothing_between_reports():
-    # the same list, so the same id, at the same indent in two reports
-    whole = ["1", [2, "3"], (4,)]
-    first = {"levels": [Prefix(whole, 1), Prefix(whole, 3)]}
-    assert _render(first) == json.dumps(first, indent=2) + "\n"
-    whole[0] = "changed"
-    second = {"levels": [Prefix(whole, 1), Prefix(whole, 3)]}
-    assert _render(second) == json.dumps(second, indent=2) + "\n"
+    assert [id(item) for item in items] == [id(item) for item in checks + checks[:2]]
 
 
 class Level(enum.IntEnum):
