@@ -28,17 +28,21 @@ numerator and denominator by one gcd and plotted as their quotient
 Each rule of a transition function is checked in one place.  A
 ``LevelModel`` takes the slopes of phi_n, not its heights, and rejects
 them once per model unless they strictly decrease from 1 to above 1/q.
-Three properties are checked at every level, each raising a named
+Three properties must hold at every level, each named by a
 ``TowerInvariantError``: the x-coordinates of phi_n strictly increase
 (``level-convexity``: the level-n polygon is strictly convex), the first
 of them is positive (``vertex-positivity``), and it lies strictly beyond
 the last vertex of phi_{n-1} (``composition-gap``: the identity-segment
-gap that makes the closed form exact).  The rest of the tower follows:
-its x are positive and increasing; its first vertex lies on the identity;
-and its slopes 1, then s_j/q^(n-1) within level n, 1/q^(n-1) into the
-first vertex of level n and 1/q^depth past the last, are positive and
-strictly decreasing.  A violation aborts loudly rather than returning a
-silently wrong function.
+gap that makes the closed form exact).  Together they say that the x of
+the whole tower strictly increase from 0: level n's convexity is its own
+pairs of x, its gap the pair across from level n-1, and its positivity
+the gap from 0 at level 1, implied by the gaps deeper down.  That is
+tested once, and only a failing tower is searched for its first failing
+level and, in the order above, property.  The rest follows: the first
+vertex lies on the identity, and the slopes 1, then s_j/q^(n-1) within
+level n, 1/q^(n-1) into the first vertex of level n and 1/q^depth past
+the last, are positive and strictly decreasing.  A violation aborts
+loudly rather than returning a silently wrong function.
 
 Ramification breaks are reported on the scale normalized by the base
 subfield (v(E) = Z).
@@ -48,6 +52,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import lt, mul, sub
 from typing import List, NamedTuple, Optional, Tuple
 
 from .branches import PolynomialValuationProfile
@@ -104,27 +110,6 @@ class LevelModel:
             tuple(c.numerator * (D // c.denominator) for c in column) for column in columns
         )
 
-    def numerators(self, n: int) -> Tuple[List[int], List[int]]:
-        """The x and the y numerators over D of phi_n's vertices, once the
-        two properties that do not hold by construction are checked."""
-        if n < 1:
-            raise ValueError("transition functions exist for levels n >= 1")
-        q_n = self.q**n
-        xs = [a * q_n + b for a, b in zip(self.AX, self.BX)]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise TowerInvariantError(
-                "level-convexity",
-                f"level {n} is not in the stable regime: "
-                "segment slopes must be strictly increasing (strict convexity)",
-            )
-        if xs[0] <= 0:
-            raise TowerInvariantError(
-                "vertex-positivity",
-                f"level {n} vertex positions are not positive (shift {self.shift}); "
-                "outside the supported regime",
-            )
-        return xs, [a * q_n + b for a, b in zip(self.AY, self.BY)]
-
 
 class Tower(NamedTuple):
     """The tower to its depth, on integer numerators.
@@ -179,40 +164,55 @@ def build_tower(model: LevelModel, depth: int) -> Tower:
     """Compose transition functions up to ``depth``, checking every level.
 
     Each vertex (x, y) of phi_n is appended as (x, alt + (y - x_last) /
-    q^(n-1)), where (x_last, alt) is the last vertex so far.  On the
-    numerators, x over D and y over D*q^(depth-1), that is
-    alt + (y - x_last) * q^(depth-n).
+    q^(n-1)), where (x_last, alt) is the last vertex of level n-1, or the
+    origin: alt + (y - x_last) * q^(depth-n) on the numerators, x over D
+    and y over D*q^(depth-1), one column (vertex j at every level) at once.
 
     Callers are expected to hold a certificate for the working base; the
-    builder still checks each level and the identity-segment gap, and
-    aborts with the violated property on any failure.
+    builder still checks every level, and aborts with the violated property.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    q, D = model.q, model.D
-    Q = q ** (depth - 1)
-    xs: List[int] = []  # over D
-    ys: List[int] = []  # over D*Q
-    phi_ys: List[int] = []  # each level's own y, over D
-    x_last = alt = 0
-    scale = Q  # q^(depth - n) at level n
+    q, D, size = model.q, model.D, len(model.AX)
+    powers = list(accumulate(repeat(q, depth), mul, initial=1))  # q^0 ... q^depth
+    q_n, scales = powers[1:], powers[-2::-1]  # q^n and q^(depth-n) of levels 1 ... depth
+    Q = scales[0]  # q^(depth-1)
+    xs, phi_ys = [0] * (size * depth), [0] * (size * depth)  # over D, phi_n's own y over D
+    for j, (ax, bx, ay, by) in enumerate(zip(model.AX, model.BX, model.AY, model.BY)):
+        xs[j::size] = [ax * q_j + bx for q_j in q_n]
+        phi_ys[j::size] = [ay * q_j + by for q_j in q_n]
+    x_last = [0, *xs[size - 1 :: size]]  # of levels 0 ... depth
+    alts = list(accumulate(map(mul, map(sub, phi_ys[size - 1 :: size], x_last), scales), initial=0))
+    # every level holds its three properties exactly when the x strictly increase from 0
+    rising = list(map(lt, [0, *xs], xs))
+    failing = rising.index(False) // size + 1 if False in rising else depth + 1
     log = logger(__name__, "DEBUG")
-    for n in range(1, depth + 1):
-        level_xs, level_ys = model.numerators(n)
-        if level_xs[0] <= x_last:
+    if log:
+        for n in range(1, failing):
+            log.debug("tower level %d: %d breaks, altitude %s", n, size * n, format_ratio(alts[n], D * Q))
+    if failing <= depth:
+        n, level = failing, xs[size * (failing - 1) : size * failing]
+        if not all(map(lt, level, level[1:])):
             raise TowerInvariantError(
-                "composition-gap",
-                f"first vertex {format_ratio(level_xs[0], D)} of phi_{n} does not lie "
-                f"strictly beyond the last vertex {format_ratio(x_last, D)} of phi_{n - 1}",
+                "level-convexity",
+                f"level {n} is not in the stable regime: "
+                "segment slopes must be strictly increasing (strict convexity)",
             )
-        xs.extend(level_xs)
-        ys.extend(alt + (y - x_last) * scale for y in level_ys)
-        phi_ys.extend(level_ys)
-        x_last, alt = xs[-1], ys[-1]
-        scale //= q
-        if log:
-            log.debug("tower level %d: %d breaks, altitude %s", n, len(xs), format_ratio(alt, D * Q))
-    return Tower(q, D, len(model.AX), tuple(xs), tuple(ys), tuple(phi_ys))
+        if level[0] <= 0:
+            raise TowerInvariantError(
+                "vertex-positivity",
+                f"level {n} vertex positions are not positive (shift {model.shift}); "
+                "outside the supported regime",
+            )
+        raise TowerInvariantError(
+            "composition-gap",
+            f"first vertex {format_ratio(level[0], D)} of phi_{n} does not lie "
+            f"strictly beyond the last vertex {format_ratio(x_last[n - 1], D)} of phi_{n - 1}",
+        )
+    ys = xs.copy()  # over D*q^(depth-1)
+    for j in range(size):
+        ys[j::size] = [alt + (y - x) * s for alt, y, x, s in zip(alts, phi_ys[j::size], x_last, scales)]
+    return Tower(q, D, size, tuple(xs), tuple(ys), tuple(phi_ys))
 
 
 def _numerator_bound(model: LevelModel) -> int:

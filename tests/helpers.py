@@ -519,8 +519,8 @@ def tower_json_oracle(tower):
 
 def level_vertices(model, n):
     """phi_n's vertices as ``Fraction``s, the model's integer columns
-    evaluated at q^n over D, after the two per-level checks with the
-    invariants and messages of ``LevelModel.numerators``."""
+    evaluated at q^n over D, after the two checks inside one level, with
+    the invariants and messages ``build_tower`` raises for that level."""
     q_n, D = model.q**n, model.D
     xs = [Fraction(a * q_n + b, D) for a, b in zip(model.AX, model.BX)]
     if any(b <= a for a, b in zip(xs, xs[1:])):

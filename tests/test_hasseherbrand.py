@@ -13,6 +13,7 @@ from helpers import (
     compose,
     evaluate,
     level_polygon,
+    level_vertices,
     phi_oracle,
     predict_branch,
     random_profile,
@@ -54,7 +55,7 @@ def phi_at(profile, data, n, d, v_base):
 
 class TestBuildPhi:
     """phi_n of one level: its values from the level model's integer
-    columns over D, its failures from ``LevelModel.numerators``."""
+    columns over D, its failures from ``build_tower``."""
 
     def test_uniformizer_level_one(self):
         data, _ = uniformizer_data()
@@ -110,7 +111,7 @@ class TestLevelModel:
         with pytest.raises(ValueError) as oracle:
             level_polygon(SAMPLE_PROFILE, data, 1)
         with pytest.raises(TowerInvariantError) as err:
-            level_model(SAMPLE_PROFILE, data, 1, Fraction(1)).numerators(1)
+            build_tower(level_model(SAMPLE_PROFILE, data, 1, Fraction(1)), 1)
         assert err.value.prop == "level-convexity"
         assert str(err.value) == f"tower invariant 'level-convexity' violated: {oracle.value}"
 
@@ -118,15 +119,16 @@ class TestLevelModel:
         # level-n slope -2/2 puts the first vertex at 3^n * 1 + (-1 - 1) * 3/2
         data = LimitingRamificationData(V=2, R=(0, 1), M=(2, 0), E=(0, 0), sign=1, C=Fraction(1))
         model = level_model(UNIFORMIZER_PROFILE, data, -1, Fraction(3, 2))
-        with pytest.raises(TowerInvariantError) as err:
-            model.numerators(1)
-        assert err.value.prop == "vertex-positivity"
-        assert str(err.value) == (
-            "tower invariant 'vertex-positivity' violated: "
-            "level 1 vertex positions are not positive (shift -3); outside the supported regime"
-        )
-        xs, _ = model.numerators(2)
-        assert Fraction(xs[0], model.D) == phi_oracle(model, 2).vertices[0][0] == 6
+        # level 2 is positive, so each depth fails at level 1 and only there
+        assert level_vertices(model, 2)[0][0] == phi_oracle(model, 2).vertices[0][0] == 6
+        for depth in (1, 2, 6):
+            with pytest.raises(TowerInvariantError) as err:
+                build_tower(model, depth)
+            assert err.value.prop == "vertex-positivity"
+            assert str(err.value) == (
+                "tower invariant 'vertex-positivity' violated: "
+                "level 1 vertex positions are not positive (shift -3); outside the supported regime"
+            )
 
 
 class TestModelValidation:
@@ -287,24 +289,20 @@ class TestClosedFormTower:
                 folded = phi if folded is None else compose(folded, phi)
                 assert level == (phi, folded)
 
-    def test_breaks_path_composes_nothing(self, monkeypatch):
+    def test_breaks_path_composes_nothing(self):
         # the package holds no general composition to call (see
-        # test_layout.py): each level is evaluated once and appended
-        levels = []
-        original = LevelModel.numerators
-
-        def counting(model, n):
-            levels.append(original(model, n))
-            return levels[-1]
-
-        monkeypatch.setattr(LevelModel, "numerators", counting)
+        # test_layout.py): each phi_n is appended as it stands, so the x
+        # and the phi_n y of level n are phi_n's own vertices
         data, _ = sample_data_rebased()
         depth = 20
-        tower = build_tower(level_model(SAMPLE_PROFILE, data, 2, Fraction(2, 3)), depth)
+        model = level_model(SAMPLE_PROFILE, data, 2, Fraction(2, 3))
+        tower = build_tower(model, depth)
         table = breaks_and_subfields(tower)
-        assert len(levels) == depth
-        assert tower.xs == tuple(x for xs, _ in levels for x in xs)
-        assert tower.phi_ys == tuple(y for _, ys in levels for y in ys)
+        _, phi_vertices = tower_vertices(tower)
+        size = tower.size
+        for n in range(1, depth + 1):
+            assert phi_vertices[size * (n - 1) : size * n] == level_vertices(model, n)
+        assert len(phi_vertices) == size * depth
         assert len(table["breaks"]) == (data.V - 1) * depth
 
     def test_lower_levels_are_prefixes_of_the_deepest(self):

@@ -510,7 +510,9 @@ def test_phi_is_the_scaled_dual_of_the_level_polygon(profile, base, choices, dep
     for n, vertices in enumerate(expected, start=1):
         if vertices is None:
             with pytest.raises(ValueError):
-                model.numerators(n)
+                level_vertices(model, n)
+            with pytest.raises(ValueError):
+                build_tower(model, n)
         else:
             assert level_vertices(model, n) == vertices
     if None in expected:
@@ -612,6 +614,24 @@ def free_level_models(draw):
 @given(args=free_level_models(), depth=st.integers(1, 12))
 # the first vertex of phi_2 lands exactly on the last vertex 9 of phi_1
 @example(args=(3, Fraction(0), ((1, 0), (2, 3)), (Fraction(1, 2),)), depth=2)
+# the first failing level and property of each model, as the fold names them
+# x = 5 - 3^n: positive at level 1, not at level 2, where the gap fails too
+@example(args=(3, Fraction(0), ((Fraction(-1), Fraction(5)),), ()), depth=6)
+# x = 3^n + 5, 4 * 3^n: convex and positive at every level, but 32 <= 36 at level 3
+@example(
+    args=(3, Fraction(0), ((Fraction(1), Fraction(5)), (Fraction(4), Fraction(0))), (Fraction(1, 2),)),
+    depth=6,
+)
+# x = 100 * 3^n, 99 * 3^n + 50: convex while 3^n < 50, so up to level 3
+@example(
+    args=(3, Fraction(0), ((Fraction(100), Fraction(0)), (Fraction(99), Fraction(50))), (Fraction(1, 2),)),
+    depth=6,
+)
+# x = 1, 6 - 3^n: level 2 is neither convex nor beyond level 1; convexity is named
+@example(
+    args=(3, Fraction(0), ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(6))), (Fraction(1, 2),)),
+    depth=6,
+)
 def test_integer_tower_matches_the_fraction_fold_on_free_models(args, depth):
     """Every accepted model builds the tower the ``Fraction`` fold builds;
     the constructor rejects exactly the slope lists that are not one per
