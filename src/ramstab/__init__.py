@@ -15,18 +15,18 @@ of its names, so a command loads only the stages it runs.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "valuations": "TowerInvariantError format_rational parse_rational",
+    "valuations": "InputError TowerInvariantError format_rational parse_rational",
     "polygons": "lower_hull",
     "branches": "BranchDataError BranchValuationRecord PolynomialValuationProfile "
     "branch_step_candidates build_record estimate_d find_stable_index halving_level "
     "stability_screen",
-    "limitdata": "LimitingRamificationData complete_record compute_C "
-    "limiting_data limiting_data_for_branch main_and_error reindexed_record",
+    "limitdata": "LimitingRamificationData complete_record "
+    "limiting_data limiting_data_for_branch main_and_error",
     "certificates": "CertificateCheck StabilityCertificate certify composition_criterion "
     "pcb_normal_form pcb_sufficient revalidate",
     "hasseherbrand": "Tower breaks_and_subfields build_tower "
     "depth_past_limit level_model printable_depth",
-    "inputdoc": "InputDocument InputError load_document parse_document",
+    "inputdoc": "InputDocument load_document parse_document",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_MODULE_OF)

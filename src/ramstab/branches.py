@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .polygons import lower_hull
-from .valuations import _check_prime
+from .valuations import InputError, _check_prime
 
 __all__ = [
     "PolynomialValuationProfile",
@@ -40,8 +40,12 @@ __all__ = [
 ]
 
 
-class BranchDataError(ValueError):
-    """Raised for branch data that violates the valuation-dynamics invariants."""
+class BranchDataError(InputError):
+    """Branch data that violates the valuation-dynamics invariants: an
+    input error on the document's ``branch_valuations``."""
+
+    def __init__(self, message: str):
+        super().__init__("branch_valuations", message)
 
 
 def _leading_zeros(valuations: Sequence[Optional[Fraction]]) -> int:

@@ -23,9 +23,8 @@ from .branches import (
     estimate_d,
     stability_screen,
 )
-from .inputdoc import check_printable, denominator_field
 from .limitdata import LimitingRamificationData
-from .valuations import digit_limit
+from .valuations import check_printable, denominator_field, digit_limit
 
 __all__ = [
     "CertificateCheck",

@@ -7,7 +7,10 @@ help text and whether it takes --depth; the parser, batch ``certify`` and
 ``selftest`` read it.  One runner, ``main``, loads the document, calls the
 command and writes its payload, and ``_failure`` maps any failure to its
 error record and exit code: ``main`` prints it to stderr, and a batch
-stores it under the file's path.
+stores it under the file's path.  Each stage raises its own input errors:
+every one is an ``InputError`` naming its field, and a bad branch, from
+validation or from record completion, is a ``BranchDataError`` on
+``branch_valuations``; the CLI converts nothing.
 Exit codes: 0 success, 1 not-certified, tower invariant abort or a
 closed stdout, 2 malformed, undecodable or unreadable input, an --out
 that cannot be written, a bad command line, a --depth too deep to print
@@ -35,16 +38,21 @@ import sys
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
-from .branches import BranchDataError, estimate_d, find_stable_index
+from .branches import estimate_d, find_stable_index
 from .certificates import certify, pcb_normal_form, pcb_sufficient
-from .inputdoc import InputError, check_printable, check_r_digits, denominator_field, load_document
-from .limitdata import (
-    complete_record,
-    compute_C,
-    limiting_data_for_branch,
-    reindexed_record,
+from .inputdoc import load_document
+from .limitdata import complete_record, limiting_data_for_branch
+from .valuations import (
+    InputError,
+    TowerInvariantError,
+    check_printable,
+    check_r_digits,
+    denominator_field,
+    digit_limit,
+    format_ratio,
+    format_rational,
+    logger,
 )
-from .valuations import TowerInvariantError, digit_limit, format_ratio, format_rational, logger
 
 REPORT_NOTES = [
     "d estimates assume minimal ramification at each level and are advisory",
@@ -219,24 +227,15 @@ def _write(text: str, out: str | None) -> None:
 
 def _failure(exc: Exception) -> tuple[dict, int]:
     """The error record of a failed command and its exit code: 2 with the
-    ``field`` at fault for bad input or an --out that cannot be written, 1
-    with the ``invariant`` for a tower abort, and 1 for any other
+    ``field`` at fault for bad input (a bad branch is a ``BranchDataError``,
+    the ``InputError`` on ``branch_valuations``) or an --out that cannot be
+    written, 1 with the ``invariant`` for a tower abort, and 1 for any other
     ValueError."""
-    if isinstance(exc, (InputError, BranchDataError)):
-        return {"error": str(exc), "field": getattr(exc, "field", None)}, 2
+    if isinstance(exc, InputError):
+        return {"error": str(exc), "field": exc.field}, 2
     if isinstance(exc, TowerInvariantError):
         return {"error": str(exc), "invariant": exc.prop}, 1
     return {"error": str(exc)}, 1
-
-
-def _from_branch(stage, doc):
-    """``stage(profile, record)`` on a document, ``complete_record`` or
-    ``limiting_data_for_branch``: a record with no forced level is an
-    input error on its branch valuations."""
-    try:
-        return stage(doc.profile, doc.record)
-    except BranchDataError as exc:
-        raise InputError("branch_valuations", str(exc)) from exc
 
 
 def _check_threshold(profile) -> None:
@@ -250,12 +249,12 @@ def _certified(doc):
     """The certify stage: the q^2 screen, the limiting data and the
     certificate.  Returns the certificate, the record and its limiting data."""
     _check_threshold(doc.profile)
-    data, record, _n = _from_branch(limiting_data_for_branch, doc)
+    data, record, _n = limiting_data_for_branch(doc.profile, doc.record)
     return certify(doc.profile, record, data, doc.d), record, data
 
 
 def _limit_data(doc, args):
-    data, _record, level_for_C = _from_branch(limiting_data_for_branch, doc)
+    data, _record, level_for_C = limiting_data_for_branch(doc.profile, doc.record)
     check_printable(data.C.numerator, "the numerator of C", "limit-data cannot print C")
     payload = data.to_json()
     payload["N"] = level_for_C
@@ -266,9 +265,9 @@ def _limit_data(doc, args):
 def _branch(doc, args):
     profile = doc.profile
     _check_threshold(profile)
-    record, level_for_C = _from_branch(complete_record, doc)
+    record, level_for_C, C = complete_record(profile, doc.record)
     # the completed record ends a level past |v| <= 1/q^2: its last denominator is >= q^3
-    last, C = record.valuations[-1], compute_C(profile, record, level_for_C)
+    last = record.valuations[-1]
     name, why = "the last valuation's denominator", "branch cannot print it"
     check_printable(last.denominator, name, why, denominator_field(profile.q))
     check_printable(C.numerator, "the numerator of C", "branch cannot print C")
@@ -306,18 +305,19 @@ def _certify(doc, args):
 def _certified_tower(doc, depth: int):
     """Certify a document and build its tower on the working base.
 
-    Returns the certificate, the working record, its limiting data, its
-    level model and the tower; all but the certificate are None when it
-    does not certify.
+    Returns the certificate, the working base's valuation, its limiting
+    data, its level model and the tower; all but the certificate are None
+    when it does not certify.  The base valuation is finite: certify
+    passes only finite levels.
     """
     from .hasseherbrand import build_tower, depth_past_limit, level_model
 
     cert, record, data = _certified(doc)
     if not cert.certified:
         return cert, None, None, None, None
-    working = reindexed_record(record, cert.reindex)
+    v_base = record.valuations[cert.reindex]
     working_data = data._replace(C=data.C / doc.profile.q**cert.reindex)
-    model = level_model(doc.profile, working_data, cert.d_used, working.first_finite())
+    model = level_model(doc.profile, working_data, cert.d_used, v_base)
     limit = depth_past_limit(model, depth)
     if limit is not None:
         raise InputError(
@@ -326,11 +326,11 @@ def _certified_tower(doc, depth: int):
             f"numbers print within {digit_limit()} digits",
         )
     tower = build_tower(model, depth)
-    return cert, working, working_data, model, tower
+    return cert, v_base, working_data, model, tower
 
 
 def _hh(doc, args):
-    cert, working, working_data, _model, tower = _certified_tower(doc, args.depth)
+    cert, v_base, working_data, _model, tower = _certified_tower(doc, args.depth)
     if tower is None:
         return {"certificate": cert.to_json()}, 1
     from .hasseherbrand import breaks_and_subfields
@@ -343,7 +343,7 @@ def _hh(doc, args):
         "d": cert.d_used,
         "d_trusted": cert.d_trusted,
         "conditional_on_d": cert.conditional_on_d,
-        "base_valuation": format_rational(working.first_finite()),
+        "base_valuation": format_rational(v_base),
         "C": format_rational(working_data.C),
         "phi": phi,
         "Phi": Phi,
@@ -353,7 +353,7 @@ def _hh(doc, args):
 
 
 def _breaks(doc, args):
-    cert, _working, _data, _model, tower = _certified_tower(doc, args.depth)
+    cert, _v_base, _data, _model, tower = _certified_tower(doc, args.depth)
     if tower is None:
         return {"certificate": cert.to_json()}, 1
     from .hasseherbrand import breaks_and_subfields
@@ -365,7 +365,7 @@ def _breaks(doc, args):
 def _plot(doc, args):
     """Write the SVG to ``--out``; print nothing but the certificate of a
     document that does not certify."""
-    cert, _working, data, model, tower = _certified_tower(doc, args.depth)
+    cert, _v_base, data, model, tower = _certified_tower(doc, args.depth)
     if tower is None:
         return {"certificate": cert.to_json()}, 1
     from .svgplot import render_level_report

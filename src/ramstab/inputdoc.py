@@ -2,8 +2,12 @@
 
 An input document bundles a coefficient-valuation profile with recorded
 branch data.  All rationals travel as strings ("a/b", "a", or "inf");
-every parse failure names the offending field.  The JSON schema shipped
-at schema/input.schema.json mirrors these rules for external tooling.
+every parse failure raises ``InputError`` (defined in ``valuations`` and
+re-exported here) naming the offending field; a branch that fails
+validation raises ``BranchDataError``, the ``InputError`` on
+``branch_valuations``.  The JSON schema at schema/input.schema.json in the
+source tree, not installed with the package, mirrors these rules for
+external tooling.
 """
 
 from __future__ import annotations
@@ -14,28 +18,23 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .branches import (
-    BranchDataError,
     BranchValuationRecord,
     PolynomialValuationProfile,
     _leading_zeros,
     build_record,
 )
-from .valuations import _check_prime, digit_limit, format_rational, parse_rational, power_of_ten
+from .valuations import (
+    InputError,
+    _check_prime,
+    check_r_digits,
+    digit_limit,
+    format_rational,
+    parse_rational,
+)
 
-__all__ = [
-    "InputDocument", "InputError", "parse_document", "load_document", "check_r_digits",
-    "check_printable",
-]
+__all__ = ["InputDocument", "InputError", "parse_document", "load_document"]
 
 INDEX_PATTERN = re.compile(r"[1-9][0-9]*")
-
-
-class InputError(ValueError):
-    """Invalid input document; carries the offending field path."""
-
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"{field}: {message}")
 
 
 class InputDocument(NamedTuple):
@@ -73,41 +72,6 @@ def _require_int(obj, field, minimum=None):
     if minimum is not None and value < minimum:
         raise InputError(field, f"must be >= {minimum}, got {value}")
     return value
-
-
-def check_r_digits(p: int, e: int, name: str, why: str) -> None:
-    """Reject an ``r`` whose power ``name`` = p^e has more digits than the
-    limit; ``why`` says what would have to print it.
-
-    This is decided before p^e is computed: since 2^(b-1) <= p < 2^b for the
-    bit length b of p, and 2^(3L) < 10^L < 2^(4L) for the limit L, bit
-    lengths settle every case but a narrow band, where p^e has fewer than
-    8L bits and the exact compare is cheap.
-    """
-    limit = digit_limit()
-    if not limit:
-        return
-    b = p.bit_length()
-    if e * (b - 1) >= 4 * limit or (e * b > 3 * limit and p**e >= power_of_ten(limit)):
-        raise InputError("r", f"{name} = {p}^{e} has more than {limit} digits, so {why}")
-
-
-def check_printable(n: int, name: str, why: str, field: str = "r") -> None:
-    """Reject a ``field``, by default ``r``, that gives the integer
-    ``name`` = n more digits than the limit; ``why`` says what would have
-    to print it.  Bit lengths settle every case but the band of
-    ``check_r_digits``."""
-    limit = digit_limit()
-    b = abs(n).bit_length()
-    if limit and b > 3 * limit and (b - 1 >= 4 * limit or abs(n) >= power_of_ten(limit)):
-        raise InputError(field, f"{name} has more than {limit} digits, so {why}")
-
-
-def denominator_field(q: int) -> str:
-    """The field at fault when a denominator of a completed record has more
-    digits than the limit: ``r`` when q^3, the last denominator for a base
-    of magnitude 1, has, else ``base_valuation``."""
-    return "r" if q**3 >= power_of_ten(digit_limit()) else "base_valuation"
 
 
 def _index(key, q: int) -> int:
@@ -209,18 +173,15 @@ def parse_document(obj) -> InputDocument:
                 f"{infinite_prefix} infinite entries",
             )
 
-    # surface profile/record invariant violations with their field names
+    # a profile invariant violation is reported on coeff_valuations; a bad
+    # branch raises BranchDataError, already the InputError on branch_valuations
     try:
         profile = PolynomialValuationProfile(
             p=p, r=r, v_p=v_p, coeff_valuations=coeffs, e_ke=e_ke
         )
     except ValueError as exc:
         raise InputError("coeff_valuations", str(exc)) from exc
-    try:
-        record = build_record(profile, branch)
-    except BranchDataError as exc:
-        raise InputError("branch_valuations", str(exc)) from exc
-    return InputDocument(profile=profile, record=record, d=d)
+    return InputDocument(profile=profile, record=build_record(profile, branch), d=d)
 
 
 def load_document(path) -> InputDocument:

@@ -11,6 +11,11 @@ The surrogate hull used to select the vertices places each point at the
 integer height M*q^2 + sign*E, that is M + sign*E/q^2 scaled by q^2; any
 larger power of q would select the same vertices, and the test suite
 cross-checks the surrogate against exact level polygons.
+
+``complete_record`` extends a branch record past its halving level N in
+closed form and returns C = q^N v(a_N) with it, read where v(a_N) is
+known; a branch with no forced level raises ``BranchDataError``, the input
+error on ``branch_valuations``.  A working base at level m has C / q^m.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
 from .branches import (
-    BranchDataError,
     BranchValuationRecord,
     PolynomialValuationProfile,
     halving_level,
@@ -33,10 +37,8 @@ __all__ = [
     "LimitingRamificationData",
     "main_and_error",
     "limiting_data",
-    "compute_C",
     "complete_record",
     "limiting_data_for_branch",
-    "reindexed_record",
 ]
 
 _FIELDS = [("V", int), ("R", Tuple[int, ...]), ("M", Tuple[int, ...]), ("E", Tuple[int, ...]),
@@ -137,28 +139,14 @@ def limiting_data(
     return LimitingRamificationData(V=len(R), R=R, M=M, E=E, sign=sign)
 
 
-def compute_C(
-    profile: PolynomialValuationProfile, record: BranchValuationRecord, N: int
-) -> Fraction:
-    """The error coefficient C = q^N v(a_N) at the level N where halving has
-    set in (``halving_level``); every later level gives the same value."""
-    if len(record.valuations) <= N:
-        raise BranchDataError(
-            f"record has {len(record.valuations)} valuations but C needs level {N}"
-        )
-    vN = record.valuations[N]
-    if vN is None:
-        raise BranchDataError(f"valuation at level {N} is infinite; C undefined")
-    return profile.q**N * vN
-
-
 def complete_record(
     profile: PolynomialValuationProfile, record: BranchValuationRecord
-) -> Tuple[BranchValuationRecord, int]:
+) -> Tuple[BranchValuationRecord, int, Fraction]:
     """Extend the record past the halving level N (entry N + k is
     v(a_N)/q^k) through the first level with |v| <= 1/q^2 whose d-estimate
     has settled (equals the next level's, so every later one), and one
-    more; return it with N, the level to read C at."""
+    more; return it with N and the error coefficient C = q^N v(a_N), which
+    q^n v(a_n) equals at every level n >= N."""
     N = halving_level(profile, record)
     vals, q, e = record.valuations, profile.q, profile.e_ke
     v_N = vals[N] if N < len(vals) else zero_departure_candidates(profile)[0]
@@ -181,7 +169,7 @@ def complete_record(
             valuations=vals + tuple(walk[start:]),
             d_estimates=record.d_estimates + tuple(estimates[start:]),
         )
-    return record, N
+    return record, N, q**N * v_N
 
 
 def limiting_data_for_branch(
@@ -192,17 +180,6 @@ def limiting_data_for_branch(
     Returns the data with C attached, the completed record and the level N
     used to read off C.
     """
-    record, N = complete_record(profile, record)
-    data = limiting_data(profile, record.sign)._replace(C=compute_C(profile, record, N))
-    return data, record, N
+    record, N, C = complete_record(profile, record)
+    return limiting_data(profile, record.sign)._replace(C=C), record, N
 
-
-def reindexed_record(record: BranchValuationRecord, N: int) -> BranchValuationRecord:
-    """The branch re-based at level N.
-
-    The tail of a validated record is itself valid, so it is sliced rather
-    than validated again.  C is branch-relative: the tail's C is C / q^N.
-    """
-    if not 0 <= N < len(record.valuations):
-        raise BranchDataError(f"reindex level {N} outside the recorded range")
-    return BranchValuationRecord(record.valuations[N:], record.d_estimates[N:])

@@ -10,10 +10,14 @@ profile's coefficient valuations, and a zero base point is a None entry of
 a branch record.
 
 Also provides ``format_ratio``, which prints the tower's integer pairs,
-the exact prime test below ``PRIME_BOUND``, ``digit_limit``, the
-interpreter's limit on the digits of an int, with ``power_of_ten`` to
-test against it, and ``TowerInvariantError``, kept here so that ``cli``
-imports no tower module for the commands that build no tower.
+the exact prime test below ``PRIME_BOUND``, and the package's two error
+types: ``InputError``, which names the input field at fault, and
+``TowerInvariantError``, kept here so that ``cli`` imports no tower
+module for the commands that build no tower.  The print-limit checks that
+raise ``InputError`` (``check_r_digits``, ``check_printable`` and
+``denominator_field``) sit next to ``digit_limit``, the interpreter's
+limit on the digits of an int, and ``power_of_ten``, which tests against
+it.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "format_ratio",
+    "InputError",
+    "check_r_digits",
+    "check_printable",
+    "denominator_field",
 ]
 
 RATIONAL_PATTERN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -78,6 +86,49 @@ def power_of_ten(limit: int) -> int:
     """10**limit, the least integer with more than ``limit`` digits, built
     once per limit for the exact print-limit tests."""
     return 10**limit
+
+
+class InputError(ValueError):
+    """Invalid input; carries the offending field path."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(f"{field}: {message}")
+
+
+def check_r_digits(p: int, e: int, name: str, why: str) -> None:
+    """Reject an ``r`` whose power ``name`` = p^e has more digits than the
+    limit; ``why`` says what would have to print it.
+
+    This is decided before p^e is computed: since 2^(b-1) <= p < 2^b for the
+    bit length b of p, and 2^(3L) < 10^L < 2^(4L) for the limit L, bit
+    lengths settle every case but a narrow band, where p^e has fewer than
+    8L bits and the exact compare is cheap.
+    """
+    limit = digit_limit()
+    if not limit:
+        return
+    b = p.bit_length()
+    if e * (b - 1) >= 4 * limit or (e * b > 3 * limit and p**e >= power_of_ten(limit)):
+        raise InputError("r", f"{name} = {p}^{e} has more than {limit} digits, so {why}")
+
+
+def check_printable(n: int, name: str, why: str, field: str = "r") -> None:
+    """Reject a ``field``, by default ``r``, that gives the integer
+    ``name`` = n more digits than the limit; ``why`` says what would have
+    to print it.  Bit lengths settle every case but the band of
+    ``check_r_digits``."""
+    limit = digit_limit()
+    b = abs(n).bit_length()
+    if limit and b > 3 * limit and (b - 1 >= 4 * limit or abs(n) >= power_of_ten(limit)):
+        raise InputError(field, f"{name} has more than {limit} digits, so {why}")
+
+
+def denominator_field(q: int) -> str:
+    """The field at fault when a denominator of a completed record has more
+    digits than the limit: ``r`` when q^3, the last denominator for a base
+    of magnitude 1, has, else ``base_valuation``."""
+    return "r" if q**3 >= power_of_ten(digit_limit()) else "base_valuation"
 
 
 def format_rational(value: Optional[Fraction]) -> str:

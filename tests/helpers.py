@@ -8,9 +8,10 @@ level's own function, rebuilt by the checked ``PLFunction`` constructor,
 the tower oracle folds the level model in ``Fraction`` arithmetic, the
 branch oracle extends a record one fresh hull per step, the
 main-and-error oracle scans every p^k with the carry walk, the certify
-oracle builds every level's checks from scratch, and the level-polygon
+oracle builds every level's checks from scratch, the level-polygon
 oracle checks the exact level-n heights for strict convexity with
-``below_line``.
+``below_line``, and the working-tower oracle re-bases a certified branch
+by slicing its record and completing the tail for its own C.
 
 ``PLFunction``, with ``make_plf``, ``evaluate``, ``compose`` and
 ``altitude``, is the general algebra of concave piecewise-linear
@@ -39,7 +40,8 @@ from ramstab.branches import (
     estimate_d,
 )
 from ramstab.certificates import CertificateCheck, StabilityCertificate
-from ramstab.hasseherbrand import TowerInvariantError
+from ramstab.hasseherbrand import TowerInvariantError, level_model
+from ramstab.limitdata import complete_record
 from ramstab.polygons import lower_hull
 from ramstab.valuations import _check_prime, format_rational
 
@@ -536,6 +538,19 @@ def level_vertices(model, n):
             "outside the supported regime",
         )
     return [(x, Fraction(a * q_n + b, D)) for x, a, b in zip(xs, model.AY, model.BY)]
+
+
+def working_tower(profile, record, data, cert):
+    """A certified branch's working base, built apart from the CLI: the
+    completed ``record`` sliced at the certificate's reindex, its C from
+    ``complete_record`` on that tail (not C / q^reindex), and its level
+    model with the certificate's d.  Returns the working limiting data, the
+    base valuation and the model."""
+    m = cert.reindex
+    tail = BranchValuationRecord(record.valuations[m:], record.d_estimates[m:])
+    working_data = data._replace(C=complete_record(profile, tail)[2])
+    v_base = tail.first_finite()
+    return working_data, v_base, level_model(profile, working_data, cert.d_used, v_base)
 
 
 def phi_oracle(model, n):

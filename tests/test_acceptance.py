@@ -5,7 +5,8 @@ lines.  Oracles here are independent of the code paths they check:
 factorial valuations for the carry counts, exhaustive chord tests for the
 hulls, pointwise sampling for composition, term-by-term minima for the
 level-polygon heights, and Serre's ramification of the Lubin-Tate torsion
-towers for the printed breaks and altitudes.
+towers for the printed breaks and altitudes and for the library's towers
+over every working base.
 """
 
 import json
@@ -27,9 +28,11 @@ from helpers import (
     random_plf,
     random_point_set,
     random_profile,
+    tower_vertices,
 )
 
-from ramstab.branches import build_record
+from ramstab.branches import PolynomialValuationProfile, build_record
+from ramstab.certificates import certify
 from ramstab.cli import main
 from ramstab.hasseherbrand import breaks_and_subfields, build_tower, level_model
 from ramstab.limitdata import limiting_data_for_branch
@@ -374,4 +377,38 @@ class TestCriterion10:
                 10,
                 f"Lubin-Tate towers, p in 2..7, v_p in 1..3: breaks p^k/(p-1) and "
                 f"altitudes k + 1/(p-1) from Serre's formulas, {runs} runs, {elapsed:.1f}s",
+            )
+
+    def test_lubin_tate_library_towers_at_every_working_level(self, capsys):
+        # The library's tower over every working base K_m, m = 1 .. reindex,
+        # not only the certificate's: level m's base valuation, C / q^m and
+        # the certificate's d give x_k = p^(m+k-1) / e_m and
+        # y_k = (psi_{K_m/K}(m+k-1) + 1) / e_m, with e_m = e(K_m/K) = (p-1) p^(m-1).
+        start, checked, depth = time.monotonic(), 0, 6
+        for p in (2, 3, 5, 7):
+            for v_p in (1, 2, 3):
+                profile = PolynomialValuationProfile(
+                    p=p, r=1, v_p=v_p, coeff_valuations={1: 1, p: 0}
+                )
+                record = build_record(profile, [None, Fraction(1, p - 1)])
+                data, record, _ = limiting_data_for_branch(profile, record)
+                cert = certify(profile, record, data)
+                assert cert.certified and cert.reindex >= 1
+                for m in range(1, cert.reindex + 1):
+                    working_data = data._replace(C=data.C / p**m)
+                    model = level_model(profile, working_data, cert.d_used, record.valuations[m])
+                    vertices, _phi = tower_vertices(build_tower(model, depth))
+                    e_m = (p - 1) * p ** (m - 1)
+                    assert vertices == [
+                        (Fraction(p ** (m + k - 1), e_m), (lubin_tate_psi(p, m, m + k - 1) + 1) / e_m)
+                        for k in range(1, depth + 1)
+                    ]
+                    checked += 1
+        assert checked == 36
+        elapsed = time.monotonic() - start
+        with capsys.disabled():
+            _report(
+                10,
+                f"Lubin-Tate library towers at every working level, {checked} (p, v_p, m) "
+                f"to depth {depth}, from Serre's formulas, {elapsed:.1f}s",
             )

@@ -9,6 +9,7 @@ from helpers import UNIFORMIZER_PROFILE, SAMPLE_PROFILE, predict_branch, random_
 
 from ramstab.branches import (
     BranchDataError,
+    BranchValuationRecord,
     PolynomialValuationProfile,
     branch_step_candidates,
     build_record,
@@ -18,6 +19,7 @@ from ramstab.branches import (
     minimal_d_estimate,
     zero_departure_candidates,
 )
+from ramstab.inputdoc import InputError
 from ramstab.limitdata import complete_record
 
 
@@ -118,13 +120,40 @@ class TestRecordValidation:
 
     def test_extension_is_forced_only(self):
         record = build_record(SAMPLE_PROFILE, ["4", "2/3"])
-        extended, N = complete_record(SAMPLE_PROFILE, record)
+        extended, N, _C = complete_record(SAMPLE_PROFILE, record)
         assert N == 1
         assert [str(v) for v in extended.valuations] == ["4", "2/3", "2/27", "2/243", "2/2187"]
         assert extended.d_estimates == (4, 2, 2, 2, 2)
         stuck = build_record(SAMPLE_PROFILE, ["4"])
         with pytest.raises(BranchDataError, match="step 0 has 2 candidate"):
             halving_level(SAMPLE_PROFILE, stuck)
+
+
+BRANCH_ERRORS = {
+    "build_record": (
+        lambda: build_record(SAMPLE_PROFILE, ["4", "1"]),
+        "valuations[1] = 1 is not a root valuation at step 0; the polygon allows ['2/3', '1/3']",
+    ),
+    "halving_level": (
+        lambda: halving_level(SAMPLE_PROFILE, build_record(SAMPLE_PROFILE, ["4"])),
+        "cannot extend: step 0 has 2 candidate valuations ['2/3', '1/3']; supply more branch data",
+    ),
+    "estimate_d": (
+        lambda: estimate_d(SAMPLE_PROFILE, BranchValuationRecord((None,), (None,))),
+        "record has no finite valuations to estimate d from",
+    ),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(BRANCH_ERRORS))
+def test_branch_errors_are_input_errors_on_branch_valuations(stage):
+    # a bad branch is reported where it is found, already naming its field
+    raise_it, message = BRANCH_ERRORS[stage]
+    with pytest.raises(BranchDataError) as exc:
+        raise_it()
+    assert isinstance(exc.value, InputError)
+    assert exc.value.field == "branch_valuations"
+    assert str(exc.value) == "branch_valuations: " + message
 
 
 class TestBounds:
@@ -147,7 +176,7 @@ class TestBounds:
         # the step leaving zero is forced: its valuation is the one root valuation, 1
         record = build_record(UNIFORMIZER_PROFILE, [None])
         assert halving_level(UNIFORMIZER_PROFILE, record) == 1
-        completed, N = complete_record(UNIFORMIZER_PROFILE, record)
+        completed, N, _C = complete_record(UNIFORMIZER_PROFILE, record)
         assert N == 1
         assert completed.valuations == (
             None, Fraction(1), Fraction(1, 3), Fraction(1, 9), Fraction(1, 27)

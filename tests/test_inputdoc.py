@@ -222,8 +222,16 @@ class TestParsing:
     def test_inconsistent_branch_rejected(self):
         obj = sample_obj()
         obj["branch_valuations"] = ["4", "1/2"]
-        with pytest.raises(InputError, match="branch_valuations"):
+        with pytest.raises(InputError, match="branch_valuations") as exc:
             parse_document(obj)
+        assert exc.value.field == "branch_valuations"
+
+    def test_input_error_is_defined_once(self):
+        # defined with the other error types, and re-exported here and by the package
+        import ramstab
+        from ramstab import valuations
+
+        assert InputError is valuations.InputError is ramstab.InputError
 
     def test_zero_coefficient_spelled_inf(self):
         obj = sample_obj()

@@ -14,14 +14,13 @@ from helpers import (
     random_profile,
 )
 
-from ramstab.branches import BranchDataError, build_record, halving_level
+from ramstab.branches import BranchValuationRecord, build_record, halving_level
 from ramstab.limitdata import (
     LimitingRamificationData,
-    compute_C,
+    complete_record,
     limiting_data,
     limiting_data_for_branch,
     main_and_error,
-    reindexed_record,
 )
 from ramstab.polygons import lower_hull
 
@@ -78,35 +77,35 @@ class TestLimitingData:
 
 
 class TestComputeC:
+    """C = q^N v(a_N), returned by ``complete_record`` with the completed
+    record: q^n v(a_n) is C at every completed level n >= N."""
+
     def test_sample(self):
         record = build_record(
             SAMPLE_PROFILE, ["4", "2/3", "2/27", "2/243", "2/2187"]
         )
         assert halving_level(SAMPLE_PROFILE, record) == 1
-        # q^n v(a_n) is 6 at every level from the halving level on
-        for n in range(1, 5):
-            assert compute_C(SAMPLE_PROFILE, record, n) == 6
+        completed, N, C = complete_record(SAMPLE_PROFILE, record)
+        assert (N, C) == (1, 6)
+        for n in range(N, len(completed.valuations)):
+            assert SAMPLE_PROFILE.q**n * completed.valuations[n] == 6
 
     def test_negative_base(self):
         record = predict_branch(SAMPLE_PROFILE, -1, depth=1)
-        assert compute_C(SAMPLE_PROFILE, record, halving_level(SAMPLE_PROFILE, record)) == -1
+        assert complete_record(SAMPLE_PROFILE, record)[2] == -1
 
     def test_uniformizer(self):
         record = build_record(UNIFORMIZER_PROFILE, ["1", "1/3"])
-        assert compute_C(UNIFORMIZER_PROFILE, record, halving_level(UNIFORMIZER_PROFILE, record)) == 1
+        assert complete_record(UNIFORMIZER_PROFILE, record)[2] == 1
 
     def test_zero_start_reads_the_first_forced_level(self):
         # the first finite level, 1, is forced: C = q^1 * v_1 = 3 * 1, and
         # q^n * v_n gives the same value at every later level
         record = build_record(UNIFORMIZER_PROFILE, [None, "1", "1/3", "1/9", "1/27"])
-        assert halving_level(UNIFORMIZER_PROFILE, record) == 1
-        assert compute_C(UNIFORMIZER_PROFILE, record, 1) == 3
-        assert compute_C(UNIFORMIZER_PROFILE, record, 4) == 3
-
-    def test_record_too_short(self):
-        record = build_record(SAMPLE_PROFILE, ["4", "2/3", "2/27"])
-        with pytest.raises(BranchDataError, match="level 4"):
-            compute_C(SAMPLE_PROFILE, record, 4)
+        completed, N, C = complete_record(UNIFORMIZER_PROFILE, record)
+        assert (N, C) == (1, 3)
+        for n in range(N, len(completed.valuations)):
+            assert UNIFORMIZER_PROFILE.q**n * completed.valuations[n] == 3
 
 
 class TestLevelPolygon:
@@ -209,12 +208,7 @@ class TestReindex:
     def test_reindex_recomputes_C_from_tail(self):
         record = build_record(SAMPLE_PROFILE, ["4", "2/3", "2/27"])
         data, record, _ = limiting_data_for_branch(SAMPLE_PROFILE, record)
-        tail = reindexed_record(record, 3)
+        tail = BranchValuationRecord(record.valuations[3:], record.d_estimates[3:])
         assert tail.valuations[0] == Fraction(2, 243)
-        assert compute_C(SAMPLE_PROFILE, tail, halving_level(SAMPLE_PROFILE, tail)) == Fraction(2, 243)
+        assert complete_record(SAMPLE_PROFILE, tail)[2] == Fraction(2, 243)
         assert data.C / SAMPLE_PROFILE.q**3 == Fraction(2, 243)
-
-    def test_reindex_bounds(self):
-        record = build_record(SAMPLE_PROFILE, ["4", "2/3", "2/27"])
-        with pytest.raises(BranchDataError):
-            reindexed_record(record, 9)

@@ -37,11 +37,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from ramstab import cli
 from ramstab.branches import (
     BranchDataError,
+    BranchValuationRecord,
     PolynomialValuationProfile,
     branch_step_candidates,
     build_record,
     estimate_d,
-    halving_level,
     is_forced_step,
     minimal_d_estimate,
     stability_screen,
@@ -54,16 +54,13 @@ from ramstab.hasseherbrand import (
     TowerInvariantError,
     breaks_and_subfields,
     build_tower,
-    level_model,
 )
 from ramstab.inputdoc import InputDocument, parse_document
 from ramstab.limitdata import (
     complete_record,
-    compute_C,
     limiting_data,
     limiting_data_for_branch,
     main_and_error,
-    reindexed_record,
 )
 from ramstab.polygons import lower_hull
 from ramstab.valuations import format_ratio, format_rational, parse_rational
@@ -86,6 +83,7 @@ from helpers import (
     tower_json_oracle,
     tower_levels,
     tower_oracle,
+    working_tower,
 )
 
 SCHEMA = json.loads(
@@ -312,7 +310,7 @@ def test_closed_form_completion_matches_the_hull_stepped_walk(profile, base, cho
     for v in probes + [w + Fraction(1, 10**6) for w in bound]:
         assert is_forced_step(profile, v) == (len(hull_step_candidates(profile, v)) == 1)
     try:
-        completed, N = complete_record(profile, record)
+        completed, N, C = complete_record(profile, record)
     except BranchDataError:
         # no recorded level is forced, so the walk cannot take its next step
         with pytest.raises(BranchDataError):
@@ -331,17 +329,19 @@ def test_closed_form_completion_matches_the_hull_stepped_walk(profile, base, cho
     data, _, _ = limiting_data_for_branch(profile, record)
     cert, further = certify(profile, completed, data), certify(profile, longer, data)
     assert (cert.kind, cert.reindex, cert.d_used) == (further.kind, further.reindex, further.d_used)
-    C = compute_C(profile, completed, N)
+    # q^n v(a_n) is C at every completed level from the halving level on
+    for n in range(N, len(completed.valuations)):
+        assert profile.q**n * completed.valuations[n] == C
     old_N = ceiling_halving_level(profile, record)
     # ceil(v(a_0)) steps: walked up to the base-1000 example's length
     if old_N <= 1000:
         old_walk = hull_stepped_extension(profile, record.valuations, old_N + 1)
         if len(hull_step_candidates(profile, old_walk[old_N])) == 1:
             assert profile.q**old_N * old_walk[old_N] == C
-    # a tail's C, read off at its own halving level, is C / q^n
+    # a tail's C, from its own completion, is C / q^n
     for n in range(len(completed.valuations)):
-        tail = reindexed_record(completed, n)
-        assert compute_C(profile, tail, halving_level(profile, tail)) == C / profile.q**n
+        tail = BranchValuationRecord(completed.valuations[n:], completed.d_estimates[n:])
+        assert complete_record(profile, tail)[2] == C / profile.q**n
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -419,9 +419,7 @@ def test_certificates_revalidate_and_towers_match_compose(profile, base, choices
     assert revalidate(cert)
     if not cert.certified:
         return
-    working = reindexed_record(record, cert.reindex)
-    working_data = data._replace(C=compute_C(profile, working, halving_level(profile, working)))
-    model = level_model(profile, working_data, cert.d_used, working.first_finite())
+    _working_data, _v_base, model = working_tower(profile, record, data, cert)
     try:
         tower = build_tower(model, TOWER_DEPTH)
     except ValueError as exc:
@@ -499,14 +497,11 @@ def test_phi_is_the_scaled_dual_of_the_level_polygon(profile, base, choices, dep
     cert = certify(profile, record, data, d)
     if not cert.certified:
         return
-    working = reindexed_record(record, cert.reindex)
-    working_data = data._replace(C=compute_C(profile, working, halving_level(profile, working)))
-    v_base = working.first_finite()
+    working_data, v_base, model = working_tower(profile, record, data, cert)
     expected = [
         dual_phi(profile, working_data, n, cert.d_used, v_base)
         for n in range(1, TOWER_DEPTH + 1)
     ]
-    model = level_model(profile, working_data, cert.d_used, v_base)
     for n, vertices in enumerate(expected, start=1):
         if vertices is None:
             with pytest.raises(ValueError):
@@ -572,9 +567,7 @@ def test_integer_tower_matches_the_fraction_fold(profile, base, choices, depth, 
     cert = certify(profile, record, data, d)
     if not cert.certified:
         return
-    working = reindexed_record(record, cert.reindex)
-    working_data = data._replace(C=compute_C(profile, working, halving_level(profile, working)))
-    model = level_model(profile, working_data, cert.d_used, working.first_finite())
+    _working_data, _v_base, model = working_tower(profile, record, data, cert)
     for tower_depth in range(1, 13):
         assert_tower_matches_oracle(model, tower_depth)
 
