@@ -24,8 +24,8 @@ _EXPORTS = {
     "limiting_data limiting_data_for_branch main_and_error",
     "certificates": "CertificateCheck StabilityCertificate certify composition_criterion "
     "pcb_normal_form pcb_sufficient revalidate",
-    "hasseherbrand": "Tower breaks_and_subfields build_tower "
-    "depth_past_limit level_model printable_depth",
+    "hasseherbrand": "Tower build_tower depth_past_limit first_failure "
+    "level_model printable_depth",
     "inputdoc": "InputDocument load_document parse_document",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -23,9 +23,10 @@ is info or debug.
 A command imports only the stages it runs: the tower module for hh,
 breaks and plot, the SVG writer for plot, and the bundled-data reader for
 selftest.  Reports print exactly as ``json.dumps(indent=2)``: ``_render``
-writes them as chunks of text, and ``_tower_text`` writes hh's ``phi``
-and ``Phi`` from the tower's numerators, each level of ``Phi`` a cut of
-the deepest level's text.
+writes them as chunks of text, ``_table`` the breaks and subfield table,
+each break quoted once, and ``_tower_text`` hh's ``phi`` and ``Phi`` from
+the tower's numerators, each level of ``Phi`` a cut of the deepest level's
+text; ``breaks`` builds the tower's x alone.
 """
 
 from __future__ import annotations
@@ -155,9 +156,29 @@ def _template(keys: tuple, newline: str) -> str:
     return "{" + sep[1:] + sep.join(fields) + newline + "}"
 
 
+def _table(tower, reindex: int) -> tuple:
+    """The deepest level's breaks, each quoted once, and the entries of the
+    subfield table as ``_Text``: the level-k subfield is the elementary
+    subfield ``size``*(k - reindex) + 1 of the working base, or its ground
+    field below 1, and the one past the depth has no computed break."""
+    size, item = tower.size, "\n    "
+    breaks = [encode_basestring_ascii(format_ratio(x, tower.D)) for x in tower.xs]
+    row = _template(("level", "elementary_index", "field", "break"), item)
+    rows = [row % (k, size * (k - reindex) + 1, '"ground"', "null") for k in range(reindex)]
+    elementary = row % ("%s", "%s", '"elementary[%s]"', "%s")
+    for i, text in enumerate([*breaks[::size], "null"]):
+        rows.append(elementary % (reindex + i, size * i + 1, size * i + 1, text))
+    sep = "," + item
+    return breaks, {
+        "breaks": _Text(("[" + item + sep.join(breaks) + "\n  ]",)),
+        "subfields": _Text(("[" + item + sep.join(rows) + "\n  ]",)),
+        "break_scale": "base-subfield-normalized (v maps the base subfield onto the integers)",
+    }
+
+
 def _tower_text(tower, breaks: list) -> tuple:
     """The ``phi`` and ``Phi`` values of ``hh``, as ``_Text`` at the indent
-    of a top-level key; ``breaks`` is the deepest level's break list.
+    of a top-level key; ``breaks`` is ``_table``'s quoted break list.
 
     Each number is formatted and quoted once.  Level n of ``Phi`` is the
     first ``size``*n vertices of the deepest level: its breaks and vertices
@@ -168,8 +189,7 @@ def _tower_text(tower, breaks: list) -> tuple:
     """
     q, D, size = tower.q, tower.D, tower.size
     E = D * q ** (tower.depth - 1)
-    quote = encode_basestring_ascii
-    xs = [quote(x) for x in breaks]
+    quote, xs = encode_basestring_ascii, breaks
     ys = [quote(format_ratio(y, E)) for y in tower.ys]
     phi_ys = [quote(format_ratio(y, D)) for y in tower.phi_ys]
     top, level, key, item, entry = ("\n" + "  " * k for k in range(1, 6))  # each one deeper
@@ -302,7 +322,7 @@ def _certify(doc, args):
     return payload, 0 if cert.certified else 1
 
 
-def _certified_tower(doc, depth: int):
+def _certified_tower(doc, depth: int, heights: bool = True):
     """Certify a document and build its tower on the working base.
 
     Returns the certificate, the working base's valuation, its limiting
@@ -325,7 +345,7 @@ def _certified_tower(doc, depth: int):
             f"{depth} is past {limit}, the deepest tower of this document whose "
             f"numbers print within {digit_limit()} digits",
         )
-    tower = build_tower(model, depth)
+    tower = build_tower(model, depth, heights)
     return cert, v_base, working_data, model, tower
 
 
@@ -333,10 +353,8 @@ def _hh(doc, args):
     cert, v_base, working_data, _model, tower = _certified_tower(doc, args.depth)
     if tower is None:
         return {"certificate": cert.to_json()}, 1
-    from .hasseherbrand import breaks_and_subfields
-
-    table = breaks_and_subfields(tower, reindex=cert.reindex)
-    phi, Phi = _tower_text(tower, table["breaks"])
+    breaks, table = _table(tower, cert.reindex)
+    phi, Phi = _tower_text(tower, breaks)
     return {
         "depth": tower.depth,
         "reindex": cert.reindex,
@@ -353,13 +371,10 @@ def _hh(doc, args):
 
 
 def _breaks(doc, args):
-    cert, _v_base, _data, _model, tower = _certified_tower(doc, args.depth)
+    cert, _v_base, _data, _model, tower = _certified_tower(doc, args.depth, heights=False)
     if tower is None:
         return {"certificate": cert.to_json()}, 1
-    from .hasseherbrand import breaks_and_subfields
-
-    table = breaks_and_subfields(tower, reindex=cert.reindex)
-    return {"depth": tower.depth, "reindex": cert.reindex, **table}, 0
+    return {"depth": tower.depth, "reindex": cert.reindex, **_table(tower, cert.reindex)[1]}, 0
 
 
 def _plot(doc, args):

@@ -36,13 +36,13 @@ the last vertex of phi_{n-1} (``composition-gap``: the identity-segment
 gap that makes the closed form exact).  Together they say that the x of
 the whole tower strictly increase from 0: level n's convexity is its own
 pairs of x, its gap the pair across from level n-1, and its positivity
-the gap from 0 at level 1, implied by the gaps deeper down.  That is
-tested once, and only a failing tower is searched for its first failing
-level and, in the order above, property.  The rest follows: the first
-vertex lies on the identity, and the slopes 1, then s_j/q^(n-1) within
-level n, 1/q^(n-1) into the first vertex of level n and 1/q^depth past
-the last, are positive and strictly decreasing.  A violation aborts
-loudly rather than returning a silently wrong function.
+the gap from 0 at level 1, implied by the gaps deeper down.  Each pair is
+affine in q^n, so ``first_failure`` names the first failing level and, in
+the order above, property of the whole tower in closed form.  The rest
+follows: the first vertex lies on the identity, and the slopes 1, then
+s_j/q^(n-1) within level n, 1/q^(n-1) into the first vertex of level n
+and 1/q^depth past the last, are positive and strictly decreasing.  A
+violation aborts loudly rather than returning a silently wrong function.
 
 Ramification breaks are reported on the scale normalized by the base
 subfield (v(E) = Z).
@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import lt, mul, sub
+from operator import mul, sub
 from typing import List, NamedTuple, Optional, Tuple
 
 from .branches import PolynomialValuationProfile
@@ -61,14 +61,8 @@ from .limitdata import LimitingRamificationData
 from .valuations import TowerInvariantError, digit_limit, format_ratio, logger, power_of_ten
 
 __all__ = [
-    "LevelModel",
-    "Tower",
-    "TowerInvariantError",
-    "level_model",
-    "build_tower",
-    "printable_depth",
-    "depth_past_limit",
-    "breaks_and_subfields",
+    "LevelModel", "Tower", "TowerInvariantError", "level_model", "build_tower",
+    "first_failure", "printable_depth", "depth_past_limit",
 ]
 
 # LOG2_10_NUM / LOG2_10_DEN = 3.321928094 < log2(10)
@@ -120,7 +114,8 @@ class Tower(NamedTuple):
     by the ray of slope 1/q^n that leaves the last of them; those are the
     breaks of level n.  ``phi_ys`` holds the y over D of each phi_n in
     turn, ``size`` per level; phi_n has the x of level n's last ``size``
-    vertices, initial slope 1 and final slope 1/q.
+    vertices, initial slope 1 and final slope 1/q.  A tower built without
+    heights has empty ``ys`` and ``phi_ys``.
     """
 
     q: int
@@ -160,55 +155,77 @@ def level_model(
     return LevelModel(profile.q, shift, xs, slopes)
 
 
-def build_tower(model: LevelModel, depth: int) -> Tower:
-    """Compose transition functions up to ``depth``, checking every level.
+def first_failure(model: LevelModel) -> Optional[Tuple[int, str]]:
+    """The first level at which the tower fails a property of the module
+    docstring, and that property, or None.  Each property is a form a q^n + b
+    that must stay positive (a vertex gap, the first x, which past level 1
+    fails only with the gap, and the gap from level n-1); one positive at
+    level 1 stays positive if a >= 0, and else fails once (-a) q^n >= b.
+    A tie at the least level names the first property in that order."""
+    q, AX, BX = model.q, model.AX, model.BX
+    forms = [  # (a, b, first level - 1, property), in the order ties are named
+        *((a1 - a0, b1 - b0, 0, "level-convexity") for a0, a1, b0, b1 in zip(AX, AX[1:], BX, BX[1:])),
+        (AX[0], BX[0], 0, "vertex-positivity"),
+        (q * AX[0] - AX[-1], BX[0] - BX[-1], 1, "composition-gap"),  # in q^(n-1)
+    ]
+    found = []
+    for order, (a, b, offset, prop) in enumerate(forms):
+        if a < 0 or a * q + b <= 0:
+            n, q_n = 1, q
+            while a * q_n + b > 0:
+                n, q_n = n + 1, q_n * q
+            found.append((n + offset, order, prop))
+    return min(found)[::2] if found else None
+
+
+def build_tower(model: LevelModel, depth: int, heights: bool = True) -> Tower:
+    """Compose transition functions up to ``depth``: every x, and every y
+    only with ``heights`` or for the debug log of each level's altitude.
 
     Each vertex (x, y) of phi_n is appended as (x, alt + (y - x_last) /
     q^(n-1)), where (x_last, alt) is the last vertex of level n-1, or the
     origin: alt + (y - x_last) * q^(depth-n) on the numerators, x over D
     and y over D*q^(depth-1), one column (vertex j at every level) at once.
 
-    Callers are expected to hold a certificate for the working base; the
-    builder still checks every level, and aborts with the violated property.
+    Callers are expected to hold a certificate for the working base; a
+    failure ``first_failure`` names within ``depth`` still aborts.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     q, D, size = model.q, model.D, len(model.AX)
+    failure = first_failure(model)
+    if failure is not None and failure[0] <= depth:
+        n, prop = failure
+        if n > 1 and logger(__name__, "DEBUG"):
+            build_tower(model, n - 1)  # logs levels 1 ... n-1
+        if prop == "level-convexity":
+            why = f"level {n} is not in the stable regime: segment slopes must be strictly "
+            why += "increasing (strict convexity)"
+        elif prop == "vertex-positivity":
+            why = f"level {n} vertex positions are not positive (shift {model.shift}); "
+            why += "outside the supported regime"
+        else:
+            first, last = (model.AX[j] * q**k + model.BX[j] for j, k in ((0, n), (-1, n - 1)))
+            why = f"first vertex {format_ratio(first, D)} of phi_{n} does not lie strictly "
+            why += f"beyond the last vertex {format_ratio(last, D)} of phi_{n - 1}"
+        raise TowerInvariantError(prop, why)
     powers = list(accumulate(repeat(q, depth), mul, initial=1))  # q^0 ... q^depth
     q_n, scales = powers[1:], powers[-2::-1]  # q^n and q^(depth-n) of levels 1 ... depth
-    Q = scales[0]  # q^(depth-1)
-    xs, phi_ys = [0] * (size * depth), [0] * (size * depth)  # over D, phi_n's own y over D
-    for j, (ax, bx, ay, by) in enumerate(zip(model.AX, model.BX, model.AY, model.BY)):
+    xs = [0] * (size * depth)  # over D
+    for j, (ax, bx) in enumerate(zip(model.AX, model.BX)):
         xs[j::size] = [ax * q_j + bx for q_j in q_n]
+    log = logger(__name__, "DEBUG")
+    if not (heights or log):
+        return Tower(q, D, size, tuple(xs), (), ())
+    phi_ys = xs.copy()  # phi_n's own y over D
+    for j, (ay, by) in enumerate(zip(model.AY, model.BY)):
         phi_ys[j::size] = [ay * q_j + by for q_j in q_n]
     x_last = [0, *xs[size - 1 :: size]]  # of levels 0 ... depth
     alts = list(accumulate(map(mul, map(sub, phi_ys[size - 1 :: size], x_last), scales), initial=0))
-    # every level holds its three properties exactly when the x strictly increase from 0
-    rising = list(map(lt, [0, *xs], xs))
-    failing = rising.index(False) // size + 1 if False in rising else depth + 1
-    log = logger(__name__, "DEBUG")
     if log:
-        for n in range(1, failing):
-            log.debug("tower level %d: %d breaks, altitude %s", n, size * n, format_ratio(alts[n], D * Q))
-    if failing <= depth:
-        n, level = failing, xs[size * (failing - 1) : size * failing]
-        if not all(map(lt, level, level[1:])):
-            raise TowerInvariantError(
-                "level-convexity",
-                f"level {n} is not in the stable regime: "
-                "segment slopes must be strictly increasing (strict convexity)",
-            )
-        if level[0] <= 0:
-            raise TowerInvariantError(
-                "vertex-positivity",
-                f"level {n} vertex positions are not positive (shift {model.shift}); "
-                "outside the supported regime",
-            )
-        raise TowerInvariantError(
-            "composition-gap",
-            f"first vertex {format_ratio(level[0], D)} of phi_{n} does not lie "
-            f"strictly beyond the last vertex {format_ratio(x_last[n - 1], D)} of phi_{n - 1}",
-        )
+        for n in range(1, depth + 1):
+            altitude = format_ratio(alts[n], D * scales[0])
+            log.debug("tower level %d: %d breaks, altitude %s", n, size * n, altitude)
     ys = xs.copy()  # over D*q^(depth-1)
     for j in range(size):
         ys[j::size] = [alt + (y - x) * s for alt, y, x, s in zip(alts, phi_ys[j::size], x_last, scales)]
@@ -269,36 +286,3 @@ def depth_past_limit(model: LevelModel, depth: int) -> Optional[int]:
         return None
     limit = printable_depth(model)
     return limit if depth > limit else None
-
-
-def breaks_and_subfields(tower: Tower, reindex: int = 0) -> dict:
-    """Break sequence of the deepest level and the elementary-subfield table.
-
-    The level-k subfield of the tower is the elementary subfield with index
-    (V-1)*(k - reindex) + 1 in the break numbering of the working base;
-    nonpositive indices denote the working ground field itself.  Break
-    values beyond the computed depth are reported as None.
-    """
-    breaks = [format_ratio(x, tower.D) for x in tower.xs]
-    rows = []
-    for k in range(reindex + tower.depth + 1):
-        idx = tower.size * (k - reindex) + 1
-        if idx <= 0:
-            rows.append(
-                {"level": k, "elementary_index": idx, "field": "ground", "break": None}
-            )
-            continue
-        value = breaks[idx - 1] if idx <= len(breaks) else None
-        rows.append(
-            {
-                "level": k,
-                "elementary_index": idx,
-                "field": f"elementary[{idx}]",
-                "break": value,
-            }
-        )
-    return {
-        "breaks": breaks,
-        "subfields": rows,
-        "break_scale": "base-subfield-normalized (v maps the base subfield onto the integers)",
-    }

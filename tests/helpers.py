@@ -10,8 +10,12 @@ branch oracle extends a record one fresh hull per step, the
 main-and-error oracle scans every p^k with the carry walk, the certify
 oracle builds every level's checks from scratch, the level-polygon
 oracle checks the exact level-n heights for strict convexity with
-``below_line``, and the working-tower oracle re-bases a certified branch
-by slicing its record and completing the tail for its own C.
+``below_line``, the working-tower oracle re-bases a certified branch
+by slicing its record and completing the tail for its own C, the
+ordered-test oracle evaluates every x of the tower to a depth and finds
+its first failing level by comparing them in turn, and the subfield-table
+oracle builds the ``breaks`` and ``subfields`` entries as dicts, for
+``json.dumps``.
 
 ``PLFunction``, with ``make_plf``, ``evaluate``, ``compose`` and
 ``altitude``, is the general algebra of concave piecewise-linear
@@ -538,6 +542,51 @@ def level_vertices(model, n):
             "outside the supported regime",
         )
     return [(x, Fraction(a * q_n + b, D)) for x, a, b in zip(xs, model.AY, model.BY)]
+
+
+def ordered_first_failure(model, depth):
+    """The first failing level of the tower to ``depth`` and its property,
+    or None, by the ordered test: every x of levels 1 ... ``depth``,
+    evaluated from the model, must strictly increase from 0.  The first
+    level where they do not is then checked for convexity, positivity and
+    the gap from level n-1, in that order."""
+    q, size = model.q, len(model.AX)
+    xs = [a * q**n + b for n in range(1, depth + 1) for a, b in zip(model.AX, model.BX)]
+    rising = [x0 < x1 for x0, x1 in zip([0, *xs], xs)]
+    if all(rising):
+        return None
+    n = rising.index(False) // size + 1
+    level = xs[size * (n - 1) : size * n]
+    if any(x1 <= x0 for x0, x1 in zip(level, level[1:])):
+        return n, "level-convexity"
+    return n, "vertex-positivity" if level[0] <= 0 else "composition-gap"
+
+
+def breaks_and_subfields(tower, reindex=0):
+    """Break sequence of the deepest level and the elementary-subfield table,
+    as the dicts ``json.dumps`` prints for ``breaks`` and ``hh``.
+
+    The level-k subfield of the tower is the elementary subfield with index
+    (V-1)*(k - reindex) + 1 in the break numbering of the working base;
+    nonpositive indices denote the working ground field itself.  Break
+    values beyond the computed depth are reported as None.
+    """
+    breaks = [format_rational(Fraction(x, tower.D)) for x in tower.xs]
+    rows = []
+    for k in range(reindex + tower.depth + 1):
+        idx = tower.size * (k - reindex) + 1
+        if idx <= 0:
+            rows.append({"level": k, "elementary_index": idx, "field": "ground", "break": None})
+            continue
+        value = breaks[idx - 1] if idx <= len(breaks) else None
+        rows.append(
+            {"level": k, "elementary_index": idx, "field": f"elementary[{idx}]", "break": value}
+        )
+    return {
+        "breaks": breaks,
+        "subfields": rows,
+        "break_scale": "base-subfield-normalized (v maps the base subfield onto the integers)",
+    }
 
 
 def working_tower(profile, record, data, cert):

@@ -33,8 +33,8 @@ from helpers import (
 
 from ramstab.branches import PolynomialValuationProfile, build_record
 from ramstab.certificates import certify
-from ramstab.cli import main
-from ramstab.hasseherbrand import breaks_and_subfields, build_tower, level_model
+from ramstab.cli import _render, _table, main
+from ramstab.hasseherbrand import build_tower, level_model
 from ramstab.limitdata import limiting_data_for_branch
 from ramstab.polygons import lower_hull
 
@@ -127,7 +127,7 @@ class TestCriterion3:
             assert cur.vertices[:k] == prev.vertices  # 4. prefix
             assert altitude(cur) > altitude(prev)  # 5. altitude growth
 
-        table = breaks_and_subfields(tower)
+        table = json.loads(_render(_table(tower, 0)[1]))
         for row in table["subfields"]:
             assert row["elementary_index"] == row["level"] + 1
         elapsed = time.monotonic() - start

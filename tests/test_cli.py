@@ -422,6 +422,21 @@ class TestTowerCommands:
         assert list(json.loads(out)) == ["depth", "reindex", "breaks", "subfields", "break_scale"]
 
     @pytest.mark.parametrize("fixture", [SAMPLE, UNIFORMIZER])
+    def test_only_hh_and_plot_build_the_heights(self, capsys, monkeypatch, tmp_path, fixture):
+        # breaks prints only the x of the tower: it builds no y column
+        towers, build = [], hasseherbrand.build_tower
+
+        def recording(*args, **kwargs):
+            towers.append(build(*args, **kwargs))
+            return towers[-1]
+
+        monkeypatch.setattr(hasseherbrand, "build_tower", recording)
+        for argv in (["breaks"], ["hh"], ["plot", "--out", str(tmp_path / "tower.svg")]):
+            assert run(capsys, *argv, "--depth", "4", fixture)[0] == 0
+        k = len(towers[0].xs)
+        assert [(len(t.xs), len(t.ys), len(t.phi_ys)) for t in towers] == [(k, 0, 0), (k, k, k), (k, k, k)]
+
+    @pytest.mark.parametrize("fixture", [SAMPLE, UNIFORMIZER])
     def test_hh_towers_match_the_per_level_oracle(self, capsys, fixture):
         code, out, _ = run(capsys, "hh", "--depth", "20", fixture)
         assert code == 0

@@ -1,5 +1,7 @@
 """Transition functions, tower composition, breaks and subfield table."""
 
+import json
+import logging
 import random
 import sys
 from fractions import Fraction
@@ -23,12 +25,13 @@ from helpers import (
 
 from ramstab.branches import build_record
 from ramstab.certificates import certify
+from ramstab.cli import _render, _table
 from ramstab.hasseherbrand import (
     LevelModel,
     TowerInvariantError,
-    breaks_and_subfields,
     build_tower,
     depth_past_limit,
+    first_failure,
     level_model,
     printable_depth,
 )
@@ -47,6 +50,12 @@ def sample_data_rebased():
     record = build_record(SAMPLE_PROFILE, ["2/3", "2/27"])
     data, record, _ = limiting_data_for_branch(SAMPLE_PROFILE, record)
     return data, record
+
+
+def printed_table(tower, reindex=0):
+    """The ``breaks``, ``subfields`` and ``break_scale`` entries as the
+    ``breaks`` and ``hh`` commands print them, read back as JSON."""
+    return json.loads(_render(_table(tower, reindex)[1]))
 
 
 def phi_at(profile, data, n, d, v_base):
@@ -129,6 +138,31 @@ class TestLevelModel:
                 "tower invariant 'vertex-positivity' violated: "
                 "level 1 vertex positions are not positive (shift -3); outside the supported regime"
             )
+
+
+class TestFirstFailure:
+    """Tower validity decided on the model, for every depth at once."""
+
+    def test_fixture_towers_never_fail(self):
+        # nothing compares the 2,000 levels' vertices: the closed form says
+        # no level fails, and the tower builds to that depth
+        for profile, data, d, v_base in fixture_cases():
+            model = level_model(profile, data, d, v_base)
+            assert first_failure(model) is None
+            assert len(build_tower(model, 2000, heights=False).xs) == (data.V - 1) * 2000
+
+    def test_debug_logs_the_levels_before_a_failure(self, caplog):
+        # x = 3^n + 5, 4 * 3^n holds at levels 1 and 2 and fails the gap at 3
+        model = LevelModel(3, Fraction(0), ((1, 5), (4, 0)), (Fraction(1, 2),))
+        assert first_failure(model) == (3, "composition-gap")
+        caplog.set_level(logging.DEBUG, logger="ramstab.hasseherbrand")
+        with pytest.raises(TowerInvariantError):
+            build_tower(model, 6)
+        failing = [record.getMessage() for record in caplog.records]
+        caplog.clear()
+        build_tower(model, 2)
+        assert failing == [record.getMessage() for record in caplog.records]
+        assert failing[-1] == "tower level 2: 4 breaks, altitude 43/3"
 
 
 class TestModelValidation:
@@ -297,7 +331,7 @@ class TestClosedFormTower:
         depth = 20
         model = level_model(SAMPLE_PROFILE, data, 2, Fraction(2, 3))
         tower = build_tower(model, depth)
-        table = breaks_and_subfields(tower)
+        table = printed_table(tower)
         _, phi_vertices = tower_vertices(tower)
         size = tower.size
         for n in range(1, depth + 1):
@@ -369,7 +403,7 @@ class TestBreaksAndSubfields:
     def test_uniformizer_depth_three(self):
         data, _ = uniformizer_data()
         tower = build_tower(level_model(UNIFORMIZER_PROFILE, data, 1, Fraction(1)), 3)
-        table = breaks_and_subfields(tower)
+        table = printed_table(tower)
         assert table["breaks"] == ["2", "5", "14"]
         rows = {row["level"]: row for row in table["subfields"]}
         assert rows[0]["elementary_index"] == 1 and rows[0]["break"] == "2"
@@ -380,7 +414,7 @@ class TestBreaksAndSubfields:
     def test_depth_one_single_break(self):
         data, _ = uniformizer_data()
         tower = build_tower(level_model(UNIFORMIZER_PROFILE, data, 1, Fraction(1)), 1)
-        table = breaks_and_subfields(tower)
+        table = printed_table(tower)
         assert table["breaks"] == ["2"]
         rows = {row["level"]: row for row in table["subfields"]}
         # the level-1 field sits strictly above the single computed break
@@ -389,7 +423,7 @@ class TestBreaksAndSubfields:
     def test_reindexed_levels_map_to_ground(self):
         data, _ = sample_data_rebased()
         tower = build_tower(level_model(SAMPLE_PROFILE, data, 2, Fraction(2, 3)), 2)
-        table = breaks_and_subfields(tower, reindex=1)
+        table = printed_table(tower, reindex=1)
         rows = {row["level"]: row for row in table["subfields"]}
         assert rows[0]["field"] == "ground" and rows[0]["elementary_index"] == -1
         assert rows[1]["elementary_index"] == 1

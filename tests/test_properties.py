@@ -48,12 +48,13 @@ from ramstab.branches import (
     zero_departure_candidates,
 )
 from ramstab.certificates import certify, revalidate
-from ramstab.cli import _Text, _json_chunks, _render, _tower_text
+from ramstab.cli import _Text, _json_chunks, _render, _table, _tower_text
 from ramstab.hasseherbrand import (
     LevelModel,
+    Tower,
     TowerInvariantError,
-    breaks_and_subfields,
     build_tower,
+    first_failure,
 )
 from ramstab.inputdoc import InputDocument, parse_document
 from ramstab.limitdata import (
@@ -66,6 +67,7 @@ from ramstab.polygons import lower_hull
 from ramstab.valuations import format_ratio, format_rational, parse_rational
 
 from helpers import (
+    breaks_and_subfields,
     ceiling_halving_level,
     certify_oracle,
     compose,
@@ -76,6 +78,7 @@ from helpers import (
     level_polygon,
     level_vertices,
     main_and_error_oracle,
+    ordered_first_failure,
     phi_oracle,
     predict_branch,
     root_valuations,
@@ -438,7 +441,7 @@ def test_certificates_revalidate_and_towers_match_compose(profile, base, choices
 def assert_tower_text_matches_oracle(tower):
     """``hh``'s ``phi`` and ``Phi`` print byte for byte as ``json.dumps``
     prints the per-level oracle's entries."""
-    phi, Phi = _tower_text(tower, breaks_and_subfields(tower)["breaks"])
+    phi, Phi = _tower_text(tower, _table(tower, 0)[0])
     expected = json.dumps(tower_json_oracle(tower), indent=2) + "\n"
     assert _render({"phi": phi, "Phi": Phi}) == expected
 
@@ -643,6 +646,70 @@ def test_integer_tower_matches_the_fraction_fold_on_free_models(args, depth):
         tower = assert_tower_matches_oracle(LevelModel(*args), depth)
         if tower is not None:
             assert_tower_text_matches_oracle(tower)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(args=free_level_models())
+# the first vertex of phi_2 lands exactly on the last vertex 9 of phi_1
+@example(args=(3, Fraction(0), ((1, 0), (2, 3)), (Fraction(1, 2),)))
+# x = 5 - 3^n: positive at level 1, not at level 2, where the gap fails too
+@example(args=(3, Fraction(0), ((Fraction(-1), Fraction(5)),), ()))
+# x = 3^n + 5, 4 * 3^n: convex and positive at every level, but 32 <= 36 at level 3
+@example(args=(3, Fraction(0), ((Fraction(1), Fraction(5)), (Fraction(4), Fraction(0))), (Fraction(1, 2),)))
+# x = 100 * 3^n, 99 * 3^n + 50: convex while 3^n < 50, so up to level 3
+@example(
+    args=(3, Fraction(0), ((Fraction(100), Fraction(0)), (Fraction(99), Fraction(50))), (Fraction(1, 2),))
+)
+# x = 1, 6 - 3^n: level 2 is neither convex nor beyond level 1; convexity is named
+@example(
+    args=(3, Fraction(0), ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(6))), (Fraction(1, 2),))
+)
+# x = 2^30 * 2^n, (2^30 - 1) * 2^n + 2^30 + 1: the gap between them, 2^30 + 1 - 2^n,
+# closes at level 31, while the gap from the level before only grows
+@example(args=(2, Fraction(0), ((2**30, 0), (2**30 - 1, 2**30 + 1)), (Fraction(3, 4),)))
+def test_first_failure_is_the_ordered_test_at_every_depth(args):
+    """``first_failure`` names the level and property that the ordered test
+    over the evaluated tower names, at every depth from 1 to 12 and on each
+    side of the failing level; ``build_tower`` raises exactly when that
+    level is within its depth."""
+    q, _shift, xs, slopes = args
+    assume(len(slopes) == len(xs) - 1)
+    assume(list(slopes) == sorted(set(slopes), reverse=True))
+    assume(all(Fraction(1, q) < s < 1 for s in slopes))
+    model = LevelModel(*args)
+    failure = first_failure(model)
+    level = failure[0] if failure else 0
+    for depth in sorted({*range(1, 13), level - 1, level} - {0, -1}):
+        expected = failure if failure and level <= depth else None
+        assert ordered_first_failure(model, depth) == expected
+        if expected is None:
+            assert len(build_tower(model, depth, heights=False).xs) == len(xs) * depth
+        else:
+            with pytest.raises(TowerInvariantError) as err:
+                build_tower(model, depth, heights=False)
+            assert err.value.prop == failure[1]
+            assert f"level {level} " in str(err.value) or f"phi_{level} " in str(err.value)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    size=st.integers(1, 3),
+    depth=st.integers(1, 8),
+    reindex=st.integers(0, 3),
+    D=st.integers(1, 60),
+    data=st.data(),
+)
+def test_subfield_table_text_is_json_dumps_of_the_oracle(size, depth, reindex, D, data):
+    """The ``breaks`` and ``subfields`` text of ``breaks`` and ``hh``, ground
+    rows and the row past the depth included, prints as ``json.dumps``
+    prints the dict oracle, and its break list is each break quoted."""
+    count = size * depth
+    xs = data.draw(st.lists(st.integers(-(10**30), 10**30), min_size=count, max_size=count))
+    tower = Tower(2, D, size, tuple(xs), (), ())
+    breaks, table = _table(tower, reindex)
+    oracle = breaks_and_subfields(tower, reindex)
+    assert _render(table) == json.dumps(oracle, indent=2) + "\n"
+    assert breaks == [json.dumps(x) for x in oracle["breaks"]]
 
 
 # quotes, backslashes, control and non-ASCII characters, and a lone surrogate

@@ -106,6 +106,17 @@ def test_debug_logs_the_completion_and_each_tower_level():
     ]
 
 
+@pytest.mark.parametrize("fixture", ["sample", "uniformizer"])
+def test_debug_logs_of_the_tower_commands_are_pinned(fixture):
+    # each line's altitude needs the tower's heights, which breaks builds
+    # only for this log; both commands print the lines hh always printed
+    expected = (REPO / "tests" / "data" / "debug" / f"{fixture}.depth5.txt").read_text()
+    for command in ("breaks", "hh"):
+        proc = run_cli(command, "--depth", "5", str(PACKAGE / "data" / f"{fixture}.json"), RAMSTAB_LOG="debug")
+        assert proc.returncode == 0
+        assert proc.stderr == expected
+
+
 def test_info_logs_the_written_plot(tmp_path):
     out = str(tmp_path / "sample.svg")
     proc = run_cli("plot", "--depth", "2", "--out", out, SAMPLE, RAMSTAB_LOG="info")
