@@ -24,7 +24,7 @@ from .branches import (
     stability_screen,
 )
 from .limitdata import LimitingRamificationData
-from .valuations import check_printable, denominator_field, digit_limit
+from .valuations import denominator_field, print_bound, print_error
 
 __all__ = [
     "CertificateCheck",
@@ -196,7 +196,7 @@ def composition_criterion(
     Every term but the margin's |v(a_0)| is built once, here.  With the
     shallowest slope s/t and v = a/b, the right side is (s (p-1) b + 2 t |a|)
     / (t (p-1) b), reduced on integers and printed as ``str(Fraction)`` would.
-    A right side with more digits than the interpreter prints raises
+    A right side that does not print, compared with ``print_bound``, raises
     ``InputError`` on ``base_valuation``: the base's magnitude sets how deep
     the scan goes.
     """
@@ -209,17 +209,16 @@ def composition_criterion(
     shallowest = -Fraction(data.M[1] - data.M[0], p ** data.R[1] - p ** data.R[0])
     s, t = shallowest.numerator, shallowest.denominator
     s_p, t_p, twice_t = s * (p - 1), t * (p - 1), 2 * t
-    bits = 3 * digit_limit()  # past this bit length, a number may not print
+    bound = print_bound()
 
     def check(n: int, v: Fraction) -> CertificateCheck:
         b = v.denominator
         top, bottom = s_p * b + twice_t * abs(v.numerator), t_p * b
         g = gcd(top, bottom)
         top, bottom = top // g, bottom // g
-        larger = max(top, bottom)
-        if bits and larger.bit_length() > bits:
+        if bound and max(top, bottom) >= bound:
             why = "certify cannot print the composition criterion"
-            check_printable(larger, f"level {n}'s criterion bound", why, "base_valuation")
+            raise print_error(f"level {n}'s criterion bound", why, "base_valuation")
         rhs = f"{top}/{bottom}" if bottom != 1 else str(top)
         return CertificateCheck(
             "composition-criterion", n, lhs_text, ">", rhs, lhs_num * bottom > top * lhs_den
@@ -253,17 +252,17 @@ def certify(
     holds there: the d-estimate has settled and the comparisons of
     ``stability_screen`` pass.  A uniformizer base (v(a_0) * e_ke = 1)
     passes the screen at level 0 outright, since every level is then
-    Eisenstein.  A scanned level whose denominator has more digits than
-    the interpreter prints raises ``InputError`` on the field that
-    ``denominator_field`` names; a d-estimate or a criterion bound that
-    has, on ``base_valuation``.
+    Eisenstein.  A scanned level whose denominator does not print,
+    compared with ``print_bound``, raises ``InputError`` on the field that
+    ``denominator_field`` names; the estimated d, a d-estimate or a
+    criterion bound that does not, on ``base_valuation``.
     """
-    p, bits = profile.p, 3 * digit_limit()  # bits: past this, a number may not print
+    p, bound = profile.p, print_bound()
     why = "certify cannot print it"
     est, est_trusted = estimate_d(profile, record)
     d_used, d_trusted = (d, True) if d is not None else (est, est_trusted)
-    if bits and d_used.bit_length() > bits:
-        check_printable(d_used, "the estimated d", why, "base_valuation")
+    if bound and abs(d_used) >= bound:
+        raise print_error("the estimated d", why, "base_valuation")
     checks = [
         CertificateCheck(
             "d-prime-to-p", None, str(p), "not-divides", str(abs(d_used)), abs(d_used) % p != 0
@@ -287,11 +286,10 @@ def certify(
     for n, v in enumerate(record.valuations):
         if v is None:
             continue
-        if bits and v.denominator.bit_length() > bits:
-            field = denominator_field(profile.q)
-            check_printable(v.denominator, f"level {n}'s denominator", why, field)
-        if bits and d_estimates[n].bit_length() > bits:
-            check_printable(d_estimates[n], f"level {n}'s d-estimate", why, "base_valuation")
+        if bound and v.denominator >= bound:
+            raise print_error(f"level {n}'s denominator", why, denominator_field(profile.q))
+        if bound and abs(d_estimates[n]) >= bound:
+            raise print_error(f"level {n}'s d-estimate", why, "base_valuation")
         comp = criterion(n, v)
         checks.append(comp)
 

@@ -49,7 +49,6 @@ from .valuations import (
     check_printable,
     check_r_digits,
     denominator_field,
-    digit_limit,
     format_ratio,
     format_rational,
     logger,
@@ -291,7 +290,10 @@ def _branch(doc, args):
     name, why = "the last valuation's denominator", "branch cannot print it"
     check_printable(last.denominator, name, why, denominator_field(profile.q))
     check_printable(C.numerator, "the numerator of C", "branch cannot print C")
-    d_est, trusted = estimate_d(profile, record)
+    d_est, trusted = estimate_d(profile, record)  # 1 or the last finite d-estimate
+    largest = max(abs(d_n) for d_n in record.d_estimates if d_n is not None)
+    why = "branch cannot print the d-estimates"
+    check_printable(largest, "the largest d-estimate", why, "base_valuation")
     return {
         "valuations": [format_rational(v) for v in record.valuations],
         "d_estimates": list(record.d_estimates),
@@ -330,7 +332,7 @@ def _certified_tower(doc, depth: int, heights: bool = True):
     when it does not certify.  The base valuation is finite: certify
     passes only finite levels.
     """
-    from .hasseherbrand import build_tower, depth_past_limit, level_model
+    from .hasseherbrand import build_tower, level_model
 
     cert, record, data = _certified(doc)
     if not cert.certified:
@@ -338,13 +340,6 @@ def _certified_tower(doc, depth: int, heights: bool = True):
     v_base = record.valuations[cert.reindex]
     working_data = data._replace(C=data.C / doc.profile.q**cert.reindex)
     model = level_model(doc.profile, working_data, cert.d_used, v_base)
-    limit = depth_past_limit(model, depth)
-    if limit is not None:
-        raise InputError(
-            "depth",
-            f"{depth} is past {limit}, the deepest tower of this document whose "
-            f"numbers print within {digit_limit()} digits",
-        )
     tower = build_tower(model, depth, heights)
     return cert, v_base, working_data, model, tower
 

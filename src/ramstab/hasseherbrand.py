@@ -24,6 +24,8 @@ multiply-adds.  The tower is therefore one record of numerators, level
 n is its first (V-1)*n vertices, and a number is printed from its
 numerator and denominator by one gcd and plotted as their quotient
 (``cli`` prints each level of ``hh`` as a cut of the deepest level's text).
+A depth past ``printable_depth``, where those numbers may not print, is
+an ``InputError`` on ``depth`` before anything is built.
 
 Each rule of a transition function is checked in one place.  A
 ``LevelModel`` takes the slopes of phi_n, not its heights, and rejects
@@ -58,15 +60,15 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .branches import PolynomialValuationProfile
 from .limitdata import LimitingRamificationData
-from .valuations import TowerInvariantError, digit_limit, format_ratio, logger, power_of_ten
+from .valuations import (
+    InputError, TowerInvariantError, digit_limit, exponent_past_limit, format_ratio, logger,
+    power_prints,
+)
 
 __all__ = [
     "LevelModel", "Tower", "TowerInvariantError", "level_model", "build_tower",
-    "first_failure", "printable_depth", "depth_past_limit",
+    "first_failure", "printable_depth",
 ]
-
-# LOG2_10_NUM / LOG2_10_DEN = 3.321928094 < log2(10)
-LOG2_10_NUM, LOG2_10_DEN = 3321928094, 10**9
 
 
 class LevelModel:
@@ -187,11 +189,19 @@ def build_tower(model: LevelModel, depth: int, heights: bool = True) -> Tower:
     origin: alt + (y - x_last) * q^(depth-n) on the numerators, x over D
     and y over D*q^(depth-1), one column (vertex j at every level) at once.
 
-    Callers are expected to hold a certificate for the working base; a
-    failure ``first_failure`` names within ``depth`` still aborts.
+    A ``depth`` past ``printable_depth`` raises ``InputError`` on
+    ``depth`` first.  Callers are expected to hold a certificate for the
+    working base; a failure ``first_failure`` names within ``depth`` still
+    aborts.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if not _prints_to(model, depth):
+        raise InputError(
+            "depth",
+            f"{depth} is past {printable_depth(model)}, the deepest tower of this document "
+            f"whose numbers print within {digit_limit()} digits",
+        )
     q, D, size = model.q, model.D, len(model.AX)
     failure = first_failure(model)
     if failure is not None and failure[0] <= depth:
@@ -239,6 +249,12 @@ def _numerator_bound(model: LevelModel) -> int:
     return max(model.D, *(abs(a) + abs(b) for a, b in pairs))
 
 
+def _prints_to(model: LevelModel, depth: int) -> bool:
+    """Whether 2 T depth q^depth prints, which by the bound of
+    ``printable_depth`` every number of the tower to ``depth`` then does."""
+    return power_prints(model.q, depth, 2 * _numerator_bound(model) * depth)
+
+
 def printable_depth(model: LevelModel) -> Optional[int]:
     """The deepest tower whose numbers all print within the interpreter's
     limit on the digits of an int; None when there is no such limit.
@@ -248,41 +264,14 @@ def printable_depth(model: LevelModel) -> Optional[int]:
     altitude, a sum of k such differences scaled by 1/q^i, is an integer of
     size at most 2 k T q^k over D q^(k-1); a final slope is 1/q^k.  So
     every number printed for levels up to n has numerator and denominator
-    below 2 n T q^n, and the depth is printable while that bound has at
-    most the allowed number of digits.
+    below 2 n T q^n, and the depth is printable while that bound prints,
+    the test ``build_tower`` makes.  Found by bisection between depth 0,
+    which prints, and ``exponent_past_limit(q)``, where q^n alone does not.
     """
-    digits = digit_limit()
-    if not digits:
+    if not digit_limit():
         return None
-    q = model.q
-    # the largest n with n q^n < 10^digits / (2T), found bit by bit
-    bound = -(-power_of_ten(digits) // (2 * _numerator_bound(model)))
-    powers = [q]  # q^(2^k)
-    while powers[-1] < bound:
-        powers.append(powers[-1] ** 2)
-    n, q_n = 0, 1
-    for k in reversed(range(len(powers))):
-        if (n + (1 << k)) * q_n * powers[k] < bound:
-            n += 1 << k
-            q_n *= powers[k]
-    return n
-
-
-def depth_past_limit(model: LevelModel, depth: int) -> Optional[int]:
-    """``printable_depth(model)`` when ``depth`` is past it, else None.
-
-    By the bound of ``printable_depth``, the tower prints to ``depth`` when
-    2 T depth q^depth < 10^digits.  Bit lengths settle that without a
-    power of q or of 10: it holds when bitlen(2 T depth) + depth bitlen(q)
-    is at most digits * LOG2_10_NUM // LOG2_10_DEN, below digits * log2(10).
-    Only a depth the screen does not accept runs the exact
-    ``printable_depth``, which also gives the limit for the error.
-    """
-    digits = digit_limit()
-    if not digits:
-        return None
-    bits = (2 * _numerator_bound(model) * depth).bit_length() + depth * model.q.bit_length()
-    if bits <= digits * LOG2_10_NUM // LOG2_10_DEN:
-        return None
-    limit = printable_depth(model)
-    return limit if depth > limit else None
+    lo, hi = 0, exponent_past_limit(model.q)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _prints_to(model, mid) else (lo, mid)
+    return lo

@@ -13,11 +13,13 @@ Also provides ``format_ratio``, which prints the tower's integer pairs,
 the exact prime test below ``PRIME_BOUND``, and the package's two error
 types: ``InputError``, which names the input field at fault, and
 ``TowerInvariantError``, kept here so that ``cli`` imports no tower
-module for the commands that build no tower.  The print-limit checks that
-raise ``InputError`` (``check_r_digits``, ``check_printable`` and
-``denominator_field``) sit next to ``digit_limit``, the interpreter's
-limit on the digits of an int, and ``power_of_ten``, which tests against
-it.
+module for the commands that build no tower.
+
+The print rule is here, once: with L the interpreter's limit on the digits
+of an int, n prints iff |n| < 10^L (``prints``), or there is no limit.
+``power_prints`` decides p^e without computing it once e (bitlen(p) - 1)
+>= 4L, since then p^e >= 2^(4L) > 10^L.  The checks that raise
+``InputError`` on a number that does not print sit next to them.
 """
 
 from __future__ import annotations
@@ -82,10 +84,32 @@ def digit_limit() -> int:
 
 
 @lru_cache(maxsize=None)
-def power_of_ten(limit: int) -> int:
-    """10**limit, the least integer with more than ``limit`` digits, built
-    once per limit for the exact print-limit tests."""
-    return 10**limit
+def _power_of_ten(limit: int) -> int:
+    return limit and 10**limit
+
+
+def print_bound() -> int:
+    """10^L, the least magnitude that does not print under the limit L of
+    ``digit_limit``, built once per limit; 0 when there is no limit."""
+    return _power_of_ten(digit_limit())
+
+
+def prints(n: int) -> bool:
+    """Whether ``str(n)`` succeeds: |n| < 10^L, or there is no limit."""
+    bound = print_bound()
+    return not bound or abs(n) < bound
+
+
+def exponent_past_limit(p: int) -> int:
+    """The least e with e (bitlen(p) - 1) >= 4L, for p >= 2 and the limit L:
+    from it on, p^e >= 2^(4L) > 10^L does not print."""
+    return -(-4 * digit_limit() // (p.bit_length() - 1))
+
+
+def power_prints(p: int, e: int, factor: int = 1) -> bool:
+    """Whether ``factor`` * p^e prints, for p >= 2 and factor >= 1; p^e is
+    computed only below ``exponent_past_limit(p)``."""
+    return not digit_limit() or (e < exponent_past_limit(p) and prints(factor * p**e))
 
 
 class InputError(ValueError):
@@ -96,39 +120,31 @@ class InputError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-def check_r_digits(p: int, e: int, name: str, why: str) -> None:
-    """Reject an ``r`` whose power ``name`` = p^e has more digits than the
-    limit; ``why`` says what would have to print it.
+def print_error(name: str, why: str, field: str = "r") -> InputError:
+    """The error on ``field`` when the integer ``name`` does not print;
+    ``why`` says what would have to print it."""
+    return InputError(field, f"{name} has more than {digit_limit()} digits, so {why}")
 
-    This is decided before p^e is computed: since 2^(b-1) <= p < 2^b for the
-    bit length b of p, and 2^(3L) < 10^L < 2^(4L) for the limit L, bit
-    lengths settle every case but a narrow band, where p^e has fewer than
-    8L bits and the exact compare is cheap.
-    """
-    limit = digit_limit()
-    if not limit:
-        return
-    b = p.bit_length()
-    if e * (b - 1) >= 4 * limit or (e * b > 3 * limit and p**e >= power_of_ten(limit)):
-        raise InputError("r", f"{name} = {p}^{e} has more than {limit} digits, so {why}")
+
+def check_r_digits(p: int, e: int, name: str, why: str) -> None:
+    """Reject an ``r`` whose power ``name`` = p^e does not print, deciding
+    by bit lengths alone from ``exponent_past_limit(p)`` on."""
+    if not power_prints(p, e):
+        raise print_error(f"{name} = {p}^{e}", why)
 
 
 def check_printable(n: int, name: str, why: str, field: str = "r") -> None:
-    """Reject a ``field``, by default ``r``, that gives the integer
-    ``name`` = n more digits than the limit; ``why`` says what would have
-    to print it.  Bit lengths settle every case but the band of
-    ``check_r_digits``."""
-    limit = digit_limit()
-    b = abs(n).bit_length()
-    if limit and b > 3 * limit and (b - 1 >= 4 * limit or abs(n) >= power_of_ten(limit)):
-        raise InputError(field, f"{name} has more than {limit} digits, so {why}")
+    """Reject a ``field`` that gives the integer ``name`` = n more digits
+    than the limit."""
+    if not prints(n):
+        raise print_error(name, why, field)
 
 
 def denominator_field(q: int) -> str:
     """The field at fault when a denominator of a completed record has more
     digits than the limit: ``r`` when q^3, the last denominator for a base
     of magnitude 1, has, else ``base_valuation``."""
-    return "r" if q**3 >= power_of_ten(digit_limit()) else "base_valuation"
+    return "base_valuation" if prints(q**3) else "r"
 
 
 def format_rational(value: Optional[Fraction]) -> str:

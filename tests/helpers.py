@@ -29,11 +29,15 @@ test, and ``root_valuations`` reads the negated segment slopes off a
 vertex tuple, as ``lower_hull`` and ``level_polygon`` return it.
 """
 
+import contextlib
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
+
+import pytest
 
 from ramstab.branches import (
     BranchDataError,
@@ -796,3 +800,17 @@ def certify_oracle(profile, record, data, d=None):
         checks=tuple(checks),
         reason="no recorded level passes both the composition criterion and the stability screen",
     )
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    """Run the block at the interpreter's int digit limit ``limit`` (0 lifts
+    it); skip the test on an interpreter with no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("the interpreter has no int digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)

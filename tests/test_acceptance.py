@@ -379,6 +379,46 @@ class TestCriterion10:
                 f"altitudes k + 1/(p-1) from Serre's formulas, {runs} runs, {elapsed:.1f}s",
             )
 
+    def test_lubin_tate_different_is_the_cyclotomic_one(self, capsys, tmp_path):
+        # Over K = Q_p the branch of x^p + p x is the cyclotomic tower
+        # K_N = Q_p(zeta_(p^N)), and hh's level n over the working base K_m is
+        # L = K_(m+n), of degree e = p^n over K_m.  Hilbert's formula writes
+        # the different of L/K_m through its last lower break i and the
+        # Herbrand phi there: v_L(D) = sum of (|G_t| - 1) = e phi(i) - i + e - 1.
+        # hh prints i + 1 and phi(i) + 1 over e_m = e(K_m/K) = (p-1) p^(m-1)
+        # as the level's last break X and its altitude A, so
+        # v_L(D) = e_m (e A - X).  The discriminant of K_N has valuation
+        # p^(N-1) (pN - N - 1) (Washington, Prop. 2.7), which is v_(K_N) of
+        # its different, as K_N/Q_p is totally ramified; the different is
+        # transitive, D(K_N/Q_p) = D(K_N/K_m) D(K_m/Q_p), so
+        # v_L(D) = p^(N-1) (pN - N - 1) - p^n p^(m-1) (pm - m - 1), N = m + n.
+        def cyclotomic(N):
+            return p ** (N - 1) * (p * N - N - 1)
+
+        levels = 0
+        for p in (2, 3, 5, 7):
+            doc = {
+                "p": p, "r": 1, "v_p": 1, "coeff_valuations": {"1": "1", str(p): "0"},
+                "base_valuation": "inf", "branch_valuations": ["inf", f"1/{p - 1}"],
+            }
+            path = tmp_path / f"lubin-tate-{p}.json"
+            path.write_text(json.dumps(doc))
+            assert main(["hh", "--depth", "6", str(path)]) == 0
+            hh = json.loads(capsys.readouterr().out)
+            m = hh["reindex"]
+            e_m = (p - 1) * p ** (m - 1)
+            for n, level in enumerate(hh["Phi"], start=1):
+                X, A = Fraction(level["breaks"][-1]), Fraction(level["altitude"])
+                assert e_m * (p**n * A - X) == cyclotomic(m + n) - p**n * cyclotomic(m)
+                levels += 1
+        assert levels == 24
+        with capsys.disabled():
+            _report(
+                10,
+                f"Lubin-Tate different from hh's last break and altitude equals the "
+                f"cyclotomic one at {levels} levels, p in 2..7",
+            )
+
     def test_lubin_tate_library_towers_at_every_working_level(self, capsys):
         # The library's tower over every working base K_m, m = 1 .. reindex,
         # not only the certificate's: level m's base valuation, C / q^m and

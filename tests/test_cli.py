@@ -1,7 +1,6 @@
 """Command-line surface: outputs, exit codes, plotting, selftest."""
 
 import argparse
-import contextlib
 import functools
 import hashlib
 import json
@@ -18,7 +17,7 @@ from ramstab.cli import main
 from ramstab.branches import build_record
 from ramstab.inputdoc import InputDocument, load_document
 
-from helpers import predict_branch, tower_json_oracle
+from helpers import int_digit_limit, predict_branch, tower_json_oracle
 
 REPO = Path(__file__).resolve().parent.parent
 SAMPLE = str(REPO / "src" / "ramstab" / "data" / "sample.json")
@@ -42,20 +41,6 @@ def long_degree_document(tmp_path):
     path = tmp_path / "r4000.json"
     path.write_text(json.dumps(doc))
     return str(path)
-
-
-@contextlib.contextmanager
-def int_digit_limit(limit):
-    """Run the block at the interpreter's int digit limit ``limit``; skip
-    the test on an interpreter with no limit."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("the interpreter has no int digit limit")
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 class TestLimitData:
@@ -490,10 +475,11 @@ class TestTowerCommands:
         if not hasattr(sys, "get_int_max_str_digits"):
             pytest.skip("the interpreter has no int digit limit")
 
+        # build_tower tests its depth before first_failure and its columns
         def no_tower(*args):
-            raise AssertionError("the tower must not be built")
+            raise AssertionError("the tower must not be tested or built")
 
-        monkeypatch.setattr(hasseherbrand, "build_tower", no_tower)
+        monkeypatch.setattr(hasseherbrand, "first_failure", no_tower)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         payload = json.loads(err)
@@ -647,8 +633,13 @@ class TestErrorContract:
             (f"-{10**645 + 1}", 1, None, "level 678's criterion bound"),
             (f"-{10**646 + 1}/7", 10, None, "the estimated d"),
             (f"-{10**646 + 1}/7", 10, 1, "level 0's d-estimate"),
+            (f"-{10**637}", 10**10, 1, "level 0's d-estimate"),
+            (f"-{10**637}", 10**10, None, "the estimated d"),
         ],
-        ids=["criterion", "d-estimate", "level-d-estimate"],
+        ids=[
+            "criterion", "d-estimate", "level-d-estimate", "d-estimate-at-the-bound",
+            "estimated-d-at-the-bound",
+        ],
     )
     def test_unprintable_base_magnitude_is_rejected_on_the_base(
         self, capsys, tmp_path, base, e_ke, d, at_fault
@@ -657,7 +648,9 @@ class TestErrorContract:
         # 678, where |v| <= 1/q^2 and the denominator 9^678 still prints, but
         # the composition criterion's right side, about 4 * 9^678, does not;
         # with e_ke = 10 the estimated d, 10 (10^646 + 1), does not either;
-        # given d = 1, level 0's d-estimate, -10 (10^646 + 1), is the first
+        # given d = 1, level 0's d-estimate, -10 (10^646 + 1), is the first,
+        # and so is -10^647, exactly 10^limit in size, from the base -10^637;
+        # without d, every d-estimate of that base, and so d, is -10^647
         doc = json.loads(Path(SAMPLE).read_text())
         if d is None:
             del doc["d"]
@@ -704,6 +697,53 @@ class TestErrorContract:
         assert code == 2 and out == ""
         error = json.loads(err)
         assert error["field"] == "base_valuation" and at_fault in error["error"]
+
+    @pytest.mark.parametrize(
+        "argv, at_fault",
+        [
+            (["branch"], "the largest d-estimate"),
+            (["certify"], "the estimated d"),
+            (["breaks", "--depth", "2"], "the estimated d"),
+        ],
+        ids=["branch", "certify", "breaks"],
+    )
+    def test_unprintable_d_estimate_is_rejected_on_the_base(
+        self, capsys, tmp_path, argv, at_fault
+    ):
+        # the base N/D, N = 10^4298 - 1 and D = 19 N + 2, prints, and so does
+        # every denominator of its record, D or 3 D (9 divides N); but with
+        # e_ke = 10^10 every d-estimate has 4,308 digits
+        N = 10**4298 - 1
+        with int_digit_limit(4300):
+            base = f"{N}/{19 * N + 2}"
+            doc = {
+                "p": 3, "r": 1, "v_p": 1, "e_ke": 10**10, "coeff_valuations": {"3": "0"},
+                "base_valuation": base, "branch_valuations": [base],
+            }
+            path = tmp_path / "d-estimate.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["field"] == "base_valuation" and at_fault in error["error"]
+
+    def test_denominator_of_exactly_ten_to_the_limit_is_rejected(self, capsys, tmp_path):
+        # x^2 halves the base -a/5^640, a = 25 * 10^638 + 1 prime to 10:
+        # level n is -a/(5^640 2^n), above 1/q^2 = 1/4 in size through level
+        # 640, whose denominator is exactly 10^640
+        a, fives = 25 * 10**638 + 1, 5**640
+        with int_digit_limit(640):
+            base = f"-{a}/{fives}"
+            doc = {
+                "p": 2, "r": 1, "v_p": 1, "coeff_valuations": {"2": "0"},
+                "base_valuation": base, "branch_valuations": [base],
+            }
+            path = tmp_path / "ten-to-the-limit.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "certify", str(path))
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["field"] == "base_valuation" and "level 640's denominator" in error["error"]
 
     def test_plot_of_a_q_past_floats_exits_2_on_r(self, capsys, tmp_path):
         # q = 2^1100 is the polygon's last x, past the largest float: no

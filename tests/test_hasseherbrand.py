@@ -3,7 +3,6 @@
 import json
 import logging
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +13,7 @@ from helpers import (
     altitude,
     compose,
     evaluate,
+    int_digit_limit,
     level_polygon,
     level_vertices,
     phi_oracle,
@@ -25,18 +25,18 @@ from helpers import (
 
 from ramstab.branches import build_record
 from ramstab.certificates import certify
+from ramstab import hasseherbrand
 from ramstab.cli import _render, _table
 from ramstab.hasseherbrand import (
     LevelModel,
     TowerInvariantError,
     build_tower,
-    depth_past_limit,
     first_failure,
     level_model,
     printable_depth,
 )
 from ramstab.limitdata import LimitingRamificationData, limiting_data_for_branch
-from ramstab.valuations import format_rational
+from ramstab.valuations import InputError, format_rational
 
 
 def uniformizer_data():
@@ -350,53 +350,96 @@ class TestClosedFormTower:
             assert level.final_slope == top.slopes()[len(level.vertices)]
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no int digit limit"
-)
+def bare_model(q, T):
+    """A one-vertex model whose numerator bound is T: phi_n's vertex is (T, T)."""
+    return LevelModel(q, Fraction(0), [(Fraction(0), Fraction(T))], [])
+
+
+def edge_models():
+    """Models at the edges of the depth search at a 640-digit limit: 2 T q
+    = 10^640 exactly (printable depth 0), T past the limit alone, q = 2
+    with T = 1 (printable depth 2,113, past 3 * 640), and q = 2^1000
+    (printable depth 2, one below exponent_past_limit(q) = 3)."""
+    return [bare_model(2, 25 * 10**638), bare_model(2, 10**700), bare_model(2, 1),
+            bare_model(2**1000, 1)]
+
+
+def scanned_depth(model, digits):
+    """The largest n with 2 T n q^n < 10^digits, by a linear scan: T bounds
+    the model's numerators as ``printable_depth``'s docstring says."""
+    pairs = zip(model.AX + model.AY, model.BX + model.BY)
+    T = max(model.D, *(abs(a) + abs(b) for a, b in pairs))
+    n = 0
+    while 2 * T * (n + 1) * model.q ** (n + 1) < 10**digits:
+        n += 1
+    return n
+
+
 class TestPrintableDepth:
     """printable_depth bounds every number hh prints, and is nearly tight;
-    the bit-length screen never accepts a depth past it."""
+    build_tower rejects exactly the depths past it, before anything else."""
 
-    @pytest.fixture
-    def digits_640(self):
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)  # the smallest limit the interpreter allows
-        yield
-        sys.set_int_max_str_digits(saved)
-
-    def test_bound_holds_at_the_limit_and_is_tight(self, digits_640):
+    def test_bound_holds_at_the_limit_and_is_tight(self):
         for profile, data, d, v_base in fixture_cases():
             model = level_model(profile, data, d, v_base)
-            limit = printable_depth(model)
-            vertices, phi_vertices = tower_vertices(build_tower(model, limit + 12))
+            with int_digit_limit(640):
+                limit = printable_depth(model)
+            with int_digit_limit(0):  # build past the limit, then print at it
+                vertices, phi_vertices = tower_vertices(build_tower(model, limit + 12))
             end = (data.V - 1) * limit
             printed = [c for vertex in vertices[:end] + phi_vertices[:end] for c in vertex]
             printed.extend(Fraction(1, profile.q**n) for n in range(1, limit + 1))
-            for value in printed:
-                format_rational(value)
-            with pytest.raises(ValueError):
-                format_rational(vertices[-1][0])
+            with int_digit_limit(640):
+                for value in printed:
+                    format_rational(value)
+                with pytest.raises(ValueError):
+                    format_rational(vertices[-1][0])
 
-    def test_v2_documents_print_at_their_limit(self, digits_640):
-        for profile, data, d, v_base in v2_trs_towers(4):
-            model = level_model(profile, data, d, v_base)
-            limit = printable_depth(model)
-            vertices, _ = tower_vertices(build_tower(model, limit))
-            for value in (c for vertex in vertices for c in vertex):
-                format_rational(value)
-
-    @pytest.mark.parametrize("digits", [640, 4300])
-    def test_depth_screen_accepts_exactly_the_printable_depths(self, digits):
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(digits)
-        try:
-            for profile, data, d, v_base in fixture_cases() + v2_trs_towers(4):
+    def test_v2_documents_print_at_their_limit(self):
+        with int_digit_limit(640):
+            for profile, data, d, v_base in v2_trs_towers(4):
                 model = level_model(profile, data, d, v_base)
                 limit = printable_depth(model)
-                for depth in range(limit - 3, limit + 4):
-                    assert depth_past_limit(model, depth) == (None if depth <= limit else limit)
-        finally:
-            sys.set_int_max_str_digits(saved)
+                vertices, _ = tower_vertices(build_tower(model, limit))
+                for value in (c for vertex in vertices for c in vertex):
+                    format_rational(value)
+
+    def test_search_equals_a_linear_scan(self):
+        models = [level_model(*case) for case in fixture_cases() + v2_trs_towers(4)]
+        with int_digit_limit(640):
+            for model in models + edge_models():
+                assert printable_depth(model) == scanned_depth(model, 640)
+        with int_digit_limit(0):
+            assert printable_depth(models[0]) is None
+
+    @pytest.mark.parametrize("digits", [640, 4300])
+    def test_depth_screen_accepts_exactly_the_printable_depths(self, monkeypatch, digits):
+        # the depth test comes before first_failure, and so before any column
+        class Tested(Exception):
+            pass
+
+        def reached(model):
+            raise Tested
+
+        monkeypatch.setattr(hasseherbrand, "first_failure", reached)
+        models = [level_model(*case) for case in fixture_cases() + v2_trs_towers(4)]
+        with int_digit_limit(digits):
+            for model in models + edge_models():
+                limit = printable_depth(model)
+                for depth in range(max(1, limit - 3), limit + 4):
+                    if depth <= limit:
+                        with pytest.raises(Tested):
+                            build_tower(model, depth)
+                        continue
+                    with pytest.raises(InputError) as error:
+                        build_tower(model, depth)
+                    assert error.value.field == "depth"
+                    assert str(error.value) == (
+                        f"depth: {depth} is past {limit}, the deepest tower of this "
+                        f"document whose numbers print within {digits} digits"
+                    )
+            with pytest.raises(InputError):
+                build_tower(models[0], 10**30)
 
 
 class TestBreaksAndSubfields:

@@ -8,13 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from helpers import kummer_carries
+from helpers import int_digit_limit, kummer_carries
 
 from ramstab.valuations import (
     PRIME_BOUND,
+    InputError,
     _check_prime,
+    check_printable,
+    check_r_digits,
     format_rational,
     parse_rational,
+    power_prints,
 )
 
 SCHEMA = Path(__file__).resolve().parent.parent / "schema" / "input.schema.json"
@@ -37,6 +41,58 @@ class TestPrimeCheck:
         assert not _check_prime(PRIME_BOUND - 1)
         with pytest.raises(ValueError, match="not below"):
             _check_prime(PRIME_BOUND)
+
+
+def str_fails(n):
+    try:
+        str(n)
+    except ValueError:
+        return True
+    return False
+
+
+def raises_input_error(check, *args):
+    try:
+        check(*args)
+    except InputError as exc:
+        assert exc.field == "r" and "has more than" in str(exc)
+        return True
+    return False
+
+
+L = 640  # the smallest limit the interpreter allows
+
+
+class TestPrintRule:
+    """Each test of the print rule agrees with whether ``str()`` succeeds."""
+
+    NUMBERS = [10**L - 1, -(10**L - 1), 10**L, -(10**L), 2 ** (3 * L), 2 ** (4 * L)]
+    # p^e, and factor * p^e for the tower's test, at the numbers above
+    POWERS = [(3, 2, (10**L - 1) // 9), (2, L, 5**L), (2, 3 * L, 1), (2, 4 * L, 1)]
+    # at e (bitlen(p) - 1) = 4L - 1 where it can be, and at 4L: the last
+    # power left to the exact test and the first decided by bit lengths
+    EDGES = [(p, e) for p in (2, 3, 7) for e in ((4 * L - 1) // (p.bit_length() - 1),
+                                                 -(-4 * L // (p.bit_length() - 1)))]
+
+    def test_numbers(self):
+        with int_digit_limit(L):
+            for n in self.NUMBERS:
+                assert raises_input_error(check_printable, n, "n", "why") == str_fails(n), n
+
+    def test_powers(self):
+        with int_digit_limit(L):
+            for p, e, factor in self.POWERS + [(p, e, 1) for p, e in self.EDGES]:
+                assert power_prints(p, e, factor) != str_fails(factor * p**e), (p, e)
+                if factor == 1:
+                    assert raises_input_error(check_r_digits, p, e, "q", "why") == str_fails(p**e)
+
+    def test_no_limit_prints_everything(self):
+        with int_digit_limit(0):
+            for n in self.NUMBERS:
+                check_printable(n, "n", "why")
+            for p, e in self.EDGES:
+                assert power_prints(p, e)
+                check_r_digits(p, e, "q", "why")
 
 
 class TestRationalStrings:
