@@ -71,17 +71,6 @@ class CertificateCheck(NamedTuple):
         verdict = "holds" if self.passed else "fails"
         return f"{self.name}{where}: {self.lhs} {self.op} {self.rhs} {verdict}"
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "level": self.level,
-            "lhs": self.lhs,
-            "op": self.op,
-            "rhs": self.rhs,
-            "passed": self.passed,
-            "rendered": self.rendered,
-        }
-
 
 def evaluate_check(lhs: str, op: str, rhs: str) -> bool:
     """Re-evaluate a recorded comparison from its exact serialized values."""
@@ -146,13 +135,16 @@ class StabilityCertificate(NamedTuple("StabilityCertificate", _FIELDS)):
         return self.kind != "NotCertified"
 
     def to_json(self) -> dict:
+        """The report payload, with ``checks`` the rows themselves.  Only
+        ``cli._render`` prints it: it writes each row as an object with its
+        fields and ``rendered``, where ``json.dumps`` would write an array."""
         out = {
             "kind": self.kind,
             "reindex": self.reindex,
             "d_used": self.d_used,
             "d_trusted": self.d_trusted,
             "conditional_on_d": self.conditional_on_d,
-            "checks": [c.to_json() for c in self.checks],
+            "checks": self.checks,
             "interpretation_notes": list(self.interpretation_notes),
         }
         if self.reason is not None:

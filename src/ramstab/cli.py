@@ -23,7 +23,8 @@ is info or debug.
 A command imports only the stages it runs: the tower module for hh,
 breaks and plot, the SVG writer for plot, and the bundled-data reader for
 selftest.  Reports print exactly as ``json.dumps(indent=2)``: ``_render``
-writes them as chunks of text, ``_table`` the breaks and subfield table,
+writes them as chunks of text, ``_checks_text`` a certificate's checks
+straight from its rows, ``_table`` the breaks and subfield table,
 each break quoted once, and ``_tower_text`` hh's ``phi`` and ``Phi`` from
 the tower's numerators, each level of ``Phi`` a cut of the deepest level's
 text; ``breaks`` builds the tower's x alone.
@@ -40,7 +41,7 @@ from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
 from .branches import estimate_d, find_stable_index
-from .certificates import certify, pcb_normal_form, pcb_sufficient
+from .certificates import CertificateCheck, certify, pcb_normal_form, pcb_sufficient
 from .inputdoc import load_document
 from .limitdata import complete_record, limiting_data_for_branch
 from .valuations import (
@@ -85,9 +86,8 @@ def _json_chunks(value, chunks: list, newline: str = "\n") -> None:
     Reports hold only dicts with str keys, lists, tuples, str, int, bool
     and None; anything else, a float or a non-str key included, raises
     TypeError.  ``newline`` is the line break and indent of this depth.
-    A ``_Text`` is extended as it is.  A list whose first item is a flat
-    dict (str keys; str, int, bool and None values) builds one ``%``
-    template for that key shape, and each item of that shape fills it.
+    A ``_Text`` is extended as it is, and a tuple of ``CertificateCheck``
+    rows, a certificate's ``checks``, is written by ``_checks_text``.
     """
     if isinstance(value, str):
         chunks.append(encode_basestring_ascii(value))
@@ -106,45 +106,18 @@ def _json_chunks(value, chunks: list, newline: str = "\n") -> None:
         chunks.append(newline + "}" if value else "{}")
     elif type(value) is _Text:
         chunks.extend(value)
+    elif type(value) is tuple and value and type(value[0]) is CertificateCheck:
+        chunks.append(_checks_text(value, newline))
     elif isinstance(value, (list, tuple)):
         inner = newline + "  "
         sep = "[" + inner
-        first = value[0] if value else None
-        keys = tuple(first) if type(first) is dict else ()
-        texts = _flat_texts(first, keys)  # the first item's, then each item's in turn
-        template = texts and _template(keys, inner)
-        for i, item in enumerate(value):
-            if i and template:
-                texts = _flat_texts(item, keys)
+        for item in value:
             chunks.append(sep)
-            if texts:
-                chunks.append(template % texts)
-            else:
-                _json_chunks(item, chunks, inner)
+            _json_chunks(item, chunks, inner)
             sep = "," + inner
         chunks.append(newline + "]" if value else "[]")
     else:
         raise TypeError(f"{type(value).__name__} is not a report value")
-
-
-def _flat_texts(item, keys: tuple):
-    """The printed values of ``item`` if it is a dict with exactly the keys
-    ``keys``, in that order, and only values of type str, int, bool or
-    None (not subclasses); else None."""
-    if type(item) is not dict or not keys or tuple(item) != keys:
-        return None
-    texts = []
-    for value in item.values():
-        kind = type(value)
-        if kind is str:
-            texts.append(encode_basestring_ascii(value))
-        elif kind is int:
-            texts.append(int.__repr__(value))
-        elif value is None or kind is bool:
-            texts.append("null" if value is None else "true" if value else "false")
-        else:
-            return None
-    return tuple(texts)
 
 
 def _template(keys: tuple, newline: str) -> str:
@@ -153,6 +126,27 @@ def _template(keys: tuple, newline: str) -> str:
     sep = "," + newline + "  "
     fields = (encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
     return "{" + sep[1:] + sep.join(fields) + newline + "}"
+
+
+@functools.cache
+def _check_row(newline: str) -> str:
+    """The template of one certificate check at ``newline``: its fields, then
+    ``rendered``."""
+    return _template((*CertificateCheck._fields, "rendered"), newline)
+
+
+def _checks_text(checks: tuple, newline: str) -> str:
+    """The text of a certificate's ``checks`` at ``newline``, the indent of
+    its key, as ``json.dumps`` prints each row's dict: one fill of the row
+    template per check, with its text fields and ``rendered`` quoted."""
+    item, quote = newline + "  ", encode_basestring_ascii
+    row, rows = _check_row(item), []
+    for check in checks:
+        name, level, lhs, op, rhs, passed = check
+        level, passed = "null" if level is None else level, "true" if passed else "false"
+        texts = quote(name), level, quote(lhs), quote(op), quote(rhs), passed, quote(check.rendered)
+        rows.append(row % texts)
+    return "[" + item + ("," + item).join(rows) + newline + "]"
 
 
 def _table(tower, reindex: int) -> tuple:

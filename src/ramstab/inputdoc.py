@@ -127,9 +127,10 @@ def parse_document(obj) -> InputDocument:
     if not isinstance(raw_coeffs, dict):
         raise InputError("coeff_valuations", "expected an object of index -> valuation")
     coeffs = {}
-    for key, raw in sorted(raw_coeffs.items(), key=lambda kv: _index(kv[0], q)):
+    # each key's index once; the sort is stable, so equal indices keep the document's order
+    indexed = [(_index(key, q), key, raw) for key, raw in raw_coeffs.items()]
+    for i, key, raw in sorted(indexed, key=lambda item: item[0]):
         field = f"coeff_valuations[{key}]"
-        i = _index(key, q)
         if i < 0:
             raise InputError(field, "index must be a positive integer string without leading zeros")
         if i > q:

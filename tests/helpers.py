@@ -15,7 +15,7 @@ by slicing its record and completing the tail for its own C, the
 ordered-test oracle evaluates every x of the tower to a depth and finds
 its first failing level by comparing them in turn, and the subfield-table
 oracle builds the ``breaks`` and ``subfields`` entries as dicts, for
-``json.dumps``.
+``json.dumps``, as the check oracle builds a certificate's checks.
 
 ``PLFunction``, with ``make_plf``, ``evaluate``, ``compose`` and
 ``altitude``, is the general algebra of concave piecewise-linear
@@ -800,6 +800,26 @@ def certify_oracle(profile, record, data, d=None):
         checks=tuple(checks),
         reason="no recorded level passes both the composition criterion and the stability screen",
     )
+
+
+def check_json(check):
+    """A certificate check as the dict ``json.dumps`` prints for it: its
+    fields, then ``rendered``."""
+    return {
+        "name": check.name,
+        "level": check.level,
+        "lhs": check.lhs,
+        "op": check.op,
+        "rhs": check.rhs,
+        "passed": check.passed,
+        "rendered": check.rendered,
+    }
+
+
+def certificate_json(payload):
+    """A certificate's report payload with each check row replaced by its
+    ``check_json`` dict, for ``json.dumps``."""
+    return {**payload, "checks": [check_json(c) for c in payload["checks"]]}
 
 
 @contextlib.contextmanager

@@ -6,7 +6,8 @@ factorial valuations for the carry counts, exhaustive chord tests for the
 hulls, pointwise sampling for composition, term-by-term minima for the
 level-polygon heights, and Serre's ramification of the Lubin-Tate torsion
 towers for the printed breaks and altitudes and for the library's towers
-over every working base.
+over every working base, and the derivative of each Eisenstein layer for
+the different of a uniformizer base's tower.
 """
 
 import json
@@ -14,6 +15,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from helpers import (
     altitude,
@@ -417,6 +419,44 @@ class TestCriterion10:
                 10,
                 f"Lubin-Tate different from hh's last break and altitude equals the "
                 f"cyclotomic one at {levels} levels, p in 2..7",
+            )
+
+    def test_uniformizer_different_is_the_eisenstein_one(self, capsys):
+        # On a uniformizer base every level is Eisenstein: alpha_n is a
+        # uniformizer of K_n, a root of P(x) - alpha_(n-1), so
+        # O_(K_n) = O_(K_(n-1))[alpha_n] and the different of K_n/K_(n-1) has
+        # valuation v_(K_n)(P'(alpha_n)).  With v_(K_n) = q^n v on K and
+        # v_(K_n)(alpha_n) = 1, the term i a_i alpha_n^(i-1) of P' has
+        # valuation d_i = q^n (v(a_i) + v_p ord_p(i)) + (i - 1); when one
+        # term has the least, v(P'(alpha_n)) is that minimum d_n.  The
+        # different is transitive, so v_(K_n)(D(K_n/K)) = d_n + q D_(n-1).
+        # Hilbert's formula reads it off hh's level n as q^n altitude_n - X_n
+        # (the printed x is Serre's i + 1 here).
+        doc = json.loads(Path(UNIFORMIZER).read_text())
+        p, q, v_p = doc["p"], doc["p"] ** doc["r"], doc["v_p"]
+        support = {int(i): int(v) for i, v in doc["coeff_valuations"].items()}
+
+        def ord_p(i):
+            return next(k for k in range(i) if i % p ** (k + 1))
+
+        assert main(["hh", "--depth", "4", UNIFORMIZER]) == 0
+        hh = json.loads(capsys.readouterr().out)
+        assert hh["reindex"] == 0 and hh["base_valuation"] == "1"
+        different, differents = 0, []
+        for n, level in enumerate(hh["Phi"], start=1):
+            terms = sorted(q**n * (v + v_p * ord_p(i)) + i - 1 for i, v in support.items())
+            different = terms[0] + q * different
+            if terms[1:2] == terms[:1]:
+                continue  # a tied minimum: v(P'(alpha_n)) may be larger
+            X, A = Fraction(level["breaks"][-1]), Fraction(level["altitude"])
+            assert q**n * A - X == different
+            differents.append(different)
+        assert differents == [4, 22, 94, 364]
+        with capsys.disabled():
+            _report(
+                10,
+                f"uniformizer different from hh's last break and altitude equals the "
+                f"running sum of v(P'(alpha_n)) at levels 1-4: {differents}",
             )
 
     def test_lubin_tate_library_towers_at_every_working_level(self, capsys):

@@ -197,5 +197,6 @@ class TestSelfValidation:
         cert = certify(UNIFORMIZER_PROFILE, record, data, d=1)
         payload = cert.to_json()
         assert payload["kind"] == "TRS"
-        assert payload["checks"][0]["rendered"]
+        assert payload["checks"] is cert.checks
+        assert payload["checks"][0].rendered
         assert payload["interpretation_notes"]

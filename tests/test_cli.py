@@ -147,6 +147,16 @@ class TestCertifyCommand:
         assert payload[SAMPLE]["kind"] == "PotentiallyTRS"
         assert payload[UNIFORMIZER]["kind"] == "TRS"
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_batch_prints_as_json_dumps(self, capsys, jobs):
+        # each file's certificate, checks included, one level down
+        code, out, _ = run(capsys, "certify", SAMPLE, UNIFORMIZER, "--jobs", jobs)
+        assert code == 0
+        report = json.loads(out)
+        assert out == json.dumps(report, indent=2) + "\n"
+        assert list(report) == [SAMPLE, UNIFORMIZER]
+        assert all(report[path]["checks"] for path in report)
+
     def test_batch_starts_no_more_workers_than_files(self, capsys, monkeypatch):
         # a pool starts all its workers at the first submit: record the
         # size asked for, and map in this process instead
@@ -389,6 +399,23 @@ class TestTowerCommands:
             error = json.loads(err)
             assert error["invariant"] == invariant and detail in error["error"]
         assert not os.path.exists(svg)
+
+    def test_not_certified_certificate_prints_as_json_dumps(self, capsys, tmp_path):
+        # no level of this branch passes: the certificate's 26 checks are
+        # printed under "certificate"
+        doc = {
+            "p": 2, "r": 4, "v_p": 2, "e_ke": 2, "coeff_valuations": {"12": "1", "16": "0"},
+            "base_valuation": "4", "branch_valuations": ["4", "1/4", "1/64"],
+        }
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "hh", "--depth", "2", str(path))
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        assert out == json.dumps(report, indent=2) + "\n"
+        assert list(report) == ["certificate"]
+        assert report["certificate"]["kind"] == "NotCertified"
+        assert len(report["certificate"]["checks"]) == 26
 
     def test_sample_reindexes(self, capsys):
         code, out, _ = run(capsys, "hh", "--depth", "2", SAMPLE)

@@ -7,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from ramstab import inputdoc
 from ramstab.inputdoc import InputError, load_document, parse_document
 from ramstab.valuations import PRIME_BOUND
+
+from helpers import int_digit_limit
 
 REPO = Path(__file__).resolve().parent.parent
 SAMPLE = REPO / "src" / "ramstab" / "data" / "sample.json"
@@ -91,6 +94,36 @@ class TestParsing:
             assert exc.value.field == f"coeff_valuations[{key}]"
             with pytest.raises(jsonschema.ValidationError):
                 jsonschema.validate(obj, schema)
+
+    def test_each_index_is_read_once_in_index_order(self, monkeypatch):
+        calls, index = [], inputdoc._index
+
+        def counting(key, q):
+            calls.append(key)
+            return index(key, q)
+
+        monkeypatch.setattr(inputdoc, "_index", counting)
+        obj = sample_obj()
+        parse_document(obj)
+        assert calls == list(obj["coeff_valuations"])
+        # the lowest index fails first; keys of equal index, as the keys that
+        # are no index (-1) and a key too long for int read as q + 1 = 10
+        # beside "10", fail in the document's order
+        def first_failure(keys):
+            obj = sample_obj()
+            obj["coeff_valuations"] = {**{key: "1" for key in keys}, **obj["coeff_valuations"]}
+            calls.clear()
+            with pytest.raises(InputError) as exc:
+                parse_document(obj)
+            assert calls == list(obj["coeff_valuations"])
+            return exc.value.field
+
+        assert first_failure(("x", "01", "10")) == "coeff_valuations[x]"
+        assert first_failure(("10", "01", "x")) == "coeff_valuations[01]"
+        with int_digit_limit(640):
+            long_key = "1" * 641
+            assert first_failure(("10", long_key)) == "coeff_valuations[10]"
+            assert first_failure((long_key, "10")) == f"coeff_valuations[{long_key}]"
 
     def test_null_optional_fields_rejected(self):
         jsonschema = pytest.importorskip("jsonschema")

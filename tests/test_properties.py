@@ -17,8 +17,9 @@ builds the level scan's constants once, agrees with the oracle that
 builds every level's checks afresh.  ``build_record`` accepts a step
 exactly when a fresh hull lists it.  The report writer prints generated
 JSON values, lists of flat dicts included, exactly as
-``json.dumps(indent=2)``, and ``hh``'s tower text as ``json.dumps`` prints
-the per-level oracle.  An integer pair prints as its ``Fraction`` does,
+``json.dumps(indent=2)``, a certificate's check rows as ``json.dumps``
+prints their dicts, and ``hh``'s tower text as ``json.dumps`` prints the
+per-level oracle.  An integer pair prints as its ``Fraction`` does,
 and their quotient is that ``Fraction``'s float.
 """
 
@@ -47,7 +48,7 @@ from ramstab.branches import (
     stability_screen,
     zero_departure_candidates,
 )
-from ramstab.certificates import certify, revalidate
+from ramstab.certificates import CertificateCheck, certify, revalidate
 from ramstab.cli import _Text, _json_chunks, _render, _table, _tower_text
 from ramstab.hasseherbrand import (
     LevelModel,
@@ -69,7 +70,9 @@ from ramstab.valuations import format_ratio, format_rational, parse_rational
 from helpers import (
     breaks_and_subfields,
     ceiling_halving_level,
+    certificate_json,
     certify_oracle,
+    check_json,
     compose,
     dual_plf,
     hull_step_candidates,
@@ -749,18 +752,75 @@ def test_report_writer_extends_text_chunks_as_they_are(value, after):
 
 
 def test_report_writer_reads_each_list_item_once(monkeypatch):
-    # the first item's texts choose the template and are also its fill
-    flat_texts, items = cli._flat_texts, []
+    # each check row is read once, for its rendered text, and the writer is
+    # not called per check: no check becomes a dict of its own
+    rendered, reads, calls = CertificateCheck.rendered, [], []
+    writer = cli._json_chunks
 
-    def counting(item, keys):
-        items.append(item)
-        return flat_texts(item, keys)
+    def reading(check):
+        reads.append(check)
+        return rendered.fget(check)
 
-    monkeypatch.setattr(cli, "_flat_texts", counting)
-    checks = [{"name": f"check {i}", "passed": i % 2 == 0, "level": i} for i in range(5)]
-    payload = {"checks": checks, "nested": {"rows": tuple(checks[:2])}}
-    assert _render(payload) == json.dumps(payload, indent=2) + "\n"
-    assert [id(item) for item in items] == [id(item) for item in checks + checks[:2]]
+    def counting(*args):
+        calls.append(args[0])
+        return writer(*args)
+
+    monkeypatch.setattr(CertificateCheck, "rendered", property(reading))
+    monkeypatch.setattr(cli, "_json_chunks", counting)
+    writer_calls = set()
+    for size in (1, 7):
+        checks = tuple(
+            CertificateCheck(f"check {i}", i or None, "1", "<", str(i), i % 2 == 0)
+            for i in range(size)
+        )
+        payload = {"checks": checks, "nested": {"certificate": {"checks": checks[:2]}}}
+        oracle = {
+            "checks": [check_json(c) for c in checks],
+            "nested": {"certificate": certificate_json({"checks": checks[:2]})},
+        }
+        expected = json.dumps(oracle, indent=2) + "\n"
+        reads.clear()
+        calls.clear()
+        assert _render(payload) == expected
+        assert [id(c) for c in reads] == [id(c) for c in checks + checks[:2]]
+        assert not any(type(value) is CertificateCheck for value in calls)
+        writer_calls.add(len(calls))
+    assert len(writer_calls) == 1
+
+
+# check text with quotes, backslashes, % and non-ASCII characters
+check_text = json_text | st.sampled_from(("%", "%s", "%%", "%(name)s", "100% \u00e9"))
+check_rows = st.lists(
+    st.builds(
+        CertificateCheck,
+        check_text,
+        st.none() | st.integers(),
+        check_text,
+        check_text,
+        check_text,
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=6,
+).map(tuple)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(checks=check_rows, notes=st.lists(json_text, max_size=2), after=json_values)
+def test_certificate_checks_print_as_json_dumps_of_the_oracle(checks, notes, after):
+    """A certificate's check rows print as ``json.dumps`` prints their dicts,
+    at every indent where a certificate is printed: the top level of
+    ``certify``, a file of a batch ``certify`` and the ``certificate`` of a
+    ``NotCertified`` tower command."""
+    payload = {"kind": "NotCertified", "checks": checks, "interpretation_notes": notes}
+    oracle = certificate_json(payload)
+    batch = {"a.json": payload, "b.json": {"error": "x", "field": "$"}, "c.json": after}
+    for report, expected in (
+        (payload, oracle),
+        (batch, {**batch, "a.json": oracle}),
+        ({"certificate": payload}, {"certificate": oracle}),
+    ):
+        assert _render(report) == json.dumps(expected, indent=2) + "\n"
 
 
 class Level(enum.IntEnum):
