@@ -4,13 +4,14 @@ Commands: limit-data, branch, certify, hh, breaks, plot, selftest.
 The command table ``COMMANDS`` lists the six per-document commands once,
 each a function ``(doc, args) -> (payload or None, exit code)`` with its
 help text and whether it takes --depth; the parser, batch ``certify`` and
-``selftest`` read it.  One runner, ``main``, loads the document, calls the
-command and writes its payload, and ``_failure`` maps any failure to its
-error record and exit code: ``main`` prints it to stderr, and a batch
-stores it under the file's path.  Each stage raises its own input errors:
-every one is an ``InputError`` naming its field, and a bad branch, from
-validation or from record completion, is a ``BranchDataError`` on
-``branch_valuations``; the CLI converts nothing.
+``selftest`` read it.  One runner, ``main``, parses argv (``_parse_args``
+hands a command's words straight to its subparser), loads the document,
+calls the command and writes its payload, and ``_failure`` maps any
+failure to its error record and exit code: ``main`` prints it to stderr,
+and a batch stores it under the file's path.  Each stage raises its own
+input errors: every one is an ``InputError`` naming its field, and a bad
+branch, from validation or from record completion, is a
+``BranchDataError`` on ``branch_valuations``; the CLI converts nothing.
 Exit codes: 0 success, 1 not-certified, tower invariant abort or a
 closed stdout, 2 malformed, undecodable or unreadable input, an --out
 that cannot be written, a bad command line, a --depth too deep to print
@@ -498,14 +499,32 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--depth", type=_positive_int, required=True)
         p.add_argument("--out", required=name == "plot")
     sub.add_parser("selftest", help="run the bundled fixtures against golden reports")
+    parser.commands = sub.choices  # each command's own subparser, by name
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` with each word parsed once: a
+    command's words go straight to its subparser, and any it leaves over
+    are the top-level parser's error, as in ``parse_args``.  Any other argv
+    (none, -h, an unknown command, a leading --) goes to ``parse_args``."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error("unrecognized arguments: " + " ".join(extra))
+    return args
+
+
 def main(argv=None) -> int:
-    """Run one command: load its document, call its ``COMMANDS`` entry and
-    write the payload, or print the failure's record to stderr."""
+    """Run one command: parse argv with ``_parse_args``, load its document,
+    call its ``COMMANDS`` entry and write the payload, or print the
+    failure's record to stderr."""
     _configure_logging()
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     command = args.command
     try:
         if command == "selftest":

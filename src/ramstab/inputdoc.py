@@ -1,4 +1,4 @@
-"""Input documents: parsing, validation and round-trip serialization.
+"""Input documents: parsing and validation.
 
 An input document bundles a coefficient-valuation profile with recorded
 branch data.  All rationals travel as strings ("a/b", "a", or "inf");
@@ -27,7 +27,6 @@ from .valuations import (
     InputError,
     _check_prime,
     check_r_digits,
-    digit_limit,
     format_rational,
     parse_rational,
 )
@@ -35,6 +34,9 @@ from .valuations import (
 __all__ = ["InputDocument", "InputError", "parse_document", "load_document"]
 
 INDEX_PATTERN = re.compile(r"[1-9][0-9]*")
+KNOWN_FIELDS = frozenset(
+    "p r v_p e_ke coeff_valuations base_valuation branch_valuations d leading_zeros".split()
+)
 
 
 class InputDocument(NamedTuple):
@@ -44,25 +46,6 @@ class InputDocument(NamedTuple):
     profile: PolynomialValuationProfile
     record: BranchValuationRecord
     d: Optional[int] = None
-
-    def to_json(self) -> dict:
-        profile, record = self.profile, self.record
-        out = {
-            "p": profile.p,
-            "r": profile.r,
-            "v_p": profile.v_p,
-            "e_ke": profile.e_ke,
-            "coeff_valuations": {
-                str(i): str(v) for i, v in sorted(profile.coeff_valuations.items())
-            },
-            "base_valuation": format_rational(record.valuations[0]),
-            "branch_valuations": [format_rational(v) for v in record.valuations],
-        }
-        if self.d is not None:
-            out["d"] = self.d
-        if record.leading_zeros:
-            out["leading_zeros"] = record.leading_zeros
-        return out
 
 
 def _require_int(obj, field, minimum=None):
@@ -81,17 +64,20 @@ def _index(key, q: int) -> int:
     text = str(key)
     if not INDEX_PATTERN.fullmatch(text):
         return -1
-    limit = digit_limit()
-    return q + 1 if limit and len(text) > limit else int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter's limit
+        return q + 1
 
 
-def _parse_valuation_string(field, raw) -> Optional[Fraction]:
+def _rational(raw, field: str, *key) -> Optional[Fraction]:
+    """``parse_rational(raw)``, failing with an ``InputError`` on ``field % key``."""
     if not isinstance(raw, str):
-        raise InputError(field, f"expected a rational string, got {raw!r}")
+        raise InputError(field % key, f"expected a rational string, got {raw!r}")
     try:
         return parse_rational(raw)
     except ValueError as exc:
-        raise InputError(field, str(exc)) from exc
+        raise InputError(field % key, str(exc)) from exc
 
 
 def parse_document(obj) -> InputDocument:
@@ -100,15 +86,13 @@ def parse_document(obj) -> InputDocument:
     Every constraint violation is reported against the field that breaks
     it, including the cross-field ones (branch head versus base valuation,
     declared leading zeros versus infinite entries, coefficient bounds).
+    Each field is parsed once, the coefficient keys in index order (ties in
+    the document's order), and a field's name is formatted only on error.
     """
     if not isinstance(obj, dict):
         raise InputError("$", f"expected a JSON object, got {type(obj).__name__}")
-    known = {
-        "p", "r", "v_p", "e_ke", "coeff_valuations",
-        "base_valuation", "branch_valuations", "d", "leading_zeros",
-    }
     for key in obj:
-        if key not in known:
+        if key not in KNOWN_FIELDS:
             raise InputError(key, "unknown field")
     p = _require_int(obj, "p", minimum=2)
     try:
@@ -127,30 +111,26 @@ def parse_document(obj) -> InputDocument:
     if not isinstance(raw_coeffs, dict):
         raise InputError("coeff_valuations", "expected an object of index -> valuation")
     coeffs = {}
-    # each key's index once; the sort is stable, so equal indices keep the document's order
-    indexed = [(_index(key, q), key, raw) for key, raw in raw_coeffs.items()]
-    for i, key, raw in sorted(indexed, key=lambda item: item[0]):
-        field = f"coeff_valuations[{key}]"
-        if i < 0:
-            raise InputError(field, "index must be a positive integer string without leading zeros")
-        if i > q:
-            raise InputError(field, f"index outside 1..{q}")
-        value = _parse_valuation_string(field, raw)
+    # the position n breaks ties, so equal indices keep the document's order
+    indexed = [(_index(key, q), n, key, raw) for n, (key, raw) in enumerate(raw_coeffs.items())]
+    for i, _n, key, raw in sorted(indexed):
+        if not 0 < i <= q:
+            why = "index must be a positive integer string without leading zeros"
+            raise InputError(f"coeff_valuations[{key}]", why if i < 0 else f"index outside 1..{q}")
+        value = _rational(raw, "coeff_valuations[%s]", key)
         if value is None:
             continue  # explicit zero coefficient
-        if value.denominator != 1 or value < 0:
-            raise InputError(field, f"valuations of coefficients are nonnegative integers, got {raw!r}")
-        coeffs[i] = int(value)
+        if value.denominator != 1 or value.numerator < 0:
+            why = f"valuations of coefficients are nonnegative integers, got {raw!r}"
+            raise InputError(f"coeff_valuations[{key}]", why)
+        coeffs[i] = value.numerator
 
-    base = _parse_valuation_string("base_valuation", obj.get("base_valuation"))
+    base = _rational(obj.get("base_valuation"), "base_valuation")
 
     raw_branch = obj.get("branch_valuations")
     if not isinstance(raw_branch, list) or not raw_branch:
         raise InputError("branch_valuations", "expected a nonempty array of rational strings")
-    branch = tuple(
-        _parse_valuation_string(f"branch_valuations[{n}]", raw)
-        for n, raw in enumerate(raw_branch)
-    )
+    branch = [_rational(raw, "branch_valuations[%d]", n) for n, raw in enumerate(raw_branch)]
     if branch[0] != base:
         raise InputError(
             "branch_valuations[0]",
@@ -177,9 +157,7 @@ def parse_document(obj) -> InputDocument:
     # a profile invariant violation is reported on coeff_valuations; a bad
     # branch raises BranchDataError, already the InputError on branch_valuations
     try:
-        profile = PolynomialValuationProfile(
-            p=p, r=r, v_p=v_p, coeff_valuations=coeffs, e_ke=e_ke
-        )
+        profile = PolynomialValuationProfile(p=p, r=r, v_p=v_p, coeff_valuations=coeffs, e_ke=e_ke)
     except ValueError as exc:
         raise InputError("coeff_valuations", str(exc)) from exc
     return InputDocument(profile=profile, record=build_record(profile, branch), d=d)

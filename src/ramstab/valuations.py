@@ -41,25 +41,28 @@ __all__ = [
     "denominator_field",
 ]
 
-RATIONAL_PATTERN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+RATIONAL_PATTERN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Optional[Fraction]:
     """Parse ``"a/b"``, ``"a"`` or ``"inf"``; ``"inf"`` (a zero value) is None.
 
     Digits are ASCII and no surrounding whitespace is allowed, as in the
-    input schema.  The denominator, when present, must be positive.
+    input schema.  The denominator, when present, must be positive; it is
+    read first, before the numerator.  An integer needs no gcd.
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
     if text == "inf":
         return None
-    if not RATIONAL_PATTERN.fullmatch(text):
+    if not (match := RATIONAL_PATTERN.fullmatch(text)):
         raise ValueError(f"malformed rational {text!r} (expected 'a', 'a/b' or 'inf')")
-    num, _, den = text.partition("/")
-    if den and int(den) == 0:
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    if not (den := int(den)):
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(int(num), int(den or 1))
+    return Fraction(int(num), den)
 
 
 def logger(name: str, level: str):

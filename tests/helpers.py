@@ -13,9 +13,13 @@ oracle checks the exact level-n heights for strict convexity with
 ``below_line``, the working-tower oracle re-bases a certified branch
 by slicing its record and completing the tail for its own C, the
 ordered-test oracle evaluates every x of the tower to a depth and finds
-its first failing level by comparing them in turn, and the subfield-table
+its first failing level by comparing them in turn, the subfield-table
 oracle builds the ``breaks`` and ``subfields`` entries as dicts, for
-``json.dumps``, as the check oracle builds a certificate's checks.
+``json.dumps``, as the check oracle builds a certificate's checks, and
+the document oracle, ``parse_document_oracle``, is the parse that
+formatted every field name up front and read each rational with its own
+``str.partition``.  ``document_json`` writes an ``InputDocument`` as the
+JSON object that ``parse_document`` reads back.
 
 ``PLFunction``, with ``make_plf``, ``evaluate``, ``compose`` and
 ``altitude``, is the general algebra of concave piecewise-linear
@@ -32,6 +36,7 @@ vertex tuple, as ``lower_hull`` and ``level_polygon`` return it.
 import contextlib
 import logging
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,9 +54,16 @@ from ramstab.branches import (
 )
 from ramstab.certificates import CertificateCheck, StabilityCertificate
 from ramstab.hasseherbrand import TowerInvariantError, level_model
+from ramstab.inputdoc import InputDocument
 from ramstab.limitdata import complete_record
 from ramstab.polygons import lower_hull
-from ramstab.valuations import _check_prime, format_rational
+from ramstab.valuations import (
+    InputError,
+    _check_prime,
+    check_r_digits,
+    digit_limit,
+    format_rational,
+)
 
 log = logging.getLogger(__name__)
 
@@ -820,6 +832,154 @@ def certificate_json(payload):
     """A certificate's report payload with each check row replaced by its
     ``check_json`` dict, for ``json.dumps``."""
     return {**payload, "checks": [check_json(c) for c in payload["checks"]]}
+
+
+def document_json(doc):
+    """The JSON object of an ``InputDocument``, which ``parse_document``
+    reads back to an equal document."""
+    profile, record = doc.profile, doc.record
+    out = {
+        "p": profile.p,
+        "r": profile.r,
+        "v_p": profile.v_p,
+        "e_ke": profile.e_ke,
+        "coeff_valuations": {str(i): str(v) for i, v in sorted(profile.coeff_valuations.items())},
+        "base_valuation": format_rational(record.valuations[0]),
+        "branch_valuations": [format_rational(v) for v in record.valuations],
+    }
+    if doc.d is not None:
+        out["d"] = doc.d
+    if record.leading_zeros:
+        out["leading_zeros"] = record.leading_zeros
+    return out
+
+
+ORACLE_INDEX = re.compile(r"[1-9][0-9]*")
+ORACLE_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _parse_rational_oracle(text):
+    """``parse_rational`` by a second route: a match of the whole text,
+    then ``str.partition`` for its parts."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational string, got {type(text).__name__}")
+    if text == "inf":
+        return None
+    if not ORACLE_RATIONAL.fullmatch(text):
+        raise ValueError(f"malformed rational {text!r} (expected 'a', 'a/b' or 'inf')")
+    num, _, den = text.partition("/")
+    if den and int(den) == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(num), int(den or 1))
+
+
+def _index_oracle(key, q):
+    text = str(key)
+    if not ORACLE_INDEX.fullmatch(text):
+        return -1
+    limit = digit_limit()
+    return q + 1 if limit and len(text) > limit else int(text)
+
+
+def _valuation_oracle(field, raw):
+    if not isinstance(raw, str):
+        raise InputError(field, f"expected a rational string, got {raw!r}")
+    try:
+        return _parse_rational_oracle(raw)
+    except ValueError as exc:
+        raise InputError(field, str(exc)) from exc
+
+
+def _require_int_oracle(obj, field, minimum=None):
+    value = obj.get(field)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(field, f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InputError(field, f"must be >= {minimum}, got {value}")
+    return value
+
+
+def parse_document_oracle(obj):
+    """``parse_document`` written plainly, the oracle of the package's
+    one-pass parse: every field name formatted up front, the coefficient
+    keys sorted by a key function and the rationals read by
+    ``_parse_rational_oracle``."""
+    if not isinstance(obj, dict):
+        raise InputError("$", f"expected a JSON object, got {type(obj).__name__}")
+    known = {
+        "p", "r", "v_p", "e_ke", "coeff_valuations",
+        "base_valuation", "branch_valuations", "d", "leading_zeros",
+    }
+    for key in obj:
+        if key not in known:
+            raise InputError(key, "unknown field")
+    p = _require_int_oracle(obj, "p", minimum=2)
+    try:
+        prime = _check_prime(p)
+    except ValueError as exc:  # p too large to decide
+        raise InputError("p", str(exc)) from exc
+    if not prime:
+        raise InputError("p", f"{p} is not prime")
+    r = _require_int_oracle(obj, "r", minimum=1)
+    check_r_digits(p, r, "q", "no document can write its index q")
+    v_p = _require_int_oracle(obj, "v_p", minimum=1)
+    e_ke = _require_int_oracle(obj, "e_ke", minimum=1) if "e_ke" in obj else 1
+    q = p**r
+
+    raw_coeffs = obj.get("coeff_valuations")
+    if not isinstance(raw_coeffs, dict):
+        raise InputError("coeff_valuations", "expected an object of index -> valuation")
+    coeffs = {}
+    indexed = [(_index_oracle(key, q), key, raw) for key, raw in raw_coeffs.items()]
+    for i, key, raw in sorted(indexed, key=lambda item: item[0]):
+        field = f"coeff_valuations[{key}]"
+        if i < 0:
+            raise InputError(field, "index must be a positive integer string without leading zeros")
+        if i > q:
+            raise InputError(field, f"index outside 1..{q}")
+        value = _valuation_oracle(field, raw)
+        if value is None:
+            continue  # explicit zero coefficient
+        if value.denominator != 1 or value < 0:
+            raise InputError(field, f"valuations of coefficients are nonnegative integers, got {raw!r}")
+        coeffs[i] = int(value)
+
+    base = _valuation_oracle("base_valuation", obj.get("base_valuation"))
+
+    raw_branch = obj.get("branch_valuations")
+    if not isinstance(raw_branch, list) or not raw_branch:
+        raise InputError("branch_valuations", "expected a nonempty array of rational strings")
+    branch = tuple(
+        _valuation_oracle(f"branch_valuations[{n}]", raw) for n, raw in enumerate(raw_branch)
+    )
+    if branch[0] != base:
+        raise InputError(
+            "branch_valuations[0]",
+            f"head {format_rational(branch[0])} disagrees with base_valuation "
+            f"{format_rational(base)}",
+        )
+
+    d = None
+    if "d" in obj:
+        d = _require_int_oracle(obj, "d")
+        if d == 0:
+            raise InputError("d", "d is a nonzero integer")
+
+    infinite_prefix = next((n for n, v in enumerate(branch) if v is not None), len(branch))
+    if "leading_zeros" in obj:
+        leading_zeros = _require_int_oracle(obj, "leading_zeros", minimum=0)
+        if leading_zeros != infinite_prefix:
+            raise InputError(
+                "leading_zeros",
+                f"declared {leading_zeros} but branch_valuations starts with "
+                f"{infinite_prefix} infinite entries",
+            )
+
+    try:
+        profile = PolynomialValuationProfile(p=p, r=r, v_p=v_p, coeff_valuations=coeffs, e_ke=e_ke)
+    except ValueError as exc:
+        raise InputError("coeff_valuations", str(exc)) from exc
+    return InputDocument(profile=profile, record=build_record(profile, branch), d=d)
 
 
 @contextlib.contextmanager

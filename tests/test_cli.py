@@ -17,7 +17,7 @@ from ramstab.cli import main
 from ramstab.branches import build_record
 from ramstab.inputdoc import InputDocument, load_document
 
-from helpers import int_digit_limit, predict_branch, tower_json_oracle
+from helpers import document_json, int_digit_limit, predict_branch, tower_json_oracle
 
 REPO = Path(__file__).resolve().parent.parent
 SAMPLE = str(REPO / "src" / "ramstab" / "data" / "sample.json")
@@ -583,6 +583,25 @@ class TestTowerCommands:
 class TestErrorContract:
     """A failure exits with its documented code and record, alone or in a batch."""
 
+    @pytest.mark.parametrize(
+        "field, patch",
+        [
+            ("coeff_valuations[1]", {"coeff_valuations": {"1": "7" * 641, "3": "2", "9": "0"}}),
+            ("base_valuation", {"base_valuation": "7" * 641 + "/3"}),
+            ("branch_valuations[2]", {"branch_valuations": ["4", "2/3", "7" * 641 + "/27"]}),
+        ],
+    )
+    def test_numerator_past_the_digit_limit_exits_2_on_its_field(self, capsys, tmp_path, field, patch):
+        # the rational's own parse reads the numerator: int() past the
+        # limit is an input error on the field, not a raw ValueError
+        path = tmp_path / "long-numerator.json"
+        path.write_text(json.dumps({**json.loads(Path(SAMPLE).read_text()), **patch}))
+        with int_digit_limit(640):
+            code, out, err = run(capsys, "certify", str(path))
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["field"] == field and "640" in error["error"]
+
     @pytest.mark.parametrize("kind", ["digits", "nesting"])
     def test_undecodable_documents_exit_2_on_the_root(self, capsys, tmp_path, kind):
         # json.loads raises a plain ValueError on an integer literal past
@@ -818,6 +837,54 @@ SUBCOMMAND_HELP = {
 }
 
 
+NONPOSITIVE_COUNTS = [
+    ["hh", "--depth", "0", SAMPLE],
+    ["breaks", "--depth", "-2", SAMPLE],
+    ["hh", "--depth", "two", SAMPLE],
+    ["plot", "--depth", "0", "--out", "never-written.svg", SAMPLE],
+    ["certify", "--jobs", "0", SAMPLE],
+    # digits that are decimal but not ASCII, as no document number may be
+    ["breaks", "--depth", "\u0661\u0660", SAMPLE],
+    ["certify", "--jobs", "\uff12", SAMPLE, UNIFORMIZER],
+]
+
+# command lines on which main's parse must act exactly as parse_args
+ARGV_CASES = [
+    [],
+    ["-h"],
+    ["certify", "-h"],
+    ["cert", SAMPLE],  # a command is never abbreviated
+    ["certify"],
+    ["hh", SAMPLE],  # --depth missing
+    ["plot", "--depth", "1", SAMPLE],  # --out missing
+    ["breaks", "--depth", "2", SAMPLE, "extra"],
+    ["certify", SAMPLE, "--bogus"],
+    ["breaks", "--dep", "2", SAMPLE],  # an abbreviated option
+    ["--", "certify", SAMPLE],
+    ["certify", "--jobs", "2", SAMPLE, UNIFORMIZER],
+    ["certify", "--", SAMPLE],
+    ["certify", SAMPLE, "-h"],
+    ["hh", "--depth=3", "--out", "o.json", SAMPLE],
+    ["breaks", "--depth", "2", SAMPLE, "--", "x", "--y"],
+    ["selftest"],
+    ["selftest", "extra", "--more"],
+    ["limit-data", SAMPLE, "--out"],
+    ["branch", "--help"],
+    *NONPOSITIVE_COUNTS,
+]
+
+
+def parse_outcome(capsys, parse, argv):
+    """What parsing ``argv`` does: the Namespace's fields or the exit code,
+    then stdout and stderr."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
 class TestArgumentValidation:
     def test_usage_lines_and_help_strings_are_pinned(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "200")
@@ -827,25 +894,22 @@ class TestArgumentValidation:
         assert usage == [f"usage: ramstab {line}\n" for line in USAGE]
         assert {a.dest: a.help for a in sub._choices_actions} == SUBCOMMAND_HELP
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["hh", "--depth", "0", SAMPLE],
-            ["breaks", "--depth", "-2", SAMPLE],
-            ["hh", "--depth", "two", SAMPLE],
-            ["plot", "--depth", "0", "--out", "never-written.svg", SAMPLE],
-            ["certify", "--jobs", "0", SAMPLE],
-            # digits that are decimal but not ASCII, as no document number may be
-            ["breaks", "--depth", "\u0661\u0660", SAMPLE],
-            ["certify", "--jobs", "\uff12", SAMPLE, UNIFORMIZER],
-        ],
-    )
+    @pytest.mark.parametrize("argv", NONPOSITIVE_COUNTS)
     def test_nonpositive_counts_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "positive integer" in err
+
+    @pytest.mark.parametrize("argv", ARGV_CASES)
+    def test_parse_is_parse_args(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "200")
+        parser = cli.build_parser()
+        expected = parse_outcome(capsys, parser.parse_args, argv)
+        assert parse_outcome(capsys, cli._parse_args, argv) == expected
+        if isinstance(expected[0], dict):
+            assert expected[0]["command"] in argv
 
     def test_parser_is_built_once(self, capsys, monkeypatch):
         built = []
@@ -964,7 +1028,7 @@ class TestStageCounts:
         for base, levels in ((16, 10), (76, 40)):
             record = predict_branch(profile, Fraction(base), [0] * levels, levels)
             path = tmp_path / f"long{levels}.json"
-            path.write_text(json.dumps(InputDocument(profile, record, d=3).to_json()))
+            path.write_text(json.dumps(document_json(InputDocument(profile, record, d=3))))
             counts = count_stage_calls(capsys, "certify", str(path))
             assert counts["coefficient_floor"] == 1
             assert counts["q_squared"] == 1
@@ -1015,7 +1079,7 @@ class TestStageCounts:
         for record in (build_record(profile, [base]), predict_branch(profile, base, depth=34)):
             doc = InputDocument(profile=profile, record=record, d=fixture.d)
             path = tmp_path / f"levels{len(record.valuations)}.json"
-            path.write_text(json.dumps(doc.to_json()))
+            path.write_text(json.dumps(document_json(doc)))
             counts.append(count_stage_calls(capsys, "certify", str(path)))
         assert counts[0]["lower_hull"] == counts[1]["lower_hull"]
 
@@ -1061,6 +1125,34 @@ class TestStageCounts:
     def test_certify_reads_the_long_degree_table_once(self, capsys, tmp_path):
         counts = count_stage_calls(capsys, "certify", long_degree_document(tmp_path))
         assert counts["main_and_error"] == 1
+
+    def test_command_lines_skip_the_top_level_parse(self, capsys, monkeypatch, tmp_path):
+        # a command's words go straight to its subparser: argparse's
+        # top-level pass runs only for an argv that names no command
+        parser, calls = cli.build_parser(), []
+        parse_known_args = parser.parse_known_args
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return parse_known_args(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", counting)
+        svg = str(tmp_path / "plot.svg")
+        for argv in (
+            ["certify", SAMPLE],
+            ["certify", "--jobs", "1", SAMPLE, UNIFORMIZER],
+            ["limit-data", SAMPLE],
+            ["branch", "--out", str(tmp_path / "branch.json"), UNIFORMIZER],
+            ["hh", "--depth", "3", SAMPLE],
+            ["breaks", "--depth=3", UNIFORMIZER],
+            ["plot", "--depth", "2", "--out", svg, SAMPLE],
+            ["selftest"],
+        ):
+            assert run(capsys, *argv)[0] == 0
+        assert calls == []
+        with pytest.raises(SystemExit):
+            main(["-h"])
+        assert len(calls) == 1
 
     def test_branch_computes_no_limiting_data(self, capsys):
         counts = count_stage_calls(capsys, "branch", SAMPLE)

@@ -20,11 +20,19 @@ JSON values, lists of flat dicts included, exactly as
 ``json.dumps(indent=2)``, a certificate's check rows as ``json.dumps``
 prints their dicts, and ``hh``'s tower text as ``json.dumps`` prints the
 per-level oracle.  An integer pair prints as its ``Fraction`` does,
-and their quotient is that ``Fraction``'s float.
+and their quotient is that ``Fraction``'s float.  On a uniformizer base,
+Hilbert's different read off ``hh`` equals the running sum of the
+Eisenstein layers' ``v(P'(a_n))``.  Documents with one to three fields
+of a fixture or a ``bench/gen.py`` document changed parse, or fail on the same field with
+the same message, as under ``parse_document_oracle``.
 """
 
+import argparse
+import contextlib
+import copy
 import enum
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -65,7 +73,9 @@ from ramstab.limitdata import (
     main_and_error,
 )
 from ramstab.polygons import lower_hull
-from ramstab.valuations import format_ratio, format_rational, parse_rational
+from ramstab.valuations import digit_limit, format_ratio, format_rational, parse_rational
+
+from digests import _load_gen
 
 from helpers import (
     breaks_and_subfields,
@@ -74,14 +84,17 @@ from helpers import (
     certify_oracle,
     check_json,
     compose,
+    document_json,
     dual_plf,
     hull_step_candidates,
     hull_stepped_extension,
+    int_digit_limit,
     kummer_carries,
     level_polygon,
     level_vertices,
     main_and_error_oracle,
     ordered_first_failure,
+    parse_document_oracle,
     phi_oracle,
     predict_branch,
     root_valuations,
@@ -132,7 +145,7 @@ def test_documents_round_trip(profile, base, choices, depth, d):
     except BranchDataError:
         assume(False)
     doc = InputDocument(profile=profile, record=record, d=d)
-    obj = doc.to_json()
+    obj = document_json(doc)
     jsonschema.validate(obj, SCHEMA)
     assert parse_document(obj) == doc
     strings = [obj["base_valuation"], *obj["branch_valuations"], *obj["coeff_valuations"].values()]
@@ -447,6 +460,50 @@ def assert_tower_text_matches_oracle(tower):
     phi, Phi = _tower_text(tower, _table(tower, 0)[0])
     expected = json.dumps(tower_json_oracle(tower), indent=2) + "\n"
     assert _render({"phi": phi, "Phi": Phi}) == expected
+
+
+def _ord(i, p):
+    """The exponent of p in i >= 1."""
+    return next(k for k in range(i) if i % p ** (k + 1))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    profile=profiles(),
+    choices=st.lists(st.integers(0, 1), max_size=4),
+    depth=st.integers(1, 4),
+    d=st.sampled_from((None, 1)),
+)
+def test_uniformizer_base_different_is_the_eisenstein_one(profile, choices, depth, d):
+    # A base of valuation 1/e_ke is a uniformizer of K, so every a_n is a
+    # uniformizer of K_n, a root of P(x) - a_(n-1): each level is Eisenstein
+    # and the different of K_N/K_(N-1) has valuation v_(K_N)(P'(a_N)).  With
+    # v_(K_N) = e_ke q^N v, the term i c_i x^(i-1) of P' has valuation
+    # t_i = e_ke q^N (v(c_i) + v_p ord_p(i)) + i - 1, and the terms never tie,
+    # since 0 <= i - 1 < q^N; so v(P'(a_N)) is their minimum d_N.  Over hh's
+    # working base K_m, D_n = d_(m+n) + q D_(n-1) by transitivity, and
+    # Hilbert's formula reads it off level n as q^m (q^n altitude_n - X_n).
+    try:
+        record = predict_branch(profile, Fraction(1, profile.e_ke), choices, depth)
+    except BranchDataError:
+        assume(False)
+    doc = parse_document(document_json(InputDocument(profile=profile, record=record, d=d)))
+    try:
+        payload, code = cli.COMMANDS["hh"][0](doc, argparse.Namespace(depth=3))
+    except TowerInvariantError:
+        assume(False)  # a loud abort: hh prints no tower
+    assume(code == 0)
+    hh = json.loads(_render(payload))
+    q, m, different = profile.q, hh["reindex"], 0
+    for n, level in enumerate(hh["Phi"], start=1):
+        terms = sorted(
+            profile.e_ke * q ** (m + n) * (v + profile.v_p * _ord(i, profile.p)) + i - 1
+            for i, v in profile.coeff_valuations.items()
+        )
+        assert terms[1:2] != terms[:1]
+        different = terms[0] + q * different
+        X, A = Fraction(level["breaks"][-1]), Fraction(level["altitude"])
+        assert q**m * (q**n * A - X) == different
 
 
 def dual_phi(profile, data, n, d, v_base):
@@ -916,3 +973,112 @@ def test_integer_pairs_print_and_plot_as_their_fraction(n, d, common):
             n / d
     else:
         assert n / d == expected
+
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "ramstab" / "data"
+
+
+def _base_documents():
+    """Both fixtures and ``bench/gen.py`` documents of each workload, some
+    of them malformed on one field."""
+    gen = _load_gen()
+    docs = [json.loads((DATA / f"{name}.json").read_text()) for name in ("sample", "uniformizer")]
+    generated = [*gen.certify_corpus(1, 0), *gen.wide_degree(1, 0), *gen.tower_docs(1)]
+    return docs + [doc.obj for doc in generated]
+
+
+BASE_DOCUMENTS = _base_documents()
+LONG = "a key or numerator one digit past the interpreter's int digit limit"
+# rationals and indices the schema rejects or reads in one way only
+ODD_TEXTS = (
+    "inf", "+3", "-0", "03", "2/4", "0/5", "1/0", " 1", "1 ", "", "1/", "/2", "1/-3",
+    "1.5", "Infinity", "\u0664", "\u00b2", "\uff11/2", "1/\u0663", "\u0661\u0662", LONG,
+)
+odd_texts = (
+    st.sampled_from(ODD_TEXTS)
+    | st.from_regex(r"[+-]?[0-9]{1,3}(/[0-9]{1,3})?", fullmatch=True)
+    | st.text(max_size=3)
+)
+non_texts = (
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False)
+    | st.just(["1"]) | st.just({"1": "1"})
+)
+odd_keys = st.sampled_from(("+1", "-1", "01", "0", "00", "\u0661", "1 ", "x", "", LONG)) | (
+    st.integers(1, 3000).map(str)
+)
+FIELDS = (
+    "p", "r", "v_p", "e_ke", "coeff_valuations", "base_valuation",
+    "branch_valuations", "d", "leading_zeros", "colour",
+)
+mutations = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(FIELDS), odd_texts | non_texts),
+    st.tuples(st.just("delete"), st.sampled_from(FIELDS), st.none()),
+    st.tuples(st.just("coefficient"), odd_keys, odd_texts | non_texts),
+    st.tuples(st.just("branch"), st.integers(0, 4), odd_texts | non_texts),
+)
+
+
+def _long_text():
+    return "1" * ((digit_limit() or 640) + 1)
+
+
+def _mutated(obj, mutation):
+    """``obj`` with one field changed as ``mutation`` says."""
+    kind, where, value = mutation
+    value = _long_text() if value == LONG else value
+    if kind == "set":
+        obj[where] = value
+    elif kind == "delete":
+        obj.pop(where, None)
+    elif kind == "coefficient" and isinstance(obj.get("coeff_valuations"), dict):
+        obj["coeff_valuations"][_long_text() if where == LONG else where] = value
+    elif kind == "branch" and isinstance(obj.get("branch_valuations"), list):
+        branch = obj["branch_valuations"]
+        branch[where % (len(branch) + 1) :] = [value]
+    return obj
+
+
+@st.composite
+def mutated_documents(draw):
+    """A base document with one to three fields changed."""
+    obj = copy.deepcopy(draw(st.sampled_from(BASE_DOCUMENTS)))
+    for mutation in draw(st.lists(mutations, min_size=1, max_size=3)):
+        obj = _mutated(obj, mutation)
+    return obj
+
+
+def parse_outcome(parse, obj):
+    """The document ``parse`` reads from ``obj``, or the type, field and
+    message of what it raises."""
+    try:
+        return parse(obj)
+    except Exception as exc:  # any exception: both parsers must raise alike
+        return type(exc), getattr(exc, "field", None), str(exc)
+
+
+def _sample_with(**fields):
+    return {**json.loads((DATA / "sample.json").read_text()), **fields}
+
+
+TOO_LONG = "7" * 641  # past a 640-digit limit
+TOO_LONG_NUMERATORS = {
+    "coeff_valuations[1]": _sample_with(coeff_valuations={"1": TOO_LONG, "3": "2", "9": "0"}),
+    "base_valuation": _sample_with(base_valuation=TOO_LONG + "/3"),
+    "branch_valuations[2]": _sample_with(branch_valuations=["4", "2/3", TOO_LONG + "/27"]),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(obj=mutated_documents(), limit=st.none())
+@example(obj=TOO_LONG_NUMERATORS["coeff_valuations[1]"], limit=640)
+@example(obj=TOO_LONG_NUMERATORS["base_valuation"], limit=640)
+@example(obj=TOO_LONG_NUMERATORS["branch_valuations[2]"], limit=640)
+# the denominator is read first: its zero, or its own digit count, is the error
+@example(obj=_sample_with(base_valuation=TOO_LONG + "/0"), limit=640)
+@example(obj=_sample_with(base_valuation=TOO_LONG + "7/" + TOO_LONG), limit=640)
+def test_parse_document_matches_the_oracle(obj, limit):
+    # each field parsed once gives the document, or the error on its field,
+    # that the parse which formatted every field name up front gave
+    lowered = limit and hasattr(sys, "set_int_max_str_digits")
+    with int_digit_limit(limit) if lowered else contextlib.nullcontext():
+        assert parse_outcome(parse_document, obj) == parse_outcome(parse_document_oracle, obj)
