@@ -127,15 +127,20 @@ class PolynomialValuationProfile:
         """The text of the stability screen's threshold 1/q^2."""
         return f"1/{self.q_squared}"
 
-    def within_threshold(self, v: Fraction) -> bool:
-        """|v| <= 1/q^2, tested on v = a/b as |a| q^2 <= b."""
-        return abs(v.numerator) * self.q_squared <= v.denominator
+    @cached_property
+    def screen_texts(self) -> Tuple[str, Optional[str]]:
+        """The stability screen's texts of p and of the floor (None without one)."""
+        return str(self.p), None if self.coefficient_floor is None else str(self.coefficient_floor)
+
+    def within_threshold(self, a: int, b: int) -> bool:
+        """|v| <= 1/q^2 for v = a/b with b > 0, tested as |a| q^2 <= b."""
+        return abs(a) * self.q_squared <= b
 
     @cached_property
-    def forced_step_bound(self) -> Optional[Fraction]:
-        """q times the smallest root valuation (see ``is_forced_step``); None for x^q."""
+    def forced_step_bound(self) -> Optional[Tuple[int, int]]:
+        """q times the smallest root valuation as an integer pair; None for x^q."""
         roots = self.coefficient_hull[1]
-        return self.q * roots[-1] if roots else None
+        return (self.q * roots[-1]).as_integer_ratio() if roots else None
 
     @cached_property
     def coefficient_hull(self) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Fraction, ...]]:
@@ -311,9 +316,8 @@ def is_forced_step(profile: PolynomialValuationProfile, v: Fraction) -> bool:
     candidate v/q: the hull of (0, v) and the coefficient points is then one
     segment to (q, 0).  That holds iff v < 0, or P = x^q, or v <= q times
     the smallest root valuation, and it stays true as |v| shrinks."""
-    bound = profile.forced_step_bound
-    n = v.numerator
-    return n < 0 or bound is None or n * bound.denominator <= bound.numerator * v.denominator
+    n, bound = v.numerator, profile.forced_step_bound
+    return n < 0 or bound is None or n * bound[1] <= bound[0] * v.denominator
 
 
 def halving_level(profile: PolynomialValuationProfile, record: BranchValuationRecord) -> int:
@@ -354,6 +358,12 @@ def estimate_d(
     return finite_estimates[-1], False
 
 
+def _screen_passes(profile: PolynomialValuationProfile, a: int, b: int, d_n: int) -> tuple:
+    """The pass bits of ``stability_screen``'s comparisons at a level of valuation a/b, b > 0."""
+    floor = profile.coefficient_floor
+    return profile.within_threshold(a, b), d_n % profile.p != 0, floor is None or a < floor * b
+
+
 def stability_screen(
     profile: PolynomialValuationProfile, v: Fraction, d_n: int
 ) -> Tuple[Tuple[str, str, str, str, bool], ...]:
@@ -363,26 +373,25 @@ def stability_screen(
     p, and v below every finite non-leading coefficient valuation (vacuous
     when there is none).  "Prime to p" is interpreted on the numerator of
     the d-estimate; the interpretation is recorded in every emitted
-    certificate.
+    certificate.  The constant texts are the profile's.
     """
-    p, floor, threshold = profile.p, profile.coefficient_floor, profile.screen_threshold
-    n, text = v.numerator, str(v)
-    if floor is not None:
-        below = ("<", str(floor), n < floor * v.denominator)
-    else:
-        below = ("==", text, True)
+    a, b = v.numerator, v.denominator
+    threshold_ok, tame_ok, below_ok = _screen_passes(profile, a, b, d_n)
+    text = f"{a}/{b}" if b != 1 else str(a)
+    p_text, floor_text = profile.screen_texts
+    op, rhs = ("<", floor_text) if floor_text is not None else ("==", text)
     return (
-        ("valuation-threshold", text.lstrip("-"), "<=", threshold, profile.within_threshold(v)),
-        ("d-estimate-prime-to-p", str(p), "not-divides", str(abs(d_n)), d_n % p != 0),
-        ("valuation-below-coefficients", text, *below),
+        ("valuation-threshold", text.lstrip("-"), "<=", profile.screen_threshold, threshold_ok),
+        ("d-estimate-prime-to-p", p_text, "not-divides", str(abs(d_n)), tame_ok),
+        ("valuation-below-coefficients", text, op, rhs, below_ok),
     )
 
 
 def find_stable_index(
     profile: PolynomialValuationProfile, record: BranchValuationRecord
 ) -> Optional[int]:
-    """First recorded level passing every comparison of the stability screen."""
+    """First recorded level passing every comparison of the stability screen (no text is built)."""
     for n, (v, d_n) in enumerate(zip(record.valuations, record.d_estimates)):
-        if v is not None and all(c[-1] for c in stability_screen(profile, v, d_n)):
+        if v is not None and all(_screen_passes(profile, v.numerator, v.denominator, d_n)):
             return n
     return None

@@ -290,14 +290,16 @@ def certify(
             screen_ok = True
         else:
             run = len(d_estimates) - n if n >= settled else 0
-            c_settled = CertificateCheck("d-estimate-settled", n, str(run), ">=", "2", run >= 2)
-            c_threshold, c_tame_n, c_below = (
-                CertificateCheck(name, n, lhs, op, rhs, passed)
-                for name, lhs, op, rhs, passed in stability_screen(profile, v, d_estimates[n])
+            (t_name, t_lhs, t_op, t_rhs, t_ok), (p_name, p_lhs, p_op, p_rhs, p_ok), (
+                b_name, b_lhs, b_op, b_rhs, b_ok
+            ) = stability_screen(profile, v, d_estimates[n])
+            checks += (
+                CertificateCheck(t_name, n, t_lhs, t_op, t_rhs, t_ok),
+                CertificateCheck("d-estimate-settled", n, str(run), ">=", "2", run >= 2),
+                CertificateCheck(p_name, n, p_lhs, p_op, p_rhs, p_ok),
+                CertificateCheck(b_name, n, b_lhs, b_op, b_rhs, b_ok),
             )
-            screen = (c_threshold, c_settled, c_tame_n, c_below)
-            checks.extend(screen)
-            screen_ok = all(c.passed for c in screen)
+            screen_ok = t_ok and run >= 2 and p_ok and b_ok
 
         if comp.passed and screen_ok:
             return verdict("TRS" if n == 0 else "PotentiallyTRS", n, not d_trusted)

@@ -25,10 +25,11 @@ A command imports only the stages it runs: the tower module for hh,
 breaks and plot, the SVG writer for plot, and the bundled-data reader for
 selftest.  Reports print exactly as ``json.dumps(indent=2)``: ``_render``
 writes them as chunks of text, ``_checks_text`` a certificate's checks
-straight from its rows, ``_table`` the breaks and subfield table,
-each break quoted once, and ``_tower_text`` hh's ``phi`` and ``Phi`` from
-the tower's numerators, each level of ``Phi`` a cut of the deepest level's
-text; ``breaks`` builds the tower's x alone.
+straight from its rows, each row in one fill of its fields and
+``rendered``, ``_table`` the breaks and subfield table, each break quoted
+once, and ``_tower_text`` hh's ``phi`` and ``Phi`` from the tower's
+numerators, each level of ``Phi`` a cut of the deepest level's text;
+``breaks`` builds the tower's x alone.
 """
 
 from __future__ import annotations
@@ -130,23 +131,24 @@ def _template(keys: tuple, newline: str) -> str:
 
 
 @functools.cache
-def _check_row(newline: str) -> str:
-    """The template of one certificate check at ``newline``: its fields, then
-    ``rendered``."""
-    return _template((*CertificateCheck._fields, "rendered"), newline)
+def _check_row(newline: str) -> list:
+    """The texts around a certificate check's values at ``newline``: its template cut at ``%s``."""
+    return _template((*CertificateCheck._fields, "rendered"), newline).split("%s")
 
 
 def _checks_text(checks: tuple, newline: str) -> str:
     """The text of a certificate's ``checks`` at ``newline``, the indent of
-    its key, as ``json.dumps`` prints each row's dict: one fill of the row
-    template per check, with its text fields and ``rendered`` quoted."""
-    item, quote = newline + "  ", encode_basestring_ascii
-    row, rows = _check_row(item), []
+    its key, as ``json.dumps`` prints each row's dict: each row written in
+    one fill of its fields, the text fields and ``rendered`` quoted."""
+    item, quote, rows = newline + "  ", encode_basestring_ascii, []
+    k_name, k_level, k_lhs, k_op, k_rhs, k_passed, k_rendered, end = _check_row(item)
     for check in checks:
         name, level, lhs, op, rhs, passed = check
-        level, passed = "null" if level is None else level, "true" if passed else "false"
-        texts = quote(name), level, quote(lhs), quote(op), quote(rhs), passed, quote(check.rendered)
-        rows.append(row % texts)
+        rows.append(
+            f"{k_name}{quote(name)}{k_level}{'null' if level is None else level}{k_lhs}"
+            f"{quote(lhs)}{k_op}{quote(op)}{k_rhs}{quote(rhs)}{k_passed}"
+            f"{'true' if passed else 'false'}{k_rendered}{quote(check.rendered)}{end}"
+        )
     return "[" + item + ("," + item).join(rows) + newline + "]"
 
 

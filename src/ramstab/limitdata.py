@@ -154,7 +154,8 @@ def complete_record(
     # every step until it settles, then never again
     walk = [v_N, v_N / q]
     estimates = [minimal_d_estimate(v, e) for v in walk]
-    while not profile.within_threshold(walk[-2]) or estimates[-2] != estimates[-1]:
+    within = profile.within_threshold
+    while not within(*walk[-2].as_integer_ratio()) or estimates[-2] != estimates[-1]:
         walk.append(walk[-1] / q)
         estimates.append(minimal_d_estimate(walk[-1], e))
     start = len(vals) - N

@@ -427,9 +427,10 @@ class TestCriterion10:
         # O_(K_n) = O_(K_(n-1))[alpha_n] and the different of K_n/K_(n-1) has
         # valuation v_(K_n)(P'(alpha_n)).  With v_(K_n) = q^n v on K and
         # v_(K_n)(alpha_n) = 1, the term i a_i alpha_n^(i-1) of P' has
-        # valuation d_i = q^n (v(a_i) + v_p ord_p(i)) + (i - 1); when one
-        # term has the least, v(P'(alpha_n)) is that minimum d_n.  The
-        # different is transitive, so v_(K_n)(D(K_n/K)) = d_n + q D_(n-1).
+        # valuation d_i = q^n (v(a_i) + v_p ord_p(i)) + (i - 1), and no two
+        # terms tie, since 0 <= i - 1 < q^n: v(P'(alpha_n)) is their minimum
+        # d_n.  The different is transitive, so
+        # v_(K_n)(D(K_n/K)) = d_n + q D_(n-1).
         # Hilbert's formula reads it off hh's level n as q^n altitude_n - X_n
         # (the printed x is Serre's i + 1 here).
         doc = json.loads(Path(UNIFORMIZER).read_text())
@@ -445,9 +446,8 @@ class TestCriterion10:
         different, differents = 0, []
         for n, level in enumerate(hh["Phi"], start=1):
             terms = sorted(q**n * (v + v_p * ord_p(i)) + i - 1 for i, v in support.items())
+            assert terms[1:2] != terms[:1]
             different = terms[0] + q * different
-            if terms[1:2] == terms[:1]:
-                continue  # a tied minimum: v(P'(alpha_n)) may be larger
             X, A = Fraction(level["breaks"][-1]), Fraction(level["altitude"])
             assert q**n * A - X == different
             differents.append(different)

@@ -717,6 +717,24 @@ class TestErrorContract:
                 assert error["field"] == "base_valuation" and at_fault in error["error"]
         assert not svg.exists()
 
+    def test_criterion_bound_of_exactly_ten_to_the_limit_is_rejected(self, capsys, tmp_path):
+        # p = 11, q = 121 and a shallowest limiting slope of 1: on the base
+        # 5/(10^640 - 1), which prints, level 0's reduced right side
+        # (10 b + 10)/(10 b), b = 10^640 - 1, is 10^640/(10^640 - 1), its
+        # numerator exactly 10^640
+        with int_digit_limit(640):
+            base = f"5/{10**640 - 1}"
+            doc = {
+                "p": 11, "r": 2, "v_p": 10, "coeff_valuations": {"11": "1", "121": "0"},
+                "base_valuation": base, "branch_valuations": [base],
+            }
+            path = tmp_path / "criterion-ten-to-the-limit.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "certify", str(path))
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["field"] == "base_valuation" and "level 0's criterion bound" in error["error"]
+
     @pytest.mark.parametrize(
         "digits, limit, argv, at_fault",
         [
@@ -956,8 +974,10 @@ def count_stage_calls(capsys, *argv, code=0):
         "stability_screen": branches.stability_screen,
     }
     # the level scan's constants, cached on the profile
-    cached = ("coefficient_floor", "q_squared", "screen_threshold", "forced_step_bound")
-    counts = dict.fromkeys([*originals, *cached], 0)
+    cached = (
+        "coefficient_floor", "q_squared", "screen_threshold", "screen_texts", "forced_step_bound"
+    )
+    counts = dict.fromkeys([*originals, *cached, "CertificateCheck"], 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -968,6 +988,11 @@ def count_stage_calls(capsys, *argv, code=0):
 
     wrappers = {name: counting(name, fn) for name, fn in originals.items()}
     with pytest.MonkeyPatch.context() as patch:
+        # every certificate row is built through the class
+        patch.setattr(
+            certificates.CertificateCheck, "__new__",
+            counting("CertificateCheck", certificates.CertificateCheck.__new__),
+        )
         profile_class = branches.PolynomialValuationProfile
         for name in cached:
             counted = functools.cached_property(counting(name, vars(profile_class)[name].func))
@@ -1153,6 +1178,24 @@ class TestStageCounts:
         with pytest.raises(SystemExit):
             main(["-h"])
         assert len(calls) == 1
+
+    def test_branch_builds_no_certificate_rows_or_screen_text(self, capsys, tmp_path):
+        # the stable index is decided on the screen's pass bits alone, on a
+        # record of 40 levels; certify builds each row it prints once
+        profile = branches.PolynomialValuationProfile(
+            p=2, r=3, v_p=1, coeff_valuations={1: 2, 3: 4, 5: 1, 6: 3, 8: 0}
+        )
+        record = predict_branch(profile, Fraction(76), [0] * 40, 40)
+        path = tmp_path / "long40.json"
+        path.write_text(json.dumps(document_json(InputDocument(profile, record, d=3))))
+        counts = count_stage_calls(capsys, "branch", str(path))
+        assert counts["find_stable_index"] == 1
+        assert counts["CertificateCheck"] == counts["stability_screen"] == 0
+        assert counts["screen_threshold"] == counts["screen_texts"] == 0
+        counts = count_stage_calls(capsys, "certify", str(path))
+        assert counts["screen_texts"] == 1
+        rows = json.loads(run(capsys, "certify", str(path))[1])["checks"]
+        assert counts["CertificateCheck"] == len(rows) == 206
 
     def test_branch_computes_no_limiting_data(self, capsys):
         counts = count_stage_calls(capsys, "branch", SAMPLE)

@@ -14,17 +14,19 @@ further, changes no d-estimate or certificate verdict.  The one-pass
 limiting-data table agrees with a per-k scan of Kummer carries, and its
 integer surrogate hull with the ``Fraction`` one.  ``certify``, which
 builds the level scan's constants once, agrees with the oracle that
-builds every level's checks afresh.  ``build_record`` accepts a step
-exactly when a fresh hull lists it.  The report writer prints generated
-JSON values, lists of flat dicts included, exactly as
-``json.dumps(indent=2)``, a certificate's check rows as ``json.dumps``
-prints their dicts, and ``hh``'s tower text as ``json.dumps`` prints the
-per-level oracle.  An integer pair prints as its ``Fraction`` does,
-and their quotient is that ``Fraction``'s float.  On a uniformizer base,
-Hilbert's different read off ``hh`` equals the running sum of the
-Eisenstein layers' ``v(P'(a_n))``.  Documents with one to three fields
-of a fixture or a ``bench/gen.py`` document changed parse, or fail on the same field with
-the same message, as under ``parse_document_oracle``.
+builds every level's checks afresh, on long records too, and
+``find_stable_index`` names the first level the oracle's screen passes.
+``build_record`` accepts a step exactly when a fresh hull lists it.  The
+report writer prints generated JSON values, lists of flat dicts included,
+exactly as ``json.dumps(indent=2)``, a certificate's check rows as
+``json.dumps`` prints their dicts, and ``hh``'s tower text as
+``json.dumps`` prints the per-level oracle.  An integer pair prints as
+its ``Fraction`` does, and their quotient is that ``Fraction``'s float.
+On a uniformizer base, Hilbert's different read off ``hh`` equals the
+running sum of the Eisenstein layers' ``v(P'(a_n))``.  Documents with
+one to three fields of a fixture or a ``bench/gen.py`` document changed
+parse, or fail on the same field with the same message, as under
+``parse_document_oracle``.
 """
 
 import argparse
@@ -51,6 +53,7 @@ from ramstab.branches import (
     branch_step_candidates,
     build_record,
     estimate_d,
+    find_stable_index,
     is_forced_step,
     minimal_d_estimate,
     stability_screen,
@@ -379,8 +382,43 @@ def test_closed_form_completion_matches_the_hull_stepped_walk(profile, base, cho
     ),
     base=Fraction(80), choices=[0] * 40, depth=45, d=3,
 )
-# x^q: no coefficient floor
+# long records as bench/gen.py's certify-corpus builds them: v(P_1) = 2,
+# bases 76-80 and the largest root followed, ~40 levels for q = 8 and 49
+@example(
+    profile=PolynomialValuationProfile(
+        p=2, r=3, v_p=2, coeff_valuations={1: 2, 3: 4, 4: 1, 7: 3, 8: 0}, e_ke=2
+    ),
+    base=Fraction(79), choices=[0] * 39, depth=39, d=None,
+)
+@example(
+    profile=PolynomialValuationProfile(
+        p=2, r=3, v_p=2, coeff_valuations={1: 2, 2: 1, 4: 2, 6: 3, 8: 0}, e_ke=2
+    ),
+    base=Fraction(78), choices=[0] * 39, depth=39, d=-1,
+)
+@example(
+    profile=PolynomialValuationProfile(
+        p=7, r=2, v_p=1, coeff_valuations={1: 2, 19: 2, 27: 4, 33: 3, 49: 0}, e_ke=2
+    ),
+    base=Fraction(76), choices=[0] * 39, depth=39, d=4,
+)
+@example(
+    profile=PolynomialValuationProfile(
+        p=7, r=2, v_p=2, coeff_valuations={1: 2, 19: 5, 28: 4, 36: 5, 49: 0}, e_ke=2
+    ),
+    base=Fraction(78), choices=[0] * 41, depth=41, d=None,
+)
+# a long record on a negative base: every step is forced
+@example(
+    profile=PolynomialValuationProfile(
+        p=2, r=3, v_p=1, coeff_valuations={1: 2, 3: 4, 5: 1, 6: 3, 8: 0}
+    ),
+    base=Fraction(-78), choices=[], depth=40, d=None,
+)
+# x^q: no coefficient floor, the == row of valuation-below-coefficients,
+# short and on a 40-level record
 @example(profile=monomial(3, 2), base=Fraction(5), choices=[], depth=2, d=None)
+@example(profile=monomial(2, 1), base=Fraction(80), choices=[], depth=40, d=None)
 # the sample fixture, V = 3
 @example(
     profile=PolynomialValuationProfile(
@@ -404,9 +442,15 @@ def test_certify_matches_the_per_level_oracle(profile, base, choices, depth, d):
     except BranchDataError:
         assume(False)
     assert certify(profile, record, data, d) == certify_oracle(profile, record, data, d)
-    for v, d_n in zip(record.valuations, record.d_estimates):
+    stable = None
+    for n, (v, d_n) in enumerate(zip(record.valuations, record.d_estimates)):
         if v is not None:
-            assert stability_screen(profile, v, d_n) == stability_screen_oracle(profile, v, d_n)
+            screen = stability_screen_oracle(profile, v, d_n)
+            assert stability_screen(profile, v, d_n) == screen
+            if stable is None and all(passed for *_, passed in screen):
+                stable = n
+    # the stable index is decided on the screen's pass bits, without text
+    assert find_stable_index(profile, record) == stable
 
 
 TOWER_DEPTH = 6
