@@ -6,7 +6,10 @@ each a function ``(doc, args) -> (payload or None, exit code)`` with its
 help text and whether it takes --depth; the parser, batch ``certify`` and
 ``selftest`` read it.  One runner, ``main``, parses argv (``_parse_args``
 hands a command's words straight to its subparser), loads the document,
-calls the command and writes its payload, and ``_failure`` maps any
+calls the command and writes its payload through ``_write``, the one
+write path for stdout and every --out (each command's report, a batch's
+and plot's SVG), which rewrites an --out target in place and cuts a
+regular file to the text's length; ``_failure`` maps any
 failure to its error record and exit code: ``main`` prints it to stderr,
 and a batch stores it under the file's path.  Each stage raises its own
 input errors: every one is an ``InputError`` naming its field, and a bad
@@ -38,6 +41,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
@@ -230,13 +234,22 @@ def _render(payload: dict) -> str:
 
 def _write(text: str, out: str | None) -> None:
     """Write ``text`` to the file ``out``, the command's --out, or to stdout
-    without one; a file that cannot be written is an input error on "out"."""
+    without one; a file that cannot be written is an input error on "out".
+
+    ``out`` is opened as ``open(out, "w")`` opens it, but without
+    ``O_TRUNC``: the text is written over the old bytes, and a regular file
+    is then cut to its length.  Truncating a non-empty file to zero first
+    costs more than writing a small report (see README).
+    """
     if not out:
         sys.stdout.write(text)
         return
     try:
-        with open(out, "w") as fh:
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # ftruncate fails on a device or FIFO
+                fh.truncate()
     except OSError as exc:
         raise InputError("out", f"cannot write the file: {exc}") from exc
 

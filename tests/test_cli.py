@@ -580,6 +580,85 @@ class TestTowerCommands:
             assert not target.exists()
 
 
+class TestOutRewrite:
+    """--out rewrites its target in place: no truncation to zero before the
+    write, the target cut to the report's length after it when it is a
+    regular file."""
+
+    UNIFORMIZER_DEPTH_1 = "301db62aebea9cf41c34d7d07d138c2079a64ca61cb6e0f8cff6e736713c6852"
+
+    def test_shorter_svg_over_a_longer_one(self, capsys, tmp_path):
+        target = str(tmp_path / "plot.svg")
+        assert run(capsys, "plot", "--depth", "5", "--out", target, SAMPLE)[0] == 0
+        longer = os.path.getsize(target)
+        assert run(capsys, "plot", "--depth", "1", "--out", target, UNIFORMIZER)[0] == 0
+        assert os.path.getsize(target) < longer
+        # the pinned digest of test_plot_svg_is_pinned[uniformizer, 1]
+        assert hashlib.sha256(Path(target).read_bytes()).hexdigest() == self.UNIFORMIZER_DEPTH_1
+
+    @pytest.mark.parametrize(
+        "longer, shorter",
+        [
+            (["hh", "--depth", "20", SAMPLE], ["certify", UNIFORMIZER]),
+            (["certify", SAMPLE, UNIFORMIZER], ["hh", "--depth", "1", UNIFORMIZER]),
+            (["hh", "--depth", "12", SAMPLE], ["certify", SAMPLE, UNIFORMIZER]),
+        ],
+        ids=["certify-over-hh", "hh-over-batch", "batch-over-hh"],
+    )
+    def test_shorter_report_over_a_longer_one(self, capsys, tmp_path, longer, shorter):
+        target = tmp_path / "report.json"
+        assert run(capsys, *longer, "--out", str(target)) == (0, "", "")
+        assert run(capsys, *shorter, "--out", str(target)) == (0, "", "")
+        code, expected, _ = run(capsys, *shorter)
+        assert code == 0 and len(expected) < len(run(capsys, *longer)[1])
+        assert target.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["plot", "--depth", "2", UNIFORMIZER], ["certify", SAMPLE], ["certify", SAMPLE, UNIFORMIZER]],
+        ids=["plot", "certify", "batch"],
+    )
+    def test_out_to_dev_null_exits_0(self, capsys, argv):
+        # a character device: written, but not cut, since ftruncate fails on it
+        assert run(capsys, *argv, "--out", os.devnull) == (0, "", "")
+
+    def test_existing_target_keeps_its_inode_mode_and_links(self, capsys, tmp_path):
+        target, link = tmp_path / "plot.svg", tmp_path / "link.svg"
+        target.write_text("x" * 100_000)
+        target.chmod(0o600)
+        os.link(target, link)
+        inode = target.stat().st_ino
+        assert run(capsys, "plot", "--depth", "1", "--out", str(target), UNIFORMIZER)[0] == 0
+        assert target.stat().st_ino == inode and target.stat().st_mode & 0o777 == 0o600
+        assert hashlib.sha256(link.read_bytes()).hexdigest() == self.UNIFORMIZER_DEPTH_1
+
+    def test_new_target_mode_is_0o666_less_the_umask(self, capsys, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        target = tmp_path / "report.json"
+        assert run(capsys, "certify", SAMPLE, "--out", str(target))[0] == 0
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_no_open_of_the_target_truncates_it(self, capsys, tmp_path, monkeypatch):
+        target, flags, real_open = str(tmp_path / "out"), [], os.open
+
+        def spy(path, flag, *rest, **kwargs):
+            if os.fspath(path) == target:
+                flags.append(flag)
+            return real_open(path, flag, *rest, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        for argv in (
+            ["plot", "--depth", "2", UNIFORMIZER],
+            ["certify", SAMPLE],
+            ["certify", SAMPLE, UNIFORMIZER],
+            ["hh", "--depth", "2", SAMPLE],
+        ):
+            assert run(capsys, *argv, "--out", target)[0] == 0
+        # every write opened the target through os.open, and none with O_TRUNC
+        assert len(flags) == 4 and not any(flag & os.O_TRUNC for flag in flags)
+
+
 class TestErrorContract:
     """A failure exits with its documented code and record, alone or in a batch."""
 

@@ -78,6 +78,7 @@ from ramstab.limitdata import (
 from ramstab.polygons import lower_hull
 from ramstab.valuations import digit_limit, format_ratio, format_rational, parse_rational
 
+import ramification_oracle
 from digests import _load_gen
 
 from helpers import (
@@ -548,6 +549,12 @@ def test_uniformizer_base_different_is_the_eisenstein_one(profile, choices, dept
         different = terms[0] + q * different
         X, A = Fraction(level["breaks"][-1]), Fraction(level["altitude"])
         assert q**m * (q**n * A - X) == different
+    # and every level's Phi is the one the ramification polygons give
+    expected = ramification_oracle.tower(
+        profile.p, profile.v_p, profile.e_ke, q, dict(profile.coeff_valuations), 3, m
+    )
+    printed = [[(Fraction(x), Fraction(y)) for x, y in level["vertices"]] for level in hh["Phi"]]
+    assert printed == expected
 
 
 def dual_phi(profile, data, n, d, v_base):
