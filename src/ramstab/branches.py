@@ -17,7 +17,6 @@ a uniformizer base point, where every level is Eisenstein and d = 1.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -51,6 +50,20 @@ class BranchDataError(InputError):
 def _leading_zeros(valuations: Sequence[Optional[Fraction]]) -> int:
     """Number of leading None (zero base point) entries."""
     return next((n for n, v in enumerate(valuations) if v is not None), len(valuations))
+
+
+class _constant:
+    """``functools.cached_property`` as of Python 3.12, without 3.11's lock
+    on each first access: the value is stored in the instance's ``__dict__``."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class PolynomialValuationProfile:
@@ -108,26 +121,26 @@ class PolynomialValuationProfile:
 
     # q, the hull and the constants of the level scan depend on the
     # polynomial alone, so each is computed once per profile
-    @cached_property
+    @_constant
     def q(self) -> int:
         return self.p**self.r
 
-    @cached_property
+    @_constant
     def coefficient_floor(self) -> Optional[int]:
         """Smallest valuation among nonzero coefficients of index < q; None if none."""
         q = self.q
         return min((v for i, v in self.coeff_valuations.items() if i < q), default=None)
 
-    @cached_property
+    @_constant
     def q_squared(self) -> int:
         return self.q * self.q
 
-    @cached_property
+    @_constant
     def screen_threshold(self) -> str:
         """The text of the stability screen's threshold 1/q^2."""
         return f"1/{self.q_squared}"
 
-    @cached_property
+    @_constant
     def screen_texts(self) -> Tuple[str, Optional[str]]:
         """The stability screen's texts of p and of the floor (None without one)."""
         return str(self.p), None if self.coefficient_floor is None else str(self.coefficient_floor)
@@ -136,13 +149,13 @@ class PolynomialValuationProfile:
         """|v| <= 1/q^2 for v = a/b with b > 0, tested as |a| q^2 <= b."""
         return abs(a) * self.q_squared <= b
 
-    @cached_property
+    @_constant
     def forced_step_bound(self) -> Optional[Tuple[int, int]]:
         """q times the smallest root valuation as an integer pair; None for x^q."""
         roots = self.coefficient_hull[1]
         return (self.q * roots[-1]).as_integer_ratio() if roots else None
 
-    @cached_property
+    @_constant
     def coefficient_hull(self) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Fraction, ...]]:
         """Vertices of the lower hull of the coefficient points (i, v(P_i)) and
         its root valuations (negated segment slopes, decreasing).
@@ -349,13 +362,13 @@ def estimate_d(
     otherwise the value is advisory and certificates that depend on it are
     marked conditional.
     """
-    finite_estimates = [d for d in record.d_estimates if d is not None]
-    if not finite_estimates:
+    last = record.d_estimates[-1]  # only leading entries are None
+    if last is None:
         raise BranchDataError("record has no finite valuations to estimate d from")
     first = record.valuations[0]
-    if first is not None and first * profile.e_ke == 1:
+    if first is not None and first.numerator * profile.e_ke == first.denominator:
         return 1, True
-    return finite_estimates[-1], False
+    return last, False
 
 
 def _screen_passes(profile: PolynomialValuationProfile, a: int, b: int, d_n: int) -> tuple:

@@ -9,6 +9,8 @@ conditions, so the reindex level it reports may be larger than the true
 minimum.  Every inequality that was checked is embedded in the certificate
 with its exact values, so a certificate can be re-validated without
 recomputing anything.
+``certify`` decides each level on integers and builds the rows only when
+asked: a tower command prints them only for a branch that does not certify.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from typing import Callable, NamedTuple, Optional, Tuple
 from .branches import (
     BranchValuationRecord,
     PolynomialValuationProfile,
+    _screen_passes,
     estimate_d,
     stability_screen,
 )
 from .limitdata import LimitingRamificationData
-from .valuations import denominator_field, print_bound, print_error
+from .valuations import denominator_field, format_ratio, print_bound, print_error
 
 __all__ = [
     "CertificateCheck",
@@ -98,7 +101,8 @@ class StabilityCertificate(NamedTuple("StabilityCertificate", _FIELDS)):
     kind is "TRS", "PotentiallyTRS" or "NotCertified"; reindex is the level
     N at which the branch was certified (0 for TRS).  When d was estimated
     rather than supplied, conditional_on_d is set and the certificate only
-    holds if the estimate is correct.
+    holds if the estimate is correct.  ``checks`` is empty for a verdict
+    without rows.
     """
 
     __slots__ = ()
@@ -174,9 +178,11 @@ def pcb_normal_form(profile: PolynomialValuationProfile) -> Tuple[bool, Optional
 
 def composition_criterion(
     data: LimitingRamificationData, p: int, q: int
-) -> Callable[[int, Fraction], CertificateCheck]:
+) -> Callable[[int, int, int, Optional[list]], bool]:
     """Sufficient condition for identity segments to cover all earlier vertices,
-    as the check of one level n with base valuation v(a_0) = v: ``check(n, v)``.
+    as the check of one level n with base valuation v(a_0) = a/b, b > 0:
+    ``check(n, a, b, checks=None)`` returns its pass bit and, when
+    ``checks`` is a list, appends its row to it.
 
     Automatic when the limiting polygon has a single slope (V = 2);
     otherwise the steepest limiting slope must beat the shallowest by a
@@ -185,36 +191,39 @@ def composition_criterion(
         -q (m_V - m_{V-1}) / (p^{r_V} - p^{r_{V-1}})
             >  -(m_2 - m_1) / (p^{r_2} - p^{r_1})  +  2 |v(a_0)| / (p - 1)
 
-    Every term but the margin's |v(a_0)| is built once, here.  With the
-    shallowest slope s/t and v = a/b, the right side is (s (p-1) b + 2 t |a|)
-    / (t (p-1) b), reduced on integers and printed as ``str(Fraction)`` would.
-    A right side that does not print, compared with ``print_bound``, raises
-    ``InputError`` on ``base_valuation``: the base's magnitude sets how deep
-    the scan goes.
+    Every term but the margin's |v(a_0)| is built once, here, on integers.
+    With the shallowest slope s/t, the right side is (s (p-1) b + 2 t |a|)
+    / (t (p-1) b), compared by cross-multiplying; it is reduced for a row,
+    printed as ``str(Fraction)`` would, or when it reaches ``print_bound``.
+    A reduced right side that does not print raises ``InputError`` on
+    ``base_valuation``: the base's magnitude sets how deep the scan goes.
     """
     if data.V == 2:
-        return lambda n, v: CertificateCheck("single-limiting-slope", n, "2", "==", "2", True)
-    lhs = -Fraction(q) * Fraction(
-        data.M[-1] - data.M[-2], p ** data.R[-1] - p ** data.R[-2]
-    )
-    lhs_text, lhs_num, lhs_den = str(lhs), lhs.numerator, lhs.denominator
-    shallowest = -Fraction(data.M[1] - data.M[0], p ** data.R[1] - p ** data.R[0])
-    s, t = shallowest.numerator, shallowest.denominator
+        def single(n: int, a: int, b: int, checks: Optional[list] = None) -> bool:
+            if checks is not None:
+                checks.append(CertificateCheck("single-limiting-slope", n, "2", "==", "2", True))
+            return True
+        return single
+    M, R = data.M, data.R
+    lhs_num, lhs_den = q * (M[-2] - M[-1]), p ** R[-1] - p ** R[-2]
+    lhs_text = format_ratio(lhs_num, lhs_den)
+    s, t = M[0] - M[1], p ** R[1] - 1  # the shallowest slope, R[0] = 0
     s_p, t_p, twice_t = s * (p - 1), t * (p - 1), 2 * t
     bound = print_bound()
 
-    def check(n: int, v: Fraction) -> CertificateCheck:
-        b = v.denominator
-        top, bottom = s_p * b + twice_t * abs(v.numerator), t_p * b
-        g = gcd(top, bottom)
-        top, bottom = top // g, bottom // g
-        if bound and max(top, bottom) >= bound:
-            why = "certify cannot print the composition criterion"
-            raise print_error(f"level {n}'s criterion bound", why, "base_valuation")
-        rhs = f"{top}/{bottom}" if bottom != 1 else str(top)
-        return CertificateCheck(
-            "composition-criterion", n, lhs_text, ">", rhs, lhs_num * bottom > top * lhs_den
-        )
+    def check(n: int, a: int, b: int, checks: Optional[list] = None) -> bool:
+        top, bottom = s_p * b + twice_t * abs(a), t_p * b
+        if checks is not None or (bound and max(top, bottom) >= bound):
+            g = gcd(top, bottom)
+            top, bottom = top // g, bottom // g
+            if bound and max(top, bottom) >= bound:
+                why = "certify cannot print the composition criterion"
+                raise print_error(f"level {n}'s criterion bound", why, "base_valuation")
+        passed = lhs_num * bottom > top * lhs_den
+        if checks is not None:
+            rhs = f"{top}/{bottom}" if bottom != 1 else str(top)
+            checks.append(CertificateCheck("composition-criterion", n, lhs_text, ">", rhs, passed))
+        return passed
 
     return check
 
@@ -233,6 +242,7 @@ def certify(
     record: BranchValuationRecord,
     data: LimitingRamificationData,
     d: Optional[int] = None,
+    rows: bool = True,
 ) -> StabilityCertificate:
     """Scan recorded levels for the first where every stability check passes.
 
@@ -247,7 +257,8 @@ def certify(
     Eisenstein.  A scanned level whose denominator does not print,
     compared with ``print_bound``, raises ``InputError`` on the field that
     ``denominator_field`` names; the estimated d, a d-estimate or a
-    criterion bound that does not, on ``base_valuation``.
+    criterion bound that does not, on ``base_valuation``.  Without
+    ``rows`` the same comparisons and guards run, and ``checks`` is empty.
     """
     p, bound = profile.p, print_bound()
     why = "certify cannot print it"
@@ -255,18 +266,18 @@ def certify(
     d_used, d_trusted = (d, True) if d is not None else (est, est_trusted)
     if bound and abs(d_used) >= bound:
         raise print_error("the estimated d", why, "base_valuation")
-    checks = [
-        CertificateCheck(
-            "d-prime-to-p", None, str(p), "not-divides", str(abs(d_used)), abs(d_used) % p != 0
-        )
-    ]
+    tame = abs(d_used) % p != 0
+    checks = None
+    if rows:
+        d_text = str(abs(d_used))
+        checks = [CertificateCheck("d-prime-to-p", None, str(p), "not-divides", d_text, tame)]
 
     def verdict(kind, reindex, conditional_on_d, reason=None):
         return StabilityCertificate(
-            kind, reindex, d_used, d_trusted, conditional_on_d, tuple(checks), reason=reason
+            kind, reindex, d_used, d_trusted, conditional_on_d, tuple(checks or ()), reason=reason
         )
 
-    if not checks[0].passed:
+    if not tame:
         return verdict("NotCertified", 0, False, f"p = {p} divides d = {d_used}; tameness fails")
 
     # settled run: from level ``settled`` on, every d-estimate to the end is equal
@@ -278,30 +289,35 @@ def certify(
     for n, v in enumerate(record.valuations):
         if v is None:
             continue
-        if bound and v.denominator >= bound:
+        a, b, d_n = v.numerator, v.denominator, d_estimates[n]
+        if bound and b >= bound:
             raise print_error(f"level {n}'s denominator", why, denominator_field(profile.q))
-        if bound and abs(d_estimates[n]) >= bound:
+        if bound and abs(d_n) >= bound:
             raise print_error(f"level {n}'s d-estimate", why, "base_valuation")
-        comp = criterion(n, v)
-        checks.append(comp)
+        comp_ok = criterion(n, a, b, checks)
 
         if n == 0 and est_trusted:
-            checks.append(CertificateCheck("uniformizer-base", 0, "1", "==", "1", True))
+            if rows:
+                checks.append(CertificateCheck("uniformizer-base", 0, "1", "==", "1", True))
             screen_ok = True
         else:
             run = len(d_estimates) - n if n >= settled else 0
-            (t_name, t_lhs, t_op, t_rhs, t_ok), (p_name, p_lhs, p_op, p_rhs, p_ok), (
-                b_name, b_lhs, b_op, b_rhs, b_ok
-            ) = stability_screen(profile, v, d_estimates[n])
-            checks += (
-                CertificateCheck(t_name, n, t_lhs, t_op, t_rhs, t_ok),
-                CertificateCheck("d-estimate-settled", n, str(run), ">=", "2", run >= 2),
-                CertificateCheck(p_name, n, p_lhs, p_op, p_rhs, p_ok),
-                CertificateCheck(b_name, n, b_lhs, b_op, b_rhs, b_ok),
-            )
-            screen_ok = t_ok and run >= 2 and p_ok and b_ok
+            run_ok = run >= 2
+            if rows:
+                (t_name, t_lhs, t_op, t_rhs, t_ok), (p_name, p_lhs, p_op, p_rhs, p_ok), (
+                    b_name, b_lhs, b_op, b_rhs, b_ok
+                ) = stability_screen(profile, v, d_n)
+                checks += (
+                    CertificateCheck(t_name, n, t_lhs, t_op, t_rhs, t_ok),
+                    CertificateCheck("d-estimate-settled", n, str(run), ">=", "2", run_ok),
+                    CertificateCheck(p_name, n, p_lhs, p_op, p_rhs, p_ok),
+                    CertificateCheck(b_name, n, b_lhs, b_op, b_rhs, b_ok),
+                )
+            else:
+                t_ok, p_ok, b_ok = _screen_passes(profile, a, b, d_n)
+            screen_ok = t_ok and run_ok and p_ok and b_ok
 
-        if comp.passed and screen_ok:
+        if comp_ok and screen_ok:
             return verdict("TRS" if n == 0 else "PotentiallyTRS", n, not d_trusted)
 
     return verdict(

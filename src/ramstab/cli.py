@@ -32,7 +32,9 @@ straight from its rows, each row in one fill of its fields and
 ``rendered``, ``_table`` the breaks and subfield table, each break quoted
 once, and ``_tower_text`` hh's ``phi`` and ``Phi`` from the tower's
 numerators, each level of ``Phi`` a cut of the deepest level's text;
-``breaks`` builds the tower's x alone.
+``breaks`` builds the tower's x alone.  A tower command certifies without
+the certificate's rows, builds them only to print a certificate that does
+not certify, and reads the working base's C / q^m as an integer pair.
 """
 
 from __future__ import annotations
@@ -274,12 +276,13 @@ def _check_threshold(profile) -> None:
     check_r_digits(profile.p, 2 * profile.r, "q^2", why)
 
 
-def _certified(doc):
+def _certified(doc, rows: bool = True):
     """The certify stage: the q^2 screen, the limiting data and the
-    certificate.  Returns the certificate, the record and its limiting data."""
+    certificate, with its rows or without (``certify``'s ``rows``).
+    Returns the certificate, the record and its limiting data."""
     _check_threshold(doc.profile)
     data, record, _n = limiting_data_for_branch(doc.profile, doc.record)
-    return certify(doc.profile, record, data, doc.d), record, data
+    return certify(doc.profile, record, data, doc.d, rows), record, data
 
 
 def _limit_data(doc, args):
@@ -337,25 +340,27 @@ def _certify(doc, args):
 def _certified_tower(doc, depth: int, heights: bool = True):
     """Certify a document and build its tower on the working base.
 
-    Returns the certificate, the working base's valuation, its limiting
-    data, its level model and the tower; all but the certificate are None
-    when it does not certify.  The base valuation is finite: certify
-    passes only finite levels.
+    Returns the certificate, the working base's valuation, the limiting
+    data, the working base's C as an integer pair, its level model and
+    the tower.  The certificate has rows only when it does not certify,
+    the one case in which a tower command prints it, and then all the
+    rest is None.  The base valuation is finite: certify passes only
+    finite levels.
     """
     from .hasseherbrand import build_tower, level_model
 
-    cert, record, data = _certified(doc)
+    cert, record, data = _certified(doc, rows=False)
     if not cert.certified:
-        return cert, None, None, None, None
-    v_base = record.valuations[cert.reindex]
-    working_data = data._replace(C=data.C / doc.profile.q**cert.reindex)
-    model = level_model(doc.profile, working_data, cert.d_used, v_base)
+        return certify(doc.profile, record, data, doc.d), None, None, None, None, None
+    m = cert.reindex
+    v_base, C = record.valuations[m], (data.C.numerator, data.C.denominator * doc.profile.q**m)
+    model = level_model(doc.profile, data, cert.d_used, v_base, C)
     tower = build_tower(model, depth, heights)
-    return cert, v_base, working_data, model, tower
+    return cert, v_base, data, C, model, tower
 
 
 def _hh(doc, args):
-    cert, v_base, working_data, _model, tower = _certified_tower(doc, args.depth)
+    cert, v_base, _data, C, _model, tower = _certified_tower(doc, args.depth)
     if tower is None:
         return {"certificate": cert.to_json()}, 1
     breaks, table = _table(tower, cert.reindex)
@@ -367,7 +372,7 @@ def _hh(doc, args):
         "d_trusted": cert.d_trusted,
         "conditional_on_d": cert.conditional_on_d,
         "base_valuation": format_rational(v_base),
-        "C": format_rational(working_data.C),
+        "C": format_ratio(*C),
         "phi": phi,
         "Phi": Phi,
         **table,
@@ -376,7 +381,7 @@ def _hh(doc, args):
 
 
 def _breaks(doc, args):
-    cert, _v_base, _data, _model, tower = _certified_tower(doc, args.depth, heights=False)
+    cert, _v_base, _data, _C, _model, tower = _certified_tower(doc, args.depth, heights=False)
     if tower is None:
         return {"certificate": cert.to_json()}, 1
     return {"depth": tower.depth, "reindex": cert.reindex, **_table(tower, cert.reindex)[1]}, 0
@@ -385,25 +390,26 @@ def _breaks(doc, args):
 def _plot(doc, args):
     """Write the SVG to ``--out``; print nothing but the certificate of a
     document that does not certify."""
-    cert, _v_base, data, model, tower = _certified_tower(doc, args.depth)
+    cert, _v_base, data, C, model, tower = _certified_tower(doc, args.depth)
     if tower is None:
         return {"certificate": cert.to_json()}, 1
     from .svgplot import render_level_report
 
-    depth, p, e_ke = args.depth, doc.profile.p, doc.profile.e_ke
+    depth, p, e_ke, (c_num, c_den) = args.depth, doc.profile.p, doc.profile.e_ke, C
     q, D, size = tower.q, tower.D, tower.size
     Q = q ** (depth - 1)
-    error = data.C / (q * Q)
-    polygon = [(p**r_i, m_i + e_i * error) for r_i, m_i, e_i in zip(data.R, data.M, data.E)]
+    # the level polygon's heights m_i + e_i C/q^depth, over c_den q^depth
+    error_den = c_den * q * Q
+    polygon_ys = [m_i * error_den + e_i * c_num for m_i, e_i in zip(data.M, data.E)]
     xs, phi_ys = tower.xs[-size:], tower.phi_ys[-size:]
     # phi_n is the polygon's dual with x scaled by e_ke q^n, y by e_ke q^(n-1),
     # and both shifted; the dual's final slope is the first vertex's x, p^0.
     # with shift = r/s, a coordinate c/D less the shift is (c s - r D)/(D s)
-    r, s = model.shift.numerator, model.shift.denominator
+    r, s = model.shift
     dual_xs, dual_ys = ([c * s - r * D for c in cs] for cs in (xs, phi_ys))
     try:
         svg = render_level_report(
-            polygon,
+            ([p**r_i for r_i in data.R], polygon_ys, error_den),
             (dual_xs, D * s * e_ke * q * Q, dual_ys, D * s * e_ke * Q, (1, 1)),
             (xs, D, phi_ys, D, (1, q)),
             (tower.xs, D, tower.ys, D * Q, (1, q * Q)),

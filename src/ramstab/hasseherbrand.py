@@ -12,9 +12,9 @@ has q^n * s = (q^n * dM + dE * C) / dP, so every x of phi_n is affine in
 q^n, and so is every y, which follows from the x and the fixed slopes;
 ``level_model`` computes those coefficients once.
 
-The tower is computed on integers.  ``LevelModel`` writes every
-coefficient over one common denominator D, so each coordinate of phi_n is
-an integer a q^n + b over D.  phi_n is the identity up to its first
+The tower is computed on integers, and so is its model: ``level_model``
+writes every coefficient over one common denominator D, so each
+coordinate of phi_n is an integer a q^n + b over D.  phi_n is the identity up to its first
 vertex, and that vertex lies beyond every earlier break, so the tower
 function Phi_n = Phi_{n-1} o phi_n is Phi_{n-1} followed by the vertices
 of phi_n mapped through the final ray of Phi_{n-1}, of slope 1/q^(n-1)
@@ -28,8 +28,8 @@ A depth past ``printable_depth``, where those numbers may not print, is
 an ``InputError`` on ``depth`` before anything is built.
 
 Each rule of a transition function is checked in one place.  A
-``LevelModel`` takes the slopes of phi_n, not its heights, and rejects
-them once per model unless they strictly decrease from 1 to above 1/q.
+``LevelModel`` takes the slopes of phi_n with its rows, and rejects them
+once per model unless they strictly decrease from 1 to above 1/q.
 Three properties must hold at every level, each named by a
 ``TowerInvariantError``: the x-coordinates of phi_n strictly increase
 (``level-convexity``: the level-n polygon is strictly convex), the first
@@ -53,10 +53,9 @@ subfield (v(E) = Z).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul, sub
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .branches import PolynomialValuationProfile
 from .limitdata import LimitingRamificationData
@@ -73,38 +72,32 @@ __all__ = [
 
 class LevelModel:
     """phi_n at every level n at once, on integers: its j-th vertex is
-    (AX[j] * q^n + BX[j], AY[j] * q^n + BY[j]) / D.
+    (AX[j] * q^n + BX[j], AY[j] * q^n + BY[j]) / D; ``shift`` is (d - 1)
+    |v(a_0)| = a/b as (a, b) in lowest terms.
 
-    Built from the x rows (ax, bx) of the vertices, vertex j at
-    x = ax * q^n + bx, and the slopes of phi_n into vertices 1, 2, ...:
-    the first vertex lies on the identity, and each later y follows from
-    the y before it and its slope.  Those slopes must strictly decrease
-    from 1 to above phi_n's final slope 1/q, one per vertex after the
-    first, or the model is not a transition function and is rejected.
+    ``slopes``, pairs (a, b) with b > 0, are those of phi_n into vertices
+    1, 2, ..., from which the y rows follow, the first vertex on the
+    identity.  They must strictly decrease from 1 to above phi_n's final
+    slope 1/q, one per vertex after the first, or the model is not a
+    transition function and is rejected.
     """
 
     __slots__ = ("q", "shift", "D", "AX", "BX", "AY", "BY")
 
     def __init__(
-        self, q: int, shift: Fraction, xs: List[Tuple[Fraction, Fraction]], slopes: List[Fraction]
+        self, q: int, shift: Tuple[int, int], slopes: Sequence[Tuple[int, int]], D: int,
+        AX: Tuple[int, ...], BX: Tuple[int, ...], AY: Tuple[int, ...], BY: Tuple[int, ...],
     ):
-        if len(slopes) != len(xs) - 1:
+        if len(slopes) != len(AX) - 1:
             raise ValueError(
                 "phi_n takes one slope per vertex after its first: "
-                f"{len(xs)} vertices, {len(slopes)} slopes"
+                f"{len(AX)} vertices, {len(slopes)} slopes"
             )
-        if any(b >= a for a, b in zip((1, *slopes), (*slopes, Fraction(1, q)))):
+        chain = ((1, 1), *slopes, (1, q))
+        if any(a1 * b0 >= a0 * b1 for (a0, b0), (a1, b1) in zip(chain, chain[1:])):
             raise ValueError("segment slopes must be strictly decreasing (strict concavity)")
-        ys = [xs[0]]  # on the identity segment
-        for (ax0, bx0), (ax, bx), slope in zip(xs, xs[1:], slopes):
-            ay0, by0 = ys[-1]
-            ys.append((ay0 + slope * (ax - ax0), by0 + slope * (bx - bx0)))
-        columns = (*zip(*xs), *zip(*ys))  # ints and Fractions: both have a denominator
-        self.q, self.shift = q, shift
-        self.D = D = math.lcm(*(c.denominator for column in columns for c in column))
-        self.AX, self.BX, self.AY, self.BY = (
-            tuple(c.numerator * (D // c.denominator) for c in column) for column in columns
-        )
+        self.q, self.shift, self.D = q, shift, D
+        self.AX, self.BX, self.AY, self.BY = AX, BX, AY, BY
 
 
 class Tower(NamedTuple):
@@ -133,28 +126,47 @@ class Tower(NamedTuple):
 
 
 def level_model(
-    profile: PolynomialValuationProfile, data: LimitingRamificationData, d: int, v_base
+    profile: PolynomialValuationProfile, data: LimitingRamificationData, d: int, v_base,
+    C: Optional[Tuple[int, int]] = None,
 ) -> LevelModel:
     """The closed form of the module docstring with q^n left free.
 
-    Requires p not dividing d.  Each polygon segment, shallowest first,
-    gives the x row of one vertex; the slope into each later vertex is
-    p^{r_{k+1}}/q for its segment k.
+    ``C``, the working base's error coefficient, is a pair (a, b) with b >
+    0 (``data.C`` without one); p must not divide d.  Segment k, of width
+    w, gives the x row of one vertex, shallowest first, and the slope
+    p^{r_{k+1}}/q into each later one.  The rows are written over D0 = q W
+    b s, for W the lcm of the widths and s the shift's denominator, and
+    reduced by their gcd with D0: D is the lcm of their reduced denominators.
     """
-    if abs(d) % profile.p == 0:
-        raise ValueError(f"d = {d} is divisible by p = {profile.p}")
-    if data.C is None:
-        raise ValueError("limiting data has no error coefficient C")
-    p, e_ke = profile.p, profile.e_ke
-    shift = (d - 1) * abs(v_base)
-    xs = []
-    for k in reversed(range(data.V - 1)):
-        width = p ** data.R[k + 1] - p ** data.R[k]
-        ax = Fraction(-e_ke * (data.M[k + 1] - data.M[k]), width)
-        bx = Fraction(-e_ke * (data.E[k + 1] - data.E[k]) * data.C, width) + shift
-        xs.append((ax, bx))
-    slopes = [Fraction(p**r_k, profile.q) for r_k in reversed(data.R[1:-1])]
-    return LevelModel(profile.q, shift, xs, slopes)
+    p, q, e_ke = profile.p, profile.q, profile.e_ke
+    if abs(d) % p == 0:
+        raise ValueError(f"d = {d} is divisible by p = {p}")
+    if C is None:
+        if data.C is None:
+            raise ValueError("limiting data has no error coefficient C")
+        C = data.C.numerator, data.C.denominator
+    (c_num, c_den), s_num, s_den = C, (d - 1) * abs(v_base.numerator), v_base.denominator
+    g = math.gcd(s_num, s_den)
+    s_num, s_den = s_num // g, s_den // g
+    powers, M, E = [p**r for r in data.R], data.M, data.E
+    widths = [b - a for a, b in zip(powers, powers[1:])]
+    W = math.lcm(*widths)
+    D0, shift = q * W * c_den * s_den, s_num * q * W * c_den  # both over D0
+    AX, BX = [], []
+    for k in reversed(range(data.V - 1)):  # shallowest segment first
+        u = q * (W // widths[k]) * s_den * e_ke
+        AX.append((M[k] - M[k + 1]) * u * c_den)
+        BX.append((E[k] - E[k + 1]) * u * c_num + shift)
+    # each y after the first, on the identity, steps by its slope P/q times
+    # the x step, which carries the factor q
+    tops = powers[-2:0:-1]
+    AY, BY = (
+        [*accumulate([xs[0], *(P * ((x1 - x0) // q) for P, x0, x1 in zip(tops, xs, xs[1:]))])]
+        for xs in (AX, BX)
+    )
+    g = math.gcd(D0, *AX, *BX, *AY, *BY)
+    rows = (tuple(c // g for c in row) for row in (AX, BX, AY, BY))
+    return LevelModel(q, (s_num, s_den), [(P, q) for P in tops], D0 // g, *rows)
 
 
 def first_failure(model: LevelModel) -> Optional[Tuple[int, str]]:
@@ -212,8 +224,8 @@ def build_tower(model: LevelModel, depth: int, heights: bool = True) -> Tower:
             why = f"level {n} is not in the stable regime: segment slopes must be strictly "
             why += "increasing (strict convexity)"
         elif prop == "vertex-positivity":
-            why = f"level {n} vertex positions are not positive (shift {model.shift}); "
-            why += "outside the supported regime"
+            why = f"level {n} vertex positions are not positive "
+            why += f"(shift {format_ratio(*model.shift)}); outside the supported regime"
         else:
             first, last = (model.AX[j] * q**k + model.BX[j] for j, k in ((0, n), (-1, n - 1)))
             why = f"first vertex {format_ratio(first, D)} of phi_{n} does not lie strictly "

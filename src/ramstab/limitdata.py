@@ -15,7 +15,9 @@ cross-checks the surrogate against exact level polygons.
 ``complete_record`` extends a branch record past its halving level N in
 closed form and returns C = q^N v(a_N) with it, read where v(a_N) is
 known; a branch with no forced level raises ``BranchDataError``, the input
-error on ``branch_valuations``.  A working base at level m has C / q^m.
+error on ``branch_valuations``.  ``limiting_data_for_branch`` builds the
+data once, with C.  A working base at level m has C / q^m, which the tower
+commands keep as an integer pair.
 """
 
 from __future__ import annotations
@@ -73,9 +75,6 @@ class LimitingRamificationData(NamedTuple("LimitingRamificationData", _FIELDS)):
             raise ValueError("sign must be +1 or -1")
         return self
 
-    # ``_replace``, which attaches C, builds through ``_make``: validate that path too
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
-
     def to_json(self) -> dict:
         return {
             "V": self.V,
@@ -119,9 +118,10 @@ def main_and_error(
 
 
 def limiting_data(
-    profile: PolynomialValuationProfile, sign: int
+    profile: PolynomialValuationProfile, sign: int, C: Optional[Fraction] = None
 ) -> LimitingRamificationData:
-    """Select the stable vertex set from the surrogate hull of (p^k, M*q^2 + sign*E).
+    """Select the stable vertex set from the surrogate hull of (p^k, M*q^2 + sign*E),
+    with the error coefficient ``C`` when it is known.
 
     The surrogate error term carries the sign of the base valuation: the
     exact level-n heights are M + E*C/q^n and C shares that sign, so when
@@ -136,7 +136,7 @@ def limiting_data(
     M = tuple(table[k][0] for k in R)
     E = tuple(table[k][1] for k in R)
     assert all(e <= profile.q - 1 for e in E)
-    return LimitingRamificationData(V=len(R), R=R, M=M, E=E, sign=sign)
+    return LimitingRamificationData(V=len(R), R=R, M=M, E=E, sign=sign, C=C)
 
 
 def complete_record(
@@ -182,5 +182,5 @@ def limiting_data_for_branch(
     used to read off C.
     """
     record, N, C = complete_record(profile, record)
-    return limiting_data(profile, record.sign)._replace(C=C), record, N
+    return limiting_data(profile, record.sign, C), record, N
 

@@ -75,12 +75,14 @@ class _Panel:
 def render_level_report(polygon, dual, phi, tower, level: int) -> str:
     """Four labeled panels: the level polygon, its dual, phi_n, and the tower map.
 
-    ``polygon`` is the level polygon's vertex list, in exact numbers.
-    ``dual``, ``phi`` and ``tower`` are each a function through the origin
-    on integers, (xs, dx, ys, dy, (a, b)): its vertices (x/dx, y/dy), with
-    dx, dy > 0, and its final slope a/b, with b > 0.
+    ``polygon`` is the level polygon on integers, (xs, ys, dy): its
+    vertices (x, y/dy), with dy > 0.  ``dual``, ``phi`` and ``tower`` are
+    each a function through the origin on integers, (xs, dx, ys, dy,
+    (a, b)): its vertices (x/dx, y/dy), with dx, dy > 0, and its final
+    slope a/b, with b > 0.
     """
-    outline = [(float(x), float(y)) for x, y in polygon]
+    xs, ys, dy = polygon
+    outline = [(float(x), y / dy) for x, y in zip(xs, ys)]
     panels = [
         _Panel(f"newton polygon, level {level}", outline, _COLORS[0]),
         _Panel(f"copolygon, level {level}", _plf_polyline(*dual), _COLORS[1]),

@@ -15,8 +15,10 @@ by slicing its record and completing the tail for its own C, the
 ordered-test oracle evaluates every x of the tower to a depth and finds
 its first failing level by comparing them in turn, the subfield-table
 oracle builds the ``breaks`` and ``subfields`` entries as dicts, for
-``json.dumps``, as the check oracle builds a certificate's checks, and
-the document oracle, ``parse_document_oracle``, is the parse that
+``json.dumps``, as the check oracle builds a certificate's checks, the
+level-model oracle, ``level_model_oracle`` with ``fraction_level_model``,
+derives the model's rows in ``Fraction`` arithmetic, and the document
+oracle, ``parse_document_oracle``, is the parse that
 formatted every field name up front and read each rational with its own
 ``str.partition``.  ``document_json`` writes an ``InputDocument`` as the
 JSON object that ``parse_document`` reads back.
@@ -39,6 +41,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
@@ -53,7 +56,7 @@ from ramstab.branches import (
     estimate_d,
 )
 from ramstab.certificates import CertificateCheck, StabilityCertificate
-from ramstab.hasseherbrand import TowerInvariantError, level_model
+from ramstab.hasseherbrand import LevelModel, TowerInvariantError, level_model
 from ramstab.inputdoc import InputDocument
 from ramstab.limitdata import complete_record
 from ramstab.polygons import lower_hull
@@ -62,6 +65,7 @@ from ramstab.valuations import (
     _check_prime,
     check_r_digits,
     digit_limit,
+    format_ratio,
     format_rational,
 )
 
@@ -105,6 +109,11 @@ class PLFunction:
             raise ValueError("all segment slopes must be positive")
         if any(b >= a for a, b in zip(slopes, slopes[1:])):
             raise ValueError("segment slopes must be strictly decreasing (strict concavity)")
+
+    @cached_property
+    def segments(self):
+        """The pieces that ``evaluate`` reads, on integers, built once."""
+        return _integer_segments(self)
 
     def slopes(self) -> list[Fraction]:
         """Segment slopes left to right, including the initial and final ones."""
@@ -171,14 +180,29 @@ def _segments(f: PLFunction):
     yield (x_last, y_last, slopes[-1], None)
 
 
+def _integer_segments(f: PLFunction):
+    """The pieces of ``_segments`` on integers, (x1 numerator, x1
+    denominator, A, B, C): the piece is y = (A a + B b) / (C b) at x = a/b,
+    up to x1 (None for the final ray)."""
+    pieces = []
+    for x0, y0, slope, x1 in _segments(f):
+        s_n, s_d = slope.numerator, slope.denominator
+        intercept = y0 - slope * x0
+        c_n, c_d = intercept.numerator, intercept.denominator
+        end = (None, None) if x1 is None else (x1.numerator, x1.denominator)
+        pieces.append((*end, s_n * c_d, c_n * s_d, s_d * c_d))
+    return tuple(pieces)
+
+
 def evaluate(f: PLFunction, x) -> Fraction:
     """Exact value of ``f`` at ``x >= 0``."""
-    x = Fraction(x)
-    if x < 0:
+    x = x if type(x) is Fraction else Fraction(x)
+    a, b = x.numerator, x.denominator
+    if a < 0:
         raise ValueError(f"piecewise-linear functions are defined on x >= 0, got {x}")
-    for x0, y0, slope, x1 in _segments(f):
-        if x1 is None or x <= x1:
-            return y0 + slope * (x - x0)
+    for x1_n, x1_d, A, B, C in f.segments:
+        if x1_n is None or a * x1_d <= x1_n * b:
+            return Fraction(A * a + B * b, C * b)
     raise AssertionError("unreachable")
 
 
@@ -554,7 +578,7 @@ def level_vertices(model, n):
     if xs[0] <= 0:
         raise TowerInvariantError(
             "vertex-positivity",
-            f"level {n} vertex positions are not positive (shift {model.shift}); "
+            f"level {n} vertex positions are not positive (shift {format_ratio(*model.shift)}); "
             "outside the supported regime",
         )
     return [(x, Fraction(a * q_n + b, D)) for x, a, b in zip(xs, model.AY, model.BY)]
@@ -616,6 +640,43 @@ def working_tower(profile, record, data, cert):
     working_data = data._replace(C=complete_record(profile, tail)[2])
     v_base = tail.first_finite()
     return working_data, v_base, level_model(profile, working_data, cert.d_used, v_base)
+
+
+def fraction_level_model(q, shift, xs, slopes):
+    """A ``LevelModel`` from ``Fraction`` rows, as the package built it
+    before its rows were integers: the x rows (ax, bx) of the vertices,
+    vertex j at x = ax * q^n + bx, and the slopes of phi_n into vertices
+    1, 2, ...  The first y is on the identity, each later y is the one
+    before it plus its slope times the x step, and every row is written
+    over the lcm of their reduced denominators.  The package's
+    constructor checks the slopes."""
+    ys = [xs[0]]
+    for (ax0, bx0), (ax, bx), slope in zip(xs, xs[1:], slopes):
+        ay0, by0 = ys[-1]
+        ys.append((ay0 + slope * (ax - ax0), by0 + slope * (bx - bx0)))
+    columns = [[Fraction(c) for c in column] for column in (*zip(*xs), *zip(*ys))]
+    D = math.lcm(*(c.denominator for column in columns for c in column))
+    rows = (tuple(c.numerator * (D // c.denominator) for c in column) for column in columns)
+    ratios = [Fraction(slope).as_integer_ratio() for slope in slopes]
+    return LevelModel(q, Fraction(shift).as_integer_ratio(), ratios, D, *rows)
+
+
+def level_model_oracle(profile, data, d, v_base, C=None):
+    """``level_model`` in ``Fraction`` arithmetic, with ``C`` a ``Fraction``
+    (``data.C`` by default): segment k of width w gives the x row
+    (-e_ke dM / w, -e_ke dE C / w + shift), shallowest first, and the
+    slope into each later vertex is p^{r_{k+1}}/q."""
+    p, e_ke = profile.p, profile.e_ke
+    C = data.C if C is None else C
+    shift = (d - 1) * abs(Fraction(v_base))
+    xs = []
+    for k in reversed(range(data.V - 1)):
+        width = p ** data.R[k + 1] - p ** data.R[k]
+        ax = Fraction(-e_ke * (data.M[k + 1] - data.M[k]), width)
+        bx = Fraction(-e_ke * (data.E[k + 1] - data.E[k]) * C, width) + shift
+        xs.append((ax, bx))
+    slopes = [Fraction(p**r_k, profile.q) for r_k in reversed(data.R[1:-1])]
+    return fraction_level_model(profile.q, shift, xs, slopes)
 
 
 def phi_oracle(model, n):

@@ -34,22 +34,31 @@ class TestPCBNormalForm:
         assert pcb_normal_form(profile) == (True, None)
 
 
+def criterion_row(data, p, q, n, v):
+    """The composition criterion's row at level n and base valuation v; the
+    pass bit the check returns, with the row or without it, is the row's."""
+    check, rows = composition_criterion(data, p, q), []
+    passed = check(n, v.numerator, v.denominator, rows)
+    assert check(n, v.numerator, v.denominator) == passed == rows[0].passed
+    return rows[0]
+
+
 class TestCompositionCriterion:
     def test_sample_passes_at_small_base(self):
         data = limiting_data(SAMPLE_PROFILE, 1)
-        check = composition_criterion(data, 3, 9)(1, Fraction(2, 3))
+        check = criterion_row(data, 3, 9, 1, Fraction(2, 3))
         assert check.passed and check.level == 1
         assert check.lhs == "3" and check.rhs == "7/6"
 
     def test_sample_fails_at_large_base(self):
         data = limiting_data(SAMPLE_PROFILE, 1)
-        check = composition_criterion(data, 3, 9)(0, Fraction(4))
+        check = criterion_row(data, 3, 9, 0, Fraction(4))
         assert not check.passed
         assert check.lhs == "3" and check.rhs == "9/2"
 
     def test_single_slope_is_automatic(self):
         data = limiting_data(UNIFORMIZER_PROFILE, 1)
-        check = composition_criterion(data, 3, 3)(0, Fraction(1000))
+        check = criterion_row(data, 3, 3, 0, Fraction(1000))
         assert check.passed and check.name == "single-limiting-slope"
 
     def test_degree_p_always_passes(self):
@@ -57,7 +66,7 @@ class TestCompositionCriterion:
         for _ in range(30):
             profile = random_profile(rng, r=1)
             data = limiting_data(profile, 1)
-            check = composition_criterion(data, profile.p, profile.q)(0, Fraction(rng.randint(1, 50)))
+            check = criterion_row(data, profile.p, profile.q, 0, Fraction(rng.randint(1, 50)))
             assert check.passed and check.name == "single-limiting-slope"
 
 
@@ -131,7 +140,8 @@ class TestCertify:
         cert = certify(SAMPLE_PROFILE, record, data, d=2)
         check = crit(data, SAMPLE_PROFILE.p, SAMPLE_PROFILE.q)
         for n in range(cert.reindex, len(record.valuations)):
-            assert check(n, record.valuations[n]).passed
+            v = record.valuations[n]
+            assert check(n, v.numerator, v.denominator)
 
     def test_reindex_is_at_least_the_stability_screen(self):
         from ramstab.branches import find_stable_index

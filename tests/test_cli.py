@@ -888,6 +888,55 @@ class TestErrorContract:
         error = json.loads(err)
         assert error["field"] == "base_valuation" and "level 640's denominator" in error["error"]
 
+    @pytest.mark.parametrize(
+        "limit, doc",
+        [
+            # a scanned level's denominator on r: level 3 of -2 under x^(2^800)
+            (640, {"p": 2, "r": 800, "v_p": 1, "coeff_valuations": {"1": "1", str(2**800): "0"},
+                   "base_valuation": "-2", "branch_valuations": ["-2"]}),
+            # the sample without d: level 678's criterion bound, the estimated d,
+            # level 0's d-estimate, and both at exactly 10^647
+            (647, {"base_valuation": f"-{10**645 + 1}", "e_ke": 1}),
+            (647, {"base_valuation": f"-{10**646 + 1}/7", "e_ke": 10}),
+            (647, {"base_valuation": f"-{10**646 + 1}/7", "e_ke": 10, "d": 1}),
+            (647, {"base_valuation": f"-{10**637}", "e_ke": 10**10, "d": 1}),
+            (647, {"base_valuation": f"-{10**637}", "e_ke": 10**10}),
+            # the criterion's right side of exactly 10^640
+            (640, {"p": 11, "r": 2, "v_p": 10, "coeff_valuations": {"11": "1", "121": "0"},
+                   "base_valuation": f"5/{10**640 - 1}", "branch_valuations": [f"5/{10**640 - 1}"]}),
+            # the sample without d: level 671's denominator
+            (640, {"base_valuation": f"-{10**638 + 1}"}),
+            # x^2: level 640's denominator of exactly 10^640
+            (640, {"p": 2, "r": 1, "v_p": 1, "coeff_valuations": {"2": "0"},
+                   "base_valuation": f"-{25 * 10**638 + 1}/{5**640}",
+                   "branch_valuations": [f"-{25 * 10**638 + 1}/{5**640}"]}),
+        ],
+        ids=[
+            "scanned-level-on-r", "criterion", "d-estimate", "level-d-estimate",
+            "d-estimate-at-the-bound", "estimated-d-at-the-bound", "criterion-ten-to-the-limit",
+            "denominator", "denominator-ten-to-the-limit",
+        ],
+    )
+    def test_tower_commands_fail_with_certifys_record(self, capsys, tmp_path, limit, doc):
+        # the tower commands certify without rows: every print guard still
+        # runs, in certify's order, so each fails with certify's error record
+        if "p" not in doc:  # a change to the sample, which loses its d unless given one
+            sample = json.loads(Path(SAMPLE).read_text())
+            del sample["d"]
+            doc = {**sample, **doc, "branch_valuations": [doc["base_valuation"]]}
+        path = tmp_path / "guarded.json"
+        path.write_text(json.dumps(doc))
+        svg = tmp_path / "never-written.svg"
+        with int_digit_limit(limit):
+            code, out, err = run(capsys, "certify", str(path))
+            assert code == 2 and out == "" and json.loads(err)["field"] is not None
+            for argv in (
+                ["breaks", "--depth", "2"], ["hh", "--depth", "2"],
+                ["plot", "--depth", "2", "--out", str(svg)],
+            ):
+                assert run(capsys, argv[0], str(path), *argv[1:]) == (2, "", err)
+        assert not svg.exists()
+
     def test_plot_of_a_q_past_floats_exits_2_on_r(self, capsys, tmp_path):
         # q = 2^1100 is the polygon's last x, past the largest float: no
         # depth can be plotted, though the document certifies and its
@@ -1056,9 +1105,15 @@ def count_stage_calls(capsys, *argv, code=0):
     cached = (
         "coefficient_floor", "q_squared", "screen_threshold", "screen_texts", "forced_step_bound"
     )
-    counts = dict.fromkeys([*originals, *cached, "CertificateCheck"], 0)
+    # records counted as they are built, through the class
+    classes = {
+        "CertificateCheck": certificates.CertificateCheck,
+        "LimitingRamificationData": limitdata.LimitingRamificationData,
+    }
+    counts = dict.fromkeys([*originals, *cached, *classes], 0)
 
     def counting(name, fn):
+        @functools.wraps(fn)  # a profile constant's cache is stored under its name
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return fn(*args, **kwargs)
@@ -1067,16 +1122,13 @@ def count_stage_calls(capsys, *argv, code=0):
 
     wrappers = {name: counting(name, fn) for name, fn in originals.items()}
     with pytest.MonkeyPatch.context() as patch:
-        # every certificate row is built through the class
-        patch.setattr(
-            certificates.CertificateCheck, "__new__",
-            counting("CertificateCheck", certificates.CertificateCheck.__new__),
-        )
+        for name, cls in classes.items():
+            patch.setattr(cls, "__new__", counting(name, cls.__new__))
         profile_class = branches.PolynomialValuationProfile
         for name in cached:
-            counted = functools.cached_property(counting(name, vars(profile_class)[name].func))
-            counted.__set_name__(profile_class, name)
-            patch.setattr(profile_class, name, counted)
+            # the profile's own lazy constant, around the counted function
+            constant = vars(profile_class)[name]
+            patch.setattr(profile_class, name, type(constant)(counting(name, constant.func)))
         for mod_name, module in list(sys.modules.items()):
             if mod_name != "ramstab" and not mod_name.startswith("ramstab."):
                 continue
@@ -1280,6 +1332,85 @@ class TestStageCounts:
         counts = count_stage_calls(capsys, "branch", SAMPLE)
         assert counts["limiting_data"] == 0
         assert counts["find_stable_index"] == 1
+
+    @pytest.mark.parametrize("fixture", [SAMPLE, UNIFORMIZER])
+    @pytest.mark.parametrize("command", ["breaks", "hh", "plot"])
+    def test_certified_tower_commands_build_no_certificate_rows(
+        self, capsys, tmp_path, fixture, command
+    ):
+        # the tower needs only the verdict: sample certifies at reindex 3,
+        # where certify builds 21 rows; a tower command builds none of
+        # them, calls no screen and builds none of its texts
+        argv = [command, "--depth", "5", fixture]
+        if command == "plot":
+            argv += ["--out", str(tmp_path / "plot.svg")]
+        counts = count_stage_calls(capsys, *argv)
+        assert counts["CertificateCheck"] == counts["stability_screen"] == 0
+        assert counts["screen_threshold"] == counts["screen_texts"] == 0
+        assert counts["composition_criterion"] == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # no level passes: 26 rows
+            {
+                "p": 2, "r": 4, "v_p": 2, "e_ke": 2, "coeff_valuations": {"12": "1", "16": "0"},
+                "base_valuation": "4", "branch_valuations": ["4", "1/4", "1/64"],
+            },
+            # p = 3 divides d = 3: one row
+            {**json.loads(Path(SAMPLE).read_text()), "d": 3},
+        ],
+        ids=["no-level-passes", "d-divisible-by-p"],
+    )
+    @pytest.mark.parametrize("command", ["breaks", "hh", "plot"])
+    def test_not_certified_tower_commands_build_the_rows_they_print(
+        self, capsys, tmp_path, doc, command
+    ):
+        # a branch that does not certify prints its certificate: each row
+        # is built once, for that, and the data once
+        path = tmp_path / "not-certified.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--depth", "6", str(path)]
+        if command == "plot":
+            argv += ["--out", str(tmp_path / "never-written.svg")]
+        counts = count_stage_calls(capsys, *argv, code=1)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        rows = json.loads(out)["certificate"]["checks"]
+        assert counts["CertificateCheck"] == len(rows)
+        assert counts["LimitingRamificationData"] == counts["limiting_data"] == 1
+        # the certificate certify prints, less certify's own diagnostics
+        certified = json.loads(run(capsys, "certify", str(path))[1])
+        del certified["diagnostics"]
+        assert json.loads(out)["certificate"] == certified
+
+    def test_long_record_tower_builds_no_rows_and_certify_every_row(self, capsys, tmp_path):
+        # the 40-level record certifies: breaks builds none of certify's
+        # 206 rows, and certify still builds each of them once
+        profile = branches.PolynomialValuationProfile(
+            p=2, r=3, v_p=1, coeff_valuations={1: 2, 3: 4, 5: 1, 6: 3, 8: 0}
+        )
+        record = predict_branch(profile, Fraction(76), [0] * 40, 40)
+        path = tmp_path / "long40.json"
+        path.write_text(json.dumps(document_json(InputDocument(profile, record, d=3))))
+        counts = count_stage_calls(capsys, "breaks", "--depth", "5", str(path))
+        assert counts["CertificateCheck"] == counts["stability_screen"] == 0
+        counts = count_stage_calls(capsys, "certify", str(path))
+        rows = json.loads(run(capsys, "certify", str(path))[1])["checks"]
+        assert counts["CertificateCheck"] == len(rows) == 206
+        assert counts["stability_screen"] == 41
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_limiting_data_is_built_once(self, capsys, tmp_path, command):
+        # C is attached as the data is built: no second, validated copy,
+        # and the working base's C / q^m is an integer pair; branch needs none
+        argv = [command, SAMPLE]
+        if cli.COMMANDS[command][2]:
+            argv[1:1] = ["--depth", "4"]
+        if command == "plot":
+            argv += ["--out", str(tmp_path / "plot.svg")]
+        counts = count_stage_calls(capsys, *argv)
+        assert counts["LimitingRamificationData"] == (0 if command == "branch" else 1)
 
 
 class TestSelftest:

@@ -13,6 +13,7 @@ from helpers import (
     altitude,
     compose,
     evaluate,
+    fraction_level_model,
     int_digit_limit,
     level_polygon,
     level_vertices,
@@ -28,7 +29,6 @@ from ramstab.certificates import certify
 from ramstab import hasseherbrand
 from ramstab.cli import _render, _table
 from ramstab.hasseherbrand import (
-    LevelModel,
     TowerInvariantError,
     build_tower,
     first_failure,
@@ -153,7 +153,7 @@ class TestFirstFailure:
 
     def test_debug_logs_the_levels_before_a_failure(self, caplog):
         # x = 3^n + 5, 4 * 3^n holds at levels 1 and 2 and fails the gap at 3
-        model = LevelModel(3, Fraction(0), ((1, 5), (4, 0)), (Fraction(1, 2),))
+        model = fraction_level_model(3, Fraction(0), ((1, 5), (4, 0)), (Fraction(1, 2),))
         assert first_failure(model) == (3, "composition-gap")
         caplog.set_level(logging.DEBUG, logger="ramstab.hasseherbrand")
         with pytest.raises(TowerInvariantError):
@@ -180,17 +180,17 @@ class TestModelValidation:
     )
     def test_rejects_slopes_that_do_not_decrease(self, slopes):
         with pytest.raises(ValueError) as err:
-            LevelModel(3, Fraction(0), ((1, 0), (2, 0)), slopes)
+            fraction_level_model(3, Fraction(0), ((1, 0), (2, 0)), slopes)
         assert str(err.value) == "segment slopes must be strictly decreasing (strict concavity)"
 
     @pytest.mark.parametrize("slopes", [(), (Fraction(1, 2), Fraction(2, 5))])
     def test_rejects_a_slope_count_other_than_one_per_later_vertex(self, slopes):
         with pytest.raises(ValueError, match="one slope per vertex after its first"):
-            LevelModel(3, Fraction(0), ((1, 0), (2, 0)), slopes)
+            fraction_level_model(3, Fraction(0), ((1, 0), (2, 0)), slopes)
 
     def test_heights_follow_from_the_identity_and_the_slopes(self):
         # phi_n: (3^n, 3^n) on the identity, then slope 1/2 to (2*3^n + 1, ...)
-        model = LevelModel(3, Fraction(0), ((1, 0), (2, 1)), (Fraction(1, 2),))
+        model = fraction_level_model(3, Fraction(0), ((1, 0), (2, 1)), (Fraction(1, 2),))
         assert (model.D, model.AX, model.BX, model.AY, model.BY) == (2, (2, 4), (0, 2), (2, 3), (0, 1))
         assert phi_oracle(model, 1).vertices == ((3, 3), (7, 5))
 
@@ -352,7 +352,7 @@ class TestClosedFormTower:
 
 def bare_model(q, T):
     """A one-vertex model whose numerator bound is T: phi_n's vertex is (T, T)."""
-    return LevelModel(q, Fraction(0), [(Fraction(0), Fraction(T))], [])
+    return fraction_level_model(q, Fraction(0), [(Fraction(0), Fraction(T))], [])
 
 
 def edge_models():

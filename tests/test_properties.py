@@ -26,7 +26,11 @@ On a uniformizer base, Hilbert's different read off ``hh`` equals the
 running sum of the Eisenstein layers' ``v(P'(a_n))``.  Documents with
 one to three fields of a fixture or a ``bench/gen.py`` document changed
 parse, or fail on the same field with the same message, as under
-``parse_document_oracle``.
+``parse_document_oracle``.  ``certify`` without rows, as the tower
+commands run it, gives ``certify``'s verdict, and at a lowered digit limit
+raises what it raises.  The integer level model has the rows of the
+``Fraction`` one.  Every command keeps the error contract of the ``cli``
+docstring on documents with one field changed.
 """
 
 import argparse
@@ -34,7 +38,9 @@ import contextlib
 import copy
 import enum
 import json
+import os
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,27 +65,30 @@ from ramstab.branches import (
     stability_screen,
     zero_departure_candidates,
 )
-from ramstab.certificates import CertificateCheck, certify, revalidate
+from ramstab.certificates import CertificateCheck, StabilityCertificate, certify, revalidate
 from ramstab.cli import _Text, _json_chunks, _render, _table, _tower_text
 from ramstab.hasseherbrand import (
-    LevelModel,
     Tower,
     TowerInvariantError,
     build_tower,
     first_failure,
+    level_model,
 )
 from ramstab.inputdoc import InputDocument, parse_document
 from ramstab.limitdata import (
+    LimitingRamificationData,
     complete_record,
     limiting_data,
     limiting_data_for_branch,
     main_and_error,
 )
 from ramstab.polygons import lower_hull
-from ramstab.valuations import digit_limit, format_ratio, format_rational, parse_rational
+from ramstab.valuations import (
+    InputError, digit_limit, format_ratio, format_rational, parse_rational,
+)
 
 import ramification_oracle
-from digests import _load_gen
+from digests import _load_gen, _run
 
 from helpers import (
     breaks_and_subfields,
@@ -90,10 +99,12 @@ from helpers import (
     compose,
     document_json,
     dual_plf,
+    fraction_level_model,
     hull_step_candidates,
     hull_stepped_extension,
     int_digit_limit,
     kummer_carries,
+    level_model_oracle,
     level_polygon,
     level_vertices,
     main_and_error_oracle,
@@ -442,7 +453,13 @@ def test_certify_matches_the_per_level_oracle(profile, base, choices, depth, d):
         data, record, _ = limiting_data_for_branch(profile, record)
     except BranchDataError:
         assume(False)
-    assert certify(profile, record, data, d) == certify_oracle(profile, record, data, d)
+    cert = certify(profile, record, data, d)
+    assert cert == certify_oracle(profile, record, data, d)
+    # the scan without rows, as the tower commands run it, gives the same
+    # verdict: kind, reindex, d_used, d_trusted, conditional_on_d and reason
+    verdict = certify(profile, record, data, d, rows=False)
+    assert verdict.checks == ()
+    assert verdict._replace(checks=cert.checks) == cert
     stable = None
     for n, (v, d_n) in enumerate(zip(record.valuations, record.d_estimates)):
         if v is not None:
@@ -452,6 +469,75 @@ def test_certify_matches_the_per_level_oracle(profile, base, choices, depth, d):
                 stable = n
     # the stable index is decided on the screen's pass bits, without text
     assert find_stable_index(profile, record) == stable
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the type, field and message of the
+    ``ValueError`` it raises."""
+    try:
+        return run()
+    except ValueError as exc:
+        return type(exc), getattr(exc, "field", None), str(exc)
+
+
+# profiles whose records from a large base are forced from level 0: the
+# sample on a negative base (V = 3), x^3 on any (V = 2), and p = 11 with a
+# shallowest limiting slope of 1 on a small positive one (V = 3)
+GUARDED_PROFILES = {
+    "sample": PolynomialValuationProfile(
+        p=3, r=2, v_p=2, coeff_valuations={1: 4, 3: 2, 4: 3, 6: 4, 7: 3, 9: 0}
+    ),
+    "cube": PolynomialValuationProfile(p=3, r=1, v_p=1, coeff_valuations={3: 0}),
+    "p11": PolynomialValuationProfile(p=11, r=2, v_p=10, coeff_valuations={11: 1, 121: 0}),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(GUARDED_PROFILES)),
+    digits=st.integers(600, 650),
+    offset=st.integers(-2, 2),
+    den=st.sampled_from(("1", "7", "tens", "fives")),
+    e_ke=st.sampled_from((1, 10, 10**10)),
+    d=st.sampled_from((None, 1, 2)),
+)
+# TestErrorContract's documents at a 640-digit limit: the sample on
+# -(10^645 + 1) without d (a criterion bound), on -(10^646 + 1)/7 with
+# e_ke = 10 (the estimated d, or with d = 1 level 0's d-estimate), p = 11
+# on 5/(10^640 - 1) (a criterion bound of exactly 10^640), and the
+# sample's scanned denominator past the limit, from -(10^638 + 1)
+@example(name="sample", digits=645, offset=1, den="1", e_ke=1, d=None)
+@example(name="sample", digits=646, offset=1, den="7", e_ke=10, d=None)
+@example(name="sample", digits=646, offset=1, den="7", e_ke=10, d=1)
+@example(name="p11", digits=0, offset=4, den="tens", e_ke=1, d=None)
+@example(name="sample", digits=638, offset=1, den="1", e_ke=1, d=None)
+def test_the_verdict_without_rows_fails_as_certify_does(name, digits, offset, den, e_ke, d):
+    """At a 640-digit limit, on bases whose records reach the print guards:
+    where ``certify`` raises, ``certify`` without rows raises the same
+    ``InputError``, with the same field and message, and otherwise it gives
+    the same verdict."""
+    profile = GUARDED_PROFILES[name]
+    profile = PolynomialValuationProfile(
+        profile.p, profile.r, profile.v_p, profile.coeff_valuations, e_ke
+    )
+    numerator = 10**digits + offset
+    denominator = {"1": 1, "7": 7, "tens": 10**640 - 1, "fives": 5**640}[den]
+    if name == "p11":
+        numerator = 5 if den == "tens" else 1
+    elif name == "sample":
+        numerator = -numerator
+    with int_digit_limit(640):
+        try:
+            record = build_record(profile, [Fraction(numerator, denominator)])
+            data, record, _ = limiting_data_for_branch(profile, record)
+        except BranchDataError:
+            assume(False)
+        cert = _outcome(lambda: certify(profile, record, data, d))
+        verdict = _outcome(lambda: certify(profile, record, data, d, rows=False))
+    if isinstance(cert, StabilityCertificate):
+        assert verdict.checks == () and verdict._replace(checks=cert.checks) == cert
+    else:
+        assert cert[0] is InputError and verdict == cert
 
 
 TOWER_DEPTH = 6
@@ -691,7 +777,7 @@ small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
 @st.composite
 def free_level_models(draw):
-    """``LevelModel`` arguments beyond what ``level_model`` passes:
+    """``fraction_level_model`` arguments beyond what ``level_model`` passes:
     increasing positive ax, any bx, and slopes that strictly decrease
     inside (1/q, 1), or one of the slope lists the constructor rejects: a
     slope of 1 or of 1/q, slopes out of order, one slope too many or too
@@ -746,15 +832,15 @@ def test_integer_tower_matches_the_fraction_fold_on_free_models(args, depth):
     q, _shift, xs, slopes = args
     if len(slopes) != len(xs) - 1:
         with pytest.raises(ValueError, match="one slope per vertex after its first"):
-            LevelModel(*args)
+            fraction_level_model(*args)
     elif list(slopes) != sorted(set(slopes), reverse=True) or not all(
         Fraction(1, q) < s < 1 for s in slopes
     ):
         with pytest.raises(ValueError) as err:
-            LevelModel(*args)
+            fraction_level_model(*args)
         assert str(err.value) == "segment slopes must be strictly decreasing (strict concavity)"
     else:
-        tower = assert_tower_matches_oracle(LevelModel(*args), depth)
+        tower = assert_tower_matches_oracle(fraction_level_model(*args), depth)
         if tower is not None:
             assert_tower_text_matches_oracle(tower)
 
@@ -787,7 +873,7 @@ def test_first_failure_is_the_ordered_test_at_every_depth(args):
     assume(len(slopes) == len(xs) - 1)
     assume(list(slopes) == sorted(set(slopes), reverse=True))
     assume(all(Fraction(1, q) < s < 1 for s in slopes))
-    model = LevelModel(*args)
+    model = fraction_level_model(*args)
     failure = first_failure(model)
     level = failure[0] if failure else 0
     for depth in sorted({*range(1, 13), level - 1, level} - {0, -1}):
@@ -800,6 +886,52 @@ def test_first_failure_is_the_ordered_test_at_every_depth(args):
                 build_tower(model, depth, heights=False)
             assert err.value.prop == failure[1]
             assert f"level {level} " in str(err.value) or f"phi_{level} " in str(err.value)
+
+
+@st.composite
+def level_model_cases(draw):
+    """``level_model`` arguments on free limiting data: V = 2 to 6 vertices
+    over p^0 < ... < p^r, any main terms and error factors, C of either
+    sign, e_ke in {1, 2, 3}, d of either sign prime to p, and a working base
+    at reindex m = 0 to 3."""
+    p, V = draw(st.sampled_from((2, 3, 5))), draw(st.integers(2, 6))
+    r = draw(st.integers(V - 1, 5))
+    inner = draw(st.sets(st.integers(1, r - 1), min_size=V - 2, max_size=V - 2)) if V > 2 else ()
+    R = (0, *sorted(inner), r)
+    M = (*draw(st.lists(st.integers(0, 12), min_size=V - 1, max_size=V - 1)), 0)
+    E = (*draw(st.lists(st.integers(0, p**r - 1), min_size=V - 1, max_size=V - 1)), 0)
+    sign = draw(st.sampled_from((1, -1)))
+    C = sign * Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**4)))
+    profile = PolynomialValuationProfile(
+        p=p, r=r, v_p=1, coeff_valuations={p**r: 0}, e_ke=draw(st.sampled_from((1, 2, 3)))
+    )
+    d = draw(st.integers(-40, 40).filter(lambda d: d % p))
+    v_base = Fraction(draw(st.integers(-60, 60).filter(bool)), draw(st.integers(1, 60)))
+    data = LimitingRamificationData(V=V, R=R, M=M, E=E, sign=sign, C=C)
+    return profile, data, d, v_base, draw(st.integers(0, 3))
+
+
+def model_rows(model):
+    return model.D, model.AX, model.BX, model.AY, model.BY, model.shift
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=level_model_cases())
+# the sample fixture's working base at its reindex 3
+@example(case=(
+    GUARDED_PROFILES["sample"], LimitingRamificationData(3, (0, 1, 2), (3, 2, 0), (3, 0, 0), 1, Fraction(6)),
+    2, Fraction(2, 243), 3,
+))
+def test_integer_level_model_is_the_fraction_one(case):
+    """The integer ``level_model`` has the (D, AX, BX, AY, BY, shift) of the
+    ``Fraction`` construction, with C / q^m an integer pair, or from the
+    data's own C at m = 0."""
+    profile, data, d, v_base, m = case
+    C = data.C.numerator, data.C.denominator * profile.q**m
+    oracle = level_model_oracle(profile, data, d, v_base, data.C / profile.q**m)
+    assert model_rows(level_model(profile, data, d, v_base, C)) == model_rows(oracle)
+    if m == 0:
+        assert model_rows(level_model(profile, data, d, v_base)) == model_rows(oracle)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -1086,6 +1218,8 @@ def _mutated(obj, mutation):
     elif kind == "branch" and isinstance(obj.get("branch_valuations"), list):
         branch = obj["branch_valuations"]
         branch[where % (len(branch) + 1) :] = [value]
+    elif kind == "base":  # a new base, its branch given from it
+        obj["base_valuation"], obj["branch_valuations"] = value, [value]
     return obj
 
 
@@ -1133,3 +1267,80 @@ def test_parse_document_matches_the_oracle(obj, limit):
     lowered = limit and hasattr(sys, "set_int_max_str_digits")
     with int_digit_limit(limit) if lowered else contextlib.nullcontext():
         assert parse_outcome(parse_document, obj) == parse_outcome(parse_document_oracle, obj)
+
+
+# every per-document command, each tower command to depth 3
+CONTRACT_COMMANDS = (
+    ["limit-data"], ["branch"], ["certify"], ["hh", "--depth", "3"], ["breaks", "--depth", "3"],
+    ["plot", "--depth", "3", "--out", os.devnull],
+)
+extremes = st.sampled_from((0, -1, 1, 2, 3, 5, 10**30, -(10**30), 2**61 - 1, 10**200))
+# rationals of up to 40 digits over up to 40: the work a base sets stays small
+capped_rationals = st.builds(
+    lambda n, d: format_ratio(n, d), st.integers(-(10**40), 10**40).filter(bool),
+    st.integers(1, 10**40),
+)
+contract_mutations = st.one_of(
+    mutations,
+    st.tuples(st.just("set"), st.sampled_from(("p", "r", "v_p", "e_ke", "d", "leading_zeros")),
+              extremes),
+    st.tuples(st.just("base"), st.none(), capped_rationals | st.sampled_from(("inf", "1", "-1"))),
+)
+
+
+@st.composite
+def contract_documents(draw):
+    """A fixture or ``bench/gen.py`` document with one field changed: to a
+    text the schema rejects, to an extreme integer, or to a new base."""
+    return _mutated(copy.deepcopy(draw(st.sampled_from(BASE_DOCUMENTS))), draw(contract_mutations))
+
+
+def _edge_document(r):
+    """p = 2 and degree q = 2^r, base -1 and d = 1: at a 640-digit limit q^2
+    prints for r <= 1063 and q^3 for r <= 708."""
+    return {
+        "p": 2, "r": r, "v_p": 1, "coeff_valuations": {"1": "1", str(2**r): "0"},
+        "base_valuation": "-1", "branch_valuations": ["-1"], "d": 1,
+    }
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(obj=contract_documents(), limit=st.none())
+@example(obj=_edge_document(708), limit=640)
+@example(obj=_edge_document(709), limit=640)
+@example(obj=_edge_document(1063), limit=640)
+@example(obj=_edge_document(1064), limit=640)
+@example(obj={**BASE_DOCUMENTS[0], "d": 3}, limit=None)  # NotCertified: 3 divides d
+@example(obj=TOO_LONG_NUMERATORS["base_valuation"], limit=640)
+def test_every_command_keeps_the_error_contract(obj, limit):
+    """The error contract of the ``cli`` docstring on generated documents,
+    through all six commands in process: exit 0, 1 or 2 and no traceback;
+    nothing on stderr on exit 0, else one JSON object with ``error``; exit
+    2 names a non-null ``field``; exit 1 prints a ``NotCertified``
+    certificate or names an ``invariant``.  Where ``certify`` exits 2, the
+    tower commands exit 2 with the same error record."""
+    lowered = limit and hasattr(sys, "set_int_max_str_digits")
+    with tempfile.TemporaryDirectory() as tmp, (
+        int_digit_limit(limit) if lowered else contextlib.nullcontext()
+    ):
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        outcomes = {argv[0]: _run(cli, [*argv, path]) for argv in CONTRACT_COMMANDS}
+    for command, (code, out, err) in outcomes.items():
+        assert code in (0, 1, 2), (command, code)
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == ""
+            continue
+        record = json.loads(err) if err else {}
+        assert err == "" or (isinstance(record, dict) and "error" in record)
+        if code == 2:
+            assert record.get("field") is not None and out == ""
+        elif "invariant" not in record:
+            report = json.loads(out)
+            certificate = report if command == "certify" else report["certificate"]
+            assert certificate["kind"] == "NotCertified"
+    if outcomes["certify"][0] == 2:
+        for command in ("hh", "breaks", "plot"):
+            assert outcomes[command] == outcomes["certify"]
