@@ -3,9 +3,10 @@
 Commands: limit-data, branch, certify, hh, breaks, plot, selftest.
 The command table ``COMMANDS`` lists the six per-document commands once,
 each a function ``(doc, args) -> (payload or None, exit code)`` with its
-help text and whether it takes --depth; the parser, batch ``certify`` and
+help text and whether it takes --depth; ``_SPECS``, batch ``certify`` and
 ``selftest`` read it.  One runner, ``main``, parses argv (``_parse_args``
-hands a command's words straight to its subparser), loads the document,
+reads a plain line from ``_SPECS`` without argparse, and any other argv,
+help and usage errors included, with argparse), loads the document,
 calls the command and writes its payload through ``_write``, the one
 write path for stdout and every --out (each command's report, a batch's
 and plot's SVG), which rewrites an --out target in place and cuts a
@@ -39,7 +40,6 @@ not certify, and reads the working base's C / q^m as an integer pair.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
@@ -47,6 +47,7 @@ import stat
 import sys
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .branches import estimate_d, find_stable_index
 from .certificates import CertificateCheck, certify, pcb_normal_form, pcb_sufficient
@@ -77,7 +78,11 @@ def _configure_logging():
 
 
 def _positive_int(text: str) -> int:
+    """A count: a positive integer in ASCII digits.  Past the digit limit
+    ``int`` raises ValueError, which argparse reports as an invalid value."""
     if not (text.isascii() and text.isdecimal()) or int(text) < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
@@ -442,6 +447,17 @@ COMMANDS = {
     "plot": (_plot, "render polygon, dual and transition functions as SVG", True),
 }
 
+# Each command's arguments, the one spec of ``build_parser`` and ``_plain``:
+# its input's name and nargs, and its options, flag -> add_argument keywords.
+_SPECS = {
+    name: (("inputs", "+") if name == "certify" else ("input", None), {
+        **({"--jobs": {"type": _positive_int, "default": 1}} if name == "certify" else {}),
+        **({"--depth": {"type": _positive_int, "required": True}} if takes_depth else {}),
+        "--out": {"required": name == "plot"},
+    })
+    for name, (_run, _text, takes_depth) in COMMANDS.items()
+}
+
 
 def _certify_one(path: str) -> tuple[dict, int]:
     """One file of a batch: its certificate or its error record, and the
@@ -479,7 +495,7 @@ def _selftest() -> int:
         for command in ("branch", "limit-data", "certify", "hh"):
             name = f"{fixture}.{command}" + (str(depth) if command == "hh" else "")
             expected = _bundled(os.path.join("golden", name + ".json")).read_bytes()
-            payload, _code = COMMANDS[command][0](doc, argparse.Namespace(depth=depth))
+            payload, _code = COMMANDS[command][0](doc, SimpleNamespace(depth=depth))
             actual = _render(payload)
             if actual.encode() == expected:
                 print(f"selftest {name}: OK")
@@ -500,44 +516,64 @@ def _selftest() -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing leaves it
-    unchanged, so every ``main`` call can share it."""
+def build_parser():
+    """The ``argparse`` parser, built once per process, for an argv that is
+    not plain: parsing leaves it unchanged, so ``main`` calls share it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ramstab",
         description="Exact ramification data, stability certificates and "
         "transition functions for branch extensions of local fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_run, text, takes_depth) in COMMANDS.items():
+    for name, (_run, text, _takes_depth) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        if name == "certify":
-            p.add_argument("inputs", nargs="+")
-            p.add_argument("--jobs", type=_positive_int, default=1)
-        else:
-            p.add_argument("input")
-        if takes_depth:
-            p.add_argument("--depth", type=_positive_int, required=True)
-        p.add_argument("--out", required=name == "plot")
+        (dest, nargs), options = _SPECS[name]
+        p.add_argument(dest, nargs=nargs)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
     sub.add_parser("selftest", help="run the bundled fixtures against golden reports")
-    parser.commands = sub.choices  # each command's own subparser, by name
     return parser
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)`` with each word parsed once: a
-    command's words go straight to its subparser, and any it leaves over
-    are the top-level parser's error, as in ``parse_args``.  Any other argv
-    (none, -h, an unknown command, a leading --) goes to ``parse_args``."""
-    parser = build_parser()
+def _plain(argv: list):
+    """A plain line's fields, or None for any other argv: a command of
+    ``_SPECS``, its inputs in one run of words, and each of its options at
+    most once, in full, its value in the next word, not starting with "-"."""
+    if not argv or argv[0] not in _SPECS:
+        return None
+    (dest, nargs), options = _SPECS[argv[0]]
+    inputs, given, end, i = [], {}, 0, 1
+    while i < len(argv):
+        word, value = argv[i], argv[i + 1] if i + 1 < len(argv) else "-"
+        if not word.startswith("-") and (not inputs or nargs and i == end):
+            inputs.append(word)  # argparse reads only the first run of inputs
+            i = end = i + 1
+        elif word in options and word not in given and not value.startswith("-"):
+            given[word] = value
+            i += 2
+        else:
+            return None
+    if not inputs:
+        return None
+    args = {"command": argv[0], dest: inputs if nargs else inputs[0]}
+    for flag, keywords in options.items():
+        value, convert = given.get(flag), keywords.get("type", str)
+        if value is None and keywords.get("required"):
+            return None
+        try:  # parse_args reports the type's error as a usage error, or raises it
+            args[flag[2:]] = keywords.get("default") if value is None else convert(value)
+        except Exception:
+            return None
+    return SimpleNamespace(**args)
+
+
+def _parse_args(argv):
+    """A plain line's fields from ``_plain``, any other argv's from
+    ``build_parser().parse_args``, the one source of help and errors."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extra:
-        parser.error("unrecognized arguments: " + " ".join(extra))
-    return args
+    return _plain(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -21,7 +21,8 @@ derives the model's rows in ``Fraction`` arithmetic, and the document
 oracle, ``parse_document_oracle``, is the parse that
 formatted every field name up front and read each rational with its own
 ``str.partition``.  ``document_json`` writes an ``InputDocument`` as the
-JSON object that ``parse_document`` reads back.
+JSON object that ``parse_document`` reads back, and ``argv_outcome`` is
+what a command-line parse reads, prints and exits with.
 
 ``PLFunction``, with ``make_plf``, ``evaluate``, ``compose`` and
 ``altitude``, is the general algebra of concave piecewise-linear
@@ -36,6 +37,7 @@ vertex tuple, as ``lower_hull`` and ``level_polygon`` return it.
 """
 
 import contextlib
+import io
 import logging
 import math
 import re
@@ -1055,3 +1057,15 @@ def int_digit_limit(limit):
         yield
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def argv_outcome(parse, argv):
+    """What parsing the command line ``argv`` does: the fields it reads or
+    its exit code, then what it prints to stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()

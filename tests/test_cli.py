@@ -17,7 +17,13 @@ from ramstab.cli import main
 from ramstab.branches import build_record
 from ramstab.inputdoc import InputDocument, load_document
 
-from helpers import document_json, int_digit_limit, predict_branch, tower_json_oracle
+from helpers import (
+    argv_outcome,
+    document_json,
+    int_digit_limit,
+    predict_branch,
+    tower_json_oracle,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 SAMPLE = str(REPO / "src" / "ramstab" / "data" / "sample.json")
@@ -994,6 +1000,9 @@ NONPOSITIVE_COUNTS = [
     ["certify", "--jobs", "\uff12", SAMPLE, UNIFORMIZER],
 ]
 
+# a count past the interpreter's 4,300-digit limit: int() cannot read it
+LONG_COUNT = "1" * 5000
+
 # command lines on which main's parse must act exactly as parse_args
 ARGV_CASES = [
     [],
@@ -1016,19 +1025,18 @@ ARGV_CASES = [
     ["selftest", "extra", "--more"],
     ["limit-data", SAMPLE, "--out"],
     ["branch", "--help"],
+    # inputs split by an option: argparse reads only the first run
+    ["certify", SAMPLE, "--jobs", "2", UNIFORMIZER],
+    ["certify", SAMPLE, "--out", "o.json", UNIFORMIZER],
+    ["breaks", "--depth", "2", "--depth", "3", SAMPLE],  # a repeated option
+    ["breaks", "--depth", "0", "--depth", "3", SAMPLE],  # argparse reads each value
+    # a value or an input that starts with "-", and an empty one
+    ["certify", SAMPLE, "--out", "-5"],
+    ["certify", "-5"],
+    ["certify", SAMPLE, "--out", ""],
+    ["breaks", "--depth", LONG_COUNT, SAMPLE],
     *NONPOSITIVE_COUNTS,
 ]
-
-
-def parse_outcome(capsys, parse, argv):
-    """What parsing ``argv`` does: the Namespace's fields or the exit code,
-    then stdout and stderr."""
-    try:
-        result = vars(parse(argv))
-    except SystemExit as exc:
-        result = exc.code
-    out = capsys.readouterr()
-    return result, out.out, out.err
 
 
 class TestArgumentValidation:
@@ -1049,15 +1057,25 @@ class TestArgumentValidation:
         assert err.startswith("usage:") and "positive integer" in err
 
     @pytest.mark.parametrize("argv", ARGV_CASES)
-    def test_parse_is_parse_args(self, capsys, monkeypatch, argv):
+    def test_parse_is_parse_args(self, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "200")
-        parser = cli.build_parser()
-        expected = parse_outcome(capsys, parser.parse_args, argv)
-        assert parse_outcome(capsys, cli._parse_args, argv) == expected
+        expected = argv_outcome(cli.build_parser().parse_args, argv)
+        assert argv_outcome(cli._parse_args, argv) == expected
         if isinstance(expected[0], dict):
             assert expected[0]["command"] in argv
 
+    def test_count_past_the_digit_limit_is_a_usage_error(self, capsys):
+        # the plain reader leaves it to argparse, which reports int's ValueError
+        with int_digit_limit(4300), pytest.raises(SystemExit) as exc:
+            main(["breaks", "--depth", LONG_COUNT, SAMPLE])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "usage: ramstab breaks [-h] --depth DEPTH [--out OUT] input",
+            f"ramstab breaks: error: argument --depth: invalid _positive_int value: '{LONG_COUNT}'",
+        ]
+
     def test_parser_is_built_once(self, capsys, monkeypatch):
+        # plain lines build no parser; the first other argv builds it, once
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -1068,6 +1086,13 @@ class TestArgumentValidation:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         cli.build_parser.cache_clear()
         for argv in (["certify", SAMPLE], ["limit-data", SAMPLE], ["branch", UNIFORMIZER]):
+            assert run(capsys, *argv)[0] == 0
+        assert built == []
+        for argv in (
+            ["breaks", "--depth=2", SAMPLE],
+            ["limit-data", "--", SAMPLE],
+            ["branch", "--o", os.devnull, UNIFORMIZER],
+        ):
             assert run(capsys, *argv)[0] == 0
         assert built.count("ramstab") == 1
 
@@ -1283,16 +1308,15 @@ class TestStageCounts:
         assert counts["main_and_error"] == 1
 
     def test_command_lines_skip_the_top_level_parse(self, capsys, monkeypatch, tmp_path):
-        # a command's words go straight to its subparser: argparse's
-        # top-level pass runs only for an argv that names no command
-        parser, calls = cli.build_parser(), []
-        parse_known_args = parser.parse_known_args
+        # a plain line is read without argparse: only another argv, one
+        # that only argparse reads, gets the parser
+        calls, build_parser = [], cli.build_parser
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return parse_known_args(*args, **kwargs)
+        def counting():
+            calls.append(1)
+            return build_parser()
 
-        monkeypatch.setattr(parser, "parse_known_args", counting)
+        monkeypatch.setattr(cli, "build_parser", counting)
         svg = str(tmp_path / "plot.svg")
         for argv in (
             ["certify", SAMPLE],
@@ -1300,15 +1324,17 @@ class TestStageCounts:
             ["limit-data", SAMPLE],
             ["branch", "--out", str(tmp_path / "branch.json"), UNIFORMIZER],
             ["hh", "--depth", "3", SAMPLE],
-            ["breaks", "--depth=3", UNIFORMIZER],
+            ["breaks", UNIFORMIZER, "--depth", "3"],
             ["plot", "--depth", "2", "--out", svg, SAMPLE],
-            ["selftest"],
         ):
             assert run(capsys, *argv)[0] == 0
         assert calls == []
+        for argv in (["breaks", "--depth=3", UNIFORMIZER], ["selftest"]):
+            assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 2
         with pytest.raises(SystemExit):
             main(["-h"])
-        assert len(calls) == 1
+        assert len(calls) == 3
 
     def test_branch_builds_no_certificate_rows_or_screen_text(self, capsys, tmp_path):
         # the stable index is decided on the screen's pass bits alone, on a

@@ -30,7 +30,10 @@ parse, or fail on the same field with the same message, as under
 commands run it, gives ``certify``'s verdict, and at a lowered digit limit
 raises what it raises.  The integer level model has the rows of the
 ``Fraction`` one.  Every command keeps the error contract of the ``cli``
-docstring on documents with one field changed.
+docstring on documents with one field changed.  A completed record's last
+two levels agree on every check but the settled run, so that row decides
+no verdict.  The plain command-line reader acts as ``parse_args`` on
+generated command lines.
 """
 
 import argparse
@@ -41,6 +44,7 @@ import json
 import os
 import sys
 import tempfile
+import unittest.mock
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,8 +68,15 @@ from ramstab.branches import (
     minimal_d_estimate,
     stability_screen,
     zero_departure_candidates,
+    _screen_passes,
 )
-from ramstab.certificates import CertificateCheck, StabilityCertificate, certify, revalidate
+from ramstab.certificates import (
+    CertificateCheck,
+    StabilityCertificate,
+    certify,
+    composition_criterion,
+    revalidate,
+)
 from ramstab.cli import _Text, _json_chunks, _render, _table, _tower_text
 from ramstab.hasseherbrand import (
     Tower,
@@ -91,6 +102,7 @@ import ramification_oracle
 from digests import _load_gen, _run
 
 from helpers import (
+    argv_outcome,
     breaks_and_subfields,
     ceiling_halving_level,
     certificate_json,
@@ -378,73 +390,95 @@ def test_closed_form_completion_matches_the_hull_stepped_walk(profile, base, cho
         assert complete_record(profile, tail)[2] == C / profile.q**n
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(
-    profile=profiles(),
-    base=base_valuations,
-    choices=st.lists(st.integers(0, 1), max_size=4),
-    depth=st.integers(1, 4),
-    d=st.none() | st.integers(-9, 9).filter(bool),
-)
-# a long record: v(P_1) = 2 and base 80, following the largest root, falls
-# by 2 per level for ~40 levels
-@example(
-    profile=PolynomialValuationProfile(
-        p=2, r=3, v_p=1, coeff_valuations={1: 2, 3: 4, 5: 1, 6: 3, 8: 0}
+# the certify generator's examples
+CERTIFY_EXAMPLES = [
+    # a long record: v(P_1) = 2 and base 80, following the largest root, falls
+    # by 2 per level for ~40 levels
+    dict(
+        profile=PolynomialValuationProfile(
+            p=2, r=3, v_p=1, coeff_valuations={1: 2, 3: 4, 5: 1, 6: 3, 8: 0}
+        ),
+        base=Fraction(80), choices=[0] * 40, depth=45, d=3,
     ),
-    base=Fraction(80), choices=[0] * 40, depth=45, d=3,
-)
-# long records as bench/gen.py's certify-corpus builds them: v(P_1) = 2,
-# bases 76-80 and the largest root followed, ~40 levels for q = 8 and 49
-@example(
-    profile=PolynomialValuationProfile(
-        p=2, r=3, v_p=2, coeff_valuations={1: 2, 3: 4, 4: 1, 7: 3, 8: 0}, e_ke=2
+    # long records as bench/gen.py's certify-corpus builds them: v(P_1) = 2,
+    # bases 76-80 and the largest root followed, ~40 levels for q = 8 and 49
+    dict(
+        profile=PolynomialValuationProfile(
+            p=2, r=3, v_p=2, coeff_valuations={1: 2, 3: 4, 4: 1, 7: 3, 8: 0}, e_ke=2
+        ),
+        base=Fraction(79), choices=[0] * 39, depth=39, d=None,
     ),
-    base=Fraction(79), choices=[0] * 39, depth=39, d=None,
-)
-@example(
-    profile=PolynomialValuationProfile(
-        p=2, r=3, v_p=2, coeff_valuations={1: 2, 2: 1, 4: 2, 6: 3, 8: 0}, e_ke=2
+    dict(
+        profile=PolynomialValuationProfile(
+            p=2, r=3, v_p=2, coeff_valuations={1: 2, 2: 1, 4: 2, 6: 3, 8: 0}, e_ke=2
+        ),
+        base=Fraction(78), choices=[0] * 39, depth=39, d=-1,
     ),
-    base=Fraction(78), choices=[0] * 39, depth=39, d=-1,
-)
-@example(
-    profile=PolynomialValuationProfile(
-        p=7, r=2, v_p=1, coeff_valuations={1: 2, 19: 2, 27: 4, 33: 3, 49: 0}, e_ke=2
+    dict(
+        profile=PolynomialValuationProfile(
+            p=7, r=2, v_p=1, coeff_valuations={1: 2, 19: 2, 27: 4, 33: 3, 49: 0}, e_ke=2
+        ),
+        base=Fraction(76), choices=[0] * 39, depth=39, d=4,
     ),
-    base=Fraction(76), choices=[0] * 39, depth=39, d=4,
-)
-@example(
-    profile=PolynomialValuationProfile(
-        p=7, r=2, v_p=2, coeff_valuations={1: 2, 19: 5, 28: 4, 36: 5, 49: 0}, e_ke=2
+    dict(
+        profile=PolynomialValuationProfile(
+            p=7, r=2, v_p=2, coeff_valuations={1: 2, 19: 5, 28: 4, 36: 5, 49: 0}, e_ke=2
+        ),
+        base=Fraction(78), choices=[0] * 41, depth=41, d=None,
     ),
-    base=Fraction(78), choices=[0] * 41, depth=41, d=None,
-)
-# a long record on a negative base: every step is forced
-@example(
-    profile=PolynomialValuationProfile(
-        p=2, r=3, v_p=1, coeff_valuations={1: 2, 3: 4, 5: 1, 6: 3, 8: 0}
+    # a long record on a negative base: every step is forced
+    dict(
+        profile=PolynomialValuationProfile(
+            p=2, r=3, v_p=1, coeff_valuations={1: 2, 3: 4, 5: 1, 6: 3, 8: 0}
+        ),
+        base=Fraction(-78), choices=[], depth=40, d=None,
     ),
-    base=Fraction(-78), choices=[], depth=40, d=None,
-)
-# x^q: no coefficient floor, the == row of valuation-below-coefficients,
-# short and on a 40-level record
-@example(profile=monomial(3, 2), base=Fraction(5), choices=[], depth=2, d=None)
-@example(profile=monomial(2, 1), base=Fraction(80), choices=[], depth=40, d=None)
-# the sample fixture, V = 3
-@example(
-    profile=PolynomialValuationProfile(
-        p=3, r=2, v_p=2, coeff_valuations={1: 4, 3: 2, 4: 3, 6: 4, 7: 3, 9: 0}
+    # x^q: no coefficient floor, the == row of valuation-below-coefficients,
+    # short and on a 40-level record
+    dict(profile=monomial(3, 2), base=Fraction(5), choices=[], depth=2, d=None),
+    dict(profile=monomial(2, 1), base=Fraction(80), choices=[], depth=40, d=None),
+    # the sample fixture, V = 3
+    dict(
+        profile=PolynomialValuationProfile(
+            p=3, r=2, v_p=2, coeff_valuations={1: 4, 3: 2, 4: 3, 6: 4, 7: 3, 9: 0}
+        ),
+        base=Fraction(4), choices=[0], depth=2, d=2,
     ),
-    base=Fraction(4), choices=[0], depth=2, d=2,
-)
-# a uniformizer base
-@example(
-    profile=PolynomialValuationProfile(p=3, r=1, v_p=1, coeff_valuations={1: 2, 2: 1, 3: 0}),
-    base=Fraction(1), choices=[], depth=2, d=None,
-)
-# a negative base
-@example(profile=monomial(2, 1), base=Fraction(-11), choices=[], depth=1, d=None)
+    # a uniformizer base, and the uniformizer fixture
+    dict(
+        profile=PolynomialValuationProfile(p=3, r=1, v_p=1, coeff_valuations={1: 2, 2: 1, 3: 0}),
+        base=Fraction(1), choices=[], depth=2, d=None,
+    ),
+    dict(
+        profile=PolynomialValuationProfile(p=3, r=1, v_p=1, coeff_valuations={1: 2, 2: 1, 3: 0}),
+        base=Fraction(1), choices=[], depth=3, d=1,
+    ),
+    # a negative base
+    dict(profile=monomial(2, 1), base=Fraction(-11), choices=[], depth=1, d=None),
+]
+
+
+def certify_cases(max_examples):
+    """The certify generator: a branch predicted from a drawn profile, base
+    and slope choices, and d given or not, with ``CERTIFY_EXAMPLES``."""
+
+    def cases(test):
+        for case in CERTIFY_EXAMPLES:
+            test = example(**case)(test)
+        return settings(derandomize=True, database=None, max_examples=max_examples, deadline=None)(
+            given(
+                profile=profiles(),
+                base=base_valuations,
+                choices=st.lists(st.integers(0, 1), max_size=4),
+                depth=st.integers(1, 4),
+                d=st.none() | st.integers(-9, 9).filter(bool),
+            )(test)
+        )
+
+    return cases
+
+
+@certify_cases(max_examples=200)
 def test_certify_matches_the_per_level_oracle(profile, base, choices, depth, d):
     # the level scan reads the profile's cached constants and builds the
     # composition terms once; the oracle builds every level's checks afresh
@@ -469,6 +503,34 @@ def test_certify_matches_the_per_level_oracle(profile, base, choices, depth, d):
                 stable = n
     # the stable index is decided on the screen's pass bits, without text
     assert find_stable_index(profile, record) == stable
+
+
+@certify_cases(max_examples=300)
+def test_the_settled_run_decides_no_verdict(profile, base, choices, depth, d):
+    """The settled run (``run >= 2``) fails only at levels that fail
+    another check or that a level before them passes.  Before the run, a
+    level within 1/q^2 has a d-estimate divisible by p.  In the run, only
+    the last level L fails it, and L - 1 agrees with L on every other
+    check: it is within 1/q^2, their d-estimates are equal, and so are
+    the composition criterion and the screen's three pass bits."""
+    try:
+        record = predict_branch(profile, base, choices, depth)
+        data, record, _ = limiting_data_for_branch(profile, record)
+    except BranchDataError:
+        assume(False)
+    last, criterion = len(record.valuations) - 1, composition_criterion(data, profile.p, profile.q)
+    estimates = record.d_estimates
+
+    def passes(n):
+        a, b = record.valuations[n].as_integer_ratio()
+        return criterion(n, a, b), _screen_passes(profile, a, b, estimates[n])
+
+    settled = min(n for n in range(last + 1) if set(estimates[n:]) == {estimates[-1]})
+    for n in range(settled):
+        if record.valuations[n] is not None and passes(n)[1][0]:
+            assert estimates[n] % profile.p == 0
+    assert settled < last and passes(last - 1)[1][0]
+    assert passes(last - 1) == passes(last)
 
 
 def _outcome(run):
@@ -1344,3 +1406,39 @@ def test_every_command_keeps_the_error_contract(obj, limit):
     if outcomes["certify"][0] == 2:
         for command in ("hh", "breaks", "plot"):
             assert outcomes[command] == outcomes["certify"]
+
+
+# command-line words: every command, inputs, options spelled in full, cut
+# short and with "=", help and the end of options, and counts good and bad
+# (Arabic-Indic two, and past the interpreter's int digit limit)
+ARGV_WORDS = (
+    *cli.COMMANDS, "selftest", "a.json", "b.json", "", "--depth", "--out", "--jobs", "--dep",
+    "--depth=3", "-h", "--", "-", "-5", "0", "2", "\u0662", "1" * 5000, "x y",
+)
+
+
+@st.composite
+def command_lines(draw):
+    """Words of ``ARGV_WORDS`` alone, or one of them put anywhere in a
+    command's line of some of its parts in any order: two inputs and its
+    options with good values.  About one line in seven drawn is plain."""
+    command, argv = draw(st.sampled_from((*cli.COMMANDS, None))), []
+    if command:
+        _input, options = cli._SPECS[command]
+        values = {flag: "o.svg" if flag == "--out" else "2" for flag in options}
+        parts = [["a.json"], ["b.json"], *([flag, value] for flag, value in values.items())]
+        drawn = draw(st.lists(st.sampled_from(parts), unique_by=tuple))
+        argv = [command, *(word for part in drawn for word in part)]
+    for word in draw(st.lists(st.sampled_from(ARGV_WORDS), max_size=1 if command else 6)):
+        argv.insert(draw(st.integers(0, len(argv))), word)
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(argv=command_lines())
+def test_plain_reader_is_parse_args(argv):
+    # whatever the plain reader accepts reads to parse_args's fields, and
+    # anything else is parse_args's own: the same fields, output and exit
+    with unittest.mock.patch.dict(os.environ, {"COLUMNS": "200"}):
+        expected = argv_outcome(cli.build_parser().parse_args, argv)
+        assert argv_outcome(cli._parse_args, argv) == expected

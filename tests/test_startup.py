@@ -1,6 +1,6 @@
-"""Cold start: a command imports only the stages it runs, every name of the
-lazy export table resolves, and logging loads only when RAMSTAB_LOG asks
-for info or debug records."""
+"""Cold start: a command imports only the stages it runs, a plain command
+line loads no argparse, every name of the lazy export table resolves, and
+logging loads only when RAMSTAB_LOG asks for info or debug records."""
 
 import importlib
 import json
@@ -15,8 +15,11 @@ REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "ramstab"
 SAMPLE = str(PACKAGE / "data" / "sample.json")
 
-# what no certify or limit-data command needs
+# what no certify or limit-data command needs, argparse (and the gettext it
+# imports) only for a command line that is not plain
 HEAVY = (
+    "argparse",
+    "gettext",
     "dataclasses",
     "inspect",
     "logging",
@@ -30,12 +33,13 @@ import contextlib, io, json, sys
 heavy = {heavy!r}
 loaded = lambda: [name for name in heavy if name in sys.modules]
 import ramstab.cli
-seen = {{"import": loaded()}}
-for argv in {commands!r}:
-    with contextlib.redirect_stdout(io.StringIO()):
+seen, reports = {{"import": loaded()}}, {{}}
+for step, argv in {commands!r}.items():
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         code = ramstab.cli.main(argv)
-    seen[argv[0]] = loaded() if code == 0 else "exit %d" % code
-print(json.dumps(seen))
+    seen[step] = loaded() if code == 0 else "exit %d" % code
+    reports[step] = out.getvalue()
+print(json.dumps([seen, reports]))
 """
 
 
@@ -45,16 +49,26 @@ def child_env(**extra):
 
 
 @pytest.fixture(scope="module")
-def loaded_after():
+def child_run():
     """The HEAVY modules loaded in a fresh ``python -S`` after importing
-    the CLI and after each command, in turn."""
-    commands = [["certify", SAMPLE], ["limit-data", SAMPLE], ["breaks", "--depth", "2", SAMPLE]]
+    the CLI and after each command, in turn, and each command's report."""
+    commands = {
+        "certify": ["certify", SAMPLE],
+        "limit-data": ["limit-data", SAMPLE],
+        "breaks": ["breaks", "--depth", "2", SAMPLE],
+        "breaks --depth=2": ["breaks", "--depth=2", SAMPLE],  # a line only argparse reads
+    }
     proc = subprocess.run(
         [sys.executable, "-S", "-c", CHILD.format(heavy=HEAVY, commands=commands)],
         capture_output=True, text=True, env=child_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def loaded_after(child_run):
+    return child_run[0]
 
 
 @pytest.mark.parametrize("step", ["import", "certify", "limit-data"])
@@ -64,6 +78,12 @@ def test_certify_loads_no_tower_plot_or_logging(loaded_after, step):
 
 def test_breaks_loads_the_tower_but_not_the_plot(loaded_after):
     assert loaded_after["breaks"] == ["ramstab.hasseherbrand"]
+
+
+def test_only_a_line_argparse_reads_loads_it(child_run):
+    loaded, reports = child_run
+    assert loaded["breaks --depth=2"] == ["argparse", "gettext", "ramstab.hasseherbrand"]
+    assert reports["breaks --depth=2"] == reports["breaks"] != ""
 
 
 def test_no_module_uses_dataclasses():
